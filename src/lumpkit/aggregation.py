@@ -30,21 +30,23 @@ class Partition:
     """Disjoint nonempty blocks of state indices covering the state space."""
 
     blocks: tuple  # tuple of tuples of state indices, each sorted
-    block_of: dict = field(init=False, repr=False, compare=False)
+    block_of: np.ndarray = field(init=False, repr=False, compare=False)  # state -> block
 
     def __post_init__(self):
         blocks = tuple(tuple(sorted(b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        block_of = {}
-        for bi, block in enumerate(blocks):
-            if not block:
-                raise ValueError("blocks must be nonempty")
-            for s in block:
-                if s in block_of:
-                    raise ValueError(f"state {s} occurs in two blocks")
-                block_of[s] = bi
-        if set(block_of) != set(range(len(block_of))):
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
+        states = np.array([s for block in blocks for s in block], dtype=np.int64)
+        ordered = np.sort(states)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"state {repeated[0]} occurs in two blocks")
+        if states.size and (ordered[0] != 0 or ordered[-1] != states.size - 1):
             raise ValueError("blocks must cover a contiguous index range")
+        block_of = np.empty(states.size, dtype=np.int64)
+        block_of[states] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        block_of.flags.writeable = False
         object.__setattr__(self, "block_of", block_of)
 
     @property
@@ -77,9 +79,19 @@ class MeasureFamily:
                 raise ValueError(f"measure {i} sums to {total!r}, expected 1")
 
     def check_compatible(self, part: Partition):
+        if len(self.alphas) != len(part):
+            raise ValueError(f"{len(self.alphas)} measures for {len(part)} blocks")
         for i, alpha in enumerate(self.alphas):
             if set(alpha) != set(part.blocks[i]):
                 raise ValueError(f"measure {i} support does not match block {i}")
+
+    def weights(self, part: Partition) -> np.ndarray:
+        """alpha_i(s) for every state s, with A_i the block holding s."""
+        self.check_compatible(part)
+        w = np.empty(part.num_states)
+        for alpha in self.alphas:
+            w[list(alpha)] = list(alpha.values())
+        return w
 
 
 def uniform_measures(part: Partition) -> MeasureFamily:
@@ -90,73 +102,74 @@ def uniform_measures(part: Partition) -> MeasureFamily:
 @dataclass(frozen=True)
 class DeltaTable:
     """Backward condition values per (source block, target state) and their
-    per-(source block, target block) spread."""
+    per-(source block, target block) spread, both as arrays indexed
+    ``values[i, s]`` and ``spread[i, j]``."""
 
-    values: dict  # (block i, state s) -> value
-    spread: dict  # (block i, block j) -> max - min over s in A_j
+    values: np.ndarray  # (blocks, states)
+    spread: np.ndarray  # (blocks, blocks): max - min over s in A_j
 
     @property
     def max_spread(self):
-        return max(self.spread.values(), default=0.0)
+        return float(self.spread.max(initial=0.0))
 
 
 def delta_table(K, part: Partition, alphas: MeasureFamily) -> DeltaTable:
-    """Weighted incoming mass per target state, normalized by its own weight."""
-    alphas.check_compatible(part)
+    """Weighted incoming mass per target state, normalized by its own weight:
+    the rows of V K divided by alpha, with V[i, s'] = alpha_i(s')."""
+    w = alphas.weights(part)
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    accum = {}
-    for s_prime, row in enumerate(K.rows):
-        i = part.block_of[s_prime]
-        w = alphas.alphas[i][s_prime]
-        for s, v in row:
-            accum[(i, s)] = accum.get((i, s), 0.0) + w * v
-    values = {}
-    spread = {}
-    for i in range(len(part)):
-        for j, block in enumerate(part.blocks):
-            lo = hi = None
-            for s in block:
-                value = accum.get((i, s), 0.0) / alphas.alphas[j][s]
-                values[(i, s)] = value
-                lo = value if lo is None else min(lo, value)
-                hi = value if hi is None else max(hi, value)
-            spread[(i, j)] = hi - lo
+    m, n, b = len(part), K.dim, part.block_of
+    flow = np.bincount(b[K.row] * n + K.col, weights=w[K.row] * K.data, minlength=m * n)
+    values = flow.reshape(m, n) / w
+    by_block = values[:, np.concatenate(part.blocks)]
+    starts = np.cumsum([0] + [len(block) for block in part.blocks[:-1]])
+    spread = (np.maximum.reduceat(by_block, starts, axis=1)
+              - np.minimum.reduceat(by_block, starts, axis=1))
     return DeltaTable(values, spread)
 
 
 def check_condition(K, part: Partition, alphas: MeasureFamily,
                     tol: float = DEFAULT_CONDITION_TOL):
     """Does the backward condition hold at tolerance tol? Reports the residual."""
-    table = delta_table(K, part, alphas)
-    residual = table.max_spread
+    residual = delta_table(K, part, alphas).max_spread
     return {"holds": residual <= tol, "residual": residual}
 
 
 def check_cond3(K, part: Partition) -> bool:
     """Structural sufficient condition: between any two states of a target
     block, the multisets of incoming rates from each source block agree
-    exactly (equivalently, a rate-preserving permutation of the source block
-    exists)."""
+    within DEFAULT_CONDITION_TOL (a rate-preserving permutation of the source
+    block exists, up to rounding).
+
+    The negative rates of two multisets are matched from the smallest up and
+    the positive ones from the largest down; a rate one state lacks counts
+    as a zero.
+    """
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    columns = {}  # (source block, target state) -> {source state: value}
-    for s_prime, row in enumerate(K.rows):
-        i = part.block_of[s_prime]
-        for s, v in row:
-            columns.setdefault((i, s), {})[s_prime] = v
-    for i, source in enumerate(part.blocks):
-        size = len(source)
-        for block in part.blocks:
-            reference = None
-            for s in block:
-                col = columns.get((i, s), {})
-                multiset = sorted(col.values()) + [0.0] * (size - len(col))
-                if reference is None:
-                    reference = multiset
-                elif multiset != reference:
-                    return False
-    return True
+    m, b = len(part), part.block_of
+    src = b[K.row]
+    order = np.lexsort((K.data, K.col, src))
+    src, col, val = src[order], K.col[order], K.data[order]
+    # rank of each rate inside its (source block, target state) group
+    index = np.arange(val.size)
+    first = np.r_[True, (src[1:] != src[:-1]) | (col[1:] != col[:-1])]
+    group = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], val.size]
+    positive = val > 0
+    rank = np.where(positive, ends[group] - 1 - index, index - starts[group])
+    slot = (src * 2 + positive) * (rank.max(initial=0) + 1) + rank
+    keys, where = np.unique(slot * m + b[col], return_inverse=True)
+    hi = np.full(keys.size, -np.inf)
+    lo = np.full(keys.size, np.inf)
+    np.maximum.at(hi, where, val)
+    np.minimum.at(lo, where, val)
+    lacking = np.bincount(where, minlength=keys.size) < np.bincount(b, minlength=m)[keys % m]
+    hi[lacking] = np.maximum(hi[lacking], 0.0)
+    lo[lacking] = np.minimum(lo[lacking], 0.0)
+    return bool(np.all(hi - lo <= DEFAULT_CONDITION_TOL))
 
 
 @dataclass(frozen=True)
@@ -169,59 +182,41 @@ class AggregatedChain:
 
 def aggregate(K, part: Partition, alphas: MeasureFamily,
               tol: float = DEFAULT_CONDITION_TOL) -> AggregatedChain:
-    """Aggregated matrix over blocks; entry (i, j) averages the condition
-    value over all representatives of block j to stay symmetric under float
-    noise."""
-    table = delta_table(K, part, alphas)
-    residual = table.max_spread
+    """Aggregated matrix over blocks, V K Pi with V[i, s'] = alpha_i(s') and
+    Pi the block-indicator matrix: entry (i, j) is the alpha_j-weighted
+    average of the condition value over block j, and rows keep the sums of
+    K's rows."""
+    residual = delta_table(K, part, alphas).max_spread
     if residual > tol:
         raise ConditionViolated(residual, tol)
-    m = len(part)
-    dense = np.zeros((m, m))
-    for i in range(m):
-        for j, block in enumerate(part.blocks):
-            dense[i, j] = sum(table.values[(i, s)] for s in block) / len(block)
-    if isinstance(K, StochasticMatrix):
-        dense[dense < 0] = 0.0
-        dense /= dense.sum(axis=1, keepdims=True)
-        matrix = StochasticMatrix.from_dense(dense)
-    else:
-        np.fill_diagonal(dense, 0.0)
-        dense[dense < 0] = 0.0
-        np.fill_diagonal(dense, -dense.sum(axis=1))
-        matrix = RateMatrix.from_dense(dense)
+    w, b = alphas.weights(part), part.block_of
+    matrix = type(K)(len(part), b[K.row], b[K.col], w[K.row] * K.data)
     return AggregatedChain(part, alphas, matrix, residual)
 
 
 def restrict(pi: Distribution, part: Partition) -> Distribution:
     """Project a distribution onto the block space by summing within blocks."""
-    weights = np.array([sum(pi[s] for s in block) for block in part.blocks])
+    weights = np.bincount(part.block_of, weights=pi.weights, minlength=len(part))
     return Distribution(weights / weights.sum())
 
 
 def lift(pi_blocks: Distribution, part: Partition, alphas: MeasureFamily) -> Distribution:
     """De-aggregate a block distribution through the block measures."""
-    alphas.check_compatible(part)
-    weights = np.zeros(part.num_states)
-    for i, block in enumerate(part.blocks):
-        for s in block:
-            weights[s] = pi_blocks[i] * alphas.alphas[i][s]
-    return Distribution(weights)
+    if len(pi_blocks) != len(part):
+        raise ValueError(f"{len(pi_blocks)} block weights for {len(part)} blocks")
+    return Distribution(pi_blocks.weights[part.block_of] * alphas.weights(part))
 
 
 def respects(pi: Distribution, part: Partition, alphas: MeasureFamily,
              tol: float = RESPECT_TOL):
     """Is the conditional distribution of pi on each positive-mass block equal
     to that block's measure?"""
-    alphas.check_compatible(part)
-    deviation = 0.0
-    for i, block in enumerate(part.blocks):
-        mass = sum(pi[s] for s in block)
-        if mass <= 0.0:
-            continue  # empty blocks impose no constraint
-        for s in block:
-            deviation = max(deviation, abs(pi[s] / mass - alphas.alphas[i][s]))
-    return {"holds": bool(deviation <= tol), "deviation": float(deviation)}
+    w = alphas.weights(part)
+    mass = np.bincount(part.block_of, weights=pi.weights, minlength=len(part))[part.block_of]
+    loaded = mass > 0.0  # empty blocks impose no constraint
+    deviation = float(np.max(np.abs(pi.weights[loaded] / mass[loaded] - w[loaded]),
+                             initial=0.0))
+    return {"holds": deviation <= tol, "deviation": deviation}
 
 
 @dataclass(frozen=True)
@@ -237,21 +232,16 @@ def nested(fine: Partition, coarse: Partition) -> NestedResult:
     the coarse-block chain."""
     if fine.num_states != coarse.num_states:
         raise ValueError("partitions cover different state spaces")
-    group_of = {}
-    for fi, block in enumerate(fine.blocks):
-        targets = {coarse.block_of[s] for s in block}
-        if len(targets) > 1:
-            raise NotNested(f"fine block {fi} straddles coarse blocks {sorted(targets)}")
-        group_of[fi] = targets.pop()
-    groups = [[] for _ in range(len(coarse))]
-    for fi, ci in group_of.items():
-        groups[ci].append(fi)
-    alphas = []
-    for ci, members in enumerate(groups):
-        size = len(coarse.blocks[ci])
-        alphas.append({fi: len(fine.blocks[fi]) / size for fi in members})
-    return NestedResult(True, Partition(tuple(tuple(g) for g in groups)),
-                        MeasureFamily(tuple(alphas)))
+    group_of = coarse.block_of[[block[0] for block in fine.blocks]]
+    straddling = np.flatnonzero(coarse.block_of != group_of[fine.block_of])
+    if straddling.size:
+        fi = fine.block_of[straddling[0]]
+        targets = sorted(set(coarse.block_of[list(fine.blocks[fi])].tolist()))
+        raise NotNested(f"fine block {fi} straddles coarse blocks {targets}")
+    groups = [np.flatnonzero(group_of == ci).tolist() for ci in range(len(coarse))]
+    alphas = tuple({fi: len(fine.blocks[fi]) / len(coarse.blocks[ci]) for fi in members}
+                   for ci, members in enumerate(groups))
+    return NestedResult(True, Partition(tuple(map(tuple, groups))), MeasureFamily(alphas))
 
 
 def verify_commutation(Q: RateMatrix, part: Partition, alphas: MeasureFamily,
@@ -272,17 +262,12 @@ def power_identity_residual(P: StochasticMatrix, part: Partition,
     the condition value computed from the full n-step matrix."""
     if n < 1:
         raise ValueError("n must be positive")
-    agg = aggregate(P, part, alphas, tol).matrix.dense()
-    agg_n = np.linalg.matrix_power(agg, n)
+    agg_n = np.linalg.matrix_power(aggregate(P, part, alphas, tol).matrix.dense(), n)
     p_n = np.linalg.matrix_power(P.dense(), n)
-    residual = 0.0
-    for i, source in enumerate(part.blocks):
-        for j, block in enumerate(part.blocks):
-            for s in block:
-                value = sum(alphas.alphas[i][sp] * p_n[sp, s] for sp in source)
-                value /= alphas.alphas[j][s]
-                residual = max(residual, abs(agg_n[i, j] - value))
-    return residual
+    w, b = alphas.weights(part), part.block_of
+    v = np.zeros((len(part), P.dim))
+    v[b, np.arange(P.dim)] = w  # V[i, s'] = alpha_i(s')
+    return float(np.max(np.abs(agg_n[:, b] - (v @ p_n) / w)))
 
 
 @dataclass(frozen=True)
@@ -299,18 +284,15 @@ def structural_preservation(K, agg: AggregatedChain) -> PreservationReport:
     block = classify(agg.matrix)
     if full.irreducible and not block.irreducible:
         raise TheoremViolated("aggregation of an irreducible chain is reducible")
-    checked = 0
-    for cls, period in zip(full.communicating_classes, full.periods):
-        if period != 1:
-            continue
-        for s in cls:
-            bi = agg.partition.block_of[s]
-            for bcls, bperiod in zip(block.communicating_classes, block.periods):
-                if bi in bcls and bperiod != 1:
-                    raise TheoremViolated(
-                        f"block {bi} of an aperiodic state has period {bperiod}")
-            checked += 1
-    return PreservationReport(full.irreducible, block.irreducible, checked)
+    block_period = np.empty(len(agg.partition), dtype=np.int64)
+    for bcls, bperiod in zip(block.communicating_classes, block.periods):
+        block_period[list(bcls)] = bperiod
+    aperiodic = [s for cls, period in zip(full.communicating_classes, full.periods)
+                 if period == 1 for s in cls]
+    for bi in np.unique(agg.partition.block_of[aperiodic]):
+        if block_period[bi] != 1:
+            raise TheoremViolated(f"block {bi} of an aperiodic state has period {block_period[bi]}")
+    return PreservationReport(full.irreducible, block.irreducible, len(aperiodic))
 
 
 def convergence_diagnostics(Q: RateMatrix, part: Partition, alphas: MeasureFamily,
@@ -321,18 +303,14 @@ def convergence_diagnostics(Q: RateMatrix, part: Partition, alphas: MeasureFamil
     the aggregated chain, per time point."""
     agg = aggregate(Q, part, alphas, tol)
     pi0_blocks = restrict(pi0, part)
+    w, b = alphas.weights(part), part.block_of
     series = []
     for t in times:
-        x = transient(Q, pi0, t, transient_tol)
-        y = transient(agg.matrix, pi0_blocks, t, transient_tol)
-        dev_lump = max(abs(y[i] - sum(x[s] for s in block))
-                       for i, block in enumerate(part.blocks))
-        dev_inv = 0.0
-        for i, block in enumerate(part.blocks):
-            if y[i] <= ZERO_BLOCK_EPS:
-                continue  # identity is vacuous on mass-free blocks
-            for s in block:
-                dev_inv = max(dev_inv, abs(x[s] - y[i] * alphas.alphas[i][s]))
+        x = transient(Q, pi0, t, transient_tol).weights
+        y = transient(agg.matrix, pi0_blocks, t, transient_tol).weights
+        dev_lump = np.abs(y - np.bincount(b, weights=x, minlength=len(part))).max()
+        loaded = y[b] > ZERO_BLOCK_EPS  # the identity is vacuous on mass-free blocks
+        dev_inv = np.abs(x - y[b] * w)[loaded].max(initial=0.0)
         series.append((float(t), float(dev_lump), float(dev_inv)))
     return series
 

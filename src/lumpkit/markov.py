@@ -1,8 +1,10 @@
 """Finite DTMC/CTMC representations and basic analyses.
 
-Matrices are stored sparsely (row-major adjacency lists); distributions are
-dense vectors. All values are immutable after construction and every
-operation is a pure function, so concurrent read access is safe.
+Matrices are stored sparsely as coordinate arrays in row-major order;
+distributions are dense vectors. All values are immutable after construction
+and every operation is a pure function, so concurrent read access is safe.
+scipy is imported inside ``classify`` and ``stationary`` only, which keeps
+``import lumpkit`` fast.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import NotIrreducible, RateBoundViolated, SolverFailure
@@ -39,100 +40,110 @@ class StateSpace:
         return len(self.states)
 
 
-class _SparseMatrix:
-    """Square sparse matrix, rows stored as tuples of (col, value)."""
+class SquareMatrix:
+    """Square sparse matrix held as three read-only arrays: ``row``, ``col``
+    and ``data`` list the nonzero entries sorted by (row, col), with
+    duplicate coordinates summed and exact zeros dropped."""
 
-    def __init__(self, dim, rows):
+    def __init__(self, dim, row, col, data):
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        if len(rows) != dim:
-            raise ValueError("row count does not match dimension")
-        self.dim = dim
-        self.rows = tuple(tuple(row) for row in rows)
+        row = np.asarray(row, dtype=np.int64).ravel()
+        col = np.asarray(col, dtype=np.int64).ravel()
+        data = np.asarray(data, dtype=float).ravel()
+        if not row.shape == col.shape == data.shape:
+            raise ValueError("row, column and value arrays differ in length")
+        outside = (row < 0) | (row >= dim) | (col < 0) | (col >= dim)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"entry ({row[k]}, {col[k]}) out of range for dimension {dim}")
+        if not np.isfinite(data).all():
+            raise ValueError("entries must be finite")
+        order = np.lexsort((col, row))
+        row, col, data = row[order], col[order], data[order]
+        if row.size:
+            starts = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (col[1:] != col[:-1])])
+            row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
+            nonzero = data != 0.0
+            row, col, data = row[nonzero], col[nonzero], data[nonzero]
+        for arr in (row, col, data):
+            arr.flags.writeable = False
+        self.dim, self.row, self.col, self.data = int(dim), row, col, data
         self._validate()
 
     def _validate(self):
         raise NotImplementedError
+
+    def _check(self, negative, what, row_sum):
+        if negative.any():
+            k = int(np.argmax(negative))
+            raise ValueError(f"{what} at ({self.row[k]}, {self.col[k]})")
+        sums = np.bincount(self.row, weights=self.data, minlength=self.dim)
+        worst = int(np.argmax(np.abs(sums - row_sum)))
+        if abs(sums[worst] - row_sum) > ROW_SUM_TOL:
+            raise ValueError(f"row {worst} sums to {float(sums[worst])!r}, expected {row_sum:g}")
 
     @classmethod
     def from_dense(cls, arr):
         arr = np.asarray(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
-        rows = [
-            tuple((j, arr[i, j]) for j in range(arr.shape[1]) if arr[i, j] != 0.0)
-            for i in range(arr.shape[0])
-        ]
-        return cls(arr.shape[0], rows)
+        row, col = np.nonzero(arr)
+        return cls(arr.shape[0], row, col, arr[row, col])
 
     @classmethod
     def from_triplets(cls, dim, triplets):
-        rows = [{} for _ in range(dim)]
-        for r, c, v in triplets:
-            rows[r][c] = rows[r].get(c, 0.0) + float(v)
-        return cls(dim, [tuple(sorted(row.items())) for row in rows])
+        t = np.asarray(triplets, dtype=float)
+        if t.size and (t.ndim != 2 or t.shape[1] != 3):
+            raise ValueError("triplets must be [row, col, value] entries")
+        t = t.reshape(-1, 3)
+        index = t[:, :2]
+        if not (np.isfinite(index) & (index == np.round(index))).all():
+            raise ValueError("triplet row and column indices must be integers")
+        return cls(dim, index[:, 0], index[:, 1], t[:, 2])
 
     def dense(self):
         arr = np.zeros((self.dim, self.dim))
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                arr[i, j] = v
+        arr[self.row, self.col] = self.data
         return arr
 
-    def entry(self, i, j):
-        for c, v in self.rows[i]:
-            if c == j:
-                return v
-        return 0.0
-
     def triplets(self):
-        return [(i, j, v) for i, row in enumerate(self.rows) for j, v in row]
+        return list(zip(self.row.tolist(), self.col.tolist(), self.data.tolist()))
+
+    def vecmat(self, v):
+        """Row vector times matrix: (v K)_j = sum_i v_i K(i, j)."""
+        return np.bincount(self.col, weights=v[self.row] * self.data, minlength=self.dim)
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.dim == other.dim and self.rows == other.rows
+        return (type(self) is type(other) and self.dim == other.dim
+                and np.array_equal(self.row, other.row)
+                and np.array_equal(self.col, other.col)
+                and np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        return hash((type(self).__name__, self.dim, self.rows))
 
-
-class StochasticMatrix(_SparseMatrix):
+class StochasticMatrix(SquareMatrix):
     """Row-stochastic transition matrix."""
 
     kind = "stochastic"
 
     def _validate(self):
-        for i, row in enumerate(self.rows):
-            total = 0.0
-            for j, v in row:
-                if not 0 <= j < self.dim:
-                    raise ValueError(f"column {j} out of range")
-                if v < 0:
-                    raise ValueError(f"negative entry at ({i}, {j})")
-                total += v
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"row {i} sums to {total!r}, expected 1")
+        self._check(self.data < 0, "negative entry", 1.0)
 
 
-class RateMatrix(_SparseMatrix):
+class RateMatrix(SquareMatrix):
     """CTMC generator: nonnegative off-diagonal, zero row sums."""
 
     kind = "rate"
 
     def _validate(self):
-        for i, row in enumerate(self.rows):
-            total = 0.0
-            for j, v in row:
-                if not 0 <= j < self.dim:
-                    raise ValueError(f"column {j} out of range")
-                if j != i and v < 0:
-                    raise ValueError(f"negative off-diagonal entry at ({i}, {j})")
-                total += v
-            if abs(total) > ROW_SUM_TOL:
-                raise ValueError(f"row {i} sums to {total!r}, expected 0")
+        self._check((self.row != self.col) & (self.data < 0), "negative off-diagonal entry", 0.0)
 
     def exit_rates(self):
         """Per-state exit rates q_i = -Q(i, i)."""
-        return np.array([-self.entry(i, i) for i in range(self.dim)])
+        diagonal = self.row == self.col
+        rates = np.zeros(self.dim)
+        rates[self.row[diagonal]] = -self.data[diagonal]
+        return rates
 
 
 class Distribution:
@@ -142,6 +153,8 @@ class Distribution:
         arr = np.array(weights, dtype=float)
         if arr.ndim != 1:
             raise ValueError("weights must be a vector")
+        if not np.isfinite(arr).all():
+            raise ValueError("weights must be finite")
         if (arr < 0).any():
             raise ValueError("weights must be nonnegative")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
@@ -185,89 +198,84 @@ def classify(K) -> ChainStructure:
     Positive entries define the transition digraph; for rate matrices only
     off-diagonal entries count and every class reports period 1.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(range(K.dim))
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    n = K.dim
     is_rate = isinstance(K, RateMatrix)
-    for i, row in enumerate(K.rows):
-        for j, v in row:
-            if v > 0 and not (is_rate and i == j):
-                g.add_edge(i, j)
-    classes = sorted((frozenset(c) for c in nx.strongly_connected_components(g)),
-                     key=min)
-    closed = []
-    periods = []
-    for cls in classes:
-        closed.append(all(j in cls for i in cls for j in g.successors(i)))
-        if is_rate:
-            periods.append(1)
-        else:
-            periods.append(_class_period(g, cls))
-    irreducible = len(classes) == 1 and closed[0]
-    return ChainStructure(tuple(classes), tuple(closed), tuple(periods), irreducible)
-
-
-def _class_period(g, cls):
-    """gcd of (level difference + 1) over edges in a BFS of the class subgraph."""
-    root = min(cls)
-    level = {root: 0}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in g.successors(u):
-            if v in cls and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    period = 0
-    for u in cls:
-        for v in g.successors(u):
-            if v in cls:
-                period = math.gcd(period, level[u] + 1 - level[v])
-    return period if period > 0 else 1
+    edge = (K.data > 0) & ((K.row != K.col) | (not is_rate))
+    src, dst = K.row[edge], K.col[edge]
+    graph = csr_array((np.ones(src.size), (src, dst)), shape=(n, n))
+    count, label = connected_components(graph, directed=True, connection="strong")
+    inner = label[src] == label[dst]
+    closed = np.ones(count, dtype=bool)
+    closed[label[src[~inner]]] = False
+    classes = sorted(np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1]),
+                     key=lambda c: c[0])
+    periods = [1] * count
+    if not is_rate:
+        # gcd of level(u) + 1 - level(v) over the class's edges u -> v, with
+        # breadth-first levels inside the class: one search from an extra
+        # node n linked to the smallest state of every class
+        src, dst = src[inner], dst[inner]
+        linked = csr_array((np.ones(src.size + count), (np.r_[src, [n] * count],
+                                                        np.r_[dst, [c[0] for c in classes]])),
+                           shape=(n + 1, n + 1))
+        level = dijkstra(linked, indices=n, unweighted=True).astype(np.int64)
+        gcd = np.zeros(count, dtype=np.int64)
+        np.gcd.at(gcd, label[src], level[src] + 1 - level[dst])
+        periods = [int(gcd[label[c[0]]]) or 1 for c in classes]
+    return ChainStructure(
+        tuple(frozenset(c.tolist()) for c in classes),
+        tuple(bool(closed[label[c[0]]]) for c in classes),
+        tuple(periods),
+        count == 1 and bool(closed[0]))
 
 
 def stationary(K, tol=1e-10) -> Distribution:
     """Stationary distribution of an irreducible chain.
 
-    Solves mu K = mu (stochastic) or mu K = 0 (rate) by replacing the
-    normalization row and using an LU solve with partial pivoting.
+    Solves mu K = mu (stochastic) or mu K = 0 (rate) with the last balance
+    equation replaced by the normalization, by a sparse LU factorization.
     """
+    from scipy.sparse import csr_array, eye_array, vstack
+    from scipy.sparse.linalg import splu
+
     structure = classify(K)
     if sum(structure.closed_flags) > 1:
         raise NotIrreducible("chain has more than one closed communicating class")
-    dense = K.dense()
+    n = K.dim
+    balance = csr_array((K.data, (K.col, K.row)), shape=(n, n))
     if isinstance(K, StochasticMatrix):
-        a = (dense - np.eye(K.dim)).T
-    else:
-        a = dense.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(K.dim)
+        balance = balance - eye_array(n)
+    a = vstack([balance[:-1], csr_array(np.ones((1, n)))], format="csc")
+    b = np.zeros(n)
     b[-1] = 1.0
     try:
-        mu = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
+        mu = splu(a).solve(b)
+    except RuntimeError as exc:
         raise SolverFailure(str(exc)) from exc
     mu = np.where(np.abs(mu) < 1e-14, 0.0, mu)
-    if (mu < 0).any():
-        raise SolverFailure("stationary solve produced negative weights")
+    if not np.isfinite(mu).all() or (mu < 0).any():
+        raise SolverFailure("stationary solve produced negative or non-finite weights")
     mu = mu / mu.sum()
-    if isinstance(K, StochasticMatrix):
-        residual = np.max(np.abs(mu @ dense - mu))
-    else:
-        residual = np.max(np.abs(mu @ dense))
-    if residual > tol:
+    flow = K.vecmat(mu)
+    residual = np.max(np.abs(flow - mu if isinstance(K, StochasticMatrix) else flow))
+    if not residual <= tol:
         raise SolverFailure(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
     return Distribution(mu)
 
 
 def uniformize(Q: RateMatrix, r: float) -> StochasticMatrix:
     """Uniformized transition matrix M = I + Q/r, requiring r > max_i q_i."""
-    qmax = float(Q.exit_rates().max()) if Q.dim else 0.0
+    qmax = float(Q.exit_rates().max())
     if r <= qmax:
         raise RateBoundViolated(f"r = {r!r} must exceed the maximal exit rate {qmax!r}")
     # I + Q/r is entrywise nonnegative under the strict rate bound; row sums
     # inherit the generator's zero-sum dust, which stays within tolerance
-    m = np.eye(Q.dim) + Q.dense() / r
-    return StochasticMatrix.from_dense(m)
+    ids = np.arange(Q.dim)
+    return StochasticMatrix(Q.dim, np.r_[Q.row, ids], np.r_[Q.col, ids],
+                            np.r_[Q.data / r, np.ones(Q.dim)])
 
 
 def default_rate(Q: RateMatrix, slack=DEFAULT_RATE_SLACK) -> float:
@@ -278,12 +286,37 @@ def default_rate(Q: RateMatrix, slack=DEFAULT_RATE_SLACK) -> float:
     return slack * qmax
 
 
+def _poisson_window(rt: float, tol: float):
+    """Two-sided truncation of the Poisson(rt) distribution (Fox & Glynn 1988).
+
+    Returns (left, weights): weights[k] is the probability of left + k,
+    normalized over the window. The truncation points come from the
+    Bernstein tail bounds P(X >= rt + x) <= exp(-x^2 / (2 (rt + x/3))) and
+    P(X <= rt - x) <= exp(-x^2 / (2 rt)), each set to tol / 2, so the mass
+    outside the window is at most tol. Weights are products of ratios scaled
+    from the mode, so none overflows and only the negligible ones underflow.
+    """
+    log_tol = math.log(2.0 / tol)
+    left = max(0, math.floor(rt - math.sqrt(2.0 * rt * log_tol)))
+    right = math.ceil(rt + log_tol / 3.0 + math.sqrt(log_tol ** 2 / 9.0 + 2.0 * rt * log_tol))
+    if right > POISSON_TERM_CAP:
+        raise SolverFailure(f"r*t = {rt:.6g} needs {right} Poisson terms, "
+                            f"more than the cap of {POISSON_TERM_CAP}")
+    mode = int(rt)
+    below = np.cumprod(np.arange(mode, left, -1) / rt)[::-1]
+    above = np.cumprod(rt / np.arange(mode + 1, right + 1))
+    weights = np.r_[below, 1.0, above]
+    return left, weights / weights.sum()
+
+
 def transient(Q: RateMatrix, pi0: Distribution, t: float, tol: float = 1e-12) -> Distribution:
-    """Transient solution pi0 e^{Qt} via the uniformized Poisson-weighted series."""
+    """Transient solution pi0 e^{Qt} via the uniformized Poisson-weighted
+    series, truncated on both sides with at most tol of Poisson mass lost;
+    raises SolverFailure when r*t needs more than POISSON_TERM_CAP terms."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     if len(pi0) != Q.dim:
         raise ValueError("distribution length does not match matrix dimension")
     if t == 0.0:
@@ -292,22 +325,15 @@ def transient(Q: RateMatrix, pi0: Distribution, t: float, tol: float = 1e-12) ->
     if qmax == 0.0:
         return pi0
     r = default_rate(Q)
-    m = uniformize(Q, r).dense()
-    rt = r * t
-    weight = math.exp(-rt)
-    cumulative = weight
-    v = pi0.weights.copy()
-    acc = weight * v
-    k = 0
-    while cumulative < 1.0 - tol:
-        k += 1
-        if k > POISSON_TERM_CAP:
-            break
-        v = v @ m
-        weight *= rt / k
-        cumulative += weight
-        acc += weight * v
-    acc[acc < 0] = 0.0
+    left, weights = _poisson_window(r * t, tol)
+    m = uniformize(Q, r)
+    v = pi0.weights
+    for _ in range(left):
+        v = m.vecmat(v)
+    acc = weights[0] * v
+    for w in weights[1:]:
+        v = m.vecmat(v)
+        acc += w * v
     return Distribution(acc / acc.sum())
 
 
@@ -315,11 +341,9 @@ def evolve_discrete(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribut
     """pi0 P^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    dense = P.dense()
-    v = pi0.weights.copy()
+    v = pi0.weights
     for _ in range(n):
-        v = v @ dense
-    v[v < 0] = 0.0
+        v = P.vecmat(v)
     return Distribution(v / v.sum())
 
 
@@ -327,14 +351,11 @@ def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
     """Running average (1/n) sum_{k=1..n} pi0 P^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    dense = P.dense()
-    v = pi0.weights.copy()
-    acc = np.zeros_like(v)
+    v = pi0.weights
+    acc = np.zeros(len(v))
     for _ in range(n):
-        v = v @ dense
+        v = P.vecmat(v)
         acc += v
-    acc /= n
-    acc[acc < 0] = 0.0
     return Distribution(acc / acc.sum())
 
 
@@ -382,6 +403,6 @@ def load_distribution(path, space: StateSpace) -> Distribution:
         for row in csv.reader(fh):
             if not row:
                 continue
-            key, value = row[0], float(row[1])
-            weights[space.index[key]] = value
+            key, value = row
+            weights[space.index[key]] = float(value)
     return Distribution(weights)

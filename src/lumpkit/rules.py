@@ -207,10 +207,8 @@ def export_dot(chain: ExploredChain) -> str:
     lines = ["digraph chain {"]
     for i, key in enumerate(chain.space.states):
         lines.append(f'  n{i} [label="{key}"];')
-    for i, row in enumerate(chain.matrix.rows):
-        for j, v in row:
-            if i == j:
-                continue
+    for i, j, v in chain.matrix.triplets():
+        if i != j:
             names = ",".join(chain.edge_labels.get((i, j), ()))
             lines.append(f'  n{i} -> n{j} [label="{names} ({v:g})"];')
     lines.append("}")

@@ -70,7 +70,7 @@ class TestDeltaTable:
         for i in range(6):
             for s in range(6):
                 assert table.values[(i, s)] == dense[i, s]
-        assert all(v == 0.0 for v in table.spread.values())
+        assert (table.spread == 0.0).all()
 
     def test_fig_chain_delta_on_target_block(self):
         # feeders at rates c1 and c2 per target: delta = (2/4)(c1+c2) on both
@@ -150,6 +150,23 @@ class TestConditionChecks:
         np.fill_diagonal(q, -q.sum(axis=1))
         k = markov.RateMatrix.from_dense(q)
         assert not aggregation.check_cond3(k, aggregation.Partition(((0,), (1, 2))))
+
+    def test_cond3_counts_a_missing_negative_rate_as_zero(self):
+        # state 0 leaves its block and state 1 is absorbing, so only the
+        # column of state 0 holds a (negative) diagonal rate
+        q = markov.RateMatrix.from_dense(np.array([
+            [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert not aggregation.check_cond3(q, aggregation.Partition(((0, 1), (2,))))
+
+    def test_cond3_tolerates_summation_noise(self):
+        # generator diagonals summed in different orders differ in the last
+        # bits; the condition itself holds to 1e-15
+        ch = scaffold_chain(3, 3, 3, rates=(1.3, 0.7, 1.1, 0.9))
+        part = rules.build_partition(ch, casestudies.scaffold_phi2)
+        res = aggregation.check_condition(
+            ch.matrix, part, aggregation.uniform_measures(part))
+        assert res["holds"] and res["residual"] < 1e-13
+        assert aggregation.check_cond3(ch.matrix, part)
 
     @settings(max_examples=25, deadline=None)
     @given(stochastic_with_partition())

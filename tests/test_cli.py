@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,41 @@ class TestCasestudyCommand:
         with pytest.raises(SystemExit):
             cli.main(["casestudy", "polymer", "--n", "1", "--rates", "1,2",
                       "--out", str(tmp_path / "m.model")])
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("row", [5, -1])
+    def test_triplet_row_outside_the_chain(self, tmp_path, capsys, row):
+        # row -1 would index the last row from the end; both must be refused
+        chain = tmp_path / "bad.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": [
+            [0, 1, 1.0], [0, 0, -1.0], [row, 0, 2.0], [row, 1, -2.0]]}))
+        code = cli.main(["stationary", str(chain), "--out", str(tmp_path / "mu.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "mu.csv").exists()
+
+    @pytest.mark.parametrize("rows", ["{0},nan\n{1},1.0\n", "{0},inf\n", "{0}\n"])
+    def test_bad_distribution_file(self, scaffold_files, tmp_path, capsys, rows):
+        _, chain = scaffold_files
+        states = json.loads(chain.read_text())["states"]
+        init = tmp_path / "init.csv"
+        init.write_text(rows.format(*states))
+        code = cli.main(["transient", str(chain), "--init", str(init),
+                         "--t", "1", "--out", str(tmp_path / "dist")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestImportCost:
+    def test_importing_the_cli_loads_neither_scipy_nor_networkx(self):
+        # scipy is imported lazily by classify and stationary; an eager import
+        # would add its load time to every lumpkit command
+        code = ("import sys, lumpkit, lumpkit.cli; "
+                "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"

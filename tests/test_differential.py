@@ -1,0 +1,291 @@
+"""Differential tests: the array-based numerics against references written
+here from the definitions, with dense numpy and brute force."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lumpkit import aggregation, markov
+from lumpkit.errors import ConditionViolated
+
+weights = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def partitions(draw, dim):
+    labels = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+    blocks = {}
+    for s, label in enumerate(labels):
+        blocks.setdefault(label, []).append(s)
+    return aggregation.Partition(tuple(tuple(b) for b in blocks.values()))
+
+
+@st.composite
+def measures(draw, part):
+    alphas = []
+    for block in part.blocks:
+        raw = np.array(draw(st.lists(weights, min_size=len(block), max_size=len(block))))
+        raw = raw / raw.sum()
+        raw[-1] = 1.0 - raw[:-1].sum()
+        alphas.append(dict(zip(block, raw)))
+    return aggregation.MeasureFamily(tuple(alphas))
+
+
+def stochastic_rows(draw, rows, cols, sparse=True):
+    entries = st.one_of(st.just(0.0), weights) if sparse else weights
+    raw = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+    raw = raw.reshape(rows, cols)
+    raw[:, 0] += raw.sum(axis=1) == 0  # no empty row
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def to_generator(p, rate):
+    """rate * (P - I): a generator with the same off-diagonal pattern."""
+    q = rate * p
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+@st.composite
+def lumping_cases(draw):
+    """(matrix, the same as a dense array, partition, measures, lumpable).
+
+    A lumpable K sends each state of A_i to block j with the block-level
+    probability C(i, j) and lands according to alpha_j, so that
+    sum_{s' in A_i} alpha_i(s') K(s', s) = C(i, j) alpha_j(s) holds exactly
+    in real arithmetic; other cases are arbitrary stochastic matrices.
+    """
+    dim = draw(st.integers(2, 6))
+    part = draw(partitions(dim))
+    alphas = draw(measures(part))
+    lumpable = draw(st.booleans())
+    if lumpable:
+        c = stochastic_rows(draw, len(part), len(part))
+        w = alphas.weights(part)
+        k = c[np.ix_(part.block_of, part.block_of)] * w
+    else:
+        k = stochastic_rows(draw, dim, dim)
+    is_rate = draw(st.booleans())
+    if is_rate:
+        k = k - np.eye(dim)  # keeps the condition: V (K - I) = V K - V
+        np.fill_diagonal(k, 0.0)
+        np.fill_diagonal(k, -k.sum(axis=1))
+        return markov.RateMatrix.from_dense(k), k, part, alphas, lumpable
+    return markov.StochasticMatrix.from_dense(k), k, part, alphas, lumpable
+
+
+def reference_delta(k, part, alphas):
+    """delta(A_i, s) = sum_{s' in A_i} alpha_i(s') K(s', s) / alpha_j(s),
+    with A_j the block of s, and its max - min over each target block."""
+    m, n = len(part), k.shape[0]
+    values = np.zeros((m, n))
+    for i, source in enumerate(part.blocks):
+        for s in range(n):
+            j = part.block_of[s]
+            values[i, s] = sum(alphas.alphas[i][sp] * k[sp, s] for sp in source)
+            values[i, s] /= alphas.alphas[j][s]
+    spread = np.array([[values[i, list(block)].max() - values[i, list(block)].min()
+                        for block in part.blocks] for i in range(m)])
+    return values, spread
+
+
+class TestLumping:
+    @settings(max_examples=150, deadline=None)
+    @given(lumping_cases())
+    def test_delta_table_matches_the_definition(self, case):
+        matrix, k, part, alphas, _ = case
+        values, spread = reference_delta(k, part, alphas)
+        table = aggregation.delta_table(matrix, part, alphas)
+        assert np.abs(table.values - values).max() <= 1e-12
+        assert np.abs(table.spread - spread).max() <= 1e-12
+        assert table.max_spread == pytest.approx(spread.max(), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lumping_cases())
+    def test_aggregate_matches_the_definition(self, case):
+        matrix, k, part, alphas, lumpable = case
+        values, spread = reference_delta(k, part, alphas)
+        if not lumpable and spread.max() > 1e-9:
+            with pytest.raises(ConditionViolated):
+                aggregation.aggregate(matrix, part, alphas)
+            return
+        agg = aggregation.aggregate(matrix, part, alphas).matrix.dense()
+        # the aggregated entry (i, j) is delta(A_i, s) for every s in A_j
+        for j, block in enumerate(part.blocks):
+            for s in block:
+                assert np.abs(agg[:, j] - values[:, s]).max() <= 1e-9
+        row_sum = 0.0 if isinstance(matrix, markov.RateMatrix) else 1.0
+        assert np.abs(agg.sum(axis=1) - row_sum).max() <= 1e-12
+
+
+def cycles(sigma):
+    seen, out = set(), []
+    for start in range(len(sigma)):
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(start)
+            start = sigma[start]
+        if cycle:
+            out.append(tuple(cycle))
+    return out
+
+
+@st.composite
+def symmetric_cases(draw):
+    """(matrix, partition): a chain averaged over the group of a permutation
+    sigma, with the orbits of sigma as blocks, so that the permutation
+    condition holds up to rounding; half of the time one off-diagonal entry
+    is then swapped with another of its row, which usually breaks it."""
+    dim = draw(st.integers(1, 7))
+    sigma = np.array(draw(st.permutations(range(dim))))
+    orbits = cycles(sigma)
+    order = math.lcm(*map(len, orbits))
+    k = stochastic_rows(draw, dim, dim)
+    is_rate = draw(st.booleans())
+    if is_rate:
+        k = to_generator(k, 1.0)
+    power, total = np.arange(dim), np.zeros_like(k)
+    for _ in range(order):
+        total[np.ix_(power, power)] += k  # sigma^t K sigma^-t
+        power = sigma[power]
+    k = total / order
+    if dim > 2 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(dim)))[:3]
+        k[a, b], k[a, c] = k[a, c], k[a, b]
+    cls = markov.RateMatrix if is_rate else markov.StochasticMatrix
+    return cls.from_dense(k), aggregation.Partition(tuple(orbits))
+
+
+def reference_cond3(k, part, tol=aggregation.DEFAULT_CONDITION_TOL):
+    """Every state of a target block receives, from each source block A_i,
+    the same sorted vector of |A_i| rates (zeros included) within tol."""
+    for source in part.blocks:
+        for block in part.blocks:
+            vectors = np.array([np.sort(k[list(source), s]) for s in block])
+            if (vectors.max(axis=0) - vectors.min(axis=0)).max() > tol:
+                return False
+    return True
+
+
+class TestCond3:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(symmetric_cases(),
+                     lumping_cases().map(lambda case: (case[0], case[2]))))
+    def test_matches_the_sorted_columns(self, case):
+        matrix, part = case
+        assert aggregation.check_cond3(matrix, part) == \
+            reference_cond3(matrix.dense(), part)
+
+
+@st.composite
+def irreducible_chains(draw):
+    dim = draw(st.integers(1, 7))
+    p = stochastic_rows(draw, dim, dim, sparse=False)  # all entries positive
+    if draw(st.booleans()):
+        return markov.RateMatrix.from_dense(to_generator(p, draw(weights) * 10))
+    return markov.StochasticMatrix.from_dense(p)
+
+
+def dense_stationary(matrix):
+    """Least-squares solution of mu (K - I) = 0 (or mu Q = 0), sum(mu) = 1."""
+    k = matrix.dense()
+    if isinstance(matrix, markov.StochasticMatrix):
+        k = k - np.eye(matrix.dim)
+    a = np.vstack([k.T, np.ones(matrix.dim)])
+    b = np.r_[np.zeros(matrix.dim), 1.0]
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+class TestStationary:
+    @settings(max_examples=100, deadline=None)
+    @given(irreducible_chains())
+    def test_matches_a_dense_solve(self, matrix):
+        mu = markov.stationary(matrix)
+        assert np.abs(mu.weights - dense_stationary(matrix)).max() <= 1e-10
+
+
+@st.composite
+def generators(draw):
+    dim = draw(st.integers(2, 5))
+    p = stochastic_rows(draw, dim, dim)
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0, 300.0]))
+    return markov.RateMatrix.from_dense(to_generator(p, scale * draw(weights)))
+
+
+class TestTransient:
+    @settings(max_examples=100, deadline=None)
+    @given(generators(), st.floats(min_value=0.0, max_value=10.0), st.integers(0, 4))
+    @example(markov.RateMatrix.from_dense(np.array([[-300.0, 300.0], [150.0, -150.0]])),
+             5.0, 0)  # r*t = 1575, past exp(-r*t) underflow
+    def test_matches_expm(self, q, t, start):
+        pi0 = markov.Distribution.point_mass(q.dim, start % q.dim)
+        got = markov.transient(q, pi0, t)
+        want = pi0.weights @ scipy.linalg.expm(q.dense() * t)
+        assert np.isfinite(got.weights).all()
+        assert np.abs(got.weights - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("rt", [0.01, 1.0, 30.0, 745.0, 1e4, 2e5])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_poisson_window_loses_at_most_tol(self, rt, tol):
+        left, w = markov._poisson_window(rt, tol)
+        k = np.arange(left, left + len(w))
+        exact = np.exp(k * math.log(rt) - rt - np.array([math.lgamma(x + 1.0) for x in k]))
+        # the window's exact mass is within tol of 1 and the normalized
+        # weights are the exact ones scaled by it
+        assert 1.0 - tol <= exact.sum() <= 1.0 + 1e-9
+        assert np.abs(w * exact.sum() - exact).max() <= 1e-9
+
+
+def reachability(adj):
+    """Transitive-reflexive closure by repeated boolean squaring."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for _ in range(len(adj)):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    return reach
+
+
+@st.composite
+def sparse_chains(draw):
+    dim = draw(st.integers(1, 7))
+    p = stochastic_rows(draw, dim, dim)
+    if draw(st.booleans()):
+        return markov.RateMatrix.from_dense(to_generator(p, 1.0))
+    return markov.StochasticMatrix.from_dense(p)
+
+
+class TestClassify:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_chains())
+    def test_matches_brute_force_reachability(self, matrix):
+        adj = matrix.dense() > 0
+        is_rate = isinstance(matrix, markov.RateMatrix)
+        if is_rate:
+            np.fill_diagonal(adj, False)
+        reach = reachability(adj)
+        classes = sorted({frozenset(np.flatnonzero(reach[i] & reach[:, i]).tolist())
+                          for i in range(matrix.dim)}, key=min)
+        closed = [all(set(np.flatnonzero(reach[i]).tolist()) <= c for i in c)
+                  for c in classes]
+        periods = []
+        power = np.eye(matrix.dim, dtype=int)
+        returns = []
+        for n in range(1, matrix.dim + 1):
+            power = (power @ adj.astype(int) > 0).astype(int)
+            returns.append((n, np.diag(power) > 0))
+        for c in classes:
+            g = 0
+            for n, back in returns:
+                if any(back[i] for i in c):
+                    g = math.gcd(g, n)
+            periods.append(1 if is_rate or g == 0 else g)
+        got = markov.classify(matrix)
+        assert list(got.communicating_classes) == classes
+        assert list(got.closed_flags) == closed
+        assert list(got.periods) == periods
+        assert got.irreducible == (len(classes) == 1 and closed[0])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_expm
 from lumpkit import casestudies, markov, rules
-from lumpkit.errors import NotIrreducible, RateBoundViolated
+from lumpkit.errors import NotIrreducible, RateBoundViolated, SolverFailure
 
 
 def two_state_q(a=1.3, b=0.7):
@@ -58,6 +59,26 @@ class TestTypes:
             markov.Distribution([1.5, -0.5])
         d = markov.Distribution.point_mass(3, 1)
         assert d[1] == 1.0 and d[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_distribution_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            markov.Distribution([bad, 0.5])
+
+    @pytest.mark.parametrize("triplets", [
+        [(5, 0, 1.0), (0, 1, 1.0)],
+        [(-1, 0, 1.0), (0, 1, 1.0)],  # a valid chain if -1 counted from the end
+        [(1, 2, 1.0), (0, 1, 1.0)],
+        [(0.5, 0, 1.0), (0, 1, 1.0)],
+        [(0, 1, np.nan), (1, 0, 1.0)],
+    ])
+    def test_bad_triplets_rejected(self, triplets):
+        with pytest.raises(ValueError):
+            markov.StochasticMatrix.from_triplets(2, triplets)
+
+    def test_duplicate_triplets_are_summed(self):
+        p = markov.StochasticMatrix.from_triplets(2, [(0, 1, 0.25), (1, 0, 1.0), (0, 1, 0.75)])
+        assert p == markov.StochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_triplet_round_trip(self):
         q = two_state_q()
@@ -174,6 +195,20 @@ class TestTransient:
             weight *= r * t / (k + 1)
         res = markov.transient(q, pi0, t)
         assert np.abs(res.weights - acc).max() < 1e-10
+
+    def test_large_rt_matches_expm(self):
+        # r*t = 1050: e^{-rt} underflows, so the series must start near the mode
+        ch = rules.explore(casestudies.scaffold_model(
+            casestudies.ScaffoldParams(1, 1, 1, 100.0, 100.0, 100.0, 100.0)))
+        pi0 = markov.Distribution.point_mass(len(ch.space), 0)
+        res = markov.transient(ch.matrix, pi0, 5.0)
+        oracle = pi0.weights @ scipy.linalg.expm(ch.matrix.dense() * 5.0)
+        assert np.abs(res.weights - oracle).max() < 1e-10
+
+    def test_term_cap_raises(self):
+        q = markov.RateMatrix.from_dense(np.array([[-1e6, 1e6], [1e6, -1e6]]))
+        with pytest.raises(SolverFailure):
+            markov.transient(q, markov.Distribution([1.0, 0.0]), 2.0)
 
     @settings(max_examples=25, deadline=None)
     @given(small_rate_matrices(), st.floats(min_value=0.0, max_value=3.0))

@@ -143,11 +143,13 @@ class TestExplore:
         model2 = rules.RuleModel(model.rules, renamed, model.interface)
         chain2 = rules.explore(model2)
         assert len(chain.space) == len(chain2.space)
-        rows1 = sorted(tuple(sorted(vals for _, vals in row))
-                       for row in chain.matrix.rows)
-        rows2 = sorted(tuple(sorted(vals for _, vals in row))
-                       for row in chain2.matrix.rows)
-        assert rows1 == rows2
+        def sorted_rows(matrix):
+            rows = [[] for _ in range(matrix.dim)]
+            for i, _, v in matrix.triplets():
+                rows[i].append(v)
+            return sorted(tuple(sorted(row)) for row in rows)
+
+        assert sorted_rows(chain.matrix) == sorted_rows(chain2.matrix)
 
 
 class TestReversibility:
