@@ -34,6 +34,7 @@ from .markov import (
 )
 from .rules import (
     ExploredChain,
+    MixtureSequence,
     RewriteRule,
     RuleModel,
     apply,

@@ -36,27 +36,16 @@ def _load_model(path):
         return dsl.parse_model(fh.read())
 
 
-def _load_chain_with_mixtures(chain_path, model_path):
-    """Chain JSON plus, when a model is given, the mixtures behind the keys."""
-    space, matrix = markov.load_chain(chain_path)
-    mixtures = None
-    if model_path:
-        model = _load_model(model_path)
-        mixtures = tuple(
-            rules.mixture_from_key(key, model.interface, model.initial.counts)
-            for key in space.states)
-    return space, matrix, mixtures
-
-
-def _partition_for(args, space, matrix, mixtures):
+def _partition_for(args, space, matrix):
     if getattr(args, "partition", None):
         return aggregation.load_partition(args.partition, space)
     if getattr(args, "phi", None):
-        if mixtures is None:
+        if not args.model:
             raise LumpkitError("--phi requires --model to rebuild mixtures")
-        phi = _PHI_FUNCS[args.phi]
+        model = _load_model(args.model)
+        mixtures = rules.MixtureSequence(space.states, model.interface, model.initial.counts)
         chain = rules.ExploredChain(space, matrix, mixtures, {})
-        return rules.build_partition(chain, phi)
+        return rules.build_partition(chain, _PHI_FUNCS[args.phi])
     raise LumpkitError("supply --partition FILE or --phi NAME")
 
 
@@ -70,7 +59,10 @@ def _measures_for(args, space, part):
 
 def cmd_explore(args):
     model = _load_model(args.model)
-    chain = rules.explore(model, args.max_states)
+    max_states = args.max_states
+    if max_states is None:  # read here, so that a bad value is an input error
+        max_states = rules.max_states_from_env()
+    chain = rules.explore(model, max_states)
     markov.save_chain(args.out, chain.space, chain.matrix,
                       extra={"counts": model.initial.counts})
     if args.dot:
@@ -81,8 +73,8 @@ def cmd_explore(args):
 
 
 def cmd_check(args):
-    space, matrix, mixtures = _load_chain_with_mixtures(args.chain, args.model)
-    part = _partition_for(args, space, matrix, mixtures)
+    space, matrix = markov.load_chain(args.chain)
+    part = _partition_for(args, space, matrix)
     alphas = _measures_for(args, space, part)
     result = aggregation.check_condition(matrix, part, alphas, args.tol)
     cond3 = aggregation.check_cond3(matrix, part)
@@ -92,8 +84,8 @@ def cmd_check(args):
 
 
 def cmd_aggregate(args):
-    space, matrix, mixtures = _load_chain_with_mixtures(args.chain, args.model)
-    part = _partition_for(args, space, matrix, mixtures)
+    space, matrix = markov.load_chain(args.chain)
+    part = _partition_for(args, space, matrix)
     alphas = _measures_for(args, space, part)
     agg = aggregation.aggregate(matrix, part, alphas, args.tol)
     block_space = markov.StateSpace(tuple(f"block{i}" for i in range(len(part))))
@@ -186,7 +178,8 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("--out", required=True)
     p.add_argument("--dot")
-    p.add_argument("--max-states", type=int, default=rules.max_states_from_env())
+    p.add_argument("--max-states", type=int,
+                   help=f"default: LUMPKIT_MAX_STATES or {rules.DEFAULT_MAX_STATES}")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("check", help="test the aggregation condition")

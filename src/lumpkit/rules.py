@@ -9,18 +9,22 @@ exit rate equal to sum of rate * embedding count.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .aggregation import Partition
-from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded
+from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
 from .markov import RateMatrix, StateSpace
 from .sitegraph import (
     ReactionMixture,
     SiteGraph,
-    find_embeddings,
+    instance_name,
     is_subgraph,
     make_mixture,
+    node_type,
     rename,
 )
 
@@ -119,72 +123,316 @@ def mixture_key(mix: ReactionMixture) -> str:
     return ";".join(sorted(parts)) if parts else "-"
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _edge_from_part(part: str) -> frozenset:
+    """The edge of one ``v1.s1-v2.s2`` part of a mixture key. The parts of a
+    model's keys are few, so the mixtures decoded from them share edges."""
+    end1, end2 = part.split("-")
+    v1, s1 = end1.rsplit(".", 1)
+    v2, s2 = end2.rsplit(".", 1)
+    return frozenset(((v1, s1), (v2, s2)))
+
+
 def mixture_from_key(key: str, interface_by_type: dict, counts: dict) -> ReactionMixture:
     """Rebuild a mixture from its serialized key and a model signature."""
-    edges = []
-    if key != "-":
-        for part in key.split(";"):
-            end1, end2 = part.split("-")
-            v1, s1 = end1.rsplit(".", 1)
-            v2, s2 = end2.rsplit(".", 1)
-            edges.append(frozenset(((v1, s1), (v2, s2))))
+    edges = [] if key == "-" else [_edge_from_part(part) for part in key.split(";")]
     return make_mixture(interface_by_type, counts, edges)
+
+
+class MixtureSequence(Sequence):
+    """The mixtures behind a chain's state keys. Each is rebuilt through
+    ``mixture_from_key`` the first time it is read, and kept."""
+
+    def __init__(self, keys, interface_by_type: dict, counts: dict):
+        self._keys = tuple(keys)
+        self._interface = interface_by_type
+        self._counts = dict(counts)
+        self._decoded = [None] * len(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        mix = self._decoded[i]
+        if mix is None:
+            mix = mixture_from_key(self._keys[i], self._interface, self._counts)
+            self._decoded[i] = mix
+        return mix
 
 
 @dataclass(frozen=True)
 class ExploredChain:
     space: StateSpace
     matrix: RateMatrix
-    mixtures: tuple
+    mixtures: MixtureSequence = field(compare=False)  # decoded from space.states
     edge_labels: dict = field(compare=False)  # (i, j) -> sorted tuple of rule names
+
+
+# --- slot-encoded exploration -------------------------------------------------
+#
+# A state is a tuple with one entry per (instance, site) slot of the initial
+# mixture, holding the partner slot or -1. Since every site binds at most
+# once, an embedding of a connected pattern component is fixed by the
+# instance its first node maps to: the other nodes are reached by following
+# bonds. Each rule is compiled once into per-component match plans and the
+# bonds it removes and adds, as positions in the vector of slots an
+# embedding covers.
+
+
+def _type_interfaces(initial: ReactionMixture) -> dict:
+    """Interface of each instantiated type; the decoded mixtures rebuild
+    every instance from it."""
+    by_type = {}
+    for v, sites in initial.graph.interface.items():
+        if by_type.setdefault(node_type(v), sites) != sites:
+            raise ValueError(f"instances of type {node_type(v)} have different interfaces")
+    return by_type
+
+
+@dataclass(frozen=True)
+class _Component:
+    """Match plan of one connected pattern component. ``tables[k]`` maps an
+    instance to the slots of node k's pattern sites (None where the instance
+    lacks the site); an embedding's slot vector concatenates them in node
+    order. ``follow`` holds (position, node, (type, site)): the partner of
+    the slot at that position must be of that kind, and fixes the node's
+    instance."""
+
+    roots: tuple  # candidate instances of the first node, by index
+    tables: tuple
+    follow: tuple
+    bonds: tuple  # (position, position) pairs that must be bound together
+    free: tuple  # positions tested free
+    slot_instance: list  # slot -> instance
+    slot_kind: list  # slot -> (type, site)
+
+    def matches(self, state):
+        """(slot vector, lacks a tested site) per embedding, by root index."""
+        out = []
+        first, tables = self.tables[0], self.tables
+        slot_instance, slot_kind = self.slot_instance, self.slot_kind
+        for root in self.roots:
+            vec = first[root]
+            for pos, k, kind in self.follow:
+                x = vec[pos]
+                y = -1 if x is None else state[x]
+                if y < 0 or slot_kind[y] != kind:
+                    break
+                vec = vec + tables[k][slot_instance[y]]
+            else:
+                lacking = False
+                for p in self.free:
+                    if vec[p] is None:
+                        lacking = True
+                    elif state[vec[p]] >= 0:
+                        break
+                else:
+                    if not self.bonds or all(
+                            vec[p] is not None and vec[q] is not None
+                            and state[vec[p]] == vec[q] for p, q in self.bonds):
+                        out.append((vec, lacking))
+        return out
+
+
+@dataclass(frozen=True)
+class _CompiledRule:
+    rate: float
+    label: tuple  # (rule name,)
+    supported: bool  # pattern nodes have distinct types
+    conflict: tuple  # a pattern site the right side binds twice, or ()
+    components: tuple
+    removed: tuple  # (position, position) per bond the rule breaks
+    added: tuple  # (position, position) per bond the rule makes
+
+    def targets(self, state):
+        """Successor states, one per embedding in find_embeddings order."""
+        if not self.supported:
+            raise UnsupportedPattern("pattern mentions two nodes of the same type")
+        out = []
+        for combo in itertools.product(*(c.matches(state) for c in self.components)):
+            vec = ()
+            for part, lacking in combo:
+                if lacking:
+                    raise InvalidEmbedding("renamed left side is not contained in the mixture")
+                vec += part
+            if self.conflict:
+                raise SiteConflict(f"rule {self.label[0]!r} binds {self.conflict} twice")
+            new = list(state)
+            for p, q in self.removed:
+                new[vec[p]] = new[vec[q]] = -1
+            for p, q in self.added:
+                new[vec[p]], new[vec[q]] = vec[q], vec[p]
+            out.append(tuple(new))
+        return out
+
+
+def _compile(rule: RewriteRule, layout) -> _CompiledRule:
+    instances, slots, slot_instance, slot_kind = layout
+    left, right = rule.left, rule.right
+    nodes = sorted(left.nodes)
+    adjacency = {v: [] for v in nodes}
+    for edge in left.edges:
+        (v, s), (w, t) = sorted(edge)
+        adjacency[v].append((s, w, t))
+        adjacency[w].append((t, v, s))
+    bound = left.bound_endpoints()
+    position = {}  # (node, site) -> position in an embedding's slot vector
+    placed = set()
+    components = []
+    for root in nodes:
+        if root in placed:
+            continue
+        order, follow, tree = [root], [], set()
+        for v in order:  # breadth-first along the pattern's bonds
+            for s, w, t in sorted(adjacency[v]):
+                if w not in order:
+                    follow.append(((v, s), len(order), (node_type(w), t)))
+                    tree.add(frozenset(((v, s), (w, t))))
+                    order.append(w)
+        placed.update(order)
+        start = len(position)
+        for v in order:
+            for s in sorted(left.interface[v]):
+                position[(v, s)] = len(position)
+
+        def local(end, start=start):
+            return position[end] - start
+
+        components.append(_Component(
+            roots=instances.get(node_type(root), ()),
+            tables=tuple({inst: tuple(slots[inst].get(s) for s in sorted(left.interface[v]))
+                          for inst in instances.get(node_type(v), ())} for v in order),
+            follow=tuple((local(end), k, kind) for end, k, kind in follow),
+            bonds=tuple(tuple(local(end) for end in sorted(edge)) for edge in left.edges
+                        if edge not in tree and next(iter(edge))[0] in order),
+            free=tuple(local((v, s)) for v in order for s in sorted(left.interface[v])
+                       if (v, s) not in bound),
+            slot_instance=slot_instance,
+            slot_kind=slot_kind))
+
+    def pairs(edges):
+        return tuple(tuple(position[end] for end in sorted(edge)) for edge in edges)
+
+    added = right.edges - left.edges
+    taken = [end for edge in right.edges for end in edge]
+    twice = [end for edge in added for end in sorted(edge) if taken.count(end) > 1]
+    return _CompiledRule(
+        rate=rule.rate,
+        label=(rule.name,),
+        supported=len({node_type(v) for v in nodes}) == len(nodes),
+        conflict=min(twice, default=()),
+        components=tuple(components),
+        removed=pairs(left.edges - right.edges),
+        added=pairs(added))
+
+
+def _layout(initial: ReactionMixture):
+    """Slots of the initial mixture: instances in counts order, then by index,
+    each with its sites sorted. Returns type -> instances, instance ->
+    {site: slot}, slot -> instance and slot -> (type, site)."""
+    instances, slots, slot_instance, slot_kind = {}, {}, [], []
+    for t, n in initial.counts.items():
+        instances[t] = tuple(instance_name(t, j) for j in range(1, n + 1))
+        for v in instances[t]:
+            slots[v] = {}
+            for s in sorted(initial.graph.interface[v]):
+                slots[v][s] = len(slot_instance)
+                slot_instance.append(v)
+                slot_kind.append((t, s))
+    return instances, slots, slot_instance, slot_kind
 
 
 def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredChain:
     """Breadth-first closure of the initial mixture under all rule
-    applications, with deterministic (sorted-frontier) state indexing."""
+    applications, with deterministic (sorted-frontier) state indexing.
+
+    Rates add up over rules in rule order, then over embeddings in
+    find_embeddings order; an application that leaves the mixture unchanged
+    contributes nothing. Raises StateCapExceeded as soon as more than
+    max_states states are found."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    initial_key = mixture_key(model.initial)
-    keys = [initial_key]
-    mixtures = {initial_key: model.initial}
-    transitions = {}
-    labels = {}
-    frontier = [initial_key]
+    initial = model.initial
+    interface = _type_interfaces(initial)
+    layout = _layout(initial)
+    _, slots, slot_instance, slot_kind = layout
+    compiled = [_compile(rule, layout) for rule in model.rules]
+    parts = {}
+
+    def key_of(state):
+        """mixture_key of the mixture a state encodes."""
+        out = []
+        for x, y in enumerate(state):
+            if y > x:
+                part = parts.get((x, y))
+                if part is None:
+                    (v1, s1), (v2, s2) = sorted(((slot_instance[x], slot_kind[x][1]),
+                                                 (slot_instance[y], slot_kind[y][1])))
+                    part = parts[(x, y)] = f"{v1}.{s1}-{v2}.{s2}"
+                out.append(part)
+        return ";".join(sorted(out)) if out else "-"
+
+    start = [-1] * len(slot_instance)
+    for edge in initial.graph.edges:
+        (v1, s1), (v2, s2) = edge
+        a, b = slots[v1][s1], slots[v2][s2]
+        start[a], start[b] = b, a
+    start = tuple(start)
+    # states are numbered in discovery order here and renumbered at the end
+    states, keys, number = [start], [key_of(start)], {start: 0}
+    rates, rule_names = {}, {}  # source -> {target: summed rate, sorted rule names}
+    order, frontier = [0], [0]
     while frontier:
-        discovered = set()
-        for key in frontier:
-            mix = mixtures[key]
-            out = transitions.setdefault(key, {})
-            for rule in model.rules:
-                for eta in find_embeddings(rule.left, mix):
-                    target = apply(rule, mix, eta)
-                    tkey = mixture_key(target)
-                    if tkey != key:
-                        out[tkey] = out.get(tkey, 0.0) + rule.rate
-                        labels.setdefault((key, tkey), set()).add(rule.name)
-                    if tkey not in mixtures:
-                        mixtures[tkey] = target
-                        discovered.add(tkey)
-        frontier = sorted(discovered)
-        keys.extend(frontier)
-        if len(keys) > max_states:
-            raise StateCapExceeded(
-                f"reachable set exceeds max_states = {max_states}")
-    space = StateSpace(tuple(keys))
-    triplets = []
-    for key, out in transitions.items():
-        i = space.index[key]
+        discovered = []
+        for src in frontier:
+            state = states[src]
+            out, labels = rates[src], rule_names[src] = {}, {}
+            for rule in compiled:
+                for target in rule.targets(state):
+                    dst = number.get(target)
+                    if dst is None:
+                        dst = number[target] = len(states)
+                        states.append(target)
+                        keys.append(key_of(target))
+                        discovered.append(dst)
+                        if len(states) > max_states:
+                            raise StateCapExceeded(
+                                f"reachable set exceeds max_states = {max_states}")
+                    if dst != src:
+                        out[dst] = out.get(dst, 0.0) + rule.rate
+                        names = labels.get(dst)
+                        if names is None:
+                            labels[dst] = rule.label
+                        elif rule.label[0] not in names:
+                            labels[dst] = tuple(sorted(names + rule.label))
+        frontier = sorted(discovered, key=keys.__getitem__)
+        order.extend(frontier)
+    del states, number
+    index = [0] * len(order)
+    for i, src in enumerate(order):
+        index[src] = i
+    rows, cols, vals = [], [], []
+    for src in order:
+        i = index[src]
         total = 0.0
-        for tkey, rate in sorted(out.items()):
+        for dst, rate in sorted(rates[src].items(), key=lambda item: keys[item[0]]):
             if rate > 0.0:
-                triplets.append((i, space.index[tkey], rate))
+                rows.append(i)
+                cols.append(index[dst])
+                vals.append(rate)
                 total += rate
         if total > 0.0:
-            triplets.append((i, i, -total))
-    matrix = RateMatrix.from_triplets(len(keys), triplets)
-    edge_labels = {(space.index[a], space.index[b]): tuple(sorted(names))
-                   for (a, b), names in labels.items()}
-    return ExploredChain(space, matrix, tuple(mixtures[k] for k in keys), edge_labels)
+            rows.append(i)
+            cols.append(i)
+            vals.append(-total)
+    space = StateSpace(tuple(keys[src] for src in order))
+    edge_labels = {(index[src], index[dst]): names
+                   for src in order for dst, names in rule_names[src].items()}
+    return ExploredChain(space, RateMatrix(len(order), rows, cols, vals),
+                         MixtureSequence(space.states, interface, initial.counts),
+                         edge_labels)
 
 
 def is_reversible(model: RuleModel) -> bool:
@@ -217,4 +465,9 @@ def export_dot(chain: ExploredChain) -> str:
 
 def max_states_from_env(default: int = DEFAULT_MAX_STATES) -> int:
     value = os.environ.get("LUMPKIT_MAX_STATES")
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"LUMPKIT_MAX_STATES must be an integer, not {value!r}") from None

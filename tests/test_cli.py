@@ -79,6 +79,16 @@ class TestExplore:
         out = tmp_path / "chain.json"
         assert cli.main(["explore", str(model), "--out", str(out)]) == 2
 
+    def test_bad_cap_from_env(self, scaffold_files, tmp_path, monkeypatch, capsys):
+        model, chain = scaffold_files
+        monkeypatch.setenv("LUMPKIT_MAX_STATES", "abc")
+        out = tmp_path / "again.json"
+        assert cli.main(["explore", str(model), "--out", str(out)]) == 1
+        assert "error: LUMPKIT_MAX_STATES" in capsys.readouterr().err
+        assert cli.main(["explore", str(model), "--out", str(out),
+                         "--max-states", "4"]) == 0
+        assert cli.main(["stationary", str(chain), "--out", str(tmp_path / "mu.csv")]) == 0
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         model = tmp_path / "broken.model"
         model.write_text("definitely not a model\n")

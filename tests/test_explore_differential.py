@@ -1,0 +1,155 @@
+"""Differential test: the slot-encoded ``rules.explore`` against the
+breadth-first search it replaced, written here from the public
+``find_embeddings``, ``apply`` and ``mixture_key``."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lumpkit import rules
+from lumpkit.errors import StateCapExceeded
+from lumpkit.markov import RateMatrix, StateSpace
+from lumpkit.sitegraph import SiteGraph, find_embeddings, instance_name, make_mixture
+
+MAX_STATES = 200
+
+
+def reference_explore(model, max_states):
+    """Keys, matrix, edge labels and mixtures, by applying every rule
+    through every embedding and keying each target."""
+    initial_key = rules.mixture_key(model.initial)
+    keys = [initial_key]
+    mixtures = {initial_key: model.initial}
+    transitions = {}
+    labels = {}
+    frontier = [initial_key]
+    while frontier:
+        discovered = set()
+        for key in frontier:
+            mix = mixtures[key]
+            out = transitions.setdefault(key, {})
+            for rule in model.rules:
+                for eta in find_embeddings(rule.left, mix):
+                    target = rules.apply(rule, mix, eta)
+                    tkey = rules.mixture_key(target)
+                    if tkey != key:
+                        out[tkey] = out.get(tkey, 0.0) + rule.rate
+                        labels.setdefault((key, tkey), set()).add(rule.name)
+                    if tkey not in mixtures:
+                        mixtures[tkey] = target
+                        discovered.add(tkey)
+        frontier = sorted(discovered)
+        keys.extend(frontier)
+        if len(keys) > max_states:
+            raise StateCapExceeded("reachable set exceeds max_states")
+    space = StateSpace(tuple(keys))
+    triplets = []
+    for key, out in transitions.items():
+        i = space.index[key]
+        total = 0.0
+        for tkey, rate in sorted(out.items()):
+            if rate > 0.0:
+                triplets.append((i, space.index[tkey], rate))
+                total += rate
+        if total > 0.0:
+            triplets.append((i, i, -total))
+    edge_labels = {(space.index[a], space.index[b]): tuple(sorted(names))
+                   for (a, b), names in labels.items()}
+    return (space.states, RateMatrix.from_triplets(len(keys), triplets), edge_labels,
+            [mixtures[k] for k in keys])
+
+
+def matching(draw, pairs, max_edges):
+    """1 to max_edges of the candidate endpoint pairs, each endpoint used at
+    most once (fewer when the drawn pairs overlap)."""
+    if not pairs:
+        return set()
+    picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=max_edges))
+    used, edges = set(), set()
+    for pair in picks:
+        if not pair & used:
+            used |= pair
+            edges.add(pair)
+    return edges
+
+
+def node_pairs(endpoints):
+    return [frozenset((a, b)) for a in endpoints for b in endpoints if a[0] < b[0]]
+
+
+@st.composite
+def rule_sides(draw, interface):
+    """(nodes' interfaces, left edges, right edges) of one rule: a bind, an
+    unbind, a swap of one bond end, a no-op or two random matchings (which
+    give two-bond and disconnected patterns)."""
+    nodes = sorted(draw(st.sets(st.sampled_from(sorted(interface)), min_size=2, max_size=3)))
+    sites = {v: frozenset(draw(st.sets(st.sampled_from(sorted(interface[v])), min_size=1)))
+             for v in nodes}
+    endpoints = [(v, s) for v in nodes for s in sorted(sites[v])]
+    kind = draw(st.sampled_from(("bind", "unbind", "swap", "noop", "random")))
+    edges = matching(draw, node_pairs(endpoints), 3)
+    if kind == "bind":
+        return sites, set(), edges
+    if kind == "unbind":
+        return sites, edges, set()
+    if kind == "noop":
+        return sites, edges, edges
+    if kind == "swap" and edges:
+        bond = sorted(next(iter(edges)))
+        (v, s), kept = bond[draw(st.integers(0, 1))], bond[0]
+        kept = bond[1] if kept == (v, s) else kept
+        others = [end for end in endpoints if end[0] != kept[0] and end not in bond]
+        if others:
+            moved = draw(st.sampled_from(others))
+            if all(moved not in edge for edge in edges):
+                return sites, {frozenset(bond)}, {frozenset((kept, moved))}
+    return sites, edges, matching(draw, node_pairs(endpoints), 3)
+
+
+@st.composite
+def models(draw):
+    types = ("A", "B", "C")[:draw(st.integers(2, 3))]
+    interface = {t: frozenset(draw(st.sets(st.sampled_from(("x", "y")), min_size=1)))
+                 for t in types}
+    counts = {t: draw(st.integers(1, 3 if len(types) == 2 else 2)) for t in types}
+    rule_list = []
+    for _ in range(draw(st.integers(1, 4))):
+        sites, left, right = draw(rule_sides(interface))
+        rule_list.append(rules.RewriteRule(
+            SiteGraph(frozenset(sites), sites, frozenset(left)),
+            SiteGraph(frozenset(sites), sites, frozenset(right)),
+            draw(st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+            draw(st.sampled_from(("a", "b", "c")))))
+    edge_types = {frozenset(edge) for rule in rule_list
+                  for side in (rule.left, rule.right) for edge in side.edges}
+    slots = [(instance_name(t, j), s) for t in types for j in range(1, counts[t] + 1)
+             for s in sorted(interface[t])]
+    bondable = [pair for pair in node_pairs(slots)
+                if frozenset((v.split("#")[0], s) for v, s in pair) in edge_types]
+    bonds = matching(draw, bondable, 4) if draw(st.booleans()) else set()
+    return rules.RuleModel(tuple(rule_list), make_mixture(interface, counts, bonds))
+
+
+def outcome(fn):
+    try:
+        return fn(), None
+    except StateCapExceeded as exc:
+        return None, type(exc)
+
+
+class TestExploreMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(models())
+    def test_same_chain(self, model):
+        want, want_error = outcome(lambda: reference_explore(model, MAX_STATES))
+        chain, error = outcome(lambda: rules.explore(model, MAX_STATES))
+        assert error == want_error
+        if want is None:
+            return
+        states, matrix, edge_labels, mixtures = want
+        assert chain.space.states == states
+        assert chain.matrix == matrix
+        assert list(chain.edge_labels.items()) == list(edge_labels.items())
+        assert len(chain.mixtures) == len(mixtures)
+        for got, expected in zip(chain.mixtures, mixtures):
+            assert got == expected
+            assert got.counts == expected.counts

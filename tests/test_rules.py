@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from lumpkit import aggregation, casestudies, markov, rules
-from lumpkit.errors import InvalidEmbedding, StateCapExceeded
+from lumpkit import aggregation, casestudies, markov, rules, sitegraph
+from lumpkit.errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
 from lumpkit.sitegraph import ReactionMixture, SiteGraph, find_embeddings, make_mixture, rename
 
 SCAFFOLD = casestudies.SCAFFOLD_INTERFACE
@@ -127,6 +127,88 @@ class TestExplore:
         with pytest.raises(StateCapExceeded):
             rules.explore(scaffold_model(2, 2, 2), max_states=10)
 
+    @pytest.mark.parametrize("size, states", [((1, 1, 1), 4), ((2, 2, 2), 49)])
+    def test_state_cap_boundary(self, size, states):
+        model = scaffold_model(*size)
+        assert len(rules.explore(model, max_states=states).space) == states
+        with pytest.raises(StateCapExceeded):
+            rules.explore(model, max_states=states - 1)
+
+    def test_zero_rate_target_stays_with_its_label(self):
+        chain = rules.explore(scaffold_model(rates=(0.0, 1.0, 1.0, 1.0)))
+        assert len(chain.space) == 4
+        assert len(chain.edge_labels) == 8
+        assert len(chain.matrix.triplets()) == 10
+        bc = rules.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
+                                            [edge("B#1", "c", "C#1", "b")]))
+        ab_bc = rules.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
+                                               [edge("A#1", "b", "B#1", "a"),
+                                                edge("B#1", "c", "C#1", "b")]))
+        i, j = chain.space.index[bc], chain.space.index[ab_bc]
+        assert chain.edge_labels[(i, j)] == ("r1",)
+        assert (i, j) not in {(r, c) for r, c, _ in chain.matrix.triplets()}
+
+    def test_rule_site_outside_the_instance_interface(self):
+        sites = {"A": frozenset({"b", "x"}), "B": frozenset({"a"})}
+        left = SiteGraph(frozenset(sites), sites, frozenset())
+        right = SiteGraph(frozenset(sites), sites, frozenset({edge("A", "b", "B", "a")}))
+        initial = make_mixture({"A": {"b"}, "B": {"a"}}, {"A": 1, "B": 1})
+        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "bind"),), initial)
+        with pytest.raises(InvalidEmbedding):
+            rules.explore(model)
+
+    def test_two_nodes_of_one_type(self):
+        sites = {"A": frozenset({"b"}), "A#2": frozenset({"b"})}
+        left = SiteGraph(frozenset(sites), sites, frozenset())
+        right = SiteGraph(frozenset(sites), sites, frozenset({edge("A", "b", "A#2", "b")}))
+        initial = make_mixture({"A": {"b"}}, {"A": 2})
+        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "dimer"),), initial,
+                                {"A": frozenset({"b"})})
+        with pytest.raises(UnsupportedPattern):
+            rules.explore(model)
+
+    def test_right_side_binds_an_occupied_site(self):
+        sites = {"A": frozenset({"b"}), "B": frozenset({"a"}), "C": frozenset({"b"})}
+        bond = edge("A", "b", "B", "a")
+        left = SiteGraph(frozenset(sites), sites, frozenset({bond}))
+        right = SiteGraph(frozenset(sites), sites,
+                          frozenset({bond, edge("A", "b", "C", "b")}))
+        initial = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
+                               [edge("A#1", "b", "B#1", "a")])
+        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "steal"),), initial)
+        with pytest.raises(SiteConflict):
+            rules.explore(model)
+
+    def test_no_site_graph_per_transition(self, monkeypatch):
+        model = scaffold_model(2, 2, 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("explore built a per-transition object")
+
+        for module in (rules, sitegraph):
+            for name in ("apply", "find_embeddings", "rename", "make_mixture"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
+        monkeypatch.setattr(ReactionMixture, "__post_init__", forbidden)
+        assert len(rules.explore(model).space) == 49
+
+    def test_mixtures_decoded_on_first_read(self, monkeypatch):
+        decoded = []
+        decode = rules.mixture_from_key
+
+        def counting(key, interface, counts):
+            decoded.append(key)
+            return decode(key, interface, counts)
+
+        monkeypatch.setattr(rules, "mixture_from_key", counting)
+        chain = rules.explore(scaffold_model(1, 3, 1))
+        assert decoded == []
+        assert chain.mixtures[2] is chain.mixtures[2]
+        assert decoded == [chain.space.states[2]]
+        assert [rules.mixture_key(m) for m in chain.mixtures] == list(chain.space.states)
+        assert sorted(decoded) == sorted(chain.space.states)
+
     def test_deterministic_ordering(self):
         a = rules.explore(scaffold_model(1, 3, 1))
         b = rules.explore(scaffold_model(1, 3, 1))
@@ -208,3 +290,6 @@ class TestSerialization:
         assert rules.max_states_from_env() == rules.DEFAULT_MAX_STATES
         monkeypatch.setenv("LUMPKIT_MAX_STATES", "123")
         assert rules.max_states_from_env() == 123
+        monkeypatch.setenv("LUMPKIT_MAX_STATES", "abc")
+        with pytest.raises(ValueError, match="LUMPKIT_MAX_STATES"):
+            rules.max_states_from_env()
