@@ -113,14 +113,19 @@ def apply(rule: RewriteRule, mix: ReactionMixture, eta: dict) -> ReactionMixture
     return ReactionMixture(graph, mix.counts)
 
 
+def _key_part(end1, end2) -> str:
+    (v1, s1), (v2, s2) = sorted((end1, end2))
+    return f"{v1}.{s1}-{v2}.{s2}"
+
+
+def _join_key(parts) -> str:
+    return ";".join(sorted(parts)) if parts else "-"
+
+
 def mixture_key(mix: ReactionMixture) -> str:
     """Concrete (instance-level) serialization of a mixture; states of the
     explored chain are compared by this key, not up to renaming."""
-    parts = []
-    for edge in mix.graph.edges:
-        (v1, s1), (v2, s2) = sorted(edge)
-        parts.append(f"{v1}.{s1}-{v2}.{s2}")
-    return ";".join(sorted(parts)) if parts else "-"
+    return _join_key([_key_part(*edge) for edge in mix.graph.edges])
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -368,11 +373,10 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
             if y > x:
                 part = parts.get((x, y))
                 if part is None:
-                    (v1, s1), (v2, s2) = sorted(((slot_instance[x], slot_kind[x][1]),
-                                                 (slot_instance[y], slot_kind[y][1])))
-                    part = parts[(x, y)] = f"{v1}.{s1}-{v2}.{s2}"
+                    part = parts[(x, y)] = _key_part((slot_instance[x], slot_kind[x][1]),
+                                                     (slot_instance[y], slot_kind[y][1]))
                 out.append(part)
-        return ";".join(sorted(out)) if out else "-"
+        return _join_key(out)
 
     start = [-1] * len(slot_instance)
     for edge in initial.graph.edges:
