@@ -11,7 +11,6 @@ original chain's distribution can be recovered from the aggregated one.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,45 +316,28 @@ def convergence_diagnostics(Q: RateMatrix, part: Partition, alphas: MeasureFamil
 
 # --- serialization -----------------------------------------------------------
 
-def partition_to_dict(part: Partition, space: markov.StateSpace) -> dict:
-    return {"blocks": [[space.states[s] for s in block] for block in part.blocks]}
-
-
-def partition_from_dict(data: dict, space: markov.StateSpace) -> Partition:
-    return Partition(tuple(tuple(space.index[k] for k in block)
-                           for block in data["blocks"]))
-
-
 def save_partition(path, part: Partition, space):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(partition_to_dict(part, space), fh, indent=1)
-        fh.write("\n")
+    markov.save_json(path, {"blocks": [[space.states[s] for s in block]
+                                       for block in part.blocks]})
 
 
 def load_partition(path, space) -> Partition:
-    with open(path, encoding="utf-8") as fh:
-        return partition_from_dict(json.load(fh), space)
-
-
-def measures_to_dict(alphas: MeasureFamily, space) -> dict:
-    return {"alphas": [{space.states[s]: w for s, w in sorted(a.items())}
-                       for a in alphas.alphas]}
-
-
-def measures_from_dict(data: dict, space) -> MeasureFamily:
-    return MeasureFamily(tuple({space.index[k]: float(w) for k, w in a.items()}
-                               for a in data["alphas"]))
+    blocks = tuple(tuple(space.index[k] for k in block)
+                   for block in markov.load_json(path)["blocks"])
+    uncovered = len(space) - len({s for block in blocks for s in block})
+    if uncovered:
+        raise ValueError(f"partition leaves {uncovered} of {len(space)} states uncovered")
+    return Partition(blocks)
 
 
 def save_measures(path, alphas: MeasureFamily, space):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measures_to_dict(alphas, space), fh, indent=1)
-        fh.write("\n")
+    markov.save_json(path, {"alphas": [{space.states[s]: w for s, w in a.items()}
+                                       for a in alphas.alphas]})
 
 
 def load_measures(path, space) -> MeasureFamily:
-    with open(path, encoding="utf-8") as fh:
-        return measures_from_dict(json.load(fh), space)
+    return MeasureFamily(tuple({space.index[k]: float(w) for k, w in a.items()}
+                               for a in markov.load_json(path)["alphas"]))
 
 
 def save_diagnostics(path, series):

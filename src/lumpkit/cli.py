@@ -57,6 +57,11 @@ def _measures_for(args, space, part):
     return aggregation.uniform_measures(part)
 
 
+def _block_space(part):
+    """States block0, block1, ... of an aggregated chain."""
+    return markov.StateSpace(tuple(f"block{i}" for i in range(len(part))))
+
+
 def cmd_explore(args):
     model = _load_model(args.model)
     max_states = args.max_states
@@ -88,8 +93,7 @@ def cmd_aggregate(args):
     part = _partition_for(args, space, matrix)
     alphas = _measures_for(args, space, part)
     agg = aggregation.aggregate(matrix, part, alphas, args.tol)
-    block_space = markov.StateSpace(tuple(f"block{i}" for i in range(len(part))))
-    markov.save_chain(args.out, block_space, agg.matrix)
+    markov.save_chain(args.out, _block_space(part), agg.matrix)
     if args.partition_out:
         aggregation.save_partition(args.partition_out, part, space)
     if args.measures_out:
@@ -108,8 +112,7 @@ def _initial_distribution(args, space, matrix):
             raise LumpkitError("respectful: init requires --partition")
         part = aggregation.load_partition(args.partition, space)
         alphas = _measures_for(args, space, part)
-        block_space = markov.StateSpace(tuple(f"block{i}" for i in range(len(part))))
-        blocks = markov.load_distribution(spec.split(":", 1)[1], block_space)
+        blocks = markov.load_distribution(spec.split(":", 1)[1], _block_space(part))
         return aggregation.lift(blocks, part, alphas)
     return markov.load_distribution(spec, space)
 
@@ -139,8 +142,7 @@ def cmd_deaggregate(args):
     space, matrix = markov.load_chain(args.chain)
     part = aggregation.load_partition(args.partition, space)
     alphas = _measures_for(args, space, part)
-    block_space = markov.StateSpace(tuple(f"block{i}" for i in range(len(part))))
-    blocks = markov.load_distribution(args.blockdist, block_space)
+    blocks = markov.load_distribution(args.blockdist, _block_space(part))
     full = aggregation.lift(blocks, part, alphas)
     markov.save_distribution(args.out, space, full)
     print(f"lifted distribution -> {args.out}")

@@ -361,33 +361,28 @@ def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
 
 # --- serialization -----------------------------------------------------------
 
-def chain_to_dict(space: StateSpace, K) -> dict:
-    return {
-        "states": list(space.states),
-        "kind": K.kind,
-        "triplets": [[r, c, v] for r, c, v in K.triplets()],
-    }
-
-
-def chain_from_dict(data: dict):
-    space = StateSpace(tuple(data["states"]))
-    cls = {"stochastic": StochasticMatrix, "rate": RateMatrix}[data["kind"]]
-    matrix = cls.from_triplets(len(space), data["triplets"])
-    return space, matrix
-
-
-def save_chain(path, space: StateSpace, K, extra=None):
-    data = chain_to_dict(space, K)
-    if extra:
-        data.update(extra)
+def save_json(path, data: dict):
+    """The one JSON writer for chains, partitions and measures."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def load_chain(path):
+def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return chain_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def save_chain(path, space: StateSpace, K, extra=None):
+    save_json(path, {"states": list(space.states), "kind": K.kind,
+                     "triplets": [[r, c, v] for r, c, v in K.triplets()], **(extra or {})})
+
+
+def load_chain(path):
+    data = load_json(path)
+    space = StateSpace(tuple(data["states"]))
+    cls = {"stochastic": StochasticMatrix, "rate": RateMatrix}[data["kind"]]
+    return space, cls.from_triplets(len(space), data["triplets"])
 
 
 def save_distribution(path, space: StateSpace, dist: Distribution):

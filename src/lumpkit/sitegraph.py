@@ -18,10 +18,6 @@ from .errors import (
     UnsupportedPattern,
 )
 
-PERMUTATION_CAP = 10 ** 6
-DEFAULT_NODE_CAP = 64
-
-
 def make_edge(node1, site1, node2, site2):
     return frozenset(((node1, site1), (node2, site2)))
 
@@ -231,42 +227,53 @@ def find_embeddings(pattern: SiteGraph, mix: ReactionMixture):
     return embeddings
 
 
-def canonical_key(component: SiteGraph, node_cap: int = DEFAULT_NODE_CAP) -> str:
+def canonical_key(component: SiteGraph) -> str:
     """Canonical encoding of a connected component, invariant under
     type-preserving renaming of instances.
 
-    Minimizes a serialized form over all type-consistent relabelings;
-    exhaustive but exact, intended for desk-scale components.
+    Each site binds at most once, so a breadth-first traversal that takes
+    every node's sites in sorted order labels the whole component once its
+    root is fixed. The key is the smallest serialization over the roots of
+    the first type, which any isomorphism maps onto itself: O(n^2) for n
+    nodes. A site bound twice raises ``ValueError``.
     """
-    if len(component.nodes) > node_cap:
-        raise ValueError(f"component exceeds the node cap of {node_cap}")
-    if len(component.nodes) > 1 and len(connected_components(component)) != 1:
-        raise NotConnected("canonical keys require a connected component")
-    by_type = {}
-    for v in sorted(component.nodes):
-        by_type.setdefault(node_type(v), []).append(v)
-    combos = 1
-    for names in by_type.values():
-        for k in range(2, len(names) + 1):
-            combos *= k
-        if combos > PERMUTATION_CAP:
-            raise ValueError("too many relabelings for canonicalization")
-    types = sorted(by_type)
-    best = None
-    for perms in itertools.product(*(itertools.permutations(by_type[t]) for t in types)):
-        relabel = {}
-        for t, perm in zip(types, perms):
-            for k, v in enumerate(perm, start=1):
-                relabel[v] = instance_name(t, k)
-        edges = sorted(
-            tuple(sorted((relabel[v], s) for v, s in edge)) for edge in component.edges
-        )
-        encoding = (tuple((t, len(by_type[t])) for t in types), tuple(edges))
-        if best is None or encoding < best:
-            best = encoding
-    header = ",".join(f"{t}:{n}" for t, n in best[0])
-    body = ";".join(f"{v1}.{s1}-{v2}.{s2}" for (v1, s1), (v2, s2) in best[1])
+    partners = {v: {} for v in component.nodes}
+    for edge in component.edges:
+        (v1, s1), (v2, s2) = edge
+        for v, s, partner in ((v1, s1, (v2, s2)), (v2, s2, (v1, s1))):
+            if s in partners[v]:
+                raise ValueError(f"site ({v}, {s}) is bound twice")
+            partners[v][s] = partner
+    adjacency = {v: sorted(sites.items()) for v, sites in partners.items()}
+    counts = Counter(node_type(v) for v in component.nodes)
+    header = ",".join(f"{t}:{n}" for t, n in sorted(counts.items()))
+    first = min(counts, default=None)
+    roots = [v for v in component.nodes if node_type(v) == first]
+    body = min((_rooted_body(adjacency, root) for root in roots), default="")
     return header + ("|" + body if body else "")
+
+
+def _rooted_body(adjacency, root) -> str:
+    """Sorted edge list under the labels of a breadth-first traversal from
+    root: each newly reached node becomes the next instance of its type."""
+    seen = Counter({node_type(root): 1})
+    label = {root: instance_name(node_type(root), 1)}
+    queue = [root]
+    for v in queue:  # the queue grows while it is read
+        for _, (w, _) in adjacency[v]:
+            if w not in label:
+                t = node_type(w)
+                seen[t] += 1
+                label[w] = instance_name(t, seen[t])
+                queue.append(w)
+    if len(label) != len(adjacency):
+        raise NotConnected("canonical keys require a connected component")
+    parts = []
+    for v, sites in adjacency.items():
+        for s, (w, t) in sites:
+            if (label[v], s) < (label[w], t):
+                parts.append(f"{label[v]}.{s}-{label[w]}.{t}")
+    return ";".join(sorted(parts))
 
 
 def species_census(mix: ReactionMixture) -> Counter:

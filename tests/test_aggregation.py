@@ -425,6 +425,17 @@ class TestSerialization:
         again = aggregation.load_measures(path, space)
         assert again.alphas == alphas.alphas
 
+    def test_files_in_the_documented_layout_load(self, tmp_path):
+        # keys in written order, not sorted: the layout of earlier releases
+        space = markov.StateSpace(("b", "a", "c"))
+        (tmp_path / "part.json").write_text('{"blocks": [["c", "a"], ["b"]]}\n')
+        (tmp_path / "meas.json").write_text(
+            '{"alphas": [{"a": 0.5, "c": 0.5}, {"b": 1.0}]}\n')
+        part = aggregation.load_partition(tmp_path / "part.json", space)
+        assert part.blocks == ((1, 2), (0,))
+        alphas = aggregation.load_measures(tmp_path / "meas.json", space)
+        assert alphas.alphas == ({1: 0.5, 2: 0.5}, {0: 1.0})
+
     def test_diagnostics_csv(self, tmp_path):
         path = tmp_path / "diag.csv"
         aggregation.save_diagnostics(path, [(0.0, 0.0, 0.0), (1.0, 1e-12, 2e-12)])

@@ -96,12 +96,15 @@ class TestScaffoldPhis:
         assert casestudies.scaffold_phi2(split) == (1, 1)
 
     def test_phi1_fibers_match_species_census(self):
-        for counts in ((1, 1, 1), (1, 3, 1), (2, 2, 2)):
-            chain = scaffold_chain(*counts)
+        # polymer_phi1 classifies components in closed form, without keys
+        cases = [(scaffold_chain(*counts), casestudies.scaffold_phi1)
+                 for counts in ((1, 1, 1), (1, 3, 1), (2, 2, 2))]
+        cases += [(polymer_chain(n), casestudies.polymer_phi1) for n in (2, 3)]
+        for chain, phi1 in cases:
             by_phi1 = {}
             by_census = {}
             for i, mix in enumerate(chain.mixtures):
-                by_phi1.setdefault(casestudies.scaffold_phi1(mix), set()).add(i)
+                by_phi1.setdefault(phi1(mix), set()).add(i)
                 key = tuple(sorted(species_census(mix).items()))
                 by_census.setdefault(key, set()).add(i)
             assert set(map(frozenset, by_phi1.values())) == set(

@@ -253,6 +253,22 @@ class TestBadInput:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_deaggregate_partition_missing_a_state(self, scaffold_files, tmp_path, capsys):
+        # lifting through it would write a distribution without the last state
+        _, chain = scaffold_files
+        states = json.loads(chain.read_text())["states"]
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"blocks": [states[:2], states[2:3]]}))
+        blockdist = tmp_path / "blocks.csv"
+        blockdist.write_text("block0,0.5\nblock1,0.5\n")
+        out = tmp_path / "lifted.csv"
+        code = cli.main(["deaggregate", str(blockdist), "--chain", str(chain),
+                         "--partition", str(part), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1 of 4 states uncovered" in err
+        assert not out.exists()
+
 
 class TestImportCost:
     def test_importing_the_cli_loads_neither_scipy_nor_networkx(self):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumpkit import sitegraph
 from lumpkit.errors import NotConnected, RenamingIncomplete, UnsupportedPattern
@@ -22,8 +24,102 @@ SCAFFOLD = {"A": frozenset({"b"}), "B": frozenset({"a", "c"}),
 POLYMER = {"A": frozenset({"b", "r"}), "B": frozenset({"a", "l"})}
 
 
+# any two sites of distinct nodes may bond: branched components whose
+# shape is not fixed by their type and bond counts
+BRANCHED = {"A": frozenset({"x", "y", "z"}), "B": frozenset({"x", "y"})}
+INTERFACES = {"polymer": POLYMER, "scaffold": SCAFFOLD, "branched": BRANCHED}
+BONDS = {"polymer": (("A", "b", "B", "a"), ("A", "r", "B", "l")),
+         "scaffold": (("A", "b", "B", "a"), ("B", "c", "C", "b")),
+         "branched": tuple((t1, s1, t2, s2) for t1 in "AB" for s1 in sorted(BRANCHED[t1])
+                           for t2 in "AB" for s2 in sorted(BRANCHED[t2]))}
+
+
 def edge(v1, s1, v2, s2):
     return frozenset(((v1, s1), (v2, s2)))
+
+
+def polymer_strand(n, ring):
+    """A#i.b-B#i.a for every i and A#i.r-B#(i+1).l between them; a ring
+    also joins A#n.r to B#1.l."""
+    nodes = [f"A#{i}" for i in range(1, n + 1)] + [f"B#{i}" for i in range(1, n + 1)]
+    edges = [edge(f"A#{i}", "b", f"B#{i}", "a") for i in range(1, n + 1)]
+    edges += [edge(f"A#{i}", "r", f"B#{i + 1}", "l") for i in range(1, n)]
+    if ring:
+        edges.append(edge(f"A#{n}", "r", "B#1", "l"))
+    return SiteGraph(frozenset(nodes), {v: POLYMER[v[0]] for v in nodes},
+                     frozenset(edges))
+
+
+@st.composite
+def renamings(draw, g):
+    """A type-preserving instance renaming of g onto indices 1..8."""
+    eta = {}
+    for t in sorted({sitegraph.node_type(v) for v in g.nodes}):
+        names = sorted(v for v in g.nodes if sitegraph.node_type(v) == t)
+        indices = draw(st.permutations(range(1, 9)))
+        eta.update({v: f"{t}#{k}" for v, k in zip(names, indices)})
+    return eta
+
+
+@st.composite
+def rewirings(draw, g):
+    """g with the partners of two of its edges swapped, which keeps every
+    node's bound sites; None unless the result is a connected site-graph."""
+    if len(g.edges) < 2:
+        return None
+    e1, e2 = draw(st.permutations(sorted(sorted(e) for e in g.edges)))[:2]
+    (p1, q1), (p2, q2) = e1, (e2 if draw(st.booleans()) else e2[::-1])
+    if p1[0] == q2[0] or p2[0] == q1[0]:
+        return None
+    edges = (g.edges - {frozenset(e1), frozenset(e2)}) | {frozenset((p1, q2)), frozenset((p2, q1))}
+    rewired = SiteGraph(g.nodes, g.interface, edges)
+    return rewired if len(connected_components(rewired)) == 1 else None
+
+
+def bondable(kind, v, s, w, u):
+    t1, t2 = sitegraph.node_type(v), sitegraph.node_type(w)
+    return v != w and ((t1, s, t2, u) in BONDS[kind] or (t2, u, t1, s) in BONDS[kind])
+
+
+@st.composite
+def components(draw):
+    """A connected component with at most 4 instances per type: a polymer
+    chain or ring, or a random spanning tree over polymer, scaffold or
+    branched instances plus a few bonds that close cycles; renamed at
+    random half of the time."""
+    kind = draw(st.sampled_from(sorted(INTERFACES)))
+    if kind == "polymer" and draw(st.booleans()):
+        g = polymer_strand(draw(st.integers(1, 4)), ring=draw(st.booleans()))
+    else:
+        iface = INTERFACES[kind]
+        nodes = [f"{t}#{j}" for t in sorted(iface) for j in range(1, draw(st.integers(0, 4)) + 1)]
+        if not nodes:
+            nodes = ["B#1"]
+        order = draw(st.permutations(nodes))
+        free = {(v, s) for v in nodes for s in iface[v[0]]}
+        reached, edges = [order[0]], []
+
+        def bond(v, s, w, u):
+            free.difference_update({(v, s), (w, u)})
+            edges.append(edge(v, s, w, u))
+
+        for w in order[1:]:
+            options = sorted((v, s, w, u) for v, s in free for u in iface[w[0]]
+                             if v in reached and (w, u) in free and bondable(kind, v, s, w, u))
+            if options:  # otherwise w stays outside the component
+                bond(*draw(st.sampled_from(options)))
+                reached.append(w)
+        closing = sorted((v, s, w, u) for v, s in free for w, u in free
+                         if v in reached and w in reached and bondable(kind, v, s, w, u))
+        for v, s, w, u in (draw(st.lists(st.sampled_from(closing), max_size=4))
+                           if closing else []):
+            if (v, s) in free and (w, u) in free:
+                bond(v, s, w, u)
+        g = SiteGraph(frozenset(reached), {v: iface[v[0]] for v in reached},
+                      frozenset(edges))
+    if draw(st.booleans()):
+        g = rename(g, draw(renamings(g)))
+    return g
 
 
 def brute_force_isomorphic(g1: SiteGraph, g2: SiteGraph) -> bool:
@@ -233,6 +329,33 @@ class TestCanonicalKey:
             for g2 in graphs:
                 same_key = canonical_key(g1) == canonical_key(g2)
                 assert same_key == brute_force_isomorphic(g1, g2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(components(), components(), st.data())
+    def test_differential_against_isomorphism_oracle(self, g1, g2, data):
+        assert (canonical_key(g1) == canonical_key(g2)) == brute_force_isomorphic(g1, g2)
+        renamed = rename(g1, data.draw(renamings(g1)))
+        assert canonical_key(renamed) == canonical_key(g1)
+        rewired = data.draw(rewirings(g1))
+        if rewired is not None:
+            same_key = canonical_key(rewired) == canonical_key(g1)
+            assert same_key == brute_force_isomorphic(rewired, g1)
+
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_large_ring_renamed_and_against_chain(self, n):
+        ring = polymer_strand(n, ring=True)
+        shift = {f"{t}#{i}": f"{t}#{(i * 3 + (t == 'B')) % n + 1}"
+                 for t in "AB" for i in range(1, n + 1)}
+        assert canonical_key(rename(ring, shift)) == canonical_key(ring)
+        assert canonical_key(polymer_strand(n, ring=False)) != canonical_key(ring)
+
+    def test_site_bound_twice_rejected(self):
+        g = SiteGraph(frozenset({"A#1", "B#1", "B#2"}),
+                      {"A#1": POLYMER["A"], "B#1": POLYMER["B"], "B#2": POLYMER["B"]},
+                      frozenset({edge("A#1", "b", "B#1", "a"),
+                                 edge("A#1", "b", "B#2", "a")}))
+        with pytest.raises(ValueError, match="bound twice"):
+            canonical_key(g)
 
 
 class TestSpeciesCensus:
