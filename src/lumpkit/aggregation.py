@@ -11,6 +11,7 @@ original chain's distribution can be recovered from the aggregated one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +129,17 @@ def delta_table(K, part: Partition, alphas: MeasureFamily) -> DeltaTable:
     return DeltaTable(values, spread)
 
 
+def _check_tol(tol):
+    """A NaN or negative tol would make every comparison with it fail, and an
+    infinite one would make every comparison pass."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, not {tol!r}")
+
+
 def check_condition(K, part: Partition, alphas: MeasureFamily,
                     tol: float = DEFAULT_CONDITION_TOL):
     """Does the backward condition hold at tolerance tol? Reports the residual."""
+    _check_tol(tol)
     residual = delta_table(K, part, alphas).max_spread
     return {"holds": residual <= tol, "residual": residual}
 
@@ -185,6 +194,7 @@ def aggregate(K, part: Partition, alphas: MeasureFamily,
     Pi the block-indicator matrix: entry (i, j) is the alpha_j-weighted
     average of the condition value over block j, and rows keep the sums of
     K's rows."""
+    _check_tol(tol)
     residual = delta_table(K, part, alphas).max_spread
     if residual > tol:
         raise ConditionViolated(residual, tol)
@@ -210,6 +220,7 @@ def respects(pi: Distribution, part: Partition, alphas: MeasureFamily,
              tol: float = RESPECT_TOL):
     """Is the conditional distribution of pi on each positive-mass block equal
     to that block's measure?"""
+    _check_tol(tol)
     w = alphas.weights(part)
     mass = np.bincount(part.block_of, weights=pi.weights, minlength=len(part))[part.block_of]
     loaded = mass > 0.0  # empty blocks impose no constraint

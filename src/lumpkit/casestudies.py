@@ -73,33 +73,27 @@ def scaffold_model(p: ScaffoldParams) -> RuleModel:
     return RuleModel(rules, initial, dict(SCAFFOLD_INTERFACE))
 
 
-def _scaffold_site_flags(mix: ReactionMixture):
-    bound = mix.graph.bound_endpoints()
-    for name in sorted(mix.graph.nodes):
-        if node_type(name) == "B":
-            yield (name, "a") in bound, (name, "c") in bound
+def _scaffold_bound_b(mix: ReactionMixture):
+    """The B instances bound on site a and those bound on site c."""
+    bound = {"a": set(), "c": set()}
+    for edge in mix.graph.edges:
+        for v, s in edge:
+            if s in bound and node_type(v) == "B":
+                bound[s].add(v)
+    return bound["a"], bound["c"]
 
 
 def scaffold_phi1(mix: ReactionMixture):
     """(AB-only, BC-only, ABC) complex counts, read off each B's two sites."""
-    m_ab = m_bc = m_abc = 0
-    for a_bound, c_bound in _scaffold_site_flags(mix):
-        if a_bound and c_bound:
-            m_abc += 1
-        elif a_bound:
-            m_ab += 1
-        elif c_bound:
-            m_bc += 1
-    return (m_ab, m_bc, m_abc)
+    on_a, on_c = _scaffold_bound_b(mix)
+    m_abc = len(on_a & on_c)
+    return (len(on_a) - m_abc, len(on_c) - m_abc, m_abc)
 
 
 def scaffold_phi2(mix: ReactionMixture):
     """(number of B bound on a, number of B bound on c)."""
-    m_ab_star = m_star_bc = 0
-    for a_bound, c_bound in _scaffold_site_flags(mix):
-        m_ab_star += a_bound
-        m_star_bc += c_bound
-    return (m_ab_star, m_star_bc)
+    on_a, on_c = _scaffold_bound_b(mix)
+    return (len(on_a), len(on_c))
 
 
 def scaffold_class_size_phi1(v, p: ScaffoldParams) -> int:

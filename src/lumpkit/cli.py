@@ -69,7 +69,7 @@ def cmd_explore(args):
         max_states = rules.max_states_from_env()
     chain = rules.explore(model, max_states)
     markov.save_chain(args.out, chain.space, chain.matrix,
-                      extra={"counts": model.initial.counts})
+                      extra={"counts": dict(model.initial.counts)})
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(rules.export_dot(chain))

@@ -313,8 +313,8 @@ def transient(Q: RateMatrix, pi0: Distribution, t: float, tol: float = 1e-12) ->
     """Transient solution pi0 e^{Qt} via the uniformized Poisson-weighted
     series, truncated on both sides with at most tol of Poisson mass lost;
     raises SolverFailure when r*t needs more than POISSON_TERM_CAP terms."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative")
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     if len(pi0) != Q.dim:

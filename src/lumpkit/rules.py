@@ -139,9 +139,19 @@ def _edge_from_part(part: str) -> frozenset:
 
 
 def mixture_from_key(key: str, interface_by_type: dict, counts: dict) -> ReactionMixture:
-    """Rebuild a mixture from its serialized key and a model signature."""
-    edges = [] if key == "-" else [_edge_from_part(part) for part in key.split(";")]
-    return make_mixture(interface_by_type, counts, edges)
+    """Rebuild a mixture from its serialized key and a model signature: the
+    key's edges on the one validated edgeless mixture of that signature, so
+    the mixtures of one chain share its node set, interface and counts."""
+    signature = (tuple(counts.items()),
+                 tuple(zip(interface_by_type, map(frozenset, interface_by_type.values()))))
+    edges = () if key == "-" else map(_edge_from_part, key.split(";"))
+    return _edgeless_mixture(signature).with_edges(edges)
+
+
+@functools.lru_cache(maxsize=16)
+def _edgeless_mixture(signature) -> ReactionMixture:
+    counts, interface_by_type = signature
+    return make_mixture(dict(interface_by_type), dict(counts))
 
 
 class MixtureSequence(Sequence):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     NotConnected,
@@ -40,25 +42,17 @@ class SiteGraph:
     """Nodes with site interfaces and site-to-site edges."""
 
     nodes: frozenset
-    interface: dict  # node -> frozenset of site names
+    interface: Mapping  # node -> frozenset of site names, read-only
     edges: frozenset  # frozenset of frozenset({(node, site), (node', site')})
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "interface",
-                           {v: frozenset(s) for v, s in self.interface.items()})
+        object.__setattr__(self, "interface", MappingProxyType(
+            {v: frozenset(s) for v, s in self.interface.items()}))
         object.__setattr__(self, "edges", frozenset(frozenset(e) for e in self.edges))
         if set(self.interface) != set(self.nodes):
             raise ValueError("interface must be defined exactly on the node set")
-        for edge in self.edges:
-            if len(edge) != 2:
-                raise ValueError("an edge joins two distinct (node, site) endpoints")
-            (v1, s1), (v2, s2) = sorted(edge)
-            if v1 == v2:
-                raise ValueError("edge endpoints must lie on distinct nodes")
-            for v, s in ((v1, s1), (v2, s2)):
-                if v not in self.nodes or s not in self.interface[v]:
-                    raise ValueError(f"edge endpoint ({v}, {s}) outside the interface")
+        _check_edges(self.edges, self.interface, once=False)
 
     def __hash__(self):
         return hash((self.nodes, frozenset(self.interface.items()), self.edges))
@@ -95,23 +89,49 @@ class ReactionMixture:
     """A site-graph over typed node instances with per-type counts."""
 
     graph: SiteGraph
-    counts: dict = field(compare=False)
+    counts: Mapping = field(compare=False)  # type -> instance count, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         expected = {instance_name(t, j)
                     for t, n in self.counts.items() for j in range(1, n + 1)}
         if expected != set(self.graph.nodes):
             raise ValueError("node instances do not match the counts")
-        seen = set()
-        for edge in self.graph.edges:
-            for endpoint in edge:
-                if endpoint in seen:
-                    raise ValueError(f"site {endpoint} bound twice")
-                seen.add(endpoint)
+        _check_edges(self.graph.edges, self.graph.interface, once=True)
 
     def __hash__(self):
         return hash(self.graph)
+
+    def with_edges(self, edges) -> ReactionMixture:
+        """This mixture's node set, interface and counts, which are read-only
+        and shared, with the given edges in place of its own. Only the edges
+        are checked."""
+        edges = frozenset(map(frozenset, edges))
+        _check_edges(edges, self.graph.interface, once=True)
+        # set directly: only the edges are new, the rest was validated with self
+        graph = object.__new__(SiteGraph)
+        vars(graph).update(nodes=self.graph.nodes, interface=self.graph.interface, edges=edges)
+        mix = object.__new__(ReactionMixture)
+        vars(mix).update(graph=graph, counts=self.counts)
+        return mix
+
+
+def _check_edges(edges, interface, once):
+    """Each edge joins two endpoints on distinct nodes, each a site of the
+    interface; with once, no endpoint lies in two edges."""
+    for edge in edges:
+        if len(edge) != 2:
+            raise ValueError("an edge joins two distinct (node, site) endpoints")
+        (v1, _), (v2, _) = edge
+        if v1 == v2:
+            raise ValueError("edge endpoints must lie on distinct nodes")
+        for v, s in edge:
+            if v not in interface or s not in interface[v]:
+                raise ValueError(f"edge endpoint ({v}, {s}) outside the interface")
+    if once and len(set().union(*edges)) != 2 * len(edges):
+        counts = Counter(endpoint for edge in edges for endpoint in edge)
+        twice = next(endpoint for endpoint, n in counts.items() if n > 1)
+        raise ValueError(f"site {twice} bound twice")
 
 
 def make_mixture(interface_by_type, counts, edges=()) -> ReactionMixture:

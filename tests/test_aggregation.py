@@ -258,6 +258,30 @@ class TestRestrictLiftRespects:
         assert aggregation.respects(mu, part, alphas)["deviation"] <= 1e-9
 
 
+class TestToleranceValidation:
+    # a NaN or negative tol fails every comparison and an infinite one passes
+    # every comparison, so each would decide the condition silently
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+    def test_non_finite_or_negative_tol_rejected(self, tol):
+        q = fig_chain(1.0, 2.0)
+        part = fig_partition()
+        alphas = aggregation.uniform_measures(part)
+        for call in (lambda: aggregation.check_condition(q, part, alphas, tol),
+                     lambda: aggregation.aggregate(q, part, alphas, tol),
+                     lambda: aggregation.respects(markov.Distribution.uniform(6), part,
+                                                  alphas, tol)):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                call()
+
+    def test_zero_tol_accepted(self):
+        q = fig_chain(1.5, 1.5)
+        part = fig_partition()
+        alphas = aggregation.uniform_measures(part)
+        assert aggregation.check_condition(q, part, alphas, 0.0)["holds"]
+        assert aggregation.aggregate(q, part, alphas, 0.0).residual == 0.0
+        assert aggregation.respects(markov.Distribution.uniform(6), part, alphas, 0.0)["holds"]
+
+
 class TestNested:
     def test_fine_equals_coarse_gives_point_masses(self):
         part = aggregation.Partition(((0, 1), (2,)))

@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from lumpkit import casestudies, rules
+from lumpkit import casestudies, rules, sitegraph
 from lumpkit.errors import InvalidArgs, InvalidCounts, NotPolymerComponent
 from lumpkit.sitegraph import SiteGraph, make_mixture, species_census
 
@@ -109,6 +109,43 @@ class TestScaffoldPhis:
                 by_census.setdefault(key, set()).add(i)
             assert set(map(frozenset, by_phi1.values())) == set(
                 map(frozenset, by_census.values()))
+
+
+def scaffold_phis_by_node(mix):
+    """scaffold_phi1 and scaffold_phi2 read, as they first were, off each B
+    node's two sites in the mixture's bound endpoints."""
+    bound = mix.graph.bound_endpoints()
+    flags = [((v, "a") in bound, (v, "c") in bound)
+             for v in sorted(mix.graph.nodes) if sitegraph.node_type(v) == "B"]
+    phi1 = (sum(a and not c for a, c in flags), sum(c and not a for a, c in flags),
+            sum(a and c for a, c in flags))
+    phi2 = (sum(a for a, _ in flags), sum(c for _, c in flags))
+    return phi1, phi2
+
+
+class TestScaffoldPhisAgainstPerNodeReading:
+    @pytest.mark.parametrize("counts", [(2, 3, 2), (3, 3, 3)])
+    def test_every_explored_mixture(self, counts):
+        for mix in scaffold_chain(*counts).mixtures:
+            assert (casestudies.scaffold_phi1(mix),
+                    casestudies.scaffold_phi2(mix)) == scaffold_phis_by_node(mix)
+
+    @pytest.mark.parametrize("edges", [
+        [],
+        [edge("A#1", "b", "B#2", "a")],
+        [edge("B#3", "c", "C#2", "b")],
+        [edge("A#1", "b", "B#1", "a"), edge("A#2", "b", "B#2", "a")],
+        [edge("B#1", "c", "C#1", "b"), edge("B#3", "c", "C#2", "b")],
+        [edge("A#1", "b", "B#1", "a"), edge("B#1", "c", "C#1", "b"),
+         edge("A#2", "b", "B#3", "a")],
+        # bonds that the scaffold rules never make
+        [edge("A#1", "b", "C#1", "b")],
+        [edge("A#1", "b", "B#2", "c"), edge("B#1", "a", "C#2", "b")],
+    ])
+    def test_bonds_on_one_side_of_b(self, edges):
+        mix = make_mixture(casestudies.SCAFFOLD_INTERFACE, {"A": 2, "B": 3, "C": 2}, edges)
+        assert (casestudies.scaffold_phi1(mix),
+                casestudies.scaffold_phi2(mix)) == scaffold_phis_by_node(mix)
 
 
 class TestScaffoldClassSizes:

@@ -270,6 +270,37 @@ class TestBadInput:
         assert not out.exists()
 
 
+class TestBadNumbers:
+    @pytest.fixture
+    def polymer_files(self, tmp_path):
+        model = tmp_path / "poly.model"
+        assert cli.main(["casestudy", "polymer", "--n", "2", "--out", str(model)]) == 0
+        chain = tmp_path / "poly.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        return model, chain
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol(self, polymer_files, tmp_path, capsys, tol):
+        # without --tol, polymer-phi3 violates the condition (exit 3)
+        model, chain = polymer_files
+        out = tmp_path / "agg.json"
+        for argv in (["aggregate", str(chain), "--out", str(out)], ["check", str(chain)]):
+            code = cli.main(argv + ["--phi", "polymer-phi3", "--model", str(model),
+                                    "--tol", tol])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "tol must be finite and nonnegative" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time(self, scaffold_files, tmp_path, capsys, t):
+        _, chain = scaffold_files
+        code = cli.main(["transient", str(chain), "--init", "uniform",
+                         "--t", t, "--out", str(tmp_path / "dist")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: t must be finite and nonnegative\n"
+
+
 class TestImportCost:
     def test_importing_the_cli_loads_neither_scipy_nor_networkx(self):
         # scipy is imported lazily by classify and stationary; an eager import

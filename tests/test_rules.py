@@ -275,6 +275,29 @@ class TestSerialization:
         again = rules.mixture_from_key(key, SCAFFOLD, mix.counts)
         assert again.graph == mix.graph
 
+    @pytest.mark.parametrize("model", [scaffold_model(1, 1, 1), scaffold_model(2, 3, 2),
+                                       casestudies.polymer_model(casestudies.PolymerParams(2))],
+                             ids=["scaffold-111", "scaffold-232", "polymer-2"])
+    def test_decoded_mixtures_equal_make_mixture(self, model):
+        chain = rules.explore(model)
+        for mix in chain.mixtures:
+            built = make_mixture(model.interface, model.initial.counts, mix.graph.edges)
+            assert mix.graph == built.graph
+            assert hash(mix) == hash(built)
+            assert mix.counts == built.counts
+            assert mix.graph.nodes is chain.mixtures[0].graph.nodes
+
+    def test_decoding_follows_the_signature(self):
+        key = "A#1.b-B#2.a"
+        small = rules.mixture_from_key(key, SCAFFOLD, {"A": 1, "B": 2, "C": 1})
+        large = rules.mixture_from_key(key, SCAFFOLD, {"A": 1, "B": 3, "C": 1})
+        assert "B#3" in large.graph.nodes and "B#3" not in small.graph.nodes
+        wider = dict(SCAFFOLD, C={"b", "x"})  # a set is not hashable
+        mix = rules.mixture_from_key(key, wider, {"A": 1, "B": 2, "C": 1})
+        assert mix.graph.interface["C#1"] == frozenset({"b", "x"})
+        with pytest.raises(ValueError):
+            rules.mixture_from_key("A#1.b-B#3.a", SCAFFOLD, {"A": 1, "B": 2, "C": 1})
+
     def test_edgeless_key(self):
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1})
         assert rules.mixture_key(mix) == "-"

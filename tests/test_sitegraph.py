@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -148,6 +149,45 @@ def brute_force_isomorphic(g1: SiteGraph, g2: SiteGraph) -> bool:
     return False
 
 
+@st.composite
+def decode_inputs(draw):
+    """A polymer or scaffold signature, edges over its instances and the
+    fault they hold, or None: a random matching of the sites of distinct
+    nodes, and half of the time one more edge that is invalid in one of six
+    ways."""
+    iface = draw(st.sampled_from([POLYMER, SCAFFOLD]))
+    counts = {t: draw(st.integers(1, 3)) for t in sorted(iface)}
+    sites = [(f"{t}#{j}", s) for t in sorted(iface) for j in range(1, counts[t] + 1)
+             for s in sorted(iface[t])]
+    order = draw(st.permutations(sites))
+    pairs = [order[k:k + 2] for k in range(0, 2 * draw(st.integers(0, len(sites) // 2)), 2)]
+    edges = [frozenset(pair) for pair in pairs if pair[0][0] != pair[1][0]]
+    v, s = draw(st.sampled_from(sites))
+    other = draw(st.sampled_from([end for end in sites if end[0] != v]))
+    fault = draw(st.sampled_from([None, "twice", "site", "instance", "type", "one node",
+                                  "one endpoint"]) if draw(st.booleans()) else st.none())
+    if fault == "twice":
+        if not edges:
+            return iface, counts, edges, None
+        bound, partner = draw(st.sampled_from(sorted(sorted(e) for e in edges)))
+        other = draw(st.sampled_from([end for end in sites
+                                      if end[0] != bound[0] and end != partner]))
+        edges.append(frozenset((bound, other)))
+    elif fault == "site":
+        edges.append(edge(v, "q", *other))
+    elif fault == "instance":
+        t = sitegraph.node_type(v)
+        edges.append(edge(f"{t}#{counts[t] + 1}", s, *other))
+    elif fault == "type":
+        edges.append(edge("D#1", "b", *other))
+    elif fault == "one node":
+        t = draw(st.sampled_from([t for t in sorted(iface) if len(iface[t]) > 1]))
+        edges.append(edge(f"{t}#1", min(iface[t]), f"{t}#1", max(iface[t])))
+    elif fault == "one endpoint":
+        edges.append(frozenset({(v, s)}))
+    return iface, counts, draw(st.permutations(edges)), fault
+
+
 class TestSiteGraph:
     def test_edge_site_must_be_declared(self):
         with pytest.raises(ValueError):
@@ -170,6 +210,51 @@ class TestSiteGraph:
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1})
         assert mix.graph.nodes == frozenset(
             {"A#1", "B#1", "B#2", "B#3", "C#1"})
+
+
+class TestWithEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_inputs())
+    def test_differential_against_make_mixture(self, inputs):
+        iface, counts, edges, fault = inputs
+        empty = make_mixture(iface, counts)
+
+        def built(make):
+            try:
+                return make()
+            except ValueError:
+                return None
+
+        decoded = built(lambda: empty.with_edges(edges))
+        reference = built(lambda: make_mixture(iface, counts, edges))
+        assert (decoded is None) == (reference is None) == (fault is not None)
+        if reference is not None:
+            assert decoded.graph == reference.graph
+            assert hash(decoded) == hash(reference)
+            assert decoded.counts == reference.counts
+            assert decoded.graph.nodes is empty.graph.nodes
+        assert empty.graph.edges == frozenset()
+
+    def test_shared_fields_are_read_only(self):
+        empty = make_mixture(SCAFFOLD, {"A": 1, "B": 2, "C": 1})
+        one = empty.with_edges([edge("A#1", "b", "B#1", "a")])
+        two = empty.with_edges([edge("B#2", "c", "C#1", "b")])
+        assert one.graph.interface is two.graph.interface
+        assert one.counts is two.counts
+        with pytest.raises(TypeError):
+            one.counts["A"] = 5
+        with pytest.raises(TypeError):
+            one.graph.interface["A#1"] = frozenset({"b", "x"})
+        with pytest.raises(TypeError):
+            del one.graph.interface["C#1"]
+        with pytest.raises(AttributeError):
+            one.graph.nodes.add("A#2")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.graph.edges = frozenset()
+        assert two.counts == {"A": 1, "B": 2, "C": 1}
+        assert two.graph.interface["A#1"] == frozenset({"b"})
+        assert two.graph.nodes == frozenset({"A#1", "B#1", "B#2", "C#1"})
+        assert two.graph.edges == {edge("B#2", "c", "C#1", "b")}
 
 
 class TestComponents:
