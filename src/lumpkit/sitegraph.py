@@ -129,8 +129,8 @@ def _check_edges(edges, interface, once):
             if v not in interface or s not in interface[v]:
                 raise ValueError(f"edge endpoint ({v}, {s}) outside the interface")
     if once and len(set().union(*edges)) != 2 * len(edges):
-        counts = Counter(endpoint for edge in edges for endpoint in edge)
-        twice = next(endpoint for endpoint, n in counts.items() if n > 1)
+        uses = Counter(endpoint for edge in edges for endpoint in edge)
+        twice = next(endpoint for endpoint, n in uses.items() if n > 1)
         raise ValueError(f"site {twice} bound twice")
 
 
