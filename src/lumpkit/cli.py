@@ -44,7 +44,7 @@ def _partition_for(args, space, matrix):
             raise LumpkitError("--phi requires --model to rebuild mixtures")
         model = _load_model(args.model)
         mixtures = rules.MixtureSequence(space.states, model.interface, model.initial.counts)
-        chain = rules.ExploredChain(space, matrix, mixtures, {})
+        chain = rules.ExploredChain(space, matrix, mixtures)
         return rules.build_partition(chain, _PHI_FUNCS[args.phi])
     raise LumpkitError("supply --partition FILE or --phi NAME")
 
@@ -72,7 +72,7 @@ def cmd_explore(args):
                       extra={"counts": dict(model.initial.counts)})
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(rules.export_dot(chain))
+            fh.write(rules.export_dot(model, chain))
     print(f"explored {len(chain.space)} states -> {args.out}")
     return EXIT_OK
 
@@ -122,8 +122,9 @@ def cmd_transient(args):
     if not isinstance(matrix, markov.RateMatrix):
         raise LumpkitError("transient requires a rate-matrix chain")
     pi0 = _initial_distribution(args, space, matrix)
-    for t in args.t:
-        result = markov.transient(matrix, pi0, t, args.tol)
+    # solve every time before writing any file, so a bad time leaves no output
+    results = [(t, markov.transient(matrix, pi0, t, args.tol)) for t in args.t]
+    for t, result in results:
         out = f"{args.out}_t{t:g}.csv"
         markov.save_distribution(out, space, result)
         print(f"t = {t:g} -> {out}")

@@ -74,10 +74,6 @@ class RuleModel:
                 raise ValueError("initial mixture uses an edge type absent from the rules")
 
     @property
-    def node_types(self):
-        return frozenset(self.interface)
-
-    @property
     def edge_types(self):
         types = set()
         for rule in self.rules:
@@ -138,14 +134,18 @@ def _edge_from_part(part: str) -> frozenset:
     return frozenset(((v1, s1), (v2, s2)))
 
 
+def _key_edges(key: str):
+    """The edges of a mixture key."""
+    return () if key == "-" else map(_edge_from_part, key.split(";"))
+
+
 def mixture_from_key(key: str, interface_by_type: dict, counts: dict) -> ReactionMixture:
     """Rebuild a mixture from its serialized key and a model signature: the
     key's edges on the one validated edgeless mixture of that signature, so
     the mixtures of one chain share its node set, interface and counts."""
     signature = (tuple(counts.items()),
                  tuple(zip(interface_by_type, map(frozenset, interface_by_type.values()))))
-    edges = () if key == "-" else map(_edge_from_part, key.split(";"))
-    return _edgeless_mixture(signature).with_edges(edges)
+    return _edgeless_mixture(signature).with_edges(_key_edges(key))
 
 
 @functools.lru_cache(maxsize=16)
@@ -182,7 +182,6 @@ class ExploredChain:
     space: StateSpace
     matrix: RateMatrix
     mixtures: MixtureSequence = field(compare=False)  # decoded from space.states
-    edge_labels: dict = field(compare=False)  # (i, j) -> sorted tuple of rule names
 
 
 # --- slot-encoded exploration -------------------------------------------------
@@ -254,7 +253,7 @@ class _Component:
 @dataclass(frozen=True)
 class _CompiledRule:
     rate: float
-    label: tuple  # (rule name,)
+    name: str
     supported: bool  # pattern nodes have distinct types
     conflict: tuple  # a pattern site the right side binds twice, or ()
     components: tuple
@@ -273,7 +272,7 @@ class _CompiledRule:
                     raise InvalidEmbedding("renamed left side is not contained in the mixture")
                 vec += part
             if self.conflict:
-                raise SiteConflict(f"rule {self.label[0]!r} binds {self.conflict} twice")
+                raise SiteConflict(f"rule {self.name!r} binds {self.conflict} twice")
             new = list(state)
             for p, q in self.removed:
                 new[vec[p]] = new[vec[q]] = -1
@@ -335,7 +334,7 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
     twice = [end for edge in added for end in sorted(edge) if taken.count(end) > 1]
     return _CompiledRule(
         rate=rule.rate,
-        label=(rule.name,),
+        name=rule.name,
         supported=len({node_type(v) for v in nodes}) == len(nodes),
         conflict=min(twice, default=()),
         components=tuple(components),
@@ -359,6 +358,16 @@ def _layout(initial: ReactionMixture):
     return instances, slots, slot_instance, slot_kind
 
 
+def _state_of(edges, layout) -> tuple:
+    """The slot tuple of the mixture with these edges."""
+    _, slots, slot_instance, _ = layout
+    state = [-1] * len(slot_instance)
+    for (v1, s1), (v2, s2) in edges:
+        a, b = slots[v1][s1], slots[v2][s2]
+        state[a], state[b] = b, a
+    return tuple(state)
+
+
 def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredChain:
     """Breadth-first closure of the initial mixture under all rule
     applications, with deterministic (sorted-frontier) state indexing.
@@ -372,7 +381,7 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
     initial = model.initial
     interface = _type_interfaces(initial)
     layout = _layout(initial)
-    _, slots, slot_instance, slot_kind = layout
+    _, _, slot_instance, slot_kind = layout
     compiled = [_compile(rule, layout) for rule in model.rules]
     parts = {}
 
@@ -388,21 +397,16 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
                 out.append(part)
         return _join_key(out)
 
-    start = [-1] * len(slot_instance)
-    for edge in initial.graph.edges:
-        (v1, s1), (v2, s2) = edge
-        a, b = slots[v1][s1], slots[v2][s2]
-        start[a], start[b] = b, a
-    start = tuple(start)
+    start = _state_of(initial.graph.edges, layout)
     # states are numbered in discovery order here and renumbered at the end
     states, keys, number = [start], [key_of(start)], {start: 0}
-    rates, rule_names = {}, {}  # source -> {target: summed rate, sorted rule names}
+    rates = {}  # source -> {target: summed rate}
     order, frontier = [0], [0]
     while frontier:
         discovered = []
         for src in frontier:
             state = states[src]
-            out, labels = rates[src], rule_names[src] = {}, {}
+            out = rates[src] = {}
             for rule in compiled:
                 for target in rule.targets(state):
                     dst = number.get(target)
@@ -416,11 +420,6 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
                                 f"reachable set exceeds max_states = {max_states}")
                     if dst != src:
                         out[dst] = out.get(dst, 0.0) + rule.rate
-                        names = labels.get(dst)
-                        if names is None:
-                            labels[dst] = rule.label
-                        elif rule.label[0] not in names:
-                            labels[dst] = tuple(sorted(names + rule.label))
         frontier = sorted(discovered, key=keys.__getitem__)
         order.extend(frontier)
     del states, number
@@ -442,11 +441,28 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
             cols.append(i)
             vals.append(-total)
     space = StateSpace(tuple(keys[src] for src in order))
-    edge_labels = {(index[src], index[dst]): names
-                   for src in order for dst, names in rule_names[src].items()}
     return ExploredChain(space, RateMatrix(len(order), rows, cols, vals),
-                         MixtureSequence(space.states, interface, initial.counts),
-                         edge_labels)
+                         MixtureSequence(space.states, interface, initial.counts))
+
+
+def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
+    """(i, j) -> sorted names of the rules, zero-rate ones included, that take
+    state i to state j != i: explore's compiled rules applied to each state,
+    ordered by i, then by first application in rule and embedding order."""
+    layout = _layout(model.initial)
+    compiled = [_compile(rule, layout) for rule in model.rules]
+    states = [_state_of(_key_edges(key), layout) for key in chain.space.states]
+    number = {state: i for i, state in enumerate(states)}
+    labels = {}
+    for i, state in enumerate(states):
+        names = {}
+        for rule in compiled:
+            for target in rule.targets(state):
+                j = number[target]
+                if j != i:
+                    names.setdefault(j, set()).add(rule.name)
+        labels.update(((i, j), tuple(sorted(s))) for j, s in names.items())
+    return labels
 
 
 def is_reversible(model: RuleModel) -> bool:
@@ -464,14 +480,16 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     return Partition(tuple(tuple(fibers[v]) for v in sorted(fibers)))
 
 
-def export_dot(chain: ExploredChain) -> str:
-    """DOT digraph of the explored chain with rule names as edge labels."""
+def export_dot(model: RuleModel, chain: ExploredChain) -> str:
+    """DOT digraph of the model's explored chain with rule names as edge
+    labels; transitions of rate zero draw no edge."""
+    labels = edge_labels(model, chain)
     lines = ["digraph chain {"]
     for i, key in enumerate(chain.space.states):
         lines.append(f'  n{i} [label="{key}"];')
     for i, j, v in chain.matrix.triplets():
         if i != j:
-            names = ",".join(chain.edge_labels.get((i, j), ()))
+            names = ",".join(labels.get((i, j), ()))
             lines.append(f'  n{i} -> n{j} [label="{names} ({v:g})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

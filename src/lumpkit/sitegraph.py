@@ -29,10 +29,6 @@ def node_type(name: str) -> str:
     return name.split("#", 1)[0]
 
 
-def instance_index(name: str) -> int:
-    return int(name.split("#", 1)[1])
-
-
 def instance_name(type_name: str, index: int) -> str:
     return f"{type_name}#{index}"
 
@@ -65,23 +61,6 @@ class SiteGraph:
 
     def bound_endpoints(self):
         return {endpoint for edge in self.edges for endpoint in edge}
-
-    def is_free(self, node, site) -> bool:
-        return (node, site) not in self.bound_endpoints()
-
-    def neighbors(self, node):
-        """(site, other node, other site) triples for edges incident to node."""
-        out = []
-        for edge in self.edges:
-            pair = sorted(edge)
-            for (v, s), (w, t) in (pair, pair[::-1]):
-                if v == node:
-                    out.append((s, w, t))
-        return out
-
-
-def empty_graph() -> SiteGraph:
-    return SiteGraph(frozenset(), {}, frozenset())
 
 
 @dataclass(frozen=True)

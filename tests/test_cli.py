@@ -106,7 +106,11 @@ class TestExplore:
         dot = tmp_path / "c2.dot"
         assert cli.main(["explore", str(model), "--out", str(chain),
                          "--dot", str(dot)]) == 0
-        assert dot.read_text().startswith("digraph")
+        states = json.loads(chain.read_text())["states"]
+        i, j = states.index("-"), states.index("A#1.b-B#1.a")
+        text = dot.read_text()
+        assert text.startswith("digraph")
+        assert f'  n{i} -> n{j} [label="r1 (1)"];\n' in text
 
 
 class TestCheck:
@@ -299,6 +303,19 @@ class TestBadNumbers:
                          "--t", t, "--out", str(tmp_path / "dist")])
         assert code == 1
         assert capsys.readouterr().err == "error: t must be finite and nonnegative\n"
+
+    @pytest.mark.parametrize("times, message", [
+        ("1,nan", "error: t must be finite and nonnegative\n"),
+        ("1,1e7", "Poisson terms, more than the cap"),  # r*t past POISSON_TERM_CAP
+    ])
+    def test_bad_later_time_writes_nothing(self, polymer_files, tmp_path, capsys,
+                                           times, message):
+        _, chain = polymer_files
+        code = cli.main(["transient", str(chain), "--init", "uniform",
+                         "--t", times, "--out", str(tmp_path / "part")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("part_t*.csv"))
 
 
 class TestImportCost:

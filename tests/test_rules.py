@@ -96,7 +96,7 @@ class TestExplore:
         start = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1},
                              [edge("A#1", "b", "B#1", "a")])
         i = chain.space.index[rules.mixture_key(start)]
-        r2_rates = [v for (a, b), names in chain.edge_labels.items()
+        r2_rates = [v for (a, b), names in rules.edge_labels(model, chain).items()
                     if a == i and "r2" in names
                     for (row, col, v) in chain.matrix.triplets()
                     if row == a and col == b]
@@ -135,9 +135,11 @@ class TestExplore:
             rules.explore(model, max_states=states - 1)
 
     def test_zero_rate_target_stays_with_its_label(self):
-        chain = rules.explore(scaffold_model(rates=(0.0, 1.0, 1.0, 1.0)))
+        model = scaffold_model(rates=(0.0, 1.0, 1.0, 1.0))
+        chain = rules.explore(model)
+        labels = rules.edge_labels(model, chain)
         assert len(chain.space) == 4
-        assert len(chain.edge_labels) == 8
+        assert len(labels) == 8
         assert len(chain.matrix.triplets()) == 10
         bc = rules.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
                                             [edge("B#1", "c", "C#1", "b")]))
@@ -145,7 +147,7 @@ class TestExplore:
                                                [edge("A#1", "b", "B#1", "a"),
                                                 edge("B#1", "c", "C#1", "b")]))
         i, j = chain.space.index[bc], chain.space.index[ab_bc]
-        assert chain.edge_labels[(i, j)] == ("r1",)
+        assert labels[(i, j)] == ("r1",)
         assert (i, j) not in {(r, c) for r, c, _ in chain.matrix.triplets()}
 
     def test_rule_site_outside_the_instance_interface(self):
@@ -191,7 +193,9 @@ class TestExplore:
                     monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
         monkeypatch.setattr(ReactionMixture, "__post_init__", forbidden)
-        assert len(rules.explore(model).space) == 49
+        chain = rules.explore(model)
+        assert len(chain.space) == 49
+        assert len(rules.edge_labels(model, chain)) == 224
 
     def test_mixtures_decoded_on_first_read(self, monkeypatch):
         decoded = []
@@ -303,10 +307,21 @@ class TestSerialization:
         assert rules.mixture_key(mix) == "-"
 
     def test_export_dot(self):
-        chain = rules.explore(scaffold_model())
-        dot = rules.export_dot(chain)
+        model = scaffold_model()
+        chain = rules.explore(model)
+        dot = rules.export_dot(model, chain)
+        i, j = chain.space.index["-"], chain.space.index["A#1.b-B#1.a"]
         assert dot.startswith("digraph")
-        assert "r1" in dot
+        assert f'  n{i} -> n{j} [label="r1 (1)"];\n' in dot
+
+    def test_export_dot_draws_no_zero_rate_edge(self):
+        model = scaffold_model(rates=(0.0, 1.0, 1.0, 1.0))
+        chain = rules.explore(model)
+        dot = rules.export_dot(model, chain)
+        i, j = chain.space.index["-"], chain.space.index["A#1.b-B#1.a"]
+        assert f"n{i} -> n{j} " not in dot
+        assert 'label="r1' not in dot
+        assert dot.count(" -> ") == 6
 
     def test_max_states_env(self, monkeypatch):
         monkeypatch.delenv("LUMPKIT_MAX_STATES", raising=False)
