@@ -250,7 +250,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's exit 2 would read as a state cap
+        return EXIT_INPUT if exc.code else EXIT_OK  # EXIT_OK after --help
     try:
         return args.func(args)
     except StateCapExceeded as exc:

@@ -278,12 +278,12 @@ def uniformize(Q: RateMatrix, r: float) -> StochasticMatrix:
                             np.r_[Q.data / r, np.ones(Q.dim)])
 
 
-def default_rate(Q: RateMatrix, slack=DEFAULT_RATE_SLACK) -> float:
+def default_rate(Q: RateMatrix) -> float:
     """Uniformization rate strictly above the exit-rate bound."""
     qmax = float(Q.exit_rates().max())
     if qmax == 0.0:
         return 1.0
-    return slack * qmax
+    return DEFAULT_RATE_SLACK * qmax
 
 
 def _poisson_window(rt: float, tol: float):
@@ -362,9 +362,10 @@ def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
 # --- serialization -----------------------------------------------------------
 
 def save_json(path, data: dict):
-    """The one JSON writer for chains, partitions and measures."""
+    """The one JSON writer for chains, partitions and measures: compact, on
+    one line, since ``json.dumps`` (unlike ``json.dump``) runs the C encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(data, sort_keys=True))
         fh.write("\n")
 
 
@@ -375,7 +376,7 @@ def load_json(path) -> dict:
 
 def save_chain(path, space: StateSpace, K, extra=None):
     save_json(path, {"states": list(space.states), "kind": K.kind,
-                     "triplets": [[r, c, v] for r, c, v in K.triplets()], **(extra or {})})
+                     "triplets": K.triplets(), **(extra or {})})
 
 
 def load_chain(path):

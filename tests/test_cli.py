@@ -228,13 +228,32 @@ class TestCasestudyCommand:
         text = model.read_text()
         assert "rule r1" in text and "init: A*2, B*2, C*2" in text
 
-    def test_bad_rates_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main(["casestudy", "polymer", "--n", "1", "--rates", "1,2",
-                      "--out", str(tmp_path / "m.model")])
+    def test_bad_rates_rejected(self, tmp_path, capsys):
+        assert cli.main(["casestudy", "polymer", "--n", "1", "--rates", "1,2",
+                         "--out", str(tmp_path / "m.model")]) == 1
+        assert "argument --rates: expected four comma-separated rates" in capsys.readouterr().err
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["transient", "c.json", "--init", "uniform", "--t", "abc", "--out", "p"],
+         "argument --t: invalid"),
+        (["explore", "m.model", "--out", "c.json", "--max-states", "x"],
+         "argument --max-states: invalid int value: 'x'"),
+        (["check", "c.json", "--phi", "nosuch"], "argument --phi: invalid choice: 'nosuch'"),
+        (["explore", "m.model"], "the following arguments are required: --out"),
+        (["explore"], "the following arguments are required: model, --out"),
+    ])
+    def test_malformed_argument_is_an_input_error(self, capsys, argv, message):
+        # argparse alone would exit 2, the code reserved for the state cap
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lumpkit") and message in err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["explore", "--help"]) == 0
+        assert "--max-states" in capsys.readouterr().out
+
     @pytest.mark.parametrize("row", [5, -1])
     def test_triplet_row_outside_the_chain(self, tmp_path, capsys, row):
         # row -1 would index the last row from the end; both must be refused

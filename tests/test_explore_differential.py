@@ -3,6 +3,7 @@
 breadth-first search it replaced, written here from the public
 ``find_embeddings``, ``apply`` and ``mixture_key``."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from lumpkit.markov import RateMatrix, StateSpace
 from lumpkit.sitegraph import SiteGraph, find_embeddings, instance_name, make_mixture
 
 MAX_STATES = 200
+# sums of these depend on the order they are added in
+NON_DYADIC_RATES = (0.1, 0.7, 1.3, 1 / 3)
 
 
 def reference_explore(model, max_states):
@@ -107,7 +110,7 @@ def rule_sides(draw, interface):
 
 
 @st.composite
-def models(draw):
+def models(draw, rates=(0.0, 0.5, 1.0, 2.5)):
     types = ("A", "B", "C")[:draw(st.integers(2, 3))]
     interface = {t: frozenset(draw(st.sets(st.sampled_from(("x", "y")), min_size=1)))
                  for t in types}
@@ -118,7 +121,7 @@ def models(draw):
         rule_list.append(rules.RewriteRule(
             SiteGraph(frozenset(sites), sites, frozenset(left)),
             SiteGraph(frozenset(sites), sites, frozenset(right)),
-            draw(st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+            draw(st.sampled_from(rates)),
             draw(st.sampled_from(("a", "b", "c")))))
     edge_types = {frozenset(edge) for rule in rule_list
                   for side in (rule.left, rule.right) for edge in side.edges}
@@ -154,3 +157,24 @@ class TestExploreMatchesReference:
         for got, expected in zip(chain.mixtures, mixtures):
             assert got == expected
             assert got.counts == expected.counts
+
+    @settings(max_examples=200, deadline=None)
+    @given(models(NON_DYADIC_RATES))
+    def test_same_chain_on_non_dyadic_rates(self, model):
+        # a sum of three or more of these rates depends on its order: the
+        # reference adds left to right, RateMatrix adds the first entry to
+        # the pairwise sum of the rest, and explore's diagonals add up per
+        # application, the reference's per target
+        want, want_error = outcome(lambda: reference_explore(model, MAX_STATES))
+        chain, error = outcome(lambda: rules.explore(model, MAX_STATES))
+        assert error == want_error
+        if want is None:
+            return
+        states, matrix, edge_labels, mixtures = want
+        got = chain.matrix
+        assert chain.space.states == states
+        assert np.array_equal(got.row, matrix.row) and np.array_equal(got.col, matrix.col)
+        assert np.abs(got.data - matrix.data).max(initial=0.0) <= 1e-12
+        assert list(rules.edge_labels(model, chain).items()) == list(edge_labels.items())
+        assert list(chain.mixtures) == mixtures
+        assert [mix.counts for mix in chain.mixtures] == [mix.counts for mix in mixtures]

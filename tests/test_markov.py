@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_expm
-from lumpkit import casestudies, markov, rules
+from lumpkit import aggregation, casestudies, markov, rules
 from lumpkit.errors import NotIrreducible, RateBoundViolated, SolverFailure
 
 
@@ -282,13 +283,37 @@ class TestClassify:
 
 class TestSerialization:
     def test_chain_round_trip(self, tmp_path):
+        # the non-dyadic rates come back only from an exact (repr) round trip
+        for rates in [(1.0, 2.0, 0.5, 0.25), (1.3, 0.7, 1 / 3, 0.1)]:
+            model = casestudies.scaffold_model(casestudies.ScaffoldParams(2, 1, 1, *rates))
+            ch = rules.explore(model)
+            path = tmp_path / "chain.json"
+            markov.save_chain(path, ch.space, ch.matrix)
+            space, matrix = markov.load_chain(path)
+            assert space.states == ch.space.states
+            assert matrix == ch.matrix
+
+    def test_indented_files_still_load(self, tmp_path):
+        # files written before save_json went compact are indented
         ch = rules.explore(casestudies.scaffold_model(
-            casestudies.ScaffoldParams(1, 1, 1, 1.0, 2.0, 0.5, 0.25)))
-        path = tmp_path / "chain.json"
-        markov.save_chain(path, ch.space, ch.matrix)
-        space, matrix = markov.load_chain(path)
+            casestudies.ScaffoldParams(2, 1, 1, 1.3, 0.7, 1 / 3, 0.1)))
+        part = rules.build_partition(ch, casestudies.scaffold_phi1)
+        alphas = aggregation.uniform_measures(part)
+        for name, save in [("chain", lambda p: markov.save_chain(p, ch.space, ch.matrix)),
+                           ("partition", lambda p: aggregation.save_partition(p, part, ch.space)),
+                           ("measures", lambda p: aggregation.save_measures(p, alphas, ch.space))]:
+            path = tmp_path / f"{name}.json"
+            save(path)
+            assert path.read_text(encoding="utf-8").count("\n") == 1
+            data = markov.load_json(path)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+        space, matrix = markov.load_chain(tmp_path / "chain.json")
         assert space.states == ch.space.states
         assert matrix == ch.matrix
+        assert aggregation.load_partition(tmp_path / "partition.json", space) == part
+        assert aggregation.load_measures(tmp_path / "measures.json", space) == alphas
 
     def test_distribution_round_trip(self, tmp_path):
         space = markov.StateSpace(("a", "b", "c"))
