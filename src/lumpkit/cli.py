@@ -18,9 +18,6 @@ EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_VIOLATED = 3
 
-PHI_NAMES = ("species", "scaffold-phi1", "scaffold-phi2",
-             "polymer-phi1", "polymer-phi2", "polymer-phi3")
-
 _PHI_FUNCS = {
     "species": lambda mix: tuple(sorted(sitegraph.species_census(mix).items())),
     "scaffold-phi1": casestudies.scaffold_phi1,
@@ -37,9 +34,9 @@ def _load_model(path):
 
 
 def _partition_for(args, space, matrix):
-    if getattr(args, "partition", None):
+    if args.partition:
         return aggregation.load_partition(args.partition, space)
-    if getattr(args, "phi", None):
+    if args.phi:
         if not args.model:
             raise LumpkitError("--phi requires --model to rebuild mixtures")
         model = _load_model(args.model)
@@ -50,7 +47,7 @@ def _partition_for(args, space, matrix):
 
 
 def _measures_for(args, space, part):
-    if getattr(args, "measures", None):
+    if args.measures:
         alphas = aggregation.load_measures(args.measures, space)
         alphas.check_compatible(part)
         return alphas
@@ -103,17 +100,23 @@ def cmd_aggregate(args):
     return EXIT_OK
 
 
-def _initial_distribution(args, space, matrix):
+def _lift(args, space, blockdist):
+    """The distribution over space that lifts the block distribution in the
+    CSV file blockdist through --partition and --measures."""
+    part = aggregation.load_partition(args.partition, space)
+    alphas = _measures_for(args, space, part)
+    blocks = markov.load_distribution(blockdist, _block_space(part))
+    return aggregation.lift(blocks, part, alphas)
+
+
+def _initial_distribution(args, space):
     spec = args.init
     if spec == "uniform":
         return markov.Distribution.uniform(len(space))
     if spec.startswith("respectful:"):
         if not args.partition:
             raise LumpkitError("respectful: init requires --partition")
-        part = aggregation.load_partition(args.partition, space)
-        alphas = _measures_for(args, space, part)
-        blocks = markov.load_distribution(spec.split(":", 1)[1], _block_space(part))
-        return aggregation.lift(blocks, part, alphas)
+        return _lift(args, space, spec.split(":", 1)[1])
     return markov.load_distribution(spec, space)
 
 
@@ -121,7 +124,7 @@ def cmd_transient(args):
     space, matrix = markov.load_chain(args.chain)
     if not isinstance(matrix, markov.RateMatrix):
         raise LumpkitError("transient requires a rate-matrix chain")
-    pi0 = _initial_distribution(args, space, matrix)
+    pi0 = _initial_distribution(args, space)
     # solve every time before writing any file, so a bad time leaves no output
     results = [(t, markov.transient(matrix, pi0, t, args.tol)) for t in args.t]
     for t, result in results:
@@ -140,12 +143,8 @@ def cmd_stationary(args):
 
 
 def cmd_deaggregate(args):
-    space, matrix = markov.load_chain(args.chain)
-    part = aggregation.load_partition(args.partition, space)
-    alphas = _measures_for(args, space, part)
-    blocks = markov.load_distribution(args.blockdist, _block_space(part))
-    full = aggregation.lift(blocks, part, alphas)
-    markov.save_distribution(args.out, space, full)
+    space, _ = markov.load_chain(args.chain)
+    markov.save_distribution(args.out, space, _lift(args, space, args.blockdist))
     print(f"lifted distribution -> {args.out}")
     return EXIT_OK
 
@@ -176,6 +175,16 @@ def _rates(text):
 def build_parser():
     parser = argparse.ArgumentParser(prog="lumpkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    partitioned = argparse.ArgumentParser(add_help=False)  # check and aggregate
+    partitioned.add_argument("chain")
+    partitioned.add_argument("--partition")
+    partitioned.add_argument("--phi", choices=_PHI_FUNCS)
+    partitioned.add_argument("--model")
+    partitioned.add_argument("--measures")
+    partitioned.add_argument("--tol", type=float, default=aggregation.DEFAULT_CONDITION_TOL)
+    case_output = argparse.ArgumentParser(add_help=False)  # both case studies
+    case_output.add_argument("--rates", type=_rates, default=[1.0, 1.0, 1.0, 1.0])
+    case_output.add_argument("--out", required=True)
 
     p = sub.add_parser("explore", help="build the CTMC of a rule model")
     p.add_argument("model")
@@ -185,25 +194,13 @@ def build_parser():
                    help=f"default: LUMPKIT_MAX_STATES or {rules.DEFAULT_MAX_STATES}")
     p.set_defaults(func=cmd_explore)
 
-    p = sub.add_parser("check", help="test the aggregation condition")
-    p.add_argument("chain")
-    p.add_argument("--partition")
-    p.add_argument("--phi", choices=PHI_NAMES)
-    p.add_argument("--model")
-    p.add_argument("--measures")
-    p.add_argument("--tol", type=float, default=aggregation.DEFAULT_CONDITION_TOL)
+    p = sub.add_parser("check", help="test the aggregation condition", parents=[partitioned])
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("aggregate", help="build the aggregated chain")
-    p.add_argument("chain")
-    p.add_argument("--partition")
-    p.add_argument("--phi", choices=PHI_NAMES)
-    p.add_argument("--model")
-    p.add_argument("--measures")
+    p = sub.add_parser("aggregate", help="build the aggregated chain", parents=[partitioned])
     p.add_argument("--out", required=True)
     p.add_argument("--partition-out")
     p.add_argument("--measures-out")
-    p.add_argument("--tol", type=float, default=aggregation.DEFAULT_CONDITION_TOL)
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("transient", help="transient distribution at given times")
@@ -232,17 +229,13 @@ def build_parser():
 
     p = sub.add_parser("casestudy", help="emit a built-in case study model")
     which = p.add_subparsers(dest="which", required=True)
-    ps = which.add_parser("scaffold")
+    ps = which.add_parser("scaffold", parents=[case_output])
     ps.add_argument("--na", type=int, required=True)
     ps.add_argument("--nb", type=int, required=True)
     ps.add_argument("--nc", type=int, required=True)
-    ps.add_argument("--rates", type=_rates, default=[1.0, 1.0, 1.0, 1.0])
-    ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_casestudy)
-    pp = which.add_parser("polymer")
+    pp = which.add_parser("polymer", parents=[case_output])
     pp.add_argument("--n", type=int, required=True)
-    pp.add_argument("--rates", type=_rates, default=[1.0, 1.0, 1.0, 1.0])
-    pp.add_argument("--out", required=True)
     pp.set_defaults(func=cmd_casestudy)
 
     return parser

@@ -289,11 +289,7 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
     instances, slots, slot_instance, slot_kind = layout
     left, right = rule.left, rule.right
     nodes = sorted(left.nodes)
-    adjacency = {v: [] for v in nodes}
-    for edge in left.edges:
-        (v, s), (w, t) = sorted(edge)
-        adjacency[v].append((s, w, t))
-        adjacency[w].append((t, v, s))
+    bonds = left.bonds()
     bound = left.bound_endpoints()
     position = {}  # (node, site) -> position in an embedding's slot vector
     placed = set()
@@ -303,7 +299,7 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
             continue
         order, follow, tree = [root], [], set()
         for v in order:  # breadth-first along the pattern's bonds
-            for s, w, t in sorted(adjacency[v]):
+            for s, (w, t) in bonds[v]:
                 if w not in order:
                     follow.append(((v, s), len(order), (node_type(w), t)))
                     tree.add(frozenset(((v, s), (w, t))))
@@ -489,10 +485,10 @@ def export_dot(model: RuleModel, chain: ExploredChain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def max_states_from_env(default: int = DEFAULT_MAX_STATES) -> int:
+def max_states_from_env() -> int:
     value = os.environ.get("LUMPKIT_MAX_STATES")
     if not value:
-        return default
+        return DEFAULT_MAX_STATES
     try:
         return int(value)
     except ValueError:

@@ -53,14 +53,19 @@ class SiteGraph:
     def __hash__(self):
         return hash((self.nodes, frozenset(self.interface.items()), self.edges))
 
-    def __eq__(self, other):
-        return (isinstance(other, SiteGraph)
-                and self.nodes == other.nodes
-                and self.interface == other.interface
-                and self.edges == other.edges)
-
     def bound_endpoints(self):
         return {endpoint for edge in self.edges for endpoint in edge}
+
+    def bonds(self) -> dict:
+        """Each node's bonds in site order: node -> [(site, (partner,
+        partner_site))]. A site in two edges appears twice."""
+        out = {v: [] for v in self.nodes}
+        for (v1, s1), (v2, s2) in self.edges:
+            out[v1].append((s1, (v2, s2)))
+            out[v2].append((s2, (v1, s1)))
+        for sites in out.values():
+            sites.sort()
+        return out
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,21 @@ def make_mixture(interface_by_type, counts, edges=()) -> ReactionMixture:
     return ReactionMixture(graph, counts)
 
 
+def reach(bonds, root) -> list:
+    """The nodes reachable from root along the bond map, in breadth-first
+    order, taking each node's bonds in site order."""
+    order, seen = [root], {root}
+    for v in order:  # the list grows while it is read
+        for _, (w, _) in bonds[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
 def connected_components(g: SiteGraph):
-    """Components under site-graph reachability.
+    """Components under site-graph reachability, in order of their smallest
+    node.
 
     A path may pass through a node only by entering and leaving on distinct
     sites; for components this coincides with plain edge reachability, since
@@ -136,31 +154,21 @@ def connected_components(g: SiteGraph):
     at most one edge within a component's mixture, and even without that, a
     path of length one connects the endpoints directly).
     """
-    remaining = set(g.nodes)
-    components = []
-    adjacency = {v: set() for v in g.nodes}
-    for edge in g.edges:
-        (v1, _), (v2, _) = sorted(edge)
-        adjacency[v1].add(v2)
-        adjacency[v2].add(v1)
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        remaining -= seen
-        sub_edges = frozenset(e for e in g.edges
-                              if all(v in seen for v, _ in e))
-        components.append(SiteGraph(frozenset(seen),
-                                    {v: g.interface[v] for v in seen},
-                                    sub_edges))
-    return components
+    bonds = g.bonds()
+    return [SiteGraph(frozenset(nodes), {v: g.interface[v] for v in nodes},
+                      frozenset(make_edge(v, s, *end) for v in nodes for s, end in bonds[v]))
+            for nodes in _components(bonds)]
+
+
+def _components(bonds):
+    """Node lists of the components of a bond map, each in reach order from
+    its smallest node, in order of that node."""
+    done = set()
+    for start in sorted(bonds):
+        if start not in done:
+            nodes = reach(bonds, start)
+            done.update(nodes)
+            yield nodes
 
 
 def is_subgraph(h: SiteGraph, g: SiteGraph) -> bool:
@@ -236,40 +244,36 @@ def canonical_key(component: SiteGraph) -> str:
     the first type, which any isomorphism maps onto itself: O(n^2) for n
     nodes. A site bound twice raises ``ValueError``.
     """
-    partners = {v: {} for v in component.nodes}
-    for edge in component.edges:
-        (v1, s1), (v2, s2) = edge
-        for v, s, partner in ((v1, s1, (v2, s2)), (v2, s2, (v1, s1))):
-            if s in partners[v]:
-                raise ValueError(f"site ({v}, {s}) is bound twice")
-            partners[v][s] = partner
-    adjacency = {v: sorted(sites.items()) for v, sites in partners.items()}
-    counts = Counter(node_type(v) for v in component.nodes)
+    _check_edges(component.edges, component.interface, once=True)
+    bonds = component.bonds()
+    if bonds and len(reach(bonds, next(iter(bonds)))) != len(bonds):
+        raise NotConnected("canonical keys require a connected component")
+    return _component_key(bonds, component.nodes)
+
+
+def _component_key(bonds, nodes) -> str:
+    """canonical_key of the connected component with these nodes, read from
+    a bond map that holds them."""
+    counts = Counter(map(node_type, nodes))
     header = ",".join(f"{t}:{n}" for t, n in sorted(counts.items()))
     first = min(counts, default=None)
-    roots = [v for v in component.nodes if node_type(v) == first]
-    body = min((_rooted_body(adjacency, root) for root in roots), default="")
+    body = min((_rooted_body(bonds, root) for root in nodes if node_type(root) == first),
+               default="")
     return header + ("|" + body if body else "")
 
 
-def _rooted_body(adjacency, root) -> str:
+def _rooted_body(bonds, root) -> str:
     """Sorted edge list under the labels of a breadth-first traversal from
     root: each newly reached node becomes the next instance of its type."""
-    seen = Counter({node_type(root): 1})
-    label = {root: instance_name(node_type(root), 1)}
-    queue = [root]
-    for v in queue:  # the queue grows while it is read
-        for _, (w, _) in adjacency[v]:
-            if w not in label:
-                t = node_type(w)
-                seen[t] += 1
-                label[w] = instance_name(t, seen[t])
-                queue.append(w)
-    if len(label) != len(adjacency):
-        raise NotConnected("canonical keys require a connected component")
+    seen = Counter()
+    label = {}  # in reach order
+    for v in reach(bonds, root):
+        t = node_type(v)
+        seen[t] += 1
+        label[v] = instance_name(t, seen[t])
     parts = []
-    for v, sites in adjacency.items():
-        for s, (w, t) in sites:
+    for v in label:
+        for s, (w, t) in bonds[v]:
             if (label[v], s) < (label[w], t):
                 parts.append(f"{label[v]}.{s}-{label[w]}.{t}")
     return ";".join(sorted(parts))
@@ -277,4 +281,5 @@ def _rooted_body(adjacency, root) -> str:
 
 def species_census(mix: ReactionMixture) -> Counter:
     """Multiset of canonical keys of the mixture's connected components."""
-    return Counter(canonical_key(c) for c in connected_components(mix.graph))
+    bonds = mix.graph.bonds()
+    return Counter(_component_key(bonds, nodes) for nodes in _components(bonds))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,15 @@ class TestComponents:
         assert len(comps) == 1
         assert len(comps[0].edges) == 2
 
+    def test_site_in_two_pattern_edges(self):
+        # a bare SiteGraph, unlike a mixture, lets one site take two edges
+        g = SiteGraph(frozenset({"A", "B", "C"}),
+                      {"A": frozenset({"b"}), "B": frozenset({"a"}), "C": frozenset({"b"})},
+                      frozenset({edge("A", "b", "B", "a"), edge("A", "b", "C", "b")}))
+        comps = connected_components(g)
+        assert len(comps) == 1
+        assert comps[0].nodes == g.nodes and comps[0].edges == g.edges
+
 
 class TestSubgraphRename:
     def test_reflexive(self):
@@ -462,3 +472,24 @@ class TestSpeciesCensus:
                "C#1": "C#1"}
         renamed = ReactionMixture(rename(mix.graph, eta), mix.counts)
         assert species_census(mix) == species_census(renamed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(components(), min_size=2, max_size=3), st.data())
+    def test_census_keys_each_component(self, parts, data):
+        # each part onto its own instances, interleaved at random with the
+        # other parts' instances of the same type
+        counts = Counter(sitegraph.node_type(v) for g in parts for v in g.nodes)
+        free = {t: list(data.draw(st.permutations(range(1, n + 1)))) for t, n in counts.items()}
+        renamed = [rename(g, {v: f"{sitegraph.node_type(v)}#{free[sitegraph.node_type(v)].pop()}"
+                              for v in sorted(g.nodes)}) for g in parts]
+        graph = SiteGraph(frozenset().union(*(g.nodes for g in renamed)),
+                          {v: g.interface[v] for g in renamed for v in g.nodes},
+                          frozenset().union(*(g.edges for g in renamed)))
+        mix = ReactionMixture(graph, counts)
+        comps = connected_components(mix.graph)
+        assert species_census(mix) == Counter(canonical_key(c) for c in comps)
+        assert sum(len(c.nodes) for c in comps) == len(mix.graph.nodes)
+        assert frozenset().union(*(c.nodes for c in comps)) == mix.graph.nodes
+        assert sum(len(c.edges) for c in comps) == len(mix.graph.edges)
+        assert frozenset().union(*(c.edges for c in comps)) == mix.graph.edges
+        assert {c.nodes for c in comps} == {g.nodes for g in renamed}
