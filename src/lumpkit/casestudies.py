@@ -8,18 +8,13 @@ are the reciprocals of these sizes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import InvalidArgs, InvalidCounts, NotPolymerComponent
 from .rules import ReactionMixture, RewriteRule, RuleModel
-from .sitegraph import (
-    SiteGraph,
-    connected_components,
-    make_edge,
-    make_mixture,
-    node_type,
-)
+from .sitegraph import SiteGraph, components, make_edge, make_mixture, node_type
 
 
 # --- case study 1: scaffold --------------------------------------------------
@@ -183,22 +178,25 @@ class ComponentClass:
 
 
 def polymer_classify(component: SiteGraph) -> ComponentClass:
-    n_a = sum(1 for v in component.nodes if node_type(v) == "A")
-    n_b = sum(1 for v in component.nodes if node_type(v) == "B")
-    if n_a + n_b != len(component.nodes) or n_a + n_b == 0:
+    return _classify(component.bonds(), component.nodes, component.interface)
+
+
+def _classify(bonds, nodes, interface) -> ComponentClass:
+    """polymer_classify of the component with these nodes, read from a bond
+    map that holds them: a node's free sites are those with no bond."""
+    n_a = sum(1 for v in nodes if node_type(v) == "A")
+    n_b = sum(1 for v in nodes if node_type(v) == "B")
+    if n_a + n_b != len(nodes) or n_a + n_b == 0:
         raise NotPolymerComponent("component has non-polymer node types")
-    bound = component.bound_endpoints()
-    free = [(node_type(v), s)
-            for v in sorted(component.nodes)
-            for s in component.interface[v]
-            if (v, s) not in bound]
-    if not free:
-        if n_a != n_b or len(component.edges) != 2 * n_a:
+    free_sites = sorted(s for v in nodes
+                        for s in interface[v].difference(t for t, _ in bonds[v]))
+    if not free_sites:
+        # each bond appears once at each end
+        if n_a != n_b or sum(len(bonds[v]) for v in nodes) != 4 * n_a:
             raise NotPolymerComponent("ring shape mismatch")
         return ComponentClass("Ring", n_a)
-    if len(free) != 2:
-        raise NotPolymerComponent(f"component has {len(free)} free sites")
-    free_sites = sorted(s for _, s in free)
+    if len(free_sites) != 2:
+        raise NotPolymerComponent(f"component has {len(free_sites)} free sites")
     if free_sites == ["a", "b"]:
         kind, index = "ChainAB", n_a
     elif free_sites == ["l", "r"]:
@@ -213,13 +211,11 @@ def polymer_classify(component: SiteGraph) -> ComponentClass:
 
 
 def polymer_phi1(mix: ReactionMixture):
-    """Sorted multiset of (kind, length index) over connected components."""
-    counts = {}
-    for component in connected_components(mix.graph):
-        cls = polymer_classify(component)
-        key = (cls.kind, cls.length_index)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    """Sorted multiset of (kind, length index) over connected components,
+    each classified from the mixture's one bond map."""
+    bonds = mix.graph.bonds()
+    classes = (_classify(bonds, nodes, mix.graph.interface) for nodes in components(bonds))
+    return tuple(sorted(Counter((c.kind, c.length_index) for c in classes).items()))
 
 
 def polymer_phi2(mix: ReactionMixture):

@@ -395,10 +395,14 @@ def save_distribution(path, space: StateSpace, dist: Distribution):
 
 def load_distribution(path, space: StateSpace) -> Distribution:
     weights = np.zeros(len(space))
+    seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
             if not row:
                 continue
             key, value = row
+            if key in seen:
+                raise ValueError(f"state {key!r} listed twice in {path}")
+            seen.add(key)
             weights[space.index[key]] = float(value)
     return Distribution(weights)

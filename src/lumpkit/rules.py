@@ -45,8 +45,8 @@ class RewriteRule:
             raise ValueError("rule sides must share the node set")
         if self.left.interface != self.right.interface:
             raise ValueError("rule sides must share the interfaces")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

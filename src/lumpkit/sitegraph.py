@@ -157,12 +157,12 @@ def connected_components(g: SiteGraph):
     bonds = g.bonds()
     return [SiteGraph(frozenset(nodes), {v: g.interface[v] for v in nodes},
                       frozenset(make_edge(v, s, *end) for v in nodes for s, end in bonds[v]))
-            for nodes in _components(bonds)]
+            for nodes in components(bonds)]
 
 
-def _components(bonds):
+def components(bonds):
     """Node lists of the components of a bond map, each in reach order from
-    its smallest node, in order of that node."""
+    its smallest node, in order of that node: the one component walk."""
     done = set()
     for start in sorted(bonds):
         if start not in done:
@@ -282,4 +282,4 @@ def _rooted_body(bonds, root) -> str:
 def species_census(mix: ReactionMixture) -> Counter:
     """Multiset of canonical keys of the mixture's connected components."""
     bonds = mix.graph.bonds()
-    return Counter(_component_key(bonds, nodes) for nodes in _components(bonds))
+    return Counter(_component_key(bonds, nodes) for nodes in components(bonds))

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -235,8 +236,74 @@ class TestPolymerClassify:
         with pytest.raises(NotPolymerComponent):
             casestudies.polymer_classify(g)
 
+    @staticmethod
+    def polymer_graph(nodes, edges, interface=POLYMER):
+        return SiteGraph(frozenset(nodes), {v: interface[sitegraph.node_type(v)] for v in nodes},
+                         frozenset(edges))
+
+    def test_rl_dimer_is_chain_ab(self):
+        g = self.polymer_graph({"A#1", "B#1"}, {edge("A#1", "r", "B#1", "l")})
+        assert casestudies.polymer_classify(g) == casestudies.ComponentClass("ChainAB", 1)
+
+    def test_chain_bb_counts_b_nodes(self):
+        g = self.polymer_graph({"A#1", "B#1", "B#2"}, {edge("A#1", "b", "B#1", "a"),
+                                                       edge("A#1", "r", "B#2", "l")})
+        assert casestudies.polymer_classify(g) == casestudies.ComponentClass("ChainBB", 2)
+
+    def test_ring_of_two(self):
+        g = self.polymer_graph({"A#1", "A#2", "B#1", "B#2"}, {
+            edge("A#1", "b", "B#1", "a"), edge("B#1", "l", "A#2", "r"),
+            edge("A#2", "b", "B#2", "a"), edge("B#2", "l", "A#1", "r")})
+        assert casestudies.polymer_classify(g) == casestudies.ComponentClass("Ring", 2)
+
+    @pytest.mark.parametrize("nodes, edges, interface, message", [
+        # two free monomers in one graph, with all their sites, then with one each
+        ({"A#1", "B#1"}, set(), POLYMER, "component has 4 free sites"),
+        ({"A#1", "B#1"}, set(), {"A": {"r"}, "B": {"a"}},
+         "free sites ['a', 'r'] match no chain kind"),
+        # no free site, but one A and no B
+        ({"A#1"}, set(), {"A": set()}, "ring shape mismatch"),
+        # no free site and one A per B, but one bond where a ring has two
+        ({"A#1", "B#1"}, {edge("A#1", "b", "B#1", "a")}, {"A": {"b"}, "B": {"a"}},
+         "ring shape mismatch"),
+    ])
+    def test_not_polymer_component(self, nodes, edges, interface, message):
+        g = self.polymer_graph(nodes, edges, interface)
+        with pytest.raises(NotPolymerComponent) as exc:
+            casestudies.polymer_classify(g)
+        assert str(exc.value) == message
+
 
 class TestPolymerPhis:
+    def test_phi1_ring_and_two_chains(self):
+        mix = make_mixture(POLYMER, {"A": 5, "B": 5}, [
+            # ring of two
+            edge("A#1", "b", "B#1", "a"), edge("B#1", "l", "A#2", "r"),
+            edge("A#2", "b", "B#2", "a"), edge("B#2", "l", "A#1", "r"),
+            # B#3-A#3-B#4
+            edge("A#3", "b", "B#3", "a"), edge("A#3", "r", "B#4", "l"),
+            # A#4-B#5-A#5
+            edge("A#4", "b", "B#5", "a"), edge("B#5", "l", "A#5", "r")])
+        expected = ((("ChainAA", 2), 1), (("ChainBB", 2), 1), (("Ring", 2), 1))
+        assert casestudies.polymer_phi1(mix) == expected
+        per_component = Counter(casestudies.polymer_classify(c)
+                                for c in sitegraph.connected_components(mix.graph))
+        assert tuple(sorted(((c.kind, c.length_index), k)
+                            for c, k in per_component.items())) == expected
+
+    def test_phi1_builds_no_component_graph(self, monkeypatch):
+        mixtures = list(polymer_chain(2).mixtures)
+        expected = [casestudies.polymer_phi1(m) for m in mixtures]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("polymer_phi1 built or walked a per-component graph")
+
+        monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
+        monkeypatch.setattr(SiteGraph, "bound_endpoints", forbidden)
+        monkeypatch.setattr(sitegraph, "connected_components", forbidden)
+        assert [casestudies.polymer_phi1(m) for m in mixtures] == expected
+        assert len(set(expected)) == 15  # one per species census at n=2
+
     def test_trivial_values(self):
         free = make_mixture(POLYMER, {"A": 2, "B": 2})
         assert casestudies.polymer_phi2(free) == (0, 0)

@@ -233,6 +233,15 @@ class TestCasestudyCommand:
                          "--out", str(tmp_path / "m.model")]) == 1
         assert "argument --rates: expected four comma-separated rates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", ["nan,1,1,1", "1,inf,1,1"])
+    def test_nonfinite_rate_rejected(self, tmp_path, capsys, rates):
+        # the model file would carry the rate and fail only when read back
+        model = tmp_path / "m.model"
+        assert cli.main(["casestudy", "polymer", "--n", "1", "--rates", rates,
+                         "--out", str(model)]) == 1
+        assert capsys.readouterr().err.startswith("error: rate must be finite")
+        assert not model.exists()
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv, message", [
@@ -265,7 +274,8 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "mu.csv").exists()
 
-    @pytest.mark.parametrize("rows", ["{0},nan\n{1},1.0\n", "{0},inf\n", "{0}\n"])
+    @pytest.mark.parametrize("rows", ["{0},nan\n{1},1.0\n", "{0},inf\n", "{0}\n",
+                                      "{0},0.5\n{0},0.5\n{1},0.5\n"])
     def test_bad_distribution_file(self, scaffold_files, tmp_path, capsys, rows):
         _, chain = scaffold_files
         states = json.loads(chain.read_text())["states"]

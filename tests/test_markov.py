@@ -322,3 +322,10 @@ class TestSerialization:
         markov.save_distribution(path, space, pi)
         again = markov.load_distribution(path, space)
         assert np.array_equal(pi.weights, again.weights)
+
+    def test_distribution_state_listed_twice(self, tmp_path):
+        # the last row would win, and the file's weights add up to 1.5
+        path = tmp_path / "dist.csv"
+        path.write_text("a,0.5\na,0.5\nb,0.5\n")
+        with pytest.raises(ValueError, match="state 'a' listed twice"):
+            markov.load_distribution(path, markov.StateSpace(("a", "b", "c")))

@@ -28,8 +28,9 @@ class TestRewriteRule:
 
     def test_rate_nonnegative(self):
         g = SiteGraph(frozenset({"A"}), {"A": frozenset({"b"})}, frozenset())
-        with pytest.raises(ValueError):
-            rules.RewriteRule(g, g, -1.0)
+        for rate in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+                rules.RewriteRule(g, g, rate)
 
     def test_initial_mixture_edge_types_checked(self):
         model = scaffold_model()
