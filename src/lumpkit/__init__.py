@@ -2,14 +2,12 @@
 
 from .aggregation import (
     AggregatedChain,
-    DeltaTable,
     MeasureFamily,
     Partition,
     aggregate,
     check_cond3,
     check_condition,
     convergence_diagnostics,
-    delta_table,
     lift,
     nested,
     power_identity_residual,

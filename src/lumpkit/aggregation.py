@@ -99,34 +99,32 @@ def uniform_measures(part: Partition) -> MeasureFamily:
     return MeasureFamily(tuple({s: 1.0 / len(b) for s in b} for b in part.blocks))
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    """Backward condition values per (source block, target state) and their
-    per-(source block, target block) spread, both as arrays indexed
-    ``values[i, s]`` and ``spread[i, j]``."""
+def _spread(group, target, value, block_of, m):
+    """max - min of value over the states of each target block, per group,
+    where a state without an entry in a group counts as 0. Each (group,
+    target state) pair has at most one entry; memory is linear in them."""
+    keys, where = np.unique(group * m + block_of[target], return_inverse=True)
+    hi = np.full(keys.size, -np.inf)
+    lo = np.full(keys.size, np.inf)
+    np.maximum.at(hi, where, value)
+    np.minimum.at(lo, where, value)
+    lacking = np.bincount(where, minlength=keys.size) < np.bincount(block_of, minlength=m)[keys % m]
+    hi[lacking] = np.maximum(hi[lacking], 0.0)
+    lo[lacking] = np.minimum(lo[lacking], 0.0)
+    return hi - lo
 
-    values: np.ndarray  # (blocks, states)
-    spread: np.ndarray  # (blocks, blocks): max - min over s in A_j
 
-    @property
-    def max_spread(self):
-        return float(self.spread.max(initial=0.0))
-
-
-def delta_table(K, part: Partition, alphas: MeasureFamily) -> DeltaTable:
-    """Weighted incoming mass per target state, normalized by its own weight:
-    the rows of V K divided by alpha, with V[i, s'] = alpha_i(s')."""
-    w = alphas.weights(part)
+def _residual(K, part: Partition, w) -> float:
+    """Largest spread over a target block A_j of the condition value
+    delta(A_i, s) = sum_{s' in A_i} alpha_i(s') K(s', s) / alpha_j(s), with
+    w[s] = alpha_j(s) for s in A_j."""
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    m, n, b = len(part), K.dim, part.block_of
-    flow = np.bincount(b[K.row] * n + K.col, weights=w[K.row] * K.data, minlength=m * n)
-    values = flow.reshape(m, n) / w
-    by_block = values[:, np.concatenate(part.blocks)]
-    starts = np.cumsum([0] + [len(block) for block in part.blocks[:-1]])
-    spread = (np.maximum.reduceat(by_block, starts, axis=1)
-              - np.minimum.reduceat(by_block, starts, axis=1))
-    return DeltaTable(values, spread)
+    n, b = K.dim, part.block_of
+    cells, where = np.unique(b[K.row] * n + K.col, return_inverse=True)
+    flow = np.bincount(where, weights=w[K.row] * K.data)  # summed in entry order
+    col = cells % n
+    return float(_spread(cells // n, col, flow / w[col], b, len(part)).max(initial=0.0))
 
 
 def _check_tol(tol):
@@ -140,7 +138,7 @@ def check_condition(K, part: Partition, alphas: MeasureFamily,
                     tol: float = DEFAULT_CONDITION_TOL):
     """Does the backward condition hold at tolerance tol? Reports the residual."""
     _check_tol(tol)
-    residual = delta_table(K, part, alphas).max_spread
+    residual = _residual(K, part, alphas.weights(part))
     return {"holds": residual <= tol, "residual": residual}
 
 
@@ -169,15 +167,7 @@ def check_cond3(K, part: Partition) -> bool:
     positive = val > 0
     rank = np.where(positive, ends[group] - 1 - index, index - starts[group])
     slot = (src * 2 + positive) * (rank.max(initial=0) + 1) + rank
-    keys, where = np.unique(slot * m + b[col], return_inverse=True)
-    hi = np.full(keys.size, -np.inf)
-    lo = np.full(keys.size, np.inf)
-    np.maximum.at(hi, where, val)
-    np.minimum.at(lo, where, val)
-    lacking = np.bincount(where, minlength=keys.size) < np.bincount(b, minlength=m)[keys % m]
-    hi[lacking] = np.maximum(hi[lacking], 0.0)
-    lo[lacking] = np.minimum(lo[lacking], 0.0)
-    return bool(np.all(hi - lo <= DEFAULT_CONDITION_TOL))
+    return bool(np.all(_spread(slot, col, val, b, m) <= DEFAULT_CONDITION_TOL))
 
 
 @dataclass(frozen=True)
@@ -195,10 +185,10 @@ def aggregate(K, part: Partition, alphas: MeasureFamily,
     average of the condition value over block j, and rows keep the sums of
     K's rows."""
     _check_tol(tol)
-    residual = delta_table(K, part, alphas).max_spread
+    w, b = alphas.weights(part), part.block_of
+    residual = _residual(K, part, w)
     if residual > tol:
         raise ConditionViolated(residual, tol)
-    w, b = alphas.weights(part), part.block_of
     matrix = type(K)(len(part), b[K.row], b[K.col], w[K.row] * K.data)
     return AggregatedChain(part, alphas, matrix, residual)
 
@@ -333,7 +323,7 @@ def save_partition(path, part: Partition, space):
 
 
 def load_partition(path, space) -> Partition:
-    blocks = tuple(tuple(space.index[k] for k in block)
+    blocks = tuple(tuple(space.lookup(k, path) for k in block)
                    for block in markov.load_json(path)["blocks"])
     uncovered = len(space) - len({s for block in blocks for s in block})
     if uncovered:
@@ -347,7 +337,7 @@ def save_measures(path, alphas: MeasureFamily, space):
 
 
 def load_measures(path, space) -> MeasureFamily:
-    return MeasureFamily(tuple({space.index[k]: float(w) for k, w in a.items()}
+    return MeasureFamily(tuple({space.lookup(k, path): float(w) for k, w in a.items()}
                                for a in markov.load_json(path)["alphas"]))
 
 

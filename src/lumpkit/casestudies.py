@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import InvalidArgs, InvalidCounts, NotPolymerComponent
-from .rules import ReactionMixture, RewriteRule, RuleModel
+from .rules import ReactionMixture, RewriteRule, RuleModel, check_rate
 from .sitegraph import SiteGraph, components, make_edge, make_mixture, node_type
 
 
@@ -39,8 +39,8 @@ class ScaffoldParams:
     def __post_init__(self):
         if min(self.n_a, self.n_b, self.n_c) < 1:
             raise ValueError("node counts must be positive")
-        if min(self.c1, self.c2, self.c3, self.c4) < 0:
-            raise ValueError("rates must be nonnegative")
+        for rate in (self.c1, self.c2, self.c3, self.c4):
+            check_rate(rate)
 
 
 def _pair_rule(name, left_nodes, interface, edge, rate, bind):
@@ -143,8 +143,8 @@ class PolymerParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if min(self.bind_ba, self.unbind_ba, self.bind_rl, self.unbind_rl) < 0:
-            raise ValueError("rates must be nonnegative")
+        for rate in (self.bind_ba, self.unbind_ba, self.bind_rl, self.unbind_rl):
+            check_rate(rate)
 
 
 def polymer_model(p: PolymerParams) -> RuleModel:

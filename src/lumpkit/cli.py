@@ -7,11 +7,10 @@ Exit codes form a stable contract: 0 success, 1 input or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import aggregation, casestudies, dsl, markov, rules, sitegraph
-from .errors import ConditionViolated, LumpkitError, ModelSyntaxError, StateCapExceeded
+from .errors import ConditionViolated, LumpkitError, StateCapExceeded
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -255,8 +254,7 @@ def main(argv=None) -> int:
     except ConditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATED
-    except (ModelSyntaxError, LumpkitError, OSError, ValueError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (LumpkitError, OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -39,6 +39,13 @@ class StateSpace:
     def __len__(self):
         return len(self.states)
 
+    def lookup(self, key, path):
+        """Index of a state key read from the file at path."""
+        try:
+            return self.index[key]
+        except (KeyError, TypeError):  # TypeError: a JSON list or object as key
+            raise ValueError(f"unknown state {key!r} in {path}") from None
+
 
 class SquareMatrix:
     """Square sparse matrix held as three read-only arrays: ``row``, ``col``
@@ -404,5 +411,5 @@ def load_distribution(path, space: StateSpace) -> Distribution:
             if key in seen:
                 raise ValueError(f"state {key!r} listed twice in {path}")
             seen.add(key)
-            weights[space.index[key]] = float(value)
+            weights[space.lookup(key, path)] = float(value)
     return Distribution(weights)

@@ -33,6 +33,12 @@ from .sitegraph import (
 DEFAULT_MAX_STATES = 200000
 
 
+def check_rate(rate):
+    """Rule and case-study rates must be finite and nonnegative (NaN passes ``< 0``)."""
+    if not (np.isfinite(rate) and rate >= 0):
+        raise ValueError("rate must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     left: SiteGraph
@@ -45,8 +51,7 @@ class RewriteRule:
             raise ValueError("rule sides must share the node set")
         if self.left.interface != self.right.interface:
             raise ValueError("rule sides must share the interfaces")
-        if not (np.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError("rate must be finite and nonnegative")
+        check_rate(self.rate)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,34 +67,55 @@ class TestDeltaTable:
         q = fig_chain(1.0, 2.0)
         part = aggregation.Partition.singletons(6)
         alphas = aggregation.uniform_measures(part)
-        table = aggregation.delta_table(q, part, alphas)
-        dense = q.dense()
-        for i in range(6):
-            for s in range(6):
-                assert table.values[(i, s)] == dense[i, s]
-        assert (table.spread == 0.0).all()
+        assert aggregation.check_condition(q, part, alphas)["residual"] == 0.0
+        agg = aggregation.aggregate(q, part, alphas)
+        assert agg.residual == 0.0
+        assert np.array_equal(agg.matrix.dense(), q.dense())
 
     def test_fig_chain_delta_on_target_block(self):
         # feeders at rates c1 and c2 per target: delta = (2/4)(c1+c2) on both
-        # targets even when c1 != c2, and the spread on that pair is zero
-        c1, c2 = 1.0, 2.5
-        q = fig_chain(c1, c2)
+        # targets even when c1 != c2, and the spread on that pair is zero.
+        # Moves g2 -> g1 and g2' -> g1' at (c1 - c2)/2 level the feeder
+        # block's delta onto itself, whose spread would hide that pair's.
+        c1, c2 = 2.5, 1.0
+        q = fig_chain(c1, c2).dense()
+        q[1, 0] = q[3, 2] = 0.5 * (c1 - c2)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        q = markov.RateMatrix.from_dense(q)
         part = fig_partition()
         alphas = aggregation.uniform_measures(part)
-        table = aggregation.delta_table(q, part, alphas)
-        for s in (4, 5):
-            assert abs(table.values[(0, s)] - 0.5 * (c1 + c2)) < 1e-14
-        assert table.spread[(0, 1)] == 0.0
+        assert aggregation.check_condition(q, part, alphas)["residual"] == 0.0
+        agg = aggregation.aggregate(q, part, alphas).matrix.dense()
+        assert abs(agg[0, 1] - 0.5 * (c1 + c2)) < 1e-14
 
     def test_perturbed_row_has_positive_spread(self):
         q = fig_chain(1.0, 1.0).dense()
         q[0, 4] = 3.0
         q[0, 0] = -q[0, 1:].sum()
         q = markov.RateMatrix.from_dense(q)
-        table = aggregation.delta_table(q, fig_partition(),
-                                        aggregation.uniform_measures(fig_partition()))
-        assert table.spread[(0, 1)] > 0
-        assert table.max_spread > 0
+        part = fig_partition()
+        alphas = aggregation.uniform_measures(part)
+        assert aggregation.check_condition(q, part, alphas)["residual"] > 0
+        with pytest.raises(ConditionViolated):
+            aggregation.aggregate(q, part, alphas)
+
+    def test_singleton_partition_memory_is_linear_in_nonzeros(self):
+        # a blocks x states table would be 3,000^2 doubles = 69 MiB per array
+        n = 3000
+        ids = np.arange(n)
+        q = markov.RateMatrix(n, np.r_[ids, ids], np.r_[(ids + 1) % n, ids],
+                              np.r_[np.ones(n), -np.ones(n)])
+        part = aggregation.Partition.singletons(n)
+        alphas = aggregation.uniform_measures(part)
+        for call in (aggregation.check_condition, aggregation.aggregate):
+            tracemalloc.start()
+            try:
+                call(q, part, alphas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, (call.__name__, peak)
 
 
 class TestConditionChecks:

@@ -65,8 +65,11 @@ class TestScaffoldModel:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             casestudies.ScaffoldParams(0, 1, 1)
-        with pytest.raises(ValueError):
-            casestudies.ScaffoldParams(1, 1, 1, c1=-1.0)
+        for rate in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                casestudies.ScaffoldParams(1, 1, 1, c1=rate)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                casestudies.ScaffoldParams(1, 1, 1, c4=rate)
 
     def test_state_counts_against_exploration(self):
         for n in (1, 2):
@@ -208,6 +211,15 @@ class TestPolymerModel:
 
     def test_n2_state_count(self):
         assert len(polymer_chain(2).space) == 49
+
+    def test_param_validation(self):
+        with pytest.raises(ValueError):
+            casestudies.PolymerParams(0)
+        for rate in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                casestudies.PolymerParams(1, bind_ba=rate)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                casestudies.PolymerParams(1, unbind_rl=rate)
 
 
 class TestPolymerClassify:

@@ -302,6 +302,30 @@ class TestBadInput:
         assert err.startswith("error:") and "1 of 4 states uncovered" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reader,key", [("distribution", "nosuch"), ("partition", "nosuch"),
+                                            ("partition", ["nosuch"]), ("measures", "nosuch")])
+    def test_unknown_state_names_file_and_key(self, scaffold_files, tmp_path, capsys,
+                                              reader, key):
+        _, chain = scaffold_files
+        states = json.loads(chain.read_text())["states"]
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"blocks": [[s] for s in states]}))
+        bad = tmp_path / f"bad-{reader}"
+        if reader == "distribution":
+            bad.write_text(f"{key},1\n")
+            argv = ["transient", str(chain), "--init", str(bad), "--t", "1",
+                    "--out", str(tmp_path / "dist.csv")]
+        elif reader == "partition":
+            bad.write_text(json.dumps({"blocks": [[s] for s in states[1:]] + [[key]]}))
+            argv = ["check", str(chain), "--partition", str(bad)]
+        else:
+            alphas = [{s: 1.0} for s in states[1:]] + [{key: 1.0}]
+            bad.write_text(json.dumps({"alphas": alphas}))
+            argv = ["check", str(chain), "--partition", str(part), "--measures", str(bad)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and repr(key) in err
+
 
 class TestBadNumbers:
     @pytest.fixture
