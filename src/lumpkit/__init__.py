@@ -32,7 +32,6 @@ from .markov import (
 )
 from .rules import (
     ExploredChain,
-    MixtureSequence,
     RewriteRule,
     RuleModel,
     apply,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import InvalidArgs, InvalidCounts, NotPolymerComponent
-from .rules import ReactionMixture, RewriteRule, RuleModel, check_rate
+from .rules import RewriteRule, RuleModel, check_rate
 from .sitegraph import SiteGraph, components, make_edge, make_mixture, node_type
 
 
@@ -68,26 +68,26 @@ def scaffold_model(p: ScaffoldParams) -> RuleModel:
     return RuleModel(rules, initial, dict(SCAFFOLD_INTERFACE))
 
 
-def _scaffold_bound_b(mix: ReactionMixture):
-    """The B instances bound on site a and those bound on site c."""
+def _scaffold_bound_b(bonds):
+    """The B instances of a bond map bound on site a and those bound on site c."""
     bound = {"a": set(), "c": set()}
-    for edge in mix.graph.edges:
-        for v, s in edge:
+    for v, sites in bonds.items():
+        for s, _ in sites:
             if s in bound and node_type(v) == "B":
                 bound[s].add(v)
     return bound["a"], bound["c"]
 
 
-def scaffold_phi1(mix: ReactionMixture):
+def scaffold_phi1(bonds):
     """(AB-only, BC-only, ABC) complex counts, read off each B's two sites."""
-    on_a, on_c = _scaffold_bound_b(mix)
+    on_a, on_c = _scaffold_bound_b(bonds)
     m_abc = len(on_a & on_c)
     return (len(on_a) - m_abc, len(on_c) - m_abc, m_abc)
 
 
-def scaffold_phi2(mix: ReactionMixture):
+def scaffold_phi2(bonds):
     """(number of B bound on a, number of B bound on c)."""
-    on_a, on_c = _scaffold_bound_b(mix)
+    on_a, on_c = _scaffold_bound_b(bonds)
     return (len(on_a), len(on_c))
 
 
@@ -178,18 +178,19 @@ class ComponentClass:
 
 
 def polymer_classify(component: SiteGraph) -> ComponentClass:
-    return _classify(component.bonds(), component.nodes, component.interface)
+    return _classify(component.bonds(), component.nodes, component.interface.__getitem__)
 
 
-def _classify(bonds, nodes, interface) -> ComponentClass:
+def _classify(bonds, nodes, sites_of) -> ComponentClass:
     """polymer_classify of the component with these nodes, read from a bond
-    map that holds them: a node's free sites are those with no bond."""
+    map that holds them: a node's free sites are those of sites_of(node)
+    with no bond."""
     n_a = sum(1 for v in nodes if node_type(v) == "A")
     n_b = sum(1 for v in nodes if node_type(v) == "B")
     if n_a + n_b != len(nodes) or n_a + n_b == 0:
         raise NotPolymerComponent("component has non-polymer node types")
     free_sites = sorted(s for v in nodes
-                        for s in interface[v].difference(t for t, _ in bonds[v]))
+                        for s in sites_of(v).difference(t for t, _ in bonds[v]))
     if not free_sites:
         # each bond appears once at each end
         if n_a != n_b or sum(len(bonds[v]) for v in nodes) != 4 * n_a:
@@ -210,29 +211,25 @@ def _classify(bonds, nodes, interface) -> ComponentClass:
     return ComponentClass(kind, index)
 
 
-def polymer_phi1(mix: ReactionMixture):
-    """Sorted multiset of (kind, length index) over connected components,
-    each classified from the mixture's one bond map."""
-    bonds = mix.graph.bonds()
-    classes = (_classify(bonds, nodes, mix.graph.interface) for nodes in components(bonds))
+def polymer_phi1(bonds):
+    """Sorted multiset of (kind, length index) over the connected components
+    of a bond map, each node with the polymer interface of its type."""
+    classes = (_classify(bonds, nodes, lambda v: POLYMER_INTERFACE[node_type(v)])
+               for nodes in components(bonds))
     return tuple(sorted(Counter((c.kind, c.length_index) for c in classes).items()))
 
 
-def polymer_phi2(mix: ReactionMixture):
-    """(number of r-l bonds, number of b-a bonds)."""
-    m_rl = m_ba = 0
-    for edge in mix.graph.edges:
-        sites = {s for _, s in edge}
-        if sites == {"r", "l"}:
-            m_rl += 1
-        else:
-            m_ba += 1
-    return (m_rl, m_ba)
+def polymer_phi2(bonds):
+    """(number of r-l bonds, number of b-a bonds); a bond map lists each
+    bond at both of its ends."""
+    ends = [(s, t) for sites in bonds.values() for s, (_, t) in sites]
+    m_rl = sum(1 for end in ends if end in (("r", "l"), ("l", "r"))) // 2
+    return (m_rl, len(ends) // 2 - m_rl)
 
 
-def polymer_phi3(mix: ReactionMixture) -> int:
+def polymer_phi3(bonds) -> int:
     """Total bond count."""
-    return len(mix.graph.edges)
+    return sum(map(len, bonds.values())) // 2
 
 
 def polymer_count_f(kind: int, m_a: int, m_b: int, i: int) -> int:

@@ -18,13 +18,15 @@ EXIT_CAP = 2
 EXIT_VIOLATED = 3
 
 _PHI_FUNCS = {
-    "species": lambda mix: tuple(sorted(sitegraph.species_census(mix).items())),
+    "species": lambda bonds: tuple(sorted(sitegraph.species_census(bonds).items())),
     "scaffold-phi1": casestudies.scaffold_phi1,
     "scaffold-phi2": casestudies.scaffold_phi2,
     "polymer-phi1": casestudies.polymer_phi1,
     "polymer-phi2": casestudies.polymer_phi2,
     "polymer-phi3": casestudies.polymer_phi3,
 }
+_CASE_STUDY_INTERFACES = {"scaffold": casestudies.SCAFFOLD_INTERFACE,
+                          "polymer": casestudies.POLYMER_INTERFACE}
 
 
 def _load_model(path):
@@ -37,10 +39,13 @@ def _partition_for(args, space, matrix):
         return aggregation.load_partition(args.partition, space)
     if args.phi:
         if not args.model:
-            raise LumpkitError("--phi requires --model to rebuild mixtures")
+            raise LumpkitError("--phi requires --model for the instance counts and interface")
         model = _load_model(args.model)
-        mixtures = rules.MixtureSequence(space.states, model.interface, model.initial.counts)
-        chain = rules.ExploredChain(space, matrix, mixtures)
+        study = args.phi.split("-", 1)[0]
+        if model.interface != _CASE_STUDY_INTERFACES.get(study, model.interface):
+            raise LumpkitError(f"--phi {args.phi} needs a model with the {study} "
+                               f"case study's node types and sites")
+        chain = rules.ExploredChain(space, matrix, model.initial.counts)
         return rules.build_partition(chain, _PHI_FUNCS[args.phi])
     raise LumpkitError("supply --partition FILE or --phi NAME")
 

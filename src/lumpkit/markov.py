@@ -404,12 +404,16 @@ def load_distribution(path, space: StateSpace) -> Distribution:
     weights = np.zeros(len(space))
     seen = set()
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        for number, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            key, value = row
+            try:
+                key, value = row
+                weight = float(value)
+            except ValueError:
+                raise ValueError(f"row {number} of {path} is not key,weight: {row!r}") from None
             if key in seen:
                 raise ValueError(f"state {key!r} listed twice in {path}")
             seen.add(key)
-            weights[space.lookup(key, path)] = float(value)
+            weights[space.lookup(key, path)] = weight
     return Distribution(weights)

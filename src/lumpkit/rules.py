@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .sitegraph import (
     SiteGraph,
     instance_name,
     is_subgraph,
-    make_mixture,
     node_type,
     rename,
 )
@@ -133,11 +131,15 @@ def mixture_key(mix: ReactionMixture) -> str:
 
 @functools.lru_cache(maxsize=1 << 16)
 def _edge_from_part(part: str) -> frozenset:
-    """The edge of one ``v1.s1-v2.s2`` part of a mixture key. The parts of a
-    model's keys are few, so the mixtures decoded from them share edges."""
-    end1, end2 = part.split("-")
-    v1, s1 = end1.rsplit(".", 1)
-    v2, s2 = end2.rsplit(".", 1)
+    """The edge of one ``v1.s1-v2.s2`` part of a mixture key; the parts of a
+    model's keys are few."""
+    try:
+        end1, end2 = part.split("-")
+        (v1, s1), (v2, s2) = end1.rsplit(".", 1), end2.rsplit(".", 1)
+    except ValueError:
+        raise ValueError(f"malformed bond {part!r} in a state key") from None
+    if v1 == v2:
+        raise ValueError(f"bond {part!r} joins a node to itself")
     return frozenset(((v1, s1), (v2, s2)))
 
 
@@ -146,50 +148,39 @@ def _key_edges(key: str):
     return () if key == "-" else map(_edge_from_part, key.split(";"))
 
 
-def mixture_from_key(key: str, interface_by_type: dict, counts: dict) -> ReactionMixture:
-    """Rebuild a mixture from its serialized key and a model signature: the
-    key's edges on the one validated edgeless mixture of that signature, so
-    the mixtures of one chain share its node set, interface and counts."""
-    signature = (tuple(counts.items()),
-                 tuple(zip(interface_by_type, map(frozenset, interface_by_type.values()))))
-    return _edgeless_mixture(signature).with_edges(_key_edges(key))
+def mixture_from_key(key: str, counts: dict) -> dict:
+    """The bond map of the mixture a state key encodes, as
+    ``SiteGraph.bonds()`` gives it: every instance of counts -> its bonds in
+    site order. A key that names an instance outside counts or binds a site
+    twice raises ``ValueError``."""
+    bonds = {v: [] for v in _instances(tuple(counts.items()))}
+    try:
+        for (v1, s1), (v2, s2) in _key_edges(key):
+            bonds[v1].append((s1, (v2, s2)))
+            bonds[v2].append((s2, (v1, s1)))
+    except KeyError as exc:
+        raise ValueError(f"state {key!r} names {exc.args[0]}, an instance outside "
+                         f"the counts") from None
+    for sites in bonds.values():
+        if len(sites) > 1:
+            sites.sort()
+            if len({s for s, _ in sites}) < len(sites):
+                raise ValueError(f"state {key!r} binds a site twice")
+    return bonds
 
 
 @functools.lru_cache(maxsize=16)
-def _edgeless_mixture(signature) -> ReactionMixture:
-    counts, interface_by_type = signature
-    return make_mixture(dict(interface_by_type), dict(counts))
-
-
-class MixtureSequence(Sequence):
-    """The mixtures behind a chain's state keys, each rebuilt through
-    ``mixture_from_key`` on first read and kept, so a second pass is cheap: at
-    scaffold (4,4,4) a second ``build_partition`` takes 0.14-0.24 s, not 0.85-1.02 s."""
-
-    def __init__(self, keys, interface_by_type: dict, counts: dict):
-        self._keys = tuple(keys)
-        self._interface = interface_by_type
-        self._counts = dict(counts)
-        self._decoded = [None] * len(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        mix = self._decoded[i]
-        if mix is None:
-            mix = mixture_from_key(self._keys[i], self._interface, self._counts)
-            self._decoded[i] = mix
-        return mix
+def _instances(counts) -> tuple:
+    """The instance names of the (type, count) pairs: formatting them for
+    every key would take a third of a decode."""
+    return tuple(instance_name(t, j) for t, n in counts for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)
 class ExploredChain:
     space: StateSpace
     matrix: RateMatrix
-    mixtures: MixtureSequence = field(compare=False)  # decoded from space.states
+    counts: dict  # type -> instances; a state key decodes through mixture_from_key
 
 
 # --- slot-encoded exploration -------------------------------------------------
@@ -201,16 +192,6 @@ class ExploredChain:
 # bonds. Each rule is compiled once into per-component match plans and the
 # bonds it removes and adds, as positions in the vector of slots an
 # embedding covers.
-
-
-def _type_interfaces(initial: ReactionMixture) -> dict:
-    """Interface of each instantiated type; the decoded mixtures rebuild
-    every instance from it."""
-    by_type = {}
-    for v, sites in initial.graph.interface.items():
-        if by_type.setdefault(node_type(v), sites) != sites:
-            raise ValueError(f"instances of type {node_type(v)} have different interfaces")
-    return by_type
 
 
 @dataclass(frozen=True)
@@ -385,7 +366,6 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     initial = model.initial
-    interface = _type_interfaces(initial)
     layout = _layout(initial)
     _, _, slot_instance, slot_kind = layout
     compiled = [_compile(rule, layout) for rule in model.rules]
@@ -437,7 +417,7 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
     matrix = RateMatrix(len(order), np.r_[rows, diagonal], np.r_[index[targets], diagonal],
                         np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(order))])
     space = StateSpace(tuple(keys[src] for src in order))
-    return ExploredChain(space, matrix, MixtureSequence(space.states, interface, initial.counts))
+    return ExploredChain(space, matrix, dict(initial.counts))
 
 
 def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
@@ -467,11 +447,11 @@ def is_reversible(model: RuleModel) -> bool:
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
-    """Blocks are the fibers of an abstraction map over mixtures, ordered by
-    sorted abstraction value."""
+    """Blocks are the fibers of an abstraction map over the bond maps that
+    the state keys decode to, ordered by sorted abstraction value."""
     fibers = {}
-    for i, mix in enumerate(chain.mixtures):
-        fibers.setdefault(phi(mix), []).append(i)
+    for i, key in enumerate(chain.space.states):
+        fibers.setdefault(phi(mixture_from_key(key, chain.counts)), []).append(i)
     return Partition(tuple(tuple(fibers[v]) for v in sorted(fibers)))
 
 

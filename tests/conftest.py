@@ -2,7 +2,21 @@
 
 import numpy as np
 
-from lumpkit import aggregation, markov
+from lumpkit import aggregation, markov, rules
+from lumpkit.sitegraph import make_mixture
+
+
+def bond_maps(chain):
+    """The bond map of each state of an explored chain, decoded from its key."""
+    return [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
+
+
+def key_mixture(key, interface, counts):
+    """The mixture a state key names, with the key parsed here, apart from
+    the library's decoder: the reference its bond maps are checked against."""
+    parts = [] if key == "-" else key.split(";")
+    edges = [frozenset(tuple(end.rsplit(".", 1)) for end in part.split("-")) for part in parts]
+    return make_mixture(interface, counts, edges)
 
 
 def fig_chain(c1, c2, d=1.0):

@@ -4,7 +4,7 @@ each, at the tolerances stated in the assertions."""
 import numpy as np
 import pytest
 
-from conftest import fig_chain, fig_partition
+from conftest import bond_maps, fig_chain, fig_partition
 from lumpkit import aggregation, casestudies, dsl, markov, rules, sitegraph
 
 
@@ -47,8 +47,8 @@ def test_criterion_2_polymer_state_counts(capsys):
     phi2 = rules.build_partition(chain, casestudies.polymer_phi2)
     phi3 = rules.build_partition(chain, casestudies.polymer_phi3)
     census_count = len({
-        tuple(sorted(sitegraph.species_census(m).items()))
-        for m in chain.mixtures})
+        tuple(sorted(sitegraph.species_census(bonds).items()))
+        for bonds in bond_maps(chain)})
     ok = (len(phi2) == 9 and len(phi3) == 5
           and census_count >= 3 * casestudies.partition_number(2))
     report(capsys, 2, ok,
@@ -176,8 +176,8 @@ def test_criterion_10_class_sizes(capsys):
                 (casestudies.scaffold_phi1, casestudies.scaffold_class_size_phi1),
                 (casestudies.scaffold_phi2, casestudies.scaffold_class_size_phi2)):
             sizes = {}
-            for mix in chain.mixtures:
-                v = phi(mix)
+            for bonds in bond_maps(chain):
+                v = phi(bonds)
                 sizes[v] = sizes.get(v, 0) + 1
             ok = ok and all(size_fn(v, p) == s for v, s in sizes.items())
     report(capsys, 10, ok,

@@ -1,9 +1,11 @@
+import itertools
 from collections import Counter
 from math import factorial
 
 import pytest
+from conftest import bond_maps, key_mixture
 
-from lumpkit import casestudies, rules, sitegraph
+from lumpkit import casestudies, cli, rules, sitegraph
 from lumpkit.errors import InvalidArgs, InvalidCounts, NotPolymerComponent
 from lumpkit.sitegraph import SiteGraph, make_mixture, species_census
 
@@ -25,8 +27,8 @@ def polymer_chain(n):
 
 def fiber_sizes(chain, phi):
     sizes = {}
-    for mix in chain.mixtures:
-        v = phi(mix)
+    for bonds in bond_maps(chain):
+        v = phi(bonds)
         sizes[v] = sizes.get(v, 0) + 1
     return sizes
 
@@ -91,13 +93,13 @@ class TestScaffoldPhis:
         both = make_mixture(iface, {"A": 1, "B": 3, "C": 1},
                             [edge("A#1", "b", "B#1", "a"),
                              edge("B#1", "c", "C#1", "b")])
-        assert casestudies.scaffold_phi1(both) == (0, 0, 1)
-        assert casestudies.scaffold_phi2(both) == (1, 1)
+        assert casestudies.scaffold_phi1(both.graph.bonds()) == (0, 0, 1)
+        assert casestudies.scaffold_phi2(both.graph.bonds()) == (1, 1)
         split = make_mixture(iface, {"A": 1, "B": 3, "C": 1},
                              [edge("A#1", "b", "B#1", "a"),
                               edge("B#2", "c", "C#1", "b")])
-        assert casestudies.scaffold_phi1(split) == (1, 1, 0)
-        assert casestudies.scaffold_phi2(split) == (1, 1)
+        assert casestudies.scaffold_phi1(split.graph.bonds()) == (1, 1, 0)
+        assert casestudies.scaffold_phi2(split.graph.bonds()) == (1, 1)
 
     def test_phi1_fibers_match_species_census(self):
         # polymer_phi1 classifies components in closed form, without keys
@@ -107,9 +109,9 @@ class TestScaffoldPhis:
         for chain, phi1 in cases:
             by_phi1 = {}
             by_census = {}
-            for i, mix in enumerate(chain.mixtures):
-                by_phi1.setdefault(phi1(mix), set()).add(i)
-                key = tuple(sorted(species_census(mix).items()))
+            for i, bonds in enumerate(bond_maps(chain)):
+                by_phi1.setdefault(phi1(bonds), set()).add(i)
+                key = tuple(sorted(species_census(bonds).items()))
                 by_census.setdefault(key, set()).add(i)
             assert set(map(frozenset, by_phi1.values())) == set(
                 map(frozenset, by_census.values()))
@@ -130,9 +132,11 @@ def scaffold_phis_by_node(mix):
 class TestScaffoldPhisAgainstPerNodeReading:
     @pytest.mark.parametrize("counts", [(2, 3, 2), (3, 3, 3)])
     def test_every_explored_mixture(self, counts):
-        for mix in scaffold_chain(*counts).mixtures:
-            assert (casestudies.scaffold_phi1(mix),
-                    casestudies.scaffold_phi2(mix)) == scaffold_phis_by_node(mix)
+        chain = scaffold_chain(*counts)
+        for key, bonds in zip(chain.space.states, bond_maps(chain)):
+            mix = key_mixture(key, casestudies.SCAFFOLD_INTERFACE, chain.counts)
+            assert (casestudies.scaffold_phi1(bonds),
+                    casestudies.scaffold_phi2(bonds)) == scaffold_phis_by_node(mix)
 
     @pytest.mark.parametrize("edges", [
         [],
@@ -148,8 +152,48 @@ class TestScaffoldPhisAgainstPerNodeReading:
     ])
     def test_bonds_on_one_side_of_b(self, edges):
         mix = make_mixture(casestudies.SCAFFOLD_INTERFACE, {"A": 2, "B": 3, "C": 2}, edges)
-        assert (casestudies.scaffold_phi1(mix),
-                casestudies.scaffold_phi2(mix)) == scaffold_phis_by_node(mix)
+        bonds = mix.graph.bonds()
+        assert (casestudies.scaffold_phi1(bonds),
+                casestudies.scaffold_phi2(bonds)) == scaffold_phis_by_node(mix)
+
+
+def reference_species(mix):
+    return tuple(sorted(Counter(sitegraph.canonical_key(c)
+                                for c in sitegraph.connected_components(mix.graph)).items()))
+
+
+class TestPhisAgainstMixtureReference:
+    """Each phi of cli._PHI_FUNCS on the bond map decoded from every state
+    key, against the same phi computed the reference way on the mixture
+    make_mixture builds from the key's edges: connected_components with
+    canonical_key or polymer_classify, and the mixture's edges."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_polymer(self, n):
+        phi = cli._PHI_FUNCS
+        chain = polymer_chain(n)
+        for key, bonds in zip(chain.space.states, bond_maps(chain)):
+            mix = key_mixture(key, POLYMER, chain.counts)
+            classes = Counter(casestudies.polymer_classify(c)
+                              for c in sitegraph.connected_components(mix.graph))
+            edges = mix.graph.edges
+            m_rl = sum(1 for e in edges if {s for _, s in e} == {"r", "l"})
+            assert phi["polymer-phi1"](bonds) == tuple(sorted(
+                ((c.kind, c.length_index), k) for c, k in classes.items()))
+            assert phi["polymer-phi2"](bonds) == (m_rl, len(edges) - m_rl)
+            assert phi["polymer-phi3"](bonds) == len(edges)
+            assert phi["species"](bonds) == reference_species(mix)
+
+    @pytest.mark.parametrize("counts", itertools.product((1, 2, 3), repeat=3),
+                             ids=lambda c: "".join(map(str, c)))
+    def test_scaffold(self, counts):
+        phi = cli._PHI_FUNCS
+        chain = scaffold_chain(*counts)
+        for key, bonds in zip(chain.space.states, bond_maps(chain)):
+            mix = key_mixture(key, casestudies.SCAFFOLD_INTERFACE, chain.counts)
+            assert (phi["scaffold-phi1"](bonds),
+                    phi["scaffold-phi2"](bonds)) == scaffold_phis_by_node(mix)
+            assert phi["species"](bonds) == reference_species(mix)
 
 
 class TestScaffoldClassSizes:
@@ -206,7 +250,7 @@ class TestPolymerModel:
     def test_n1_four_states(self):
         chain = polymer_chain(1)
         assert len(chain.space) == 4
-        edge_counts = sorted(len(m.graph.edges) for m in chain.mixtures)
+        edge_counts = sorted(sum(map(len, b.values())) // 2 for b in bond_maps(chain))
         assert edge_counts == [0, 1, 1, 2]
 
     def test_n2_state_count(self):
@@ -297,15 +341,15 @@ class TestPolymerPhis:
             # A#4-B#5-A#5
             edge("A#4", "b", "B#5", "a"), edge("B#5", "l", "A#5", "r")])
         expected = ((("ChainAA", 2), 1), (("ChainBB", 2), 1), (("Ring", 2), 1))
-        assert casestudies.polymer_phi1(mix) == expected
+        assert casestudies.polymer_phi1(mix.graph.bonds()) == expected
         per_component = Counter(casestudies.polymer_classify(c)
                                 for c in sitegraph.connected_components(mix.graph))
         assert tuple(sorted(((c.kind, c.length_index), k)
                             for c, k in per_component.items())) == expected
 
     def test_phi1_builds_no_component_graph(self, monkeypatch):
-        mixtures = list(polymer_chain(2).mixtures)
-        expected = [casestudies.polymer_phi1(m) for m in mixtures]
+        maps = bond_maps(polymer_chain(2))
+        expected = [casestudies.polymer_phi1(bonds) for bonds in maps]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("polymer_phi1 built or walked a per-component graph")
@@ -313,20 +357,20 @@ class TestPolymerPhis:
         monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
         monkeypatch.setattr(SiteGraph, "bound_endpoints", forbidden)
         monkeypatch.setattr(sitegraph, "connected_components", forbidden)
-        assert [casestudies.polymer_phi1(m) for m in mixtures] == expected
+        assert [casestudies.polymer_phi1(bonds) for bonds in maps] == expected
         assert len(set(expected)) == 15  # one per species census at n=2
 
     def test_trivial_values(self):
-        free = make_mixture(POLYMER, {"A": 2, "B": 2})
+        free = make_mixture(POLYMER, {"A": 2, "B": 2}).graph.bonds()
         assert casestudies.polymer_phi2(free) == (0, 0)
         assert casestudies.polymer_phi3(free) == 0
         single = make_mixture(POLYMER, {"A": 2, "B": 2},
-                              [edge("A#1", "b", "B#1", "a")])
+                              [edge("A#1", "b", "B#1", "a")]).graph.bonds()
         assert casestudies.polymer_phi2(single) == (0, 1)
         assert casestudies.polymer_phi3(single) == 1
         ring = make_mixture(POLYMER, {"A": 2, "B": 2},
                             [edge("A#1", "b", "B#1", "a"),
-                             edge("A#1", "r", "B#1", "l")])
+                             edge("A#1", "r", "B#1", "l")]).graph.bonds()
         assert casestudies.polymer_phi2(ring) == (1, 1)
         assert casestudies.polymer_phi3(ring) == 2
 
@@ -340,7 +384,7 @@ class TestPolymerPhis:
     def test_species_census_lower_bound(self):
         chain = polymer_chain(2)
         census_blocks = {
-            tuple(sorted(species_census(m).items())) for m in chain.mixtures}
+            tuple(sorted(species_census(bonds).items())) for bonds in bond_maps(chain)}
         assert len(census_blocks) >= 3 * casestudies.partition_number(2)
 
 

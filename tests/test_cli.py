@@ -21,6 +21,22 @@ init: A*1, B*1, C*1
 
 NO_RULES = "node A { sites: b }\ninit: A*3\n"
 
+AB_BINDING = """\
+node A { sites: b }
+node B { sites: a }
+rule bind: A(b), B(a) -> A(b!1), B(a!1) @ 1.0
+rule unbind: A(b!1), B(a!1) -> A(b), B(a) @ 1.0
+init: A*2, B*2
+"""
+
+POLYMER_11 = """\
+node A { sites: b, r }
+node B { sites: a, l }
+rule bind_ba: A(b), B(a) -> A(b!1), B(a!1) @ 1.0
+rule unbind_ba: A(b!1), B(a!1) -> A(b), B(a) @ 1.0
+init: A*1, B*1
+"""
+
 
 @pytest.fixture
 def scaffold_files(tmp_path):
@@ -143,6 +159,28 @@ class TestCheck:
     def test_phi_without_model_is_input_error(self, scaffold_files):
         _, chain = scaffold_files
         assert cli.main(["check", str(chain), "--phi", "scaffold-phi2"]) == 1
+
+    @pytest.mark.parametrize("text, phi", [
+        (SCAFFOLD_111, "polymer-phi1"),
+        (SCAFFOLD_111, "polymer-phi3"),
+        (AB_BINDING, "polymer-phi1"),
+        (AB_BINDING, "scaffold-phi2"),
+        (POLYMER_11, "scaffold-phi1"),
+    ])
+    def test_case_study_phi_refuses_a_foreign_model(self, tmp_path, capsys, text, phi):
+        # a bond map carries no interface, so the model's is checked instead
+        model = tmp_path / "foreign.model"
+        model.write_text(text)
+        chain = tmp_path / "foreign.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        capsys.readouterr()
+        for command in (["check"], ["aggregate", "--out", str(tmp_path / "agg.json")]):
+            argv = [command[0], str(chain), "--phi", phi, "--model", str(model), *command[1:]]
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: --phi {phi} ")
+        assert not (tmp_path / "agg.json").exists()
+        assert cli.main(["check", str(chain), "--phi", "species", "--model", str(model)]) in (0, 3)
 
 
 class TestAggregateAndDistributions:
@@ -285,6 +323,19 @@ class TestBadInput:
                          "--t", "1", "--out", str(tmp_path / "dist")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("row", ["{0},1,2", "{0},abc", "{0},1,"])
+    def test_malformed_distribution_row_names_file_and_row(self, scaffold_files, tmp_path,
+                                                          capsys, row):
+        _, chain = scaffold_files
+        states = json.loads(chain.read_text())["states"]
+        init = tmp_path / "rowbad.csv"
+        init.write_text(f"{states[1]},0.5\n\n" + row.format(states[0]) + "\n")
+        code = cli.main(["transient", str(chain), "--init", str(init),
+                         "--t", "1", "--out", str(tmp_path / "dist")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 3 of ") and str(init) in err
 
     def test_deaggregate_partition_missing_a_state(self, scaffold_files, tmp_path, capsys):
         # lifting through it would write a distribution without the last state

@@ -4,13 +4,21 @@ breadth-first search it replaced, written here from the public
 ``find_embeddings``, ``apply`` and ``mixture_key``."""
 
 import numpy as np
+import pytest
+from conftest import bond_maps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumpkit import rules
-from lumpkit.errors import StateCapExceeded
+from lumpkit.errors import InvalidEmbedding, StateCapExceeded
 from lumpkit.markov import RateMatrix, StateSpace
-from lumpkit.sitegraph import SiteGraph, find_embeddings, instance_name, make_mixture
+from lumpkit.sitegraph import (
+    ReactionMixture,
+    SiteGraph,
+    find_embeddings,
+    instance_name,
+    make_mixture,
+)
 
 MAX_STATES = 200
 # sums of these depend on the order they are added in
@@ -153,10 +161,8 @@ class TestExploreMatchesReference:
         assert chain.space.states == states
         assert chain.matrix == matrix
         assert list(rules.edge_labels(model, chain).items()) == list(edge_labels.items())
-        assert len(chain.mixtures) == len(mixtures)
-        for got, expected in zip(chain.mixtures, mixtures):
-            assert got == expected
-            assert got.counts == expected.counts
+        assert chain.counts == dict(model.initial.counts)
+        assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
 
     @settings(max_examples=200, deadline=None)
     @given(models(NON_DYADIC_RATES))
@@ -176,5 +182,41 @@ class TestExploreMatchesReference:
         assert np.array_equal(got.row, matrix.row) and np.array_equal(got.col, matrix.col)
         assert np.abs(got.data - matrix.data).max(initial=0.0) <= 1e-12
         assert list(rules.edge_labels(model, chain).items()) == list(edge_labels.items())
-        assert list(chain.mixtures) == mixtures
-        assert [mix.counts for mix in chain.mixtures] == [mix.counts for mix in mixtures]
+        assert chain.counts == dict(model.initial.counts)
+        assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
+
+
+class TestInstancesWithDifferentInterfaces:
+    """Instances of one type need not share an interface: explore lays out
+    each instance's own sites, and decoding a key reads no interface."""
+
+    @staticmethod
+    def model(bind_on):
+        def rule(name, bound, rate):
+            sites = {"A": frozenset({bind_on}), "B": frozenset({bind_on})}
+            edges = frozenset({frozenset((("A", bind_on), ("B", bind_on)))})
+            free = SiteGraph(frozenset(sites), sites, frozenset())
+            both = SiteGraph(frozenset(sites), sites, edges)
+            return rules.RewriteRule(*((free, both) if bound else (both, free)), rate, name)
+
+        interface = {"A#1": frozenset({"x"}), "A#2": frozenset({"x", "y"}),
+                     "B#1": frozenset({"x", "y"}), "B#2": frozenset({"x"})}
+        initial = ReactionMixture(SiteGraph(frozenset(interface), interface, frozenset()),
+                                  {"A": 2, "B": 2})
+        return rules.RuleModel((rule("bind", True, 1.5), rule("unbind", False, 0.5)), initial)
+
+    def test_shared_site_explored_as_the_reference(self):
+        model = self.model("x")
+        states, matrix, edge_labels, mixtures = reference_explore(model, MAX_STATES)
+        chain = rules.explore(model, MAX_STATES)
+        assert chain.space.states == states and len(states) == 7
+        assert chain.matrix == matrix
+        assert rules.edge_labels(model, chain) == edge_labels
+        assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
+
+    def test_site_one_instance_lacks_refused_as_the_reference(self):
+        model = self.model("y")
+        with pytest.raises(InvalidEmbedding):
+            reference_explore(model, MAX_STATES)
+        with pytest.raises(InvalidEmbedding):
+            rules.explore(model, MAX_STATES)

@@ -2,12 +2,16 @@ import os
 
 import numpy as np
 import pytest
+from conftest import bond_maps, key_mixture
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lumpkit import aggregation, casestudies, markov, rules, sitegraph
+from lumpkit import aggregation, casestudies, cli, markov, rules, sitegraph
 from lumpkit.errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
 from lumpkit.sitegraph import ReactionMixture, SiteGraph, find_embeddings, make_mixture, rename
 
 SCAFFOLD = casestudies.SCAFFOLD_INTERFACE
+POLYMER = casestudies.POLYMER_INTERFACE
 
 
 def edge(v1, s1, v2, s2):
@@ -17,6 +21,45 @@ def edge(v1, s1, v2, s2):
 def scaffold_model(na=1, nb=1, nc=1, rates=(1.0, 1.0, 1.0, 1.0)):
     return casestudies.scaffold_model(
         casestudies.ScaffoldParams(na, nb, nc, *rates))
+
+
+@st.composite
+def decode_inputs(draw):
+    """A polymer or scaffold signature, edges over its instances and the
+    fault they hold, or None: a random matching of the sites of distinct
+    nodes, and half of the time one more edge that is invalid in one of six
+    ways."""
+    iface = draw(st.sampled_from([POLYMER, SCAFFOLD]))
+    counts = {t: draw(st.integers(1, 3)) for t in sorted(iface)}
+    sites = [(f"{t}#{j}", s) for t in sorted(iface) for j in range(1, counts[t] + 1)
+             for s in sorted(iface[t])]
+    order = draw(st.permutations(sites))
+    pairs = [order[k:k + 2] for k in range(0, 2 * draw(st.integers(0, len(sites) // 2)), 2)]
+    edges = [frozenset(pair) for pair in pairs if pair[0][0] != pair[1][0]]
+    v, s = draw(st.sampled_from(sites))
+    other = draw(st.sampled_from([end for end in sites if end[0] != v]))
+    fault = draw(st.sampled_from([None, "twice", "site", "instance", "type", "one node",
+                                  "one endpoint"]) if draw(st.booleans()) else st.none())
+    if fault == "twice":
+        if not edges:
+            return iface, counts, edges, None
+        bound, partner = draw(st.sampled_from(sorted(sorted(e) for e in edges)))
+        other = draw(st.sampled_from([end for end in sites
+                                      if end[0] != bound[0] and end != partner]))
+        edges.append(frozenset((bound, other)))
+    elif fault == "site":
+        edges.append(edge(v, "q", *other))
+    elif fault == "instance":
+        t = sitegraph.node_type(v)
+        edges.append(edge(f"{t}#{counts[t] + 1}", s, *other))
+    elif fault == "type":
+        edges.append(edge("D#1", "b", *other))
+    elif fault == "one node":
+        t = draw(st.sampled_from([t for t in sorted(iface) if len(iface[t]) > 1]))
+        edges.append(edge(f"{t}#1", min(iface[t]), f"{t}#1", max(iface[t])))
+    elif fault == "one endpoint":
+        edges.append(frozenset({(v, s)}))
+    return iface, counts, draw(st.permutations(edges)), fault
 
 
 class TestRewriteRule:
@@ -80,7 +123,7 @@ class TestExplore:
         chain = rules.explore(scaffold_model(rates=(1.0, 2.0, 3.0, 4.0)))
         assert len(chain.space) == 4
         # no bonds; AB; BC; AB+BC
-        sizes = sorted(len(m.graph.edges) for m in chain.mixtures)
+        sizes = sorted(sum(map(len, bonds.values())) // 2 for bonds in bond_maps(chain))
         assert sizes == [0, 1, 1, 2]
 
     def test_no_rules_single_state(self):
@@ -108,7 +151,8 @@ class TestExplore:
         model = scaffold_model(1, 3, 1, rates=(1.0, 2.0, 0.5, 0.25))
         chain = rules.explore(model)
         dense = chain.matrix.dense()
-        for i, mix in enumerate(chain.mixtures):
+        for i, key in enumerate(chain.space.states):
+            mix = key_mixture(key, SCAFFOLD, chain.counts)
             expected = sum(
                 rule.rate * len(find_embeddings(rule.left, mix))
                 for rule in model.rules)
@@ -117,8 +161,9 @@ class TestExplore:
 
     def test_conservation_of_counts(self):
         chain = rules.explore(scaffold_model(1, 3, 1))
-        for mix in chain.mixtures:
-            assert mix.counts == {"A": 1, "B": 3, "C": 1}
+        assert chain.counts == {"A": 1, "B": 3, "C": 1}
+        for bonds in bond_maps(chain):
+            assert list(bonds) == ["A#1", "B#1", "B#2", "B#3", "C#1"]
 
     def test_reversible_positive_rates_irreducible(self):
         chain = rules.explore(scaffold_model(2, 2, 2, rates=(1.0, 2.0, 3.0, 4.0)))
@@ -198,22 +243,6 @@ class TestExplore:
         assert len(chain.space) == 49
         assert len(rules.edge_labels(model, chain)) == 224
 
-    def test_mixtures_decoded_on_first_read(self, monkeypatch):
-        decoded = []
-        decode = rules.mixture_from_key
-
-        def counting(key, interface, counts):
-            decoded.append(key)
-            return decode(key, interface, counts)
-
-        monkeypatch.setattr(rules, "mixture_from_key", counting)
-        chain = rules.explore(scaffold_model(1, 3, 1))
-        assert decoded == []
-        assert chain.mixtures[2] is chain.mixtures[2]
-        assert decoded == [chain.space.states[2]]
-        assert [rules.mixture_key(m) for m in chain.mixtures] == list(chain.space.states)
-        assert sorted(decoded) == sorted(chain.space.states)
-
     def test_deterministic_ordering(self):
         a = rules.explore(scaffold_model(1, 3, 1))
         b = rules.explore(scaffold_model(1, 3, 1))
@@ -256,7 +285,7 @@ class TestReversibility:
 class TestBuildPartition:
     def test_identity_phi_gives_singletons(self):
         chain = rules.explore(scaffold_model(1, 3, 1))
-        part = rules.build_partition(chain, rules.mixture_key)
+        part = rules.build_partition(chain, repr)
         assert sorted(part.blocks) == list(
             aggregation.Partition.singletons(len(chain.space)).blocks)
 
@@ -270,6 +299,23 @@ class TestBuildPartition:
         part = rules.build_partition(chain, casestudies.scaffold_phi2)
         assert sorted(len(b) for b in part.blocks) == [1, 3, 3, 9]
 
+    def test_no_mixture_or_site_graph_for_any_phi(self, monkeypatch):
+        chains = {"scaffold": rules.explore(scaffold_model(2, 2, 2)),
+                  "polymer": rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2)))}
+        cases = [(name, phi, chain) for name, phi in cli._PHI_FUNCS.items()
+                 for study, chain in chains.items()
+                 if name == "species" or name.startswith(study)]
+        expected = [rules.build_partition(chain, phi) for _, phi, chain in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-state mixture or site-graph was built")
+
+        monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
+        monkeypatch.setattr(ReactionMixture, "__post_init__", forbidden)
+        assert [rules.build_partition(chain, phi) for _, phi, chain in cases] == expected
+        assert sorted(name for name, _, _ in cases) == sorted(
+            list(cli._PHI_FUNCS) + ["species"])
+
 
 class TestSerialization:
     def test_mixture_key_round_trip(self):
@@ -277,35 +323,71 @@ class TestSerialization:
                            [edge("A#1", "b", "B#2", "a"),
                             edge("B#2", "c", "C#1", "b")])
         key = rules.mixture_key(mix)
-        again = rules.mixture_from_key(key, SCAFFOLD, mix.counts)
-        assert again.graph == mix.graph
+        assert rules.mixture_from_key(key, mix.counts) == mix.graph.bonds()
 
     @pytest.mark.parametrize("model", [scaffold_model(1, 1, 1), scaffold_model(2, 3, 2),
                                        casestudies.polymer_model(casestudies.PolymerParams(2))],
                              ids=["scaffold-111", "scaffold-232", "polymer-2"])
     def test_decoded_mixtures_equal_make_mixture(self, model):
         chain = rules.explore(model)
-        for mix in chain.mixtures:
-            built = make_mixture(model.interface, model.initial.counts, mix.graph.edges)
-            assert mix.graph == built.graph
-            assert hash(mix) == hash(built)
-            assert mix.counts == built.counts
-            assert mix.graph.nodes is chain.mixtures[0].graph.nodes
+        for key, bonds in zip(chain.space.states, bond_maps(chain)):
+            built = key_mixture(key, model.interface, model.initial.counts)
+            assert rules.mixture_key(built) == key
+            assert bonds == built.graph.bonds()
+            assert list(bonds) == list(rules._instances(tuple(model.initial.counts.items())))
 
     def test_decoding_follows_the_signature(self):
         key = "A#1.b-B#2.a"
-        small = rules.mixture_from_key(key, SCAFFOLD, {"A": 1, "B": 2, "C": 1})
-        large = rules.mixture_from_key(key, SCAFFOLD, {"A": 1, "B": 3, "C": 1})
-        assert "B#3" in large.graph.nodes and "B#3" not in small.graph.nodes
-        wider = dict(SCAFFOLD, C={"b", "x"})  # a set is not hashable
-        mix = rules.mixture_from_key(key, wider, {"A": 1, "B": 2, "C": 1})
-        assert mix.graph.interface["C#1"] == frozenset({"b", "x"})
-        with pytest.raises(ValueError):
-            rules.mixture_from_key("A#1.b-B#3.a", SCAFFOLD, {"A": 1, "B": 2, "C": 1})
+        small = rules.mixture_from_key(key, {"A": 1, "B": 2, "C": 1})
+        large = rules.mixture_from_key(key, {"A": 1, "B": 3, "C": 1})
+        assert "B#3" in large and "B#3" not in small
+        assert large["B#3"] == [] and small["A#1"] == large["A#1"] == [("b", ("B#2", "a"))]
+        with pytest.raises(ValueError, match="B#3"):
+            rules.mixture_from_key("A#1.b-B#3.a", {"A": 1, "B": 2, "C": 1})
 
     def test_edgeless_key(self):
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1})
         assert rules.mixture_key(mix) == "-"
+
+    def test_edgeless_key_decodes_to_every_instance_unbound(self):
+        bonds = rules.mixture_from_key("-", {"A": 2, "B": 1, "C": 1})
+        assert bonds == {"A#1": [], "A#2": [], "B#1": [], "C#1": []}
+        assert list(bonds) == ["A#1", "A#2", "B#1", "C#1"]
+        assert rules.mixture_from_key("-", {}) == {}
+
+    @pytest.mark.parametrize("key, message", [
+        ("A#1.b-B#1.a;A#1.b-B#2.a", "binds a site twice"),
+        ("A#1.b-B#1.a;A#2.b-B#1.a", "binds a site twice"),
+        ("B#1.a-B#1.c", "joins a node to itself"),
+        ("A#1.b-A#1.b", "joins a node to itself"),
+        ("A#1.b", "malformed bond"),
+        ("A#1b-B#1.a", "malformed bond"),
+        ("A#1.b-B#1.a-C#1.b", "malformed bond"),
+        ("A#1.b-D#1.a", "D#1"),
+    ])
+    def test_malformed_key_rejected(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            rules.mixture_from_key(key, {"A": 2, "B": 2, "C": 1})
+
+    @settings(max_examples=300, deadline=None)
+    @given(decode_inputs())
+    def test_decoder_differential_against_make_mixture(self, inputs):
+        iface, counts, edges, fault = inputs
+        parts = [f"{v1}.{s1}-{v2}.{s2}" for (v1, s1), (v2, s2) in
+                 (sorted(e) if len(e) == 2 else 2 * sorted(e) for e in edges)]
+        key = ";".join(sorted(parts)) if parts else "-"
+        # a key carries no interface: the decoder keeps a bond on the
+        # undeclared site "q" and refuses what make_mixture refuses with it declared
+        wide = {t: sites | {"q"} for t, sites in iface.items()}
+        try:
+            reference = make_mixture(wide, counts, edges).graph.bonds()
+        except ValueError:
+            assert fault is not None
+            with pytest.raises(ValueError):
+                rules.mixture_from_key(key, counts)
+        else:
+            assert fault in (None, "site")
+            assert rules.mixture_from_key(key, counts) == reference
 
     def test_export_dot(self):
         model = scaffold_model()

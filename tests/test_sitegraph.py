@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpkit import sitegraph
+from lumpkit import casestudies, rules, sitegraph
 from lumpkit.errors import NotConnected, RenamingIncomplete, UnsupportedPattern
 from lumpkit.sitegraph import (
     ReactionMixture,
@@ -150,45 +149,6 @@ def brute_force_isomorphic(g1: SiteGraph, g2: SiteGraph) -> bool:
     return False
 
 
-@st.composite
-def decode_inputs(draw):
-    """A polymer or scaffold signature, edges over its instances and the
-    fault they hold, or None: a random matching of the sites of distinct
-    nodes, and half of the time one more edge that is invalid in one of six
-    ways."""
-    iface = draw(st.sampled_from([POLYMER, SCAFFOLD]))
-    counts = {t: draw(st.integers(1, 3)) for t in sorted(iface)}
-    sites = [(f"{t}#{j}", s) for t in sorted(iface) for j in range(1, counts[t] + 1)
-             for s in sorted(iface[t])]
-    order = draw(st.permutations(sites))
-    pairs = [order[k:k + 2] for k in range(0, 2 * draw(st.integers(0, len(sites) // 2)), 2)]
-    edges = [frozenset(pair) for pair in pairs if pair[0][0] != pair[1][0]]
-    v, s = draw(st.sampled_from(sites))
-    other = draw(st.sampled_from([end for end in sites if end[0] != v]))
-    fault = draw(st.sampled_from([None, "twice", "site", "instance", "type", "one node",
-                                  "one endpoint"]) if draw(st.booleans()) else st.none())
-    if fault == "twice":
-        if not edges:
-            return iface, counts, edges, None
-        bound, partner = draw(st.sampled_from(sorted(sorted(e) for e in edges)))
-        other = draw(st.sampled_from([end for end in sites
-                                      if end[0] != bound[0] and end != partner]))
-        edges.append(frozenset((bound, other)))
-    elif fault == "site":
-        edges.append(edge(v, "q", *other))
-    elif fault == "instance":
-        t = sitegraph.node_type(v)
-        edges.append(edge(f"{t}#{counts[t] + 1}", s, *other))
-    elif fault == "type":
-        edges.append(edge("D#1", "b", *other))
-    elif fault == "one node":
-        t = draw(st.sampled_from([t for t in sorted(iface) if len(iface[t]) > 1]))
-        edges.append(edge(f"{t}#1", min(iface[t]), f"{t}#1", max(iface[t])))
-    elif fault == "one endpoint":
-        edges.append(frozenset({(v, s)}))
-    return iface, counts, draw(st.permutations(edges)), fault
-
-
 class TestSiteGraph:
     def test_edge_site_must_be_declared(self):
         with pytest.raises(ValueError):
@@ -211,51 +171,6 @@ class TestSiteGraph:
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1})
         assert mix.graph.nodes == frozenset(
             {"A#1", "B#1", "B#2", "B#3", "C#1"})
-
-
-class TestWithEdges:
-    @settings(max_examples=300, deadline=None)
-    @given(decode_inputs())
-    def test_differential_against_make_mixture(self, inputs):
-        iface, counts, edges, fault = inputs
-        empty = make_mixture(iface, counts)
-
-        def built(make):
-            try:
-                return make()
-            except ValueError:
-                return None
-
-        decoded = built(lambda: empty.with_edges(edges))
-        reference = built(lambda: make_mixture(iface, counts, edges))
-        assert (decoded is None) == (reference is None) == (fault is not None)
-        if reference is not None:
-            assert decoded.graph == reference.graph
-            assert hash(decoded) == hash(reference)
-            assert decoded.counts == reference.counts
-            assert decoded.graph.nodes is empty.graph.nodes
-        assert empty.graph.edges == frozenset()
-
-    def test_shared_fields_are_read_only(self):
-        empty = make_mixture(SCAFFOLD, {"A": 1, "B": 2, "C": 1})
-        one = empty.with_edges([edge("A#1", "b", "B#1", "a")])
-        two = empty.with_edges([edge("B#2", "c", "C#1", "b")])
-        assert one.graph.interface is two.graph.interface
-        assert one.counts is two.counts
-        with pytest.raises(TypeError):
-            one.counts["A"] = 5
-        with pytest.raises(TypeError):
-            one.graph.interface["A#1"] = frozenset({"b", "x"})
-        with pytest.raises(TypeError):
-            del one.graph.interface["C#1"]
-        with pytest.raises(AttributeError):
-            one.graph.nodes.add("A#2")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            one.graph.edges = frozenset()
-        assert two.counts == {"A": 1, "B": 2, "C": 1}
-        assert two.graph.interface["A#1"] == frozenset({"b"})
-        assert two.graph.nodes == frozenset({"A#1", "B#1", "B#2", "C#1"})
-        assert two.graph.edges == {edge("B#2", "c", "C#1", "b")}
 
 
 class TestComponents:
@@ -456,13 +371,13 @@ class TestCanonicalKey:
 class TestSpeciesCensus:
     def test_edgeless_counts_by_type(self):
         mix = make_mixture(SCAFFOLD, {"A": 2, "B": 3, "C": 1})
-        census = species_census(mix)
+        census = species_census(mix.graph.bonds())
         assert sorted(census.values()) == [1, 2, 3]
 
     def test_scaffold_mixture(self):
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1},
                            [edge("A#1", "b", "B#3", "a")])
-        census = species_census(mix)
+        census = species_census(mix.graph.bonds())
         assert sorted(census.values()) == [1, 1, 2]
 
     def test_invariant_under_renaming(self):
@@ -471,7 +386,7 @@ class TestSpeciesCensus:
         eta = {"A#1": "A#1", "B#1": "B#3", "B#2": "B#1", "B#3": "B#2",
                "C#1": "C#1"}
         renamed = ReactionMixture(rename(mix.graph, eta), mix.counts)
-        assert species_census(mix) == species_census(renamed)
+        assert species_census(mix.graph.bonds()) == species_census(renamed.graph.bonds())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(components(), min_size=2, max_size=3), st.data())
@@ -487,9 +402,27 @@ class TestSpeciesCensus:
                           frozenset().union(*(g.edges for g in renamed)))
         mix = ReactionMixture(graph, counts)
         comps = connected_components(mix.graph)
-        assert species_census(mix) == Counter(canonical_key(c) for c in comps)
+        assert species_census(mix.graph.bonds()) == Counter(canonical_key(c) for c in comps)
         assert sum(len(c.nodes) for c in comps) == len(mix.graph.nodes)
         assert frozenset().union(*(c.nodes for c in comps)) == mix.graph.nodes
         assert sum(len(c.edges) for c in comps) == len(mix.graph.edges)
         assert frozenset().union(*(c.edges for c in comps)) == mix.graph.edges
         assert {c.nodes for c in comps} == {g.nodes for g in renamed}
+
+    def test_memo_cold_and_warm_agree_within_maxsize(self):
+        chain = rules.explore(casestudies.polymer_model(casestudies.PolymerParams(3)))
+        maps = [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
+        memo = sitegraph._concrete_key
+        memo.cache_clear()
+        cold = [species_census(bonds) for bonds in maps]
+        after_cold = memo.cache_info()
+        warm = [species_census(bonds) for bonds in maps]
+        after_warm = memo.cache_info()
+        assert warm == cold
+        assert after_warm.misses == after_cold.misses  # the warm pass keys nothing anew
+        assert 0 < after_warm.currsize <= after_warm.maxsize
+        # each cold census against components keyed one by one, with no memo
+        for bonds, census in zip(maps, cold):
+            assert census == Counter(sitegraph._component_key(bonds, nodes)
+                                     for nodes in sitegraph.components(bonds))
+
