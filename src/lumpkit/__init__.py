@@ -34,20 +34,14 @@ from .rules import (
     ExploredChain,
     RewriteRule,
     RuleModel,
-    apply,
     build_partition,
     explore,
-    is_reversible,
 )
 from .sitegraph import (
     ReactionMixture,
     SiteGraph,
     canonical_key,
-    connected_components,
-    find_embeddings,
-    is_subgraph,
     make_mixture,
-    rename,
     species_census,
 )
 

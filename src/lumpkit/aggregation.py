@@ -72,8 +72,8 @@ class MeasureFamily:
         for i, alpha in enumerate(self.alphas):
             if not alpha:
                 raise ValueError(f"measure {i} is empty")
-            if any(w <= 0 for w in alpha.values()):
-                raise ValueError(f"measure {i} has a nonpositive weight")
+            if not all(w > 0 for w in alpha.values()):  # NaN fails w > 0
+                raise ValueError(f"measure {i} has a weight that is not positive")
             total = sum(alpha.values())
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"measure {i} sums to {total!r}, expected 1")
@@ -221,7 +221,6 @@ def respects(pi: Distribution, part: Partition, alphas: MeasureFamily,
 
 @dataclass(frozen=True)
 class NestedResult:
-    refines: bool
     groups: Partition  # partition of fine-block indices by coarse block
     alpha_prime: MeasureFamily  # over fine-block indices
 
@@ -241,7 +240,7 @@ def nested(fine: Partition, coarse: Partition) -> NestedResult:
     groups = [np.flatnonzero(group_of == ci).tolist() for ci in range(len(coarse))]
     alphas = tuple({fi: len(fine.blocks[fi]) / len(coarse.blocks[ci]) for fi in members}
                    for ci, members in enumerate(groups))
-    return NestedResult(True, Partition(tuple(map(tuple, groups))), MeasureFamily(alphas))
+    return NestedResult(Partition(tuple(map(tuple, groups))), MeasureFamily(alphas))
 
 
 def verify_commutation(Q: RateMatrix, part: Partition, alphas: MeasureFamily,
@@ -323,12 +322,16 @@ def save_partition(path, part: Partition, space):
 
 
 def load_partition(path, space) -> Partition:
-    blocks = tuple(tuple(space.lookup(k, path) for k in block)
-                   for block in markov.load_json(path)["blocks"])
+    data = markov.load_json(path)
+    markov.check_shape(data, {"blocks": [[str]]}, path)
+    blocks = tuple(tuple(space.lookup(k, path) for k in block) for block in data["blocks"])
     uncovered = len(space) - len({s for block in blocks for s in block})
     if uncovered:
-        raise ValueError(f"partition leaves {uncovered} of {len(space)} states uncovered")
-    return Partition(blocks)
+        raise ValueError(f"{path}: partition leaves {uncovered} of {len(space)} states uncovered")
+    try:
+        return Partition(blocks)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_measures(path, alphas: MeasureFamily, space):
@@ -337,8 +340,14 @@ def save_measures(path, alphas: MeasureFamily, space):
 
 
 def load_measures(path, space) -> MeasureFamily:
-    return MeasureFamily(tuple({space.lookup(k, path): float(w) for k, w in a.items()}
-                               for a in markov.load_json(path)["alphas"]))
+    data = markov.load_json(path)
+    markov.check_shape(data, {"alphas": [{str: float}]}, path)
+    alphas = tuple({space.lookup(k, path): float(w) for k, w in a.items()}
+                   for a in data["alphas"])
+    try:
+        return MeasureFamily(alphas)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_diagnostics(path, series):

@@ -177,14 +177,10 @@ class ComponentClass:
     length_index: int
 
 
-def polymer_classify(component: SiteGraph) -> ComponentClass:
-    return _classify(component.bonds(), component.nodes, component.interface.__getitem__)
-
-
 def _classify(bonds, nodes, sites_of) -> ComponentClass:
-    """polymer_classify of the component with these nodes, read from a bond
-    map that holds them: a node's free sites are those of sites_of(node)
-    with no bond."""
+    """The shape of the component with these nodes, read from a bond map
+    that holds them: a node's free sites are those of sites_of(node) with no
+    bond."""
     n_a = sum(1 for v in nodes if node_type(v) == "A")
     n_b = sum(1 for v in nodes if node_type(v) == "B")
     if n_a + n_b != len(nodes) or n_a + n_b == 0:

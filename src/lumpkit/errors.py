@@ -34,10 +34,6 @@ class TheoremViolated(LumpkitError):
     """A structural preservation guarantee failed; indicates an implementation bug."""
 
 
-class RenamingIncomplete(LumpkitError):
-    """A node renaming does not cover all nodes of the graph."""
-
-
 class UnsupportedPattern(LumpkitError):
     """A rule pattern mentions two nodes of the same type."""
 
@@ -47,7 +43,8 @@ class NotConnected(LumpkitError):
 
 
 class InvalidEmbedding(LumpkitError):
-    """The supplied renaming is not an embedding of the rule's left side."""
+    """A rule's left side does not embed where it is matched: it tests a
+    site that the instance lacks."""
 
 
 class SiteConflict(LumpkitError):

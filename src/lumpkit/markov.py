@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ class StateSpace:
         """Index of a state key read from the file at path."""
         try:
             return self.index[key]
-        except (KeyError, TypeError):  # TypeError: a JSON list or object as key
+        except KeyError:
             raise ValueError(f"unknown state {key!r} in {path}") from None
 
 
@@ -165,7 +166,7 @@ class Distribution:
         if (arr < 0).any():
             raise ValueError("weights must be nonnegative")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"weights sum to {arr.sum()!r}, expected 1")
+            raise ValueError(f"weights sum to {float(arr.sum())!r}, expected 1")
         arr.flags.writeable = False
         self.weights = arr
 
@@ -381,6 +382,32 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
+def check_shape(value, shape, path, where=""):
+    """Raise ValueError, naming the file at path and the entry, unless the
+    value read from it has the shape: str; float for any JSON number;
+    [shape] for a list of values of that shape; {str: shape} for an object
+    of them; {name: shape, ...} for an object with at least these entries."""
+    kind = shape if isinstance(shape, type) else type(shape)
+    # json.load makes exact ints and floats; type() also turns away bool
+    if not (type(value) in (int, float) if kind is float else isinstance(value, kind)):
+        place = f"entry {where} of {path}" if where else str(path)
+        name = {str: "a string", float: "a number", list: "a list", dict: "a JSON object"}[kind]
+        raise ValueError(f"{place} is {reprlib.repr(value)}, not {name}")
+    if kind is shape:
+        return
+    if kind is list:
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], path, f"{where}[{i}]")
+    elif str in shape:
+        for key, item in value.items():
+            check_shape(item, shape[str], path, f"{where}[{key!r}]")
+    else:
+        for name, inner in shape.items():
+            if name not in value:
+                raise ValueError(f"{path} has no entry {name!r}")
+            check_shape(value[name], inner, path, f"{where}.{name}" if where else name)
+
+
 def save_chain(path, space: StateSpace, K, extra=None):
     save_json(path, {"states": list(space.states), "kind": K.kind,
                      "triplets": K.triplets(), **(extra or {})})
@@ -388,9 +415,15 @@ def save_chain(path, space: StateSpace, K, extra=None):
 
 def load_chain(path):
     data = load_json(path)
-    space = StateSpace(tuple(data["states"]))
-    cls = {"stochastic": StochasticMatrix, "rate": RateMatrix}[data["kind"]]
-    return space, cls.from_triplets(len(space), data["triplets"])
+    check_shape(data, {"states": [str], "kind": str, "triplets": list}, path)
+    cls = {"stochastic": StochasticMatrix, "rate": RateMatrix}.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"entry kind of {path} is {data['kind']!r}, not 'rate' or 'stochastic'")
+    try:
+        space = StateSpace(tuple(data["states"]))
+        return space, cls.from_triplets(len(space), data["triplets"])
+    except (TypeError, ValueError) as exc:  # TypeError: numpy reading a JSON object as a number
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_distribution(path, space: StateSpace, dist: Distribution):
@@ -416,4 +449,7 @@ def load_distribution(path, space: StateSpace) -> Distribution:
                 raise ValueError(f"state {key!r} listed twice in {path}")
             seen.add(key)
             weights[space.lookup(key, path)] = weight
-    return Distribution(weights)
+    try:
+        return Distribution(weights)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

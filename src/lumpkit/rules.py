@@ -1,10 +1,12 @@
-"""Rule-based models: rule application, reachability, and the mixture CTMC.
+"""Rule-based models: the one rule engine, reachability, and the mixture CTMC.
 
 A rewrite rule keeps its node set and interfaces fixed and only toggles
-edges. The generator over reaction mixtures assigns each (rule, embedding)
-application its rule constant; when several applications hit the same target
-mixture the rates add (race of exponential clocks), which keeps the total
-exit rate equal to sum of rate * embedding count.
+edges. ``explore`` compiles each rule once and applies it through every
+embedding of its left side into a slot-encoded state. The generator over
+reaction mixtures assigns each (rule, embedding) application its rule
+constant; when several applications hit the same target mixture the rates
+add (race of exponential clocks), which keeps the total exit rate equal to
+sum of rate * embedding count.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ import numpy as np
 from .aggregation import Partition
 from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
 from .markov import RateMatrix, StateSpace
-from .sitegraph import (
-    ReactionMixture,
-    SiteGraph,
-    instance_name,
-    is_subgraph,
-    node_type,
-    rename,
-)
+from .sitegraph import ReactionMixture, SiteGraph, instance_name, node_type
 
 DEFAULT_MAX_STATES = 200000
 
@@ -86,47 +81,6 @@ class RuleModel:
                 for edge in side.edges:
                     types.add(frozenset(edge))
         return frozenset(types)
-
-
-def apply(rule: RewriteRule, mix: ReactionMixture, eta: dict) -> ReactionMixture:
-    """Apply a rule through an embedding: toggle the differing edges."""
-    left_image = rename(rule.left, eta)
-    if not is_subgraph(left_image, mix.graph):
-        raise InvalidEmbedding("renamed left side is not contained in the mixture")
-    bound = mix.graph.bound_endpoints()
-    left_bound = left_image.bound_endpoints()
-    for v in left_image.nodes:
-        for s in left_image.interface[v]:
-            if (v, s) not in left_bound and (v, s) in bound:
-                raise InvalidEmbedding(f"site ({v}, {s}) is tested free but bound")
-    right_image = rename(rule.right, eta)
-    removed = left_image.edges - right_image.edges
-    added = right_image.edges - left_image.edges
-    edges = set(mix.graph.edges) - removed
-    occupied = {ep for edge in edges for ep in edge}
-    for edge in added:
-        for endpoint in edge:
-            if endpoint in occupied:
-                raise SiteConflict(f"site {endpoint} already bound")
-            occupied.add(endpoint)
-        edges.add(edge)
-    graph = SiteGraph(mix.graph.nodes, mix.graph.interface, frozenset(edges))
-    return ReactionMixture(graph, mix.counts)
-
-
-def _key_part(end1, end2) -> str:
-    (v1, s1), (v2, s2) = sorted((end1, end2))
-    return f"{v1}.{s1}-{v2}.{s2}"
-
-
-def _join_key(parts) -> str:
-    return ";".join(sorted(parts)) if parts else "-"
-
-
-def mixture_key(mix: ReactionMixture) -> str:
-    """Concrete (instance-level) serialization of a mixture; states of the
-    explored chain are compared by this key, not up to renaming."""
-    return _join_key([_key_part(*edge) for edge in mix.graph.edges])
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -250,7 +204,8 @@ class _CompiledRule:
     added: tuple  # (position, position) per bond the rule makes
 
     def targets(self, state):
-        """Successor states, one per embedding in find_embeddings order."""
+        """Successor states, one per embedding, in the order of the instances
+        of the sorted pattern nodes, each by index."""
         if not self.supported:
             raise UnsupportedPattern("pattern mentions two nodes of the same type")
         out = []
@@ -359,7 +314,7 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
 
     Every application that changes the mixture becomes one entry of the
     generator, taken over rules in rule order, then over embeddings in
-    find_embeddings order. ``RateMatrix`` adds up the entries that share a
+    ``targets`` order. ``RateMatrix`` adds up the entries that share a
     target, seeing them in that order (its sort is stable), and each
     diagonal is minus the sum of its row's entries in that order. Raises
     StateCapExceeded as soon as more than max_states states are found."""
@@ -372,16 +327,17 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
     parts = {}
 
     def key_of(state):
-        """mixture_key of the mixture a state encodes."""
+        """The key of the mixture a state encodes."""
         out = []
         for x, y in enumerate(state):
             if y > x:
                 part = parts.get((x, y))
                 if part is None:
-                    part = parts[(x, y)] = _key_part((slot_instance[x], slot_kind[x][1]),
-                                                     (slot_instance[y], slot_kind[y][1]))
+                    (v, s), (w, t) = sorted(((slot_instance[x], slot_kind[x][1]),
+                                             (slot_instance[y], slot_kind[y][1])))
+                    part = parts[(x, y)] = f"{v}.{s}-{w}.{t}"
                 out.append(part)
-        return _join_key(out)
+        return ";".join(sorted(out)) if out else "-"
 
     start = _state_of(initial.graph.edges, layout)
     # states are numbered in discovery order here and renumbered at the end
@@ -438,12 +394,6 @@ def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
                     names.setdefault(j, set()).add(rule.name)
         labels.update(((i, j), tuple(sorted(s))) for j, s in names.items())
     return labels
-
-
-def is_reversible(model: RuleModel) -> bool:
-    """Every rule has a reverse rule (sides swapped)."""
-    sides = {(rule.left, rule.right) for rule in model.rules}
-    return all((rule.right, rule.left) in sides for rule in model.rules)
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:

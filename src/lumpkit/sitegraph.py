@@ -1,4 +1,4 @@
-"""Site-graphs, reaction mixtures, renaming, embeddings, and canonical keys.
+"""Site-graphs, reaction mixtures, the component walk, and canonical keys.
 
 Nodes carry named sites; an edge connects a site of one node to a site of a
 different node. Rule patterns use bare type names as nodes ("A"), while
@@ -9,17 +9,13 @@ most once, which makes "free site" well defined.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import (
-    NotConnected,
-    RenamingIncomplete,
-    UnsupportedPattern,
-)
+from .errors import NotConnected
+
 
 def make_edge(node1, site1, node2, site2):
     return frozenset(((node1, site1), (node2, site2)))
@@ -132,22 +128,6 @@ def reach(bonds, root) -> list:
     return order
 
 
-def connected_components(g: SiteGraph):
-    """Components under site-graph reachability, in order of their smallest
-    node.
-
-    A path may pass through a node only by entering and leaving on distinct
-    sites; for components this coincides with plain edge reachability, since
-    any two edges at a node necessarily use distinct sites (each site binds
-    at most one edge within a component's mixture, and even without that, a
-    path of length one connects the endpoints directly).
-    """
-    bonds = g.bonds()
-    return [SiteGraph(frozenset(nodes), {v: g.interface[v] for v in nodes},
-                      frozenset(make_edge(v, s, *end) for v in nodes for s, end in bonds[v]))
-            for nodes in components(bonds)]
-
-
 def components(bonds):
     """Node lists of the components of a bond map, each in reach order from
     its smallest node, in order of that node: the one component walk."""
@@ -157,69 +137,6 @@ def components(bonds):
             nodes = reach(bonds, start)
             done.update(nodes)
             yield nodes
-
-
-def is_subgraph(h: SiteGraph, g: SiteGraph) -> bool:
-    """Containment of nodes, per-node interfaces, and edges."""
-    if not h.nodes <= g.nodes:
-        return False
-    if any(not h.interface[v] <= g.interface[v] for v in h.nodes):
-        return False
-    return h.edges <= g.edges
-
-
-def rename(g: SiteGraph, eta: dict) -> SiteGraph:
-    """Transport a site-graph through an injective node renaming."""
-    missing = g.nodes - set(eta)
-    if missing:
-        raise RenamingIncomplete(f"no image for nodes {sorted(missing)}")
-    if len({eta[v] for v in g.nodes}) != len(g.nodes):
-        raise ValueError("renaming must be injective")
-    nodes = frozenset(eta[v] for v in g.nodes)
-    interface = {eta[v]: g.interface[v] for v in g.nodes}
-    edges = frozenset(frozenset((eta[v], s) for v, s in edge) for edge in g.edges)
-    return SiteGraph(nodes, interface, edges)
-
-
-def find_embeddings(pattern: SiteGraph, mix: ReactionMixture):
-    """All embeddings of a one-node-per-type pattern into a mixture.
-
-    An embedding maps each pattern node to an instance of its type so that
-    every pattern edge is present in the mixture and every pattern site not
-    bound within the pattern is free in the mixture (a site mentioned by a
-    rule without a bond is a tested-free site). Results are ordered by
-    instance index, following the sorted pattern node order.
-    """
-    pattern_nodes = sorted(pattern.nodes)
-    types = [node_type(v) for v in pattern_nodes]
-    if len(set(types)) != len(types):
-        raise UnsupportedPattern("pattern mentions two nodes of the same type")
-    candidates = []
-    for t in types:
-        count = mix.counts.get(t, 0)
-        candidates.append([instance_name(t, j) for j in range(1, count + 1)])
-    bound_in_pattern = pattern.bound_endpoints()
-    mix_bound = mix.graph.bound_endpoints()
-    embeddings = []
-    for images in itertools.product(*candidates):
-        eta = dict(zip(pattern_nodes, images))
-        ok = True
-        for edge in pattern.edges:
-            image = frozenset((eta[v], s) for v, s in edge)
-            if image not in mix.graph.edges:
-                ok = False
-                break
-        if ok:
-            for v in pattern_nodes:
-                for s in pattern.interface[v]:
-                    if (v, s) not in bound_in_pattern and (eta[v], s) in mix_bound:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            embeddings.append(eta)
-    return embeddings
 
 
 def canonical_key(component: SiteGraph) -> str:

@@ -57,9 +57,10 @@ class TestPartitionAndMeasures:
         with pytest.raises(ValueError):
             aggregation.MeasureFamily(({0: 0.6, 1: 0.6},))
 
-    def test_measures_must_be_positive(self):
-        with pytest.raises(ValueError):
-            aggregation.MeasureFamily(({0: 1.0, 1: 0.0},))
+    @pytest.mark.parametrize("weight", [0.0, float("nan")])
+    def test_measures_must_be_positive(self, weight):
+        with pytest.raises(ValueError, match="not positive"):
+            aggregation.MeasureFamily(({0: 1.0, 1: weight},))
 
 
 class TestDeltaTable:
@@ -309,7 +310,6 @@ class TestNested:
     def test_fine_equals_coarse_gives_point_masses(self):
         part = aggregation.Partition(((0, 1), (2,)))
         res = aggregation.nested(part, part)
-        assert res.refines
         assert res.alpha_prime.alphas == ({0: 1.0}, {1: 1.0})
 
     def test_straddling_block_raises(self):
@@ -323,7 +323,6 @@ class TestNested:
         fine = rules.build_partition(ch, casestudies.scaffold_phi1)
         coarse = rules.build_partition(ch, casestudies.scaffold_phi2)
         res = aggregation.nested(fine, coarse)
-        assert res.refines
         # the 9-state coarse block splits into fine blocks of sizes 3 and 6
         weights = sorted(w for alpha in res.alpha_prime.alphas
                          for w in alpha.values())

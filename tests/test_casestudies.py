@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from math import factorial
 
+import oracle
 import pytest
 from conftest import bond_maps, key_mixture
 
@@ -61,7 +62,7 @@ def phi1_size_oracle(phi1_value, n):
 
 class TestScaffoldModel:
     def test_reversible(self):
-        assert rules.is_reversible(casestudies.scaffold_model(
+        assert oracle.is_reversible(casestudies.scaffold_model(
             casestudies.ScaffoldParams(1, 1, 1, 2.0, 3.0, 4.0, 5.0)))
 
     def test_param_validation(self):
@@ -159,7 +160,7 @@ class TestScaffoldPhisAgainstPerNodeReading:
 
 def reference_species(mix):
     return tuple(sorted(Counter(sitegraph.canonical_key(c)
-                                for c in sitegraph.connected_components(mix.graph)).items()))
+                                for c in oracle.connected_components(mix.graph)).items()))
 
 
 class TestPhisAgainstMixtureReference:
@@ -174,8 +175,8 @@ class TestPhisAgainstMixtureReference:
         chain = polymer_chain(n)
         for key, bonds in zip(chain.space.states, bond_maps(chain)):
             mix = key_mixture(key, POLYMER, chain.counts)
-            classes = Counter(casestudies.polymer_classify(c)
-                              for c in sitegraph.connected_components(mix.graph))
+            classes = Counter(oracle.polymer_classify(c)
+                              for c in oracle.connected_components(mix.graph))
             edges = mix.graph.edges
             m_rl = sum(1 for e in edges if {s for _, s in e} == {"r", "l"})
             assert phi["polymer-phi1"](bonds) == tuple(sorted(
@@ -244,7 +245,7 @@ class TestScaffoldClassSizes:
 
 class TestPolymerModel:
     def test_reversible(self):
-        assert rules.is_reversible(casestudies.polymer_model(
+        assert oracle.is_reversible(casestudies.polymer_model(
             casestudies.PolymerParams(2, 1.0, 2.0, 3.0, 4.0)))
 
     def test_n1_four_states(self):
@@ -269,14 +270,14 @@ class TestPolymerModel:
 class TestPolymerClassify:
     def test_single_free_a(self):
         g = SiteGraph(frozenset({"A#1"}), {"A#1": POLYMER["A"]}, frozenset())
-        cls = casestudies.polymer_classify(g)
+        cls = oracle.polymer_classify(g)
         assert cls.kind == "ChainAA" and cls.length_index == 1
 
     def test_dimer_is_chain_ba(self):
         g = SiteGraph(frozenset({"A#1", "B#1"}),
                       {"A#1": POLYMER["A"], "B#1": POLYMER["B"]},
                       frozenset({edge("A#1", "b", "B#1", "a")}))
-        cls = casestudies.polymer_classify(g)
+        cls = oracle.polymer_classify(g)
         assert cls.kind == "ChainBA" and cls.length_index == 1
 
     def test_double_bond_is_ring(self):
@@ -284,13 +285,13 @@ class TestPolymerClassify:
                       {"A#1": POLYMER["A"], "B#1": POLYMER["B"]},
                       frozenset({edge("A#1", "b", "B#1", "a"),
                                  edge("A#1", "r", "B#1", "l")}))
-        cls = casestudies.polymer_classify(g)
+        cls = oracle.polymer_classify(g)
         assert cls.kind == "Ring" and cls.length_index == 1
 
     def test_foreign_node_type_rejected(self):
         g = SiteGraph(frozenset({"X#1"}), {"X#1": frozenset({"s"})}, frozenset())
         with pytest.raises(NotPolymerComponent):
-            casestudies.polymer_classify(g)
+            oracle.polymer_classify(g)
 
     @staticmethod
     def polymer_graph(nodes, edges, interface=POLYMER):
@@ -299,18 +300,18 @@ class TestPolymerClassify:
 
     def test_rl_dimer_is_chain_ab(self):
         g = self.polymer_graph({"A#1", "B#1"}, {edge("A#1", "r", "B#1", "l")})
-        assert casestudies.polymer_classify(g) == casestudies.ComponentClass("ChainAB", 1)
+        assert oracle.polymer_classify(g) == casestudies.ComponentClass("ChainAB", 1)
 
     def test_chain_bb_counts_b_nodes(self):
         g = self.polymer_graph({"A#1", "B#1", "B#2"}, {edge("A#1", "b", "B#1", "a"),
                                                        edge("A#1", "r", "B#2", "l")})
-        assert casestudies.polymer_classify(g) == casestudies.ComponentClass("ChainBB", 2)
+        assert oracle.polymer_classify(g) == casestudies.ComponentClass("ChainBB", 2)
 
     def test_ring_of_two(self):
         g = self.polymer_graph({"A#1", "A#2", "B#1", "B#2"}, {
             edge("A#1", "b", "B#1", "a"), edge("B#1", "l", "A#2", "r"),
             edge("A#2", "b", "B#2", "a"), edge("B#2", "l", "A#1", "r")})
-        assert casestudies.polymer_classify(g) == casestudies.ComponentClass("Ring", 2)
+        assert oracle.polymer_classify(g) == casestudies.ComponentClass("Ring", 2)
 
     @pytest.mark.parametrize("nodes, edges, interface, message", [
         # two free monomers in one graph, with all their sites, then with one each
@@ -326,7 +327,7 @@ class TestPolymerClassify:
     def test_not_polymer_component(self, nodes, edges, interface, message):
         g = self.polymer_graph(nodes, edges, interface)
         with pytest.raises(NotPolymerComponent) as exc:
-            casestudies.polymer_classify(g)
+            oracle.polymer_classify(g)
         assert str(exc.value) == message
 
 
@@ -342,8 +343,8 @@ class TestPolymerPhis:
             edge("A#4", "b", "B#5", "a"), edge("B#5", "l", "A#5", "r")])
         expected = ((("ChainAA", 2), 1), (("ChainBB", 2), 1), (("Ring", 2), 1))
         assert casestudies.polymer_phi1(mix.graph.bonds()) == expected
-        per_component = Counter(casestudies.polymer_classify(c)
-                                for c in sitegraph.connected_components(mix.graph))
+        per_component = Counter(oracle.polymer_classify(c)
+                                for c in oracle.connected_components(mix.graph))
         assert tuple(sorted(((c.kind, c.length_index), k)
                             for c, k in per_component.items())) == expected
 
@@ -356,7 +357,7 @@ class TestPolymerPhis:
 
         monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
         monkeypatch.setattr(SiteGraph, "bound_endpoints", forbidden)
-        monkeypatch.setattr(sitegraph, "connected_components", forbidden)
+        monkeypatch.setattr(oracle, "connected_components", forbidden)
         assert [casestudies.polymer_phi1(bonds) for bonds in maps] == expected
         assert len(set(expected)) == 15  # one per species census at n=2
 

@@ -313,7 +313,7 @@ class TestBadInput:
         assert not (tmp_path / "mu.csv").exists()
 
     @pytest.mark.parametrize("rows", ["{0},nan\n{1},1.0\n", "{0},inf\n", "{0}\n",
-                                      "{0},0.5\n{0},0.5\n{1},0.5\n"])
+                                      "{0},0.5\n{0},0.5\n{1},0.5\n", "{0},0.5\n"])
     def test_bad_distribution_file(self, scaffold_files, tmp_path, capsys, rows):
         _, chain = scaffold_files
         states = json.loads(chain.read_text())["states"]
@@ -322,7 +322,57 @@ class TestBadInput:
         code = cli.main(["transient", str(chain), "--init", str(init),
                          "--t", "1", "--out", str(tmp_path / "dist")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(init) in err and "np." not in err
+
+    def test_distribution_sum_is_a_plain_float(self, scaffold_files, tmp_path, capsys):
+        _, chain = scaffold_files
+        init = tmp_path / "init.csv"
+        init.write_text(json.loads(chain.read_text())["states"][0] + ",0.5\n")
+        cli.main(["transient", str(chain), "--init", str(init), "--t", "1",
+                  "--out", str(tmp_path / "dist")])
+        assert capsys.readouterr().err == f"error: {init}: weights sum to 0.5, expected 1\n"
+
+    @pytest.mark.parametrize("reader, content", [
+        ("chain", lambda states: [1, 2]),
+        ("chain", lambda states: {"states": [[s] for s in states], "kind": "rate",
+                                  "triplets": []}),
+        ("chain", lambda states: {"states": states, "triplets": []}),
+        ("chain", lambda states: {"states": states, "kind": "foo", "triplets": []}),
+        ("chain", lambda states: {"states": states[:1] * 2, "kind": "rate", "triplets": []}),
+        ("chain", lambda states: {"states": states, "kind": "rate", "triplets": [[0, 0, {}]]}),
+        ("chain", lambda states: {"states": states, "kind": "rate", "triplets": 5}),
+        ("partition", lambda states: [1]),
+        ("partition", lambda states: {}),
+        ("partition", lambda states: {"blocks": "".join(states)}),  # read as "a", "b"
+        ("partition", lambda states: {"blocks": [states, states[:1]]}),
+        ("partition", lambda states: {"blocks": [states, []]}),
+        ("measures", lambda states: []),
+        ("measures", lambda states: {"alphas": [{s: "x"} for s in states]}),
+        ("measures", lambda states: {"alphas": [{s: True} for s in states]}),
+        ("measures", lambda states: {"alphas": [{s: float("nan")} for s in states]}),
+        ("measures", lambda states: {"alphas": [{s: 0.4} for s in states]}),
+        ("measures", lambda states: {"alphas": [{s: -1.0} for s in states]}),
+    ], ids=["not-object", "list-key", "no-kind", "kind-foo", "state-twice", "object-value",
+            "number-triplets", "not-object", "no-blocks", "string-blocks", "state-twice",
+            "empty-block", "not-object", "string-weight", "bool-weight", "nan-weight",
+            "sum-0.4", "negative-weight"])
+    def test_malformed_json_file_names_the_file(self, tmp_path, capsys, reader, content):
+        states = ["a", "b"]
+        chain = tmp_path / "ab.json"
+        chain.write_text(json.dumps({"states": states, "kind": "rate", "triplets": [
+            [0, 1, 1.0], [0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0]]}))
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"blocks": [[s] for s in states]}))
+        bad = tmp_path / f"bad-{reader}.json"
+        bad.write_text(json.dumps(content(states)))
+        argv = {"chain": ["stationary", str(bad), "--out", str(tmp_path / "mu.csv")],
+                "partition": ["check", str(chain), "--partition", str(bad)],
+                "measures": ["check", str(chain), "--partition", str(part),
+                             "--measures", str(bad)]}[reader]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("row", ["{0},1,2", "{0},abc", "{0},1,"])
     def test_malformed_distribution_row_names_file_and_row(self, scaffold_files, tmp_path,

@@ -1,14 +1,16 @@
 import os
 
 import numpy as np
+import oracle
 import pytest
 from conftest import bond_maps, key_mixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpkit import aggregation, casestudies, cli, markov, rules, sitegraph
+import lumpkit
+from lumpkit import aggregation, casestudies, cli, errors, markov, rules, sitegraph
 from lumpkit.errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
-from lumpkit.sitegraph import ReactionMixture, SiteGraph, find_embeddings, make_mixture, rename
+from lumpkit.sitegraph import ReactionMixture, SiteGraph, make_mixture
 
 SCAFFOLD = casestudies.SCAFFOLD_INTERFACE
 POLYMER = casestudies.POLYMER_INTERFACE
@@ -90,7 +92,7 @@ class TestApply:
         r1 = model.rules[0]
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1},
                            [edge("B#3", "c", "C#1", "b")])
-        result = rules.apply(r1, mix, {"A": "A#1", "B": "B#1"})
+        result = oracle.apply(r1, mix, {"A": "A#1", "B": "B#1"})
         assert edge("A#1", "b", "B#1", "a") in result.graph.edges
         assert edge("B#3", "c", "C#1", "b") in result.graph.edges
 
@@ -98,24 +100,24 @@ class TestApply:
         model = scaffold_model()
         r1, _, r3, _ = model.rules
         eta = {"A": "A#1", "B": "B#1"}
-        bound = rules.apply(r1, model.initial, eta)
-        back = rules.apply(r3, bound, eta)
+        bound = oracle.apply(r1, model.initial, eta)
+        back = oracle.apply(r3, bound, eta)
         assert back.graph == model.initial.graph
 
     def test_noop_rule(self):
         g = SiteGraph(frozenset({"A"}), {"A": frozenset({"b"})}, frozenset())
         noop = rules.RewriteRule(g, g, 1.0, "noop")
         model = scaffold_model()
-        result = rules.apply(noop, model.initial, {"A": "A#1"})
+        result = oracle.apply(noop, model.initial, {"A": "A#1"})
         assert result.graph == model.initial.graph
 
     def test_invalid_embedding_rejected(self):
         model = scaffold_model()
         r1 = model.rules[0]
-        bound = rules.apply(r1, model.initial, {"A": "A#1", "B": "B#1"})
+        bound = oracle.apply(r1, model.initial, {"A": "A#1", "B": "B#1"})
         # the left side tests A.b and B.a free, both bound now
         with pytest.raises(InvalidEmbedding):
-            rules.apply(r1, bound, {"A": "A#1", "B": "B#1"})
+            oracle.apply(r1, bound, {"A": "A#1", "B": "B#1"})
 
 
 class TestExplore:
@@ -139,7 +141,7 @@ class TestExplore:
         chain = rules.explore(model)
         start = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1},
                              [edge("A#1", "b", "B#1", "a")])
-        i = chain.space.index[rules.mixture_key(start)]
+        i = chain.space.index[oracle.mixture_key(start)]
         r2_rates = [v for (a, b), names in rules.edge_labels(model, chain).items()
                     if a == i and "r2" in names
                     for (row, col, v) in chain.matrix.triplets()
@@ -154,7 +156,7 @@ class TestExplore:
         for i, key in enumerate(chain.space.states):
             mix = key_mixture(key, SCAFFOLD, chain.counts)
             expected = sum(
-                rule.rate * len(find_embeddings(rule.left, mix))
+                rule.rate * len(oracle.find_embeddings(rule.left, mix))
                 for rule in model.rules)
             off_diag = dense[i].sum() - dense[i, i]
             assert abs(off_diag - expected) < 1e-12
@@ -187,9 +189,9 @@ class TestExplore:
         assert len(chain.space) == 4
         assert len(labels) == 8
         assert len(chain.matrix.triplets()) == 10
-        bc = rules.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
+        bc = oracle.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
                                             [edge("B#1", "c", "C#1", "b")]))
-        ab_bc = rules.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
+        ab_bc = oracle.mixture_key(make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
                                                [edge("A#1", "b", "B#1", "a"),
                                                 edge("B#1", "c", "C#1", "b")]))
         i, j = chain.space.index[bc], chain.space.index[ab_bc]
@@ -233,7 +235,7 @@ class TestExplore:
         def forbidden(*args, **kwargs):
             raise AssertionError("explore built a per-transition object")
 
-        for module in (rules, sitegraph):
+        for module in (rules, sitegraph, oracle):
             for name in ("apply", "find_embeddings", "rename", "make_mixture"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
@@ -254,7 +256,7 @@ class TestExplore:
         chain = rules.explore(model)
         eta = {"A#1": "A#1", "B#1": "B#2", "B#2": "B#3", "B#3": "B#1",
                "C#1": "C#1"}
-        renamed = ReactionMixture(rename(model.initial.graph, eta),
+        renamed = ReactionMixture(oracle.rename(model.initial.graph, eta),
                                   model.initial.counts)
         model2 = rules.RuleModel(model.rules, renamed, model.interface)
         chain2 = rules.explore(model2)
@@ -268,18 +270,29 @@ class TestExplore:
         assert sorted_rows(chain.matrix) == sorted_rows(chain2.matrix)
 
 
+def test_single_rule_application_is_not_public():
+    """The library has one rule engine, explore's compiled rules; the
+    site-graph semantics it compiles live in the tests' oracle."""
+    moved = ("apply", "find_embeddings", "rename", "is_subgraph", "mixture_key",
+             "is_reversible", "connected_components", "polymer_classify", "RenamingIncomplete")
+    for module in (lumpkit, rules, sitegraph, casestudies, errors):
+        assert [name for name in moved if hasattr(module, name)] == [], module.__name__
+    assert not set(moved) & set(lumpkit.__all__)
+    assert all(hasattr(oracle, name) for name in moved)
+
+
 class TestReversibility:
     def test_scaffold_reversible(self):
-        assert rules.is_reversible(scaffold_model())
+        assert oracle.is_reversible(scaffold_model())
 
     def test_bind_only_not_reversible(self):
         model = scaffold_model()
         partial = rules.RuleModel(model.rules[:1], model.initial, model.interface)
-        assert not rules.is_reversible(partial)
+        assert not oracle.is_reversible(partial)
 
     def test_empty_rule_set_vacuously_reversible(self):
         initial = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1})
-        assert rules.is_reversible(rules.RuleModel((), initial, dict(SCAFFOLD)))
+        assert oracle.is_reversible(rules.RuleModel((), initial, dict(SCAFFOLD)))
 
 
 class TestBuildPartition:
@@ -322,7 +335,7 @@ class TestSerialization:
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1},
                            [edge("A#1", "b", "B#2", "a"),
                             edge("B#2", "c", "C#1", "b")])
-        key = rules.mixture_key(mix)
+        key = oracle.mixture_key(mix)
         assert rules.mixture_from_key(key, mix.counts) == mix.graph.bonds()
 
     @pytest.mark.parametrize("model", [scaffold_model(1, 1, 1), scaffold_model(2, 3, 2),
@@ -332,7 +345,7 @@ class TestSerialization:
         chain = rules.explore(model)
         for key, bonds in zip(chain.space.states, bond_maps(chain)):
             built = key_mixture(key, model.interface, model.initial.counts)
-            assert rules.mixture_key(built) == key
+            assert oracle.mixture_key(built) == key
             assert bonds == built.graph.bonds()
             assert list(bonds) == list(rules._instances(tuple(model.initial.counts.items())))
 
@@ -347,7 +360,7 @@ class TestSerialization:
 
     def test_edgeless_key(self):
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1})
-        assert rules.mixture_key(mix) == "-"
+        assert oracle.mixture_key(mix) == "-"
 
     def test_edgeless_key_decodes_to_every_instance_unbound(self):
         bonds = rules.mixture_from_key("-", {"A": 2, "B": 1, "C": 1})

