@@ -57,10 +57,13 @@ class TestPartitionAndMeasures:
         with pytest.raises(ValueError):
             aggregation.MeasureFamily(({0: 0.6, 1: 0.6},))
 
-    @pytest.mark.parametrize("weight", [0.0, float("nan")])
-    def test_measures_must_be_positive(self, weight):
+    def test_measures_must_be_positive(self):
         with pytest.raises(ValueError, match="not positive"):
-            aggregation.MeasureFamily(({0: 1.0, 1: weight},))
+            aggregation.MeasureFamily(({0: 1.0, 1: 0.0},))
+
+    def test_measures_refuse_nan(self):
+        with pytest.raises(ValueError, match="not positive"):
+            aggregation.MeasureFamily(({0: 1.0, 1: float("nan")},))
 
 
 class TestDeltaTable:
