@@ -326,12 +326,10 @@ def load_partition(path, space) -> Partition:
     markov.check_shape(data, {"blocks": [[str]]}, path)
     blocks = tuple(tuple(space.lookup(k, path) for k in block) for block in data["blocks"])
     uncovered = len(space) - len({s for block in blocks for s in block})
-    if uncovered:
-        raise ValueError(f"{path}: partition leaves {uncovered} of {len(space)} states uncovered")
-    try:
+    with markov.naming(path):
+        if uncovered:
+            raise ValueError(f"partition leaves {uncovered} of {len(space)} states uncovered")
         return Partition(blocks)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_measures(path, alphas: MeasureFamily, space):
@@ -344,10 +342,8 @@ def load_measures(path, space) -> MeasureFamily:
     markov.check_shape(data, {"alphas": [{str: float}]}, path)
     alphas = tuple({space.lookup(k, path): float(w) for k, w in a.items()}
                    for a in data["alphas"])
-    try:
+    with markov.naming(path):
         return MeasureFamily(alphas)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_diagnostics(path, series):

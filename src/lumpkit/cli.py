@@ -30,7 +30,7 @@ _CASE_STUDY_INTERFACES = {"scaffold": casestudies.SCAFFOLD_INTERFACE,
 
 
 def _load_model(path):
-    with open(path, encoding="utf-8") as fh:
+    with markov.naming(path), open(path, encoding="utf-8") as fh:
         return dsl.parse_model(fh.read())
 
 
@@ -53,7 +53,8 @@ def _partition_for(args, space, matrix):
 def _measures_for(args, space, part):
     if args.measures:
         alphas = aggregation.load_measures(args.measures, space)
-        alphas.check_compatible(part)
+        with markov.naming(args.measures):
+            alphas.check_compatible(part)
         return alphas
     return aggregation.uniform_measures(part)
 
@@ -69,8 +70,7 @@ def cmd_explore(args):
     if max_states is None:  # read here, so that a bad value is an input error
         max_states = rules.max_states_from_env()
     chain = rules.explore(model, max_states)
-    markov.save_chain(args.out, chain.space, chain.matrix,
-                      extra={"counts": dict(model.initial.counts)})
+    markov.save_chain(args.out, chain.space, chain.matrix)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(rules.export_dot(model, chain))

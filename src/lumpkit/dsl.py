@@ -99,6 +99,8 @@ def _parse_rate(text, line):
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelSyntaxError(f"malformed rate {text!r}", line) from exc
+    except OverflowError:  # past the float range, which RewriteRule refuses
+        return float("inf")
 
 
 def parse_model(text: str) -> RuleModel:
@@ -125,11 +127,11 @@ def parse_model(text: str) -> RuleModel:
             rule_name, left_text, right_text, rate_text = match.groups()
             left = _parse_pattern(left_text, declared, lineno)
             right = _parse_pattern(right_text, declared, lineno)
-            if left.nodes != right.nodes or left.interface != right.interface:
-                raise ModelSyntaxError(
-                    "rule sides must mention the same nodes and sites", lineno)
-            rules.append(RewriteRule(left, right, _parse_rate(rate_text, lineno),
-                                     rule_name))
+            rate = _parse_rate(rate_text, lineno)
+            try:
+                rules.append(RewriteRule(left, right, rate, rule_name))
+            except ValueError as exc:  # sides that differ, a rate that is not allowed
+                raise ModelSyntaxError(str(exc), lineno) from None
         elif line.startswith("init"):
             match = _INIT_RE.match(line)
             if not match:

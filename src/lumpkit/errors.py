@@ -70,13 +70,9 @@ class NotPolymerComponent(LumpkitError):
 class ModelSyntaxError(LumpkitError):
     """Rule DSL parse error, carrying source position."""
 
-    def __init__(self, message, line=None, column=None):
-        pos = ""
-        if line is not None:
-            pos = f" at line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(message + pos)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} at line {line}")
         self.line = line
-        self.column = column
 
 
 class UndeclaredSite(ModelSyntaxError):

@@ -9,7 +9,9 @@ scipy is imported inside ``classify`` and ``stationary`` only, which keeps
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import math
 import reprlib
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotIrreducible, RateBoundViolated, SolverFailure
+from .errors import ModelSyntaxError, NotIrreducible, RateBoundViolated, SolverFailure
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_RATE_SLACK = 1.05
@@ -377,8 +379,18 @@ def save_json(path, data: dict):
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Reraise an input error about the file at path that does not name it (bytes
+    not UTF-8, malformed JSON, a value refused) as a ValueError naming it first."""
+    try:
+        yield
+    except (ValueError, OverflowError, ModelSyntaxError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with naming(path), open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -408,9 +420,8 @@ def check_shape(value, shape, path, where=""):
             check_shape(value[name], inner, path, f"{where}.{name}" if where else name)
 
 
-def save_chain(path, space: StateSpace, K, extra=None):
-    save_json(path, {"states": list(space.states), "kind": K.kind,
-                     "triplets": K.triplets(), **(extra or {})})
+def save_chain(path, space: StateSpace, K):
+    save_json(path, {"states": list(space.states), "kind": K.kind, "triplets": K.triplets()})
 
 
 def load_chain(path):
@@ -419,11 +430,15 @@ def load_chain(path):
     cls = {"stochastic": StochasticMatrix, "rate": RateMatrix}.get(data["kind"])
     if cls is None:
         raise ValueError(f"entry kind of {path} is {data['kind']!r}, not 'rate' or 'stochastic'")
-    try:
+    triplets = data["triplets"]
+    # numpy would take "1.5" and true for numbers: scan at C speed, and name
+    # the culprit with check_shape, a Python loop, only if there is one
+    if not (set(map(type, triplets)) <= {list} and set(
+            map(type, itertools.chain.from_iterable(triplets))) <= {int, float}):
+        check_shape(triplets, [[float]], path, "triplets")
+    with naming(path):
         space = StateSpace(tuple(data["states"]))
-        return space, cls.from_triplets(len(space), data["triplets"])
-    except (TypeError, ValueError) as exc:  # TypeError: numpy reading a JSON object as a number
-        raise ValueError(f"{path}: {exc}") from None
+        return space, cls.from_triplets(len(space), triplets)
 
 
 def save_distribution(path, space: StateSpace, dist: Distribution):
@@ -436,20 +451,19 @@ def save_distribution(path, space: StateSpace, dist: Distribution):
 def load_distribution(path, space: StateSpace) -> Distribution:
     weights = np.zeros(len(space))
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        for number, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                key, value = row
-                weight = float(value)
-            except ValueError:
-                raise ValueError(f"row {number} of {path} is not key,weight: {row!r}") from None
-            if key in seen:
-                raise ValueError(f"state {key!r} listed twice in {path}")
-            seen.add(key)
-            weights[space.lookup(key, path)] = weight
-    try:
+    with naming(path), open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for number, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        try:
+            key, value = row
+            weight = float(value)
+        except ValueError:
+            raise ValueError(f"row {number} of {path} is not key,weight: {row!r}") from None
+        if key in seen:
+            raise ValueError(f"state {key!r} listed twice in {path}")
+        seen.add(key)
+        weights[space.lookup(key, path)] = weight
+    with naming(path):
         return Distribution(weights)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

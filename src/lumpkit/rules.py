@@ -1,12 +1,12 @@
 """Rule-based models: the one rule engine, reachability, and the mixture CTMC.
 
 A rewrite rule keeps its node set and interfaces fixed and only toggles
-edges. ``explore`` compiles each rule once and applies it through every
-embedding of its left side into a slot-encoded state. The generator over
-reaction mixtures assigns each (rule, embedding) application its rule
-constant; when several applications hit the same target mixture the rates
-add (race of exponential clocks), which keeps the total exit rate equal to
-sum of rate * embedding count.
+edges. ``_applications``, the one breadth-first search, compiles each rule
+once and applies it through every embedding of its left side into a
+slot-encoded state. The generator over reaction mixtures assigns each
+(rule, embedding) application its rule constant; when several applications
+hit the same target mixture the rates add (race of exponential clocks),
+which keeps the total exit rate equal to sum of rate * embedding count.
 """
 
 from __future__ import annotations
@@ -97,19 +97,15 @@ def _edge_from_part(part: str) -> frozenset:
     return frozenset(((v1, s1), (v2, s2)))
 
 
-def _key_edges(key: str):
-    """The edges of a mixture key."""
-    return () if key == "-" else map(_edge_from_part, key.split(";"))
-
-
 def mixture_from_key(key: str, counts: dict) -> dict:
     """The bond map of the mixture a state key encodes, as
     ``SiteGraph.bonds()`` gives it: every instance of counts -> its bonds in
     site order. A key that names an instance outside counts or binds a site
     twice raises ``ValueError``."""
     bonds = {v: [] for v in _instances(tuple(counts.items()))}
+    edges = () if key == "-" else map(_edge_from_part, key.split(";"))
     try:
-        for (v1, s1), (v2, s2) in _key_edges(key):
+        for (v1, s1), (v2, s2) in edges:
             bonds[v1].append((s1, (v2, s2)))
             bonds[v2].append((s2, (v1, s1)))
     except KeyError as exc:
@@ -195,7 +191,6 @@ class _Component:
 
 @dataclass(frozen=True)
 class _CompiledRule:
-    rate: float
     name: str
     supported: bool  # pattern nodes have distinct types
     conflict: tuple  # a pattern site the right side binds twice, or ()
@@ -273,7 +268,6 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
     taken = [end for edge in right.edges for end in edge]
     twice = [end for edge in added for end in sorted(edge) if taken.count(end) > 1]
     return _CompiledRule(
-        rate=rule.rate,
         name=rule.name,
         supported=len({node_type(v) for v in nodes}) == len(nodes),
         conflict=min(twice, default=()),
@@ -298,31 +292,17 @@ def _layout(initial: ReactionMixture):
     return instances, slots, slot_instance, slot_kind
 
 
-def _state_of(edges, layout) -> tuple:
-    """The slot tuple of the mixture with these edges."""
-    _, slots, slot_instance, _ = layout
-    state = [-1] * len(slot_instance)
-    for (v1, s1), (v2, s2) in edges:
-        a, b = slots[v1][s1], slots[v2][s2]
-        state[a], state[b] = b, a
-    return tuple(state)
-
-
-def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredChain:
+def _applications(model: RuleModel, max_states: int):
     """Breadth-first closure of the initial mixture under all rule
-    applications, with deterministic (sorted-frontier) state indexing.
-
-    Every application that changes the mixture becomes one entry of the
-    generator, taken over rules in rule order, then over embeddings in
-    ``targets`` order. ``RateMatrix`` adds up the entries that share a
-    target, seeing them in that order (its sort is stable), and each
-    diagonal is minus the sum of its row's entries in that order. Raises
-    StateCapExceeded as soon as more than max_states states are found."""
+    applications, with deterministic (sorted-frontier) state indexing. Returns
+    the state keys in index order and three arrays: the source, target and
+    rule index of every application that changes the mixture, by source,
+    then rule, then ``targets`` order. Raises StateCapExceeded as soon as
+    more than max_states states are found."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    initial = model.initial
-    layout = _layout(initial)
-    _, _, slot_instance, slot_kind = layout
+    layout = _layout(model.initial)
+    _, slots, slot_instance, slot_kind = layout
     compiled = [_compile(rule, layout) for rule in model.rules]
     parts = {}
 
@@ -339,16 +319,20 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
                 out.append(part)
         return ";".join(sorted(out)) if out else "-"
 
-    start = _state_of(initial.graph.edges, layout)
+    start = [-1] * len(slot_instance)
+    for (v1, s1), (v2, s2) in model.initial.graph.edges:
+        a, b = slots[v1][s1], slots[v2][s2]
+        start[a], start[b] = b, a
+    start = tuple(start)
     # states are numbered in discovery order here and renumbered at the end
     states, keys, number = [start], [key_of(start)], {start: 0}
-    sources, targets, rates = [], [], []  # one entry per application
+    sources, targets, applied = [], [], []  # one entry per application
     order, frontier = [0], [0]
     while frontier:
         discovered = []
         for src in frontier:
             state = states[src]
-            for rule in compiled:
+            for r, rule in enumerate(compiled):
                 for target in rule.targets(state):
                     dst = number.get(target)
                     if dst is None:
@@ -362,37 +346,44 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
                     if dst != src:
                         sources.append(src)
                         targets.append(dst)
-                        rates.append(rule.rate)
+                        applied.append(r)
         frontier = sorted(discovered, key=keys.__getitem__)
         order.extend(frontier)
     del states, number
-    diagonal = np.arange(len(order))
-    index = np.empty_like(diagonal)
-    index[order] = diagonal  # discovery number -> state index
-    rows = index[sources]
-    matrix = RateMatrix(len(order), np.r_[rows, diagonal], np.r_[index[targets], diagonal],
-                        np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(order))])
-    space = StateSpace(tuple(keys[src] for src in order))
-    return ExploredChain(space, matrix, dict(initial.counts))
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.arange(len(order))  # discovery number -> state index
+    return (tuple(keys[src] for src in order), index[sources], index[targets],
+            np.array(applied, dtype=np.intp))
+
+
+def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredChain:
+    """The mixture CTMC; StateCapExceeded past max_states states. Each application
+    that ``_applications`` finds is one generator entry at its rule's rate;
+    ``RateMatrix`` adds up the entries that share a target, and each diagonal
+    is minus the sum of its row's entries, in that order (its sort is stable)."""
+    keys, rows, cols, applied = _applications(model, max_states)
+    rates = np.array([rule.rate for rule in model.rules], dtype=float)[applied]
+    diagonal = np.arange(len(keys))
+    matrix = RateMatrix(len(keys), np.r_[rows, diagonal], np.r_[cols, diagonal],
+                        np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(keys))])
+    return ExploredChain(StateSpace(keys), matrix, dict(model.initial.counts))
 
 
 def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
     """(i, j) -> sorted names of the rules, zero-rate ones included, that take
-    state i to state j != i: explore's compiled rules applied to each state,
-    ordered by i, then by first application in rule and embedding order."""
-    layout = _layout(model.initial)
-    compiled = [_compile(rule, layout) for rule in model.rules]
-    states = [_state_of(_key_edges(key), layout) for key in chain.space.states]
-    number = {state: i for i, state in enumerate(states)}
+    state i to state j != i, in order of first application. Raises
+    ValueError unless chain is ``explore(model)``'s."""
+    try:
+        keys, rows, cols, applied = _applications(model, len(chain.space))
+    except StateCapExceeded:
+        keys = None
+    if keys != chain.space.states:
+        raise ValueError("the chain is not the one that explore makes of the model")
     labels = {}
-    for i, state in enumerate(states):
-        names = {}
-        for rule in compiled:
-            for target in rule.targets(state):
-                j = number[target]
-                if j != i:
-                    names.setdefault(j, set()).add(rule.name)
-        labels.update(((i, j), tuple(sorted(s))) for j, s in names.items())
+    for edge, r in zip(zip(rows.tolist(), cols.tolist()), applied.tolist()):
+        name, seen = model.rules[r].name, labels.get(edge, ())
+        if name not in seen:
+            labels[edge] = tuple(sorted(seen + (name,)))
     return labels
 
 

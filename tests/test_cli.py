@@ -116,6 +116,11 @@ class TestExplore:
         assert cli.main(["explore", str(tmp_path / "missing.model"),
                          "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_chain_file_holds_states_kind_and_triplets(self, scaffold_files):
+        # --phi reads the instance counts from --model, so the file carries none
+        _, chain = scaffold_files
+        assert sorted(json.loads(chain.read_text())) == ["kind", "states", "triplets"]
+
     def test_dot_export(self, scaffold_files, tmp_path):
         model, _ = scaffold_files
         chain = tmp_path / "c2.json"
@@ -426,6 +431,78 @@ class TestBadInput:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err and repr(key) in err
+
+
+class TestUnreadableFiles:
+    @pytest.fixture
+    def ab_files(self, tmp_path):
+        """A two-state chain and its singleton partition."""
+        chain = tmp_path / "ab.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": [
+            [0, 1, 1.0], [0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0]]}))
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"blocks": [["a"], ["b"]]}))
+        return chain, part
+
+    @pytest.mark.parametrize("reader, content", [
+        ("chain", b"not json"),
+        ("chain", b"\xff"),
+        ("partition", b"not json"),
+        ("measures", b"{\"alphas\": [{\"a\xff\": 1}]}"),
+        ("distribution", b"a,1\n\xff,0\n"),
+        ("model", b"node A { sites: b }\n\xff\n"),
+    ], ids=["chain-not-json", "chain-not-utf8", "partition-not-json", "measures-not-utf8",
+            "distribution-not-utf8", "model-not-utf8"])
+    def test_undecodable_file_names_the_file(self, ab_files, tmp_path, capsys, reader, content):
+        chain, part = ab_files
+        bad = tmp_path / f"bad.{reader}"
+        bad.write_bytes(content)
+        argv = {"chain": ["stationary", str(bad), "--out", str(tmp_path / "mu.csv")],
+                "partition": ["check", str(chain), "--partition", str(bad)],
+                "measures": ["check", str(chain), "--partition", str(part),
+                             "--measures", str(bad)],
+                "distribution": ["transient", str(chain), "--init", str(bad), "--t", "1",
+                                 "--out", str(tmp_path / "p")],
+                "model": ["explore", str(bad), "--out", str(tmp_path / "c.json")]}[reader]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("rule, message", [
+        ("A(x), B(a) -> A(x), B(a) @ 1", "site 'x' is not declared for node type 'A'"),
+        ("A(b), B(a) -> A(b!1), B(a!1) @ -1", "rate must be finite and nonnegative"),
+        ("A(b), B(a) -> A(b!1), B(a!1) @ 1e400", "rate must be finite and nonnegative"),
+    ], ids=["undeclared-site", "negative-rate", "rate-past-float-range"])
+    def test_model_error_names_file_and_line(self, tmp_path, capsys, rule, message):
+        model = tmp_path / "x.model"
+        model.write_text(f"node A {{ sites: b }}\nnode B {{ sites: a }}\nrule r: {rule}\n"
+                         "init: A*1, B*1\n")
+        assert cli.main(["explore", str(model), "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message} at line 3\n"
+
+    def test_number_past_the_float_range_names_the_file(self, tmp_path, capsys):
+        chain = tmp_path / "big.json"
+        chain.write_text('{"states": ["a"], "kind": "rate", "triplets": [[0, 0, 1%s]]}'
+                         % ("0" * 400))
+        assert cli.main(["stationary", str(chain), "--out", str(tmp_path / "mu.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {chain}: ")
+
+    @pytest.mark.parametrize("command", ["check", "deaggregate", "transient"])
+    def test_measures_not_matching_the_partition_name_the_file(self, ab_files, tmp_path,
+                                                               capsys, command):
+        chain, part = ab_files
+        measures = tmp_path / "swapped.json"
+        measures.write_text(json.dumps({"alphas": [{"b": 1.0}, {"a": 1.0}]}))
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("block0,0.5\nblock1,0.5\n")
+        given = ["--partition", str(part), "--measures", str(measures)]
+        argv = {"check": ["check", str(chain)],
+                "deaggregate": ["deaggregate", str(blocks), "--chain", str(chain),
+                                "--out", str(tmp_path / "mu.csv")],
+                "transient": ["transient", str(chain), "--init", f"respectful:{blocks}",
+                              "--t", "1", "--out", str(tmp_path / "p")]}[command]
+        assert cli.main(argv + given) == 1
+        assert capsys.readouterr().err == (
+            f"error: {measures}: measure 0 support does not match block 0\n")
 
 
 class TestBadNumbers:

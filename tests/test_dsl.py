@@ -97,6 +97,13 @@ class TestErrors:
                    "rule r: A(b) -> A(b!1), B(a!1) @ 1\ninit: A*1, B*1\n",
                    ModelSyntaxError, 3)
 
+    @pytest.mark.parametrize("rate", ["-1", "1e400"])
+    def test_rate_refused_at_its_line(self, rate):
+        # 1e400 is past the float range
+        self.check("node A { sites: b }\nnode B { sites: a }\n"
+                   f"rule r: A(b), B(a) -> A(b!1), B(a!1) @ {rate}\ninit: A*1, B*1\n",
+                   ModelSyntaxError, 3)
+
     def test_missing_init(self):
         self.check("node A { sites: b }\n", ModelSyntaxError)
 

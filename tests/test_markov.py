@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,17 @@ class TestSerialization:
         assert matrix == ch.matrix
         assert aggregation.load_partition(tmp_path / "partition.json", space) == part
         assert aggregation.load_measures(tmp_path / "measures.json", space) == alphas
+
+    @pytest.mark.parametrize("triplets, where", [
+        ([[0, 1, "1.5"], [0, 0, -1.5], [1, 0, 1], [1, 1, -1]], "triplets[0][2]"),
+        ([[0, 1, 1.5], [0, 0, -1.5], [True, 0, 1], [1, 1, -1]], "triplets[2][0]"),
+    ], ids=["string-value", "bool-row"])
+    def test_chain_triplet_entries_must_be_numbers(self, tmp_path, triplets, where):
+        # numpy would read "1.5" as the number 1.5 and true as row 1
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": triplets}))
+        with pytest.raises(ValueError, match=rf"^entry {re.escape(where)} of .*, not a number$"):
+            markov.load_chain(path)
 
     def test_distribution_round_trip(self, tmp_path):
         space = markov.StateSpace(("a", "b", "c"))

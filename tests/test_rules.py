@@ -419,6 +419,13 @@ class TestSerialization:
         assert 'label="r1' not in dot
         assert dot.count(" -> ") == 6
 
+    @pytest.mark.parametrize("size", [(1, 1, 1), (2, 2, 2)], ids=["fewer", "more"])
+    def test_edge_labels_refuse_another_models_chain(self, size):
+        # the model reaches fewer states than the chain has, or more
+        chain = rules.explore(scaffold_model(1, 2, 1))
+        with pytest.raises(ValueError, match="not the one that explore makes"):
+            rules.edge_labels(scaffold_model(*size), chain)
+
     def test_max_states_env(self, monkeypatch):
         monkeypatch.delenv("LUMPKIT_MAX_STATES", raising=False)
         assert rules.max_states_from_env() == rules.DEFAULT_MAX_STATES
