@@ -10,12 +10,9 @@ from .aggregation import (
     convergence_diagnostics,
     lift,
     nested,
-    power_identity_residual,
     respects,
     restrict,
-    structural_preservation,
     uniform_measures,
-    verify_commutation,
 )
 from .markov import (
     ChainStructure,
@@ -23,9 +20,7 @@ from .markov import (
     RateMatrix,
     StateSpace,
     StochasticMatrix,
-    cesaro,
     classify,
-    evolve_discrete,
     stationary,
     transient,
     uniformize,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import markov
-from .errors import ConditionViolated, NotNested, TheoremViolated
-from .markov import Distribution, RateMatrix, StochasticMatrix, classify, transient, uniformize
+from .errors import ConditionViolated, NotNested
+from .markov import Distribution, RateMatrix, transient
 
 DEFAULT_CONDITION_TOL = 1e-9
 RESPECT_TOL = 1e-12
@@ -241,57 +241,6 @@ def nested(fine: Partition, coarse: Partition) -> NestedResult:
     alphas = tuple({fi: len(fine.blocks[fi]) / len(coarse.blocks[ci]) for fi in members}
                    for ci, members in enumerate(groups))
     return NestedResult(Partition(tuple(map(tuple, groups))), MeasureFamily(alphas))
-
-
-def verify_commutation(Q: RateMatrix, part: Partition, alphas: MeasureFamily,
-                       r: float, tol: float = DEFAULT_CONDITION_TOL) -> float:
-    """Residual between aggregating the uniformized chain and uniformizing
-    the aggregated generator; zero in exact arithmetic."""
-    m = uniformize(Q, r)
-    agg_m = aggregate(m, part, alphas, tol).matrix.dense()
-    agg_q = aggregate(Q, part, alphas, tol).matrix.dense()
-    other = np.eye(len(part)) + agg_q / r
-    return float(np.max(np.abs(agg_m - other)))
-
-
-def power_identity_residual(P: StochasticMatrix, part: Partition,
-                            alphas: MeasureFamily, n: int,
-                            tol: float = DEFAULT_CONDITION_TOL) -> float:
-    """Residual of the n-step identity: the aggregated matrix power equals
-    the condition value computed from the full n-step matrix."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    agg_n = np.linalg.matrix_power(aggregate(P, part, alphas, tol).matrix.dense(), n)
-    p_n = np.linalg.matrix_power(P.dense(), n)
-    w, b = alphas.weights(part), part.block_of
-    v = np.zeros((len(part), P.dim))
-    v[b, np.arange(P.dim)] = w  # V[i, s'] = alpha_i(s')
-    return float(np.max(np.abs(agg_n[:, b] - (v @ p_n) / w)))
-
-
-@dataclass(frozen=True)
-class PreservationReport:
-    original_irreducible: bool
-    aggregated_irreducible: bool
-    aperiodic_states_checked: int
-
-
-def structural_preservation(K, agg: AggregatedChain) -> PreservationReport:
-    """Assert that irreducibility and aperiodicity survive aggregation; a
-    violation falsifies the implementation, not the model."""
-    full = classify(K)
-    block = classify(agg.matrix)
-    if full.irreducible and not block.irreducible:
-        raise TheoremViolated("aggregation of an irreducible chain is reducible")
-    block_period = np.empty(len(agg.partition), dtype=np.int64)
-    for bcls, bperiod in zip(block.communicating_classes, block.periods):
-        block_period[list(bcls)] = bperiod
-    aperiodic = [s for cls, period in zip(full.communicating_classes, full.periods)
-                 if period == 1 for s in cls]
-    for bi in np.unique(agg.partition.block_of[aperiodic]):
-        if block_period[bi] != 1:
-            raise TheoremViolated(f"block {bi} of an aperiodic state has period {block_period[bi]}")
-    return PreservationReport(full.irreducible, block.irreducible, len(aperiodic))
 
 
 def convergence_diagnostics(Q: RateMatrix, part: Partition, alphas: MeasureFamily,

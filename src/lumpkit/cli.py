@@ -69,11 +69,14 @@ def cmd_explore(args):
     max_states = args.max_states
     if max_states is None:  # read here, so that a bad value is an input error
         max_states = rules.max_states_from_env()
-    chain = rules.explore(model, max_states)
+    if args.dot:  # the labels come from the same search as the chain
+        chain, labels = rules.explore_labelled(model, max_states)
+    else:
+        chain = rules.explore(model, max_states)
     markov.save_chain(args.out, chain.space, chain.matrix)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(rules.export_dot(model, chain))
+            fh.write(rules.export_dot(model, chain, labels))
     print(f"explored {len(chain.space)} states -> {args.out}")
     return EXIT_OK
 

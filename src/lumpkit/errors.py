@@ -30,10 +30,6 @@ class NotNested(LumpkitError):
     """A fine partition block straddles two coarse blocks."""
 
 
-class TheoremViolated(LumpkitError):
-    """A structural preservation guarantee failed; indicates an implementation bug."""
-
-
 class UnsupportedPattern(LumpkitError):
     """A rule pattern mentions two nodes of the same type."""
 

@@ -347,28 +347,6 @@ def transient(Q: RateMatrix, pi0: Distribution, t: float, tol: float = 1e-12) ->
     return Distribution(acc / acc.sum())
 
 
-def evolve_discrete(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
-    """pi0 P^n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    v = pi0.weights
-    for _ in range(n):
-        v = P.vecmat(v)
-    return Distribution(v / v.sum())
-
-
-def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
-    """Running average (1/n) sum_{k=1..n} pi0 P^k."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    v = pi0.weights
-    acc = np.zeros(len(v))
-    for _ in range(n):
-        v = P.vecmat(v)
-        acc += v
-    return Distribution(acc / acc.sum())
-
-
 # --- serialization -----------------------------------------------------------
 
 def save_json(path, data: dict):

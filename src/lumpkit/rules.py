@@ -2,8 +2,11 @@
 
 A rewrite rule keeps its node set and interfaces fixed and only toggles
 edges. ``_applications``, the one breadth-first search, compiles each rule
-once and applies it through every embedding of its left side into a
-slot-encoded state. The generator over reaction mixtures assigns each
+once into index arrays and applies it through every embedding of its left
+side. A state is one row of an integer array, its partner slot per
+(instance, site) slot; the frontier is expanded a fixed number of rows at
+a time, and the visited states are kept as one array of rows sorted as
+bytes. The generator over reaction mixtures assigns each
 (rule, embedding) application its rule constant; when several applications
 hit the same target mixture the rates add (race of exponential clocks),
 which keeps the total exit rate equal to sum of rate * embedding count.
@@ -12,7 +15,6 @@ which keeps the total exit rate equal to sum of rate * embedding count.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -135,58 +137,73 @@ class ExploredChain:
 
 # --- slot-encoded exploration -------------------------------------------------
 #
-# A state is a tuple with one entry per (instance, site) slot of the initial
-# mixture, holding the partner slot or -1. Since every site binds at most
-# once, an embedding of a connected pattern component is fixed by the
-# instance its first node maps to: the other nodes are reached by following
-# bonds. Each rule is compiled once into per-component match plans and the
-# bonds it removes and adds, as positions in the vector of slots an
-# embedding covers.
+# A state is a row of an integer array with one column per (instance, site)
+# slot of the initial mixture, holding the partner slot or -1. Since every
+# site binds at most once, an embedding of a connected pattern component is
+# fixed by the instance its first node maps to: the other nodes are reached
+# by following bonds. Each rule is compiled once into per-component match
+# plans of index arrays, evaluated for a block of states at once, and the
+# bonds it removes and adds, as positions in an embedding's slot vector.
+
+_CHUNK = 2048  # frontier states expanded at once; bounds the search's temporaries
+
+
+def _layout(initial: ReactionMixture):
+    """Slots of the initial mixture: instances in counts order, then by index,
+    each with its sites sorted. Returns type -> instances, instance ->
+    {site: slot} and slot -> (instance, site)."""
+    instances, slots, ends = {}, {}, []
+    for t, n in initial.counts.items():
+        instances[t] = tuple(instance_name(t, j) for j in range(1, n + 1))
+        for v in instances[t]:
+            slots[v] = {}
+            for s in sorted(initial.graph.interface[v]):
+                slots[v][s] = len(ends)
+                ends.append((v, s))
+    return instances, slots, ends
+
+
+def _slot_table(site_slots, sites):
+    """One row per {site: slot} map of site_slots: the slots of sites, -1
+    where the map lacks one."""
+    return np.array([[m.get(s, -1) for s in sites] for m in site_slots],
+                    dtype=np.intp).reshape(len(site_slots), len(sites))
 
 
 @dataclass(frozen=True)
 class _Component:
-    """Match plan of one connected pattern component. ``tables[k]`` maps an
-    instance to the slots of node k's pattern sites (None where the instance
-    lacks the site); an embedding's slot vector concatenates them in node
-    order. ``follow`` holds (position, node, (type, site)): the partner of
-    the slot at that position must be of that kind, and fixes the node's
-    instance."""
+    """Match plan of one connected pattern component. ``first`` holds the
+    slots of the first node's pattern sites for each candidate instance (-1
+    where the instance lacks the site); an embedding's slot vector appends
+    those of each further node. ``follow`` holds (position, valid, table):
+    the partner slot of the slot at that position must be valid, and its
+    table row holds the slots of the next node, the partner's instance."""
 
-    roots: tuple  # candidate instances of the first node, by index
-    tables: tuple
+    first: np.ndarray  # one row per candidate instance of the first node, by index
     follow: tuple
     bonds: tuple  # (position, position) pairs that must be bound together
     free: tuple  # positions tested free
-    slot_instance: list  # slot -> instance
-    slot_kind: list  # slot -> (type, site)
 
-    def matches(self, state):
-        """(slot vector, lacks a tested site) per embedding, by root index."""
-        out = []
-        first, tables = self.tables[0], self.tables
-        slot_instance, slot_kind = self.slot_instance, self.slot_kind
-        for root in self.roots:
-            vec = first[root]
-            for pos, k, kind in self.follow:
-                x = vec[pos]
-                y = -1 if x is None else state[x]
-                if y < 0 or slot_kind[y] != kind:
-                    break
-                vec = vec + tables[k][slot_instance[y]]
-            else:
-                lacking = False
-                for p in self.free:
-                    if vec[p] is None:
-                        lacking = True
-                    elif state[vec[p]] >= 0:
-                        break
-                else:
-                    if not self.bonds or all(
-                            vec[p] is not None and vec[q] is not None
-                            and state[vec[p]] == vec[q] for p, q in self.bonds):
-                        out.append((vec, lacking))
-        return out
+    def match(self, states):
+        """Whether each (state, root) pair is an embedding, whether it lacks a
+        tested site, and its slot vector as one array per position, each of
+        shape (states, roots)."""
+        rows = np.arange(len(states))[:, None]
+        shape = (len(states), len(self.first))
+        vec = [np.broadcast_to(col, shape) for col in self.first.T]
+        ok = np.ones(shape, dtype=bool)
+        for pos, valid, table in self.follow:
+            x = vec[pos]
+            y = np.where(x >= 0, states[rows, x], -1)  # -1, no partner, is never valid
+            ok &= valid[y]
+            vec.extend(np.moveaxis(table[y], -1, 0))
+        lacks = np.zeros(shape, dtype=bool)
+        for p in self.free:
+            lacks |= vec[p] < 0
+            ok &= (vec[p] < 0) | (states[rows, vec[p]] < 0)
+        for p, q in self.bonds:
+            ok &= (vec[p] >= 0) & (vec[q] >= 0) & (states[rows, vec[p]] == vec[q])
+        return ok, lacks, vec
 
 
 @dataclass(frozen=True)
@@ -198,31 +215,50 @@ class _CompiledRule:
     removed: tuple  # (position, position) per bond the rule breaks
     added: tuple  # (position, position) per bond the rule makes
 
-    def targets(self, state):
-        """Successor states, one per embedding, in the order of the instances
-        of the sorted pattern nodes, each by index."""
-        if not self.supported:
-            raise UnsupportedPattern("pattern mentions two nodes of the same type")
-        out = []
-        for combo in itertools.product(*(c.matches(state) for c in self.components)):
-            vec = ()
-            for part, lacking in combo:
-                if lacking:
-                    raise InvalidEmbedding("renamed left side is not contained in the mixture")
-                vec += part
-            if self.conflict:
-                raise SiteConflict(f"rule {self.name!r} binds {self.conflict} twice")
-            new = list(state)
-            for p, q in self.removed:
-                new[vec[p]] = new[vec[q]] = -1
-            for p, q in self.added:
-                new[vec[p]], new[vec[q]] = vec[q], vec[p]
-            out.append(tuple(new))
-        return out
+    def match(self, states):
+        """As ``_Component.match``, over (state, root of each component) in
+        the order of the instances of the sorted pattern nodes, each by index."""
+        k = len(self.components)
+        ok = np.ones((len(states),) + (1,) * k, dtype=bool)
+        lacks, vec = np.zeros_like(ok), []
+        for c, component in enumerate(self.components):
+            embeds, lacking, part = component.match(states)
+            shape = (len(states),) + (1,) * c + (len(component.first),) + (1,) * (k - c - 1)
+            ok = ok & embeds.reshape(shape)
+            lacks = lacks | lacking.reshape(shape)
+            vec += [v.reshape(shape) for v in part]
+        return ok, lacks, [np.broadcast_to(v, ok.shape) for v in vec]
+
+    def error(self, ok, lacks):
+        """The first state with an embedding that raises, and its error: one
+        that lacks a tested site, or else any when the right side binds a
+        site twice; (number of states, None) when there is none."""
+        ok, lacks = ok.reshape(len(ok), -1), lacks.reshape(len(ok), -1)
+        bad = ok.any(axis=1) if self.conflict else (ok & lacks).any(axis=1)
+        if not bad.any():
+            return len(ok), None
+        at = int(bad.argmax())
+        if self.conflict and not lacks[at, ok[at].argmax()]:
+            return at, SiteConflict(f"rule {self.name!r} binds {self.conflict} twice")
+        return at, InvalidEmbedding("renamed left side is not contained in the mixture")
+
+    def apply(self, states, ok, vec):
+        """The source row and the target state of each embedding in ok, whose
+        first axis covers the first len(ok) states."""
+        hit = np.nonzero(ok)
+        new, i = states[hit[0]], np.arange(len(hit[0]))
+        for p, q in self.removed:
+            new[i, vec[p][hit]] = new[i, vec[q][hit]] = -1
+        for p, q in self.added:
+            new[i, vec[p][hit]], new[i, vec[q][hit]] = vec[q][hit], vec[p][hit]
+        return hit[0], new
 
 
 def _compile(rule: RewriteRule, layout) -> _CompiledRule:
-    instances, slots, slot_instance, slot_kind = layout
+    instances, slots, ends = layout
+    # a follow step reads the partner slot's row, and -1 (no partner) the last
+    kind_of = [(node_type(v), s) for v, s in ends] + [None]
+    slots_of = [slots[v] for v, _ in ends] + [{}]
     left, right = rule.left, rule.right
     nodes = sorted(left.nodes)
     bonds = left.bonds()
@@ -237,7 +273,7 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
         for v in order:  # breadth-first along the pattern's bonds
             for s, (w, t) in bonds[v]:
                 if w not in order:
-                    follow.append(((v, s), len(order), (node_type(w), t)))
+                    follow.append(((v, s), w, (node_type(w), t)))
                     tree.add(frozenset(((v, s), (w, t))))
                     order.append(w)
         placed.update(order)
@@ -250,16 +286,15 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
             return position[end] - start
 
         components.append(_Component(
-            roots=instances.get(node_type(root), ()),
-            tables=tuple({inst: tuple(slots[inst].get(s) for s in sorted(left.interface[v]))
-                          for inst in instances.get(node_type(v), ())} for v in order),
-            follow=tuple((local(end), k, kind) for end, k, kind in follow),
+            first=_slot_table([slots[v] for v in instances.get(node_type(root), ())],
+                              sorted(left.interface[root])),
+            follow=tuple((local(end), np.array([k == kind for k in kind_of]),
+                          _slot_table(slots_of, sorted(left.interface[w])))
+                         for end, w, kind in follow),
             bonds=tuple(tuple(local(end) for end in sorted(edge)) for edge in left.edges
                         if edge not in tree and next(iter(edge))[0] in order),
             free=tuple(local((v, s)) for v in order for s in sorted(left.interface[v])
-                       if (v, s) not in bound),
-            slot_instance=slot_instance,
-            slot_kind=slot_kind))
+                       if (v, s) not in bound)))
 
     def pairs(edges):
         return tuple(tuple(position[end] for end in sorted(edge)) for edge in edges)
@@ -276,20 +311,66 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
         added=pairs(added))
 
 
-def _layout(initial: ReactionMixture):
-    """Slots of the initial mixture: instances in counts order, then by index,
-    each with its sites sorted. Returns type -> instances, instance ->
-    {site: slot}, slot -> instance and slot -> (type, site)."""
-    instances, slots, slot_instance, slot_kind = {}, {}, [], []
-    for t, n in initial.counts.items():
-        instances[t] = tuple(instance_name(t, j) for j in range(1, n + 1))
-        for v in instances[t]:
-            slots[v] = {}
-            for s in sorted(initial.graph.interface[v]):
-                slots[v][s] = len(slot_instance)
-                slot_instance.append(v)
-                slot_kind.append((t, s))
-    return instances, slots, slot_instance, slot_kind
+def _key_writer(model: RuleModel, ends):
+    """The function from state rows to their keys: the parts ``v.s-w.t`` of
+    their bonds, smaller end first, sorted and joined by ``;``, or ``-``. Each
+    slot pair whose kinds a rule bonds (``RuleModel`` holds the initial
+    mixture to those) has its part's rank among all such parts precomputed;
+    a key joins its parts by rank. Only the slots of such kinds, the active
+    ones, are read."""
+    bondable = {frozenset((node_type(v), s) for v, s in edge) for edge in model.edge_types}
+    kinds = [(node_type(v), s) for v, s in ends]
+    active = [x for x, kind in enumerate(kinds) if any(kind in b for b in bondable)]
+
+    def part(pair):
+        return ";" + "-".join(f"{v}.{s}" for v, s in sorted(ends[x] for x in pair))
+
+    pairs = sorted(((x, y) for i, x in enumerate(active) for y in active[i + 1:]
+                    if ends[x][0] != ends[y][0] and frozenset((kinds[x], kinds[y])) in bondable),
+                   key=part)
+    active = np.array(active, dtype=np.intp)
+    parts = np.array([part(pair) for pair in pairs] + [""], dtype=object)
+    local = np.zeros(len(ends), dtype=np.intp)  # slot -> its column among the active ones
+    local[active] = np.arange(len(active))
+    rank = np.full((len(active), len(active)), len(pairs), dtype=np.intp)
+    for r, (x, y) in enumerate(pairs):
+        rank[local[x], local[y]] = r
+    column = np.arange(len(active))
+
+    def keys(rows):
+        partner = rows[:, active]
+        ranks = np.where(partner > active, rank[column, local[partner]], len(pairs))
+        ranks.sort(axis=1)
+        return ["".join(row)[1:] or "-" for row in parts[ranks[:, :len(active) // 2]].tolist()]
+
+    return keys
+
+
+def _expand(compiled, states):
+    """Every application of the rules to a block of states, by state, then
+    rule, then embedding: the source row, rule index and target state of
+    each, and the error of the first (state, rule) pair that raises, or
+    None. Only the pairs before that one are applied."""
+    matched = [rule.match(states) if rule.supported else None for rule in compiled]
+    stop, stop_rule, error = len(states), len(compiled), None  # the pair that raises
+    for r, (rule, m) in enumerate(zip(compiled, matched)):
+        at, exc = (rule.error(*m[:2]) if m is not None else
+                   (0, UnsupportedPattern("pattern mentions two nodes of the same type")))
+        if at < stop:
+            stop, stop_rule, error = at, r, exc
+    rows, applied, new = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [states[:0]]
+    for r, (rule, m) in enumerate(zip(compiled, matched)):
+        limit = stop + (r < stop_rule)
+        if m is None or not limit:
+            continue
+        ok, _, vec = m
+        src, dst = rule.apply(states, ok[:limit], vec)
+        rows.append(src)
+        applied.append(np.full(len(src), r, dtype=np.intp))
+        new.append(dst)
+    rows, applied, new = map(np.concatenate, (rows, applied, new))
+    order = np.argsort(rows * len(compiled) + applied, kind="stable")
+    return rows[order], applied[order], new[order], error
 
 
 def _applications(model: RuleModel, max_states: int):
@@ -297,76 +378,104 @@ def _applications(model: RuleModel, max_states: int):
     applications, with deterministic (sorted-frontier) state indexing. Returns
     the state keys in index order and three arrays: the source, target and
     rule index of every application that changes the mixture, by source,
-    then rule, then ``targets`` order. Raises StateCapExceeded as soon as
-    more than max_states states are found."""
+    then rule, then embedding. The frontier is expanded _CHUNK states at a
+    time against the visited states, rows sorted as bytes. Raises what comes
+    first in that order, as a search of one source at a time would: the
+    error of a (source, rule) pair, or StateCapExceeded at the application
+    that finds state max_states + 1."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial)
-    _, slots, slot_instance, slot_kind = layout
     compiled = [_compile(rule, layout) for rule in model.rules]
-    parts = {}
-
-    def key_of(state):
-        """The key of the mixture a state encodes."""
-        out = []
-        for x, y in enumerate(state):
-            if y > x:
-                part = parts.get((x, y))
-                if part is None:
-                    (v, s), (w, t) = sorted(((slot_instance[x], slot_kind[x][1]),
-                                             (slot_instance[y], slot_kind[y][1])))
-                    part = parts[(x, y)] = f"{v}.{s}-{w}.{t}"
-                out.append(part)
-        return ";".join(sorted(out)) if out else "-"
-
-    start = [-1] * len(slot_instance)
+    _, slots, ends = layout
+    keys_of = _key_writer(model, ends)
+    n = len(ends)
+    start = np.full((1, max(n, 1)), -1, dtype=np.min_scalar_type(-max(n, 1)))
     for (v1, s1), (v2, s2) in model.initial.graph.edges:
         a, b = slots[v1][s1], slots[v2][s2]
-        start[a], start[b] = b, a
-    start = tuple(start)
+        start[0, a], start[0, b] = b, a
+    row = np.dtype((np.void, start.itemsize * start.shape[1]))
+    seen, seen_number = start.view(row).ravel(), np.zeros(1, dtype=np.intp)
     # states are numbered in discovery order here and renumbered at the end
-    states, keys, number = [start], [key_of(start)], {start: 0}
-    sources, targets, applied = [], [], []  # one entry per application
-    order, frontier = [0], [0]
-    while frontier:
-        discovered = []
-        for src in frontier:
-            state = states[src]
-            for r, rule in enumerate(compiled):
-                for target in rule.targets(state):
-                    dst = number.get(target)
-                    if dst is None:
-                        dst = number[target] = len(states)
-                        states.append(target)
-                        keys.append(key_of(target))
-                        discovered.append(dst)
-                        if len(states) > max_states:
-                            raise StateCapExceeded(
-                                f"reachable set exceeds max_states = {max_states}")
-                    if dst != src:
-                        sources.append(src)
-                        targets.append(dst)
-                        applied.append(r)
-        frontier = sorted(discovered, key=keys.__getitem__)
-        order.extend(frontier)
-    del states, number
+    keys = keys_of(start)
+    frontier, numbers = start, np.zeros(1, dtype=np.intp)
+    order = [numbers]  # discovery numbers in index order, per level
+    found = []  # sources, targets and rules per chunk, as rows of one array
+    while len(frontier):
+        level, discovered = len(keys), []
+        for lo in range(0, len(frontier), _CHUNK):
+            rows, applied, new, error = _expand(compiled, frontier[lo:lo + _CHUNK])
+            unique, first, inverse = np.unique(new.view(row).ravel(), return_index=True,
+                                               return_inverse=True)
+            at = np.searchsorted(seen, unique)
+            known = at < len(seen)
+            known[known] = seen[at[known]] == unique[known]
+            fresh = np.flatnonzero(~known)
+            if len(keys) + len(fresh) > max_states:
+                raise StateCapExceeded(f"reachable set exceeds max_states = {max_states}")
+            if error is not None:
+                raise error
+            fresh = fresh[np.argsort(first[fresh])]
+            number = np.empty(len(unique), dtype=np.intp)
+            number[known] = seen_number[at[known]]
+            number[fresh] = np.arange(len(keys), len(keys) + len(fresh))
+            discovered.append(new[first[fresh]])
+            keys.extend(keys_of(discovered[-1]))
+            seen = np.insert(seen, at[~known], unique[~known])
+            seen_number = np.insert(seen_number, at[~known], number[~known])
+            sources, targets = numbers[lo + rows], number[inverse]
+            changed = sources != targets
+            found.append(np.stack((sources[changed], targets[changed], applied[changed]))
+                         .astype(np.int32))  # half the size while the search runs
+        numbers = level + np.argsort(np.array(keys[level:], dtype=object))
+        order.append(numbers)
+        frontier = np.concatenate(discovered)[numbers - level]
+    del seen, seen_number
+    order = np.concatenate(order)
     index = np.empty(len(order), dtype=np.intp)
     index[order] = np.arange(len(order))  # discovery number -> state index
-    return (tuple(keys[src] for src in order), index[sources], index[targets],
-            np.array(applied, dtype=np.intp))
+    # one output array filled chunk by chunk: a concatenation and a cast
+    # would leave more freed heap behind, which stays resident
+    applications = np.empty((3, sum(part.shape[1] for part in found)), dtype=np.intp)
+    end = 0
+    for part in found:
+        applications[:2, end:end + part.shape[1]] = index[part[:2]]
+        applications[2, end:end + part.shape[1]] = part[2]
+        end += part.shape[1]
+    return (tuple(np.array(keys, dtype=object)[order]), *applications)
 
 
-def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredChain:
-    """The mixture CTMC; StateCapExceeded past max_states states. Each application
-    that ``_applications`` finds is one generator entry at its rule's rate;
-    ``RateMatrix`` adds up the entries that share a target, and each diagonal
-    is minus the sum of its row's entries, in that order (its sort is stable)."""
-    keys, rows, cols, applied = _applications(model, max_states)
+def _chain(model: RuleModel, keys, rows, cols, applied) -> ExploredChain:
+    """The chain of ``_applications``' results: each application is one
+    generator entry at its rule's rate; ``RateMatrix`` adds up the entries
+    that share a target, and each diagonal is minus the sum of its row's
+    entries, in that order (its sort is stable)."""
     rates = np.array([rule.rate for rule in model.rules], dtype=float)[applied]
     diagonal = np.arange(len(keys))
     matrix = RateMatrix(len(keys), np.r_[rows, diagonal], np.r_[cols, diagonal],
                         np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(keys))])
     return ExploredChain(StateSpace(keys), matrix, dict(model.initial.counts))
+
+
+def _labels(model: RuleModel, rows, cols, applied) -> dict:
+    labels = {}
+    for edge, r in zip(zip(rows.tolist(), cols.tolist()), applied.tolist()):
+        name, seen = model.rules[r].name, labels.get(edge, ())
+        if name not in seen:
+            labels[edge] = tuple(sorted(seen + (name,)))
+    return labels
+
+
+def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredChain:
+    """The mixture CTMC; StateCapExceeded past max_states states."""
+    return _chain(model, *_applications(model, max_states))
+
+
+def explore_labelled(model: RuleModel, max_states: int = DEFAULT_MAX_STATES):
+    """``explore``'s chain and ``edge_labels``' labels of it, from one
+    search."""
+    keys, rows, cols, applied = _applications(model, max_states)
+    return _chain(model, keys, rows, cols, applied), _labels(model, rows, cols, applied)
 
 
 def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
@@ -379,12 +488,7 @@ def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
         keys = None
     if keys != chain.space.states:
         raise ValueError("the chain is not the one that explore makes of the model")
-    labels = {}
-    for edge, r in zip(zip(rows.tolist(), cols.tolist()), applied.tolist()):
-        name, seen = model.rules[r].name, labels.get(edge, ())
-        if name not in seen:
-            labels[edge] = tuple(sorted(seen + (name,)))
-    return labels
+    return _labels(model, rows, cols, applied)
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
@@ -396,10 +500,12 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     return Partition(tuple(tuple(fibers[v]) for v in sorted(fibers)))
 
 
-def export_dot(model: RuleModel, chain: ExploredChain) -> str:
+def export_dot(model: RuleModel, chain: ExploredChain, labels=None) -> str:
     """DOT digraph of the model's explored chain with rule names as edge
-    labels; transitions of rate zero draw no edge."""
-    labels = edge_labels(model, chain)
+    labels, ``edge_labels(model, chain)`` unless given; transitions of rate
+    zero draw no edge."""
+    if labels is None:
+        labels = edge_labels(model, chain)
     lines = ["digraph chain {"]
     for i, key in enumerate(chain.space.states):
         lines.append(f'  n{i} [label="{key}"];')

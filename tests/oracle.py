@@ -4,12 +4,27 @@ and a mixture is keyed from its edges by a writer of its own.
 
 The library has one rule engine, ``explore`` with its compiled rules, and
 one component walk, ``sitegraph.components``. The functions here restate
-both from the definitions, so that tests can compare the two."""
+both from the definitions, so that tests can compare the two.
+
+The theorem checks at the end hold for every correct aggregation: they
+test the library's ``aggregate`` and ``classify``, dense and unguarded, on
+small chains only."""
 
 import itertools
+from dataclasses import dataclass
 
+import numpy as np
+
+from lumpkit.aggregation import (
+    DEFAULT_CONDITION_TOL,
+    AggregatedChain,
+    MeasureFamily,
+    Partition,
+    aggregate,
+)
 from lumpkit.casestudies import ComponentClass, _classify
 from lumpkit.errors import InvalidEmbedding, LumpkitError, SiteConflict, UnsupportedPattern
+from lumpkit.markov import Distribution, RateMatrix, StochasticMatrix, classify, uniformize
 from lumpkit.rules import RewriteRule, RuleModel
 from lumpkit.sitegraph import (
     ReactionMixture,
@@ -147,3 +162,83 @@ def polymer_classify(component: SiteGraph) -> ComponentClass:
     """The polymer shape of a connected component, each node with its own
     interface."""
     return _classify(component.bonds(), component.nodes, component.interface.__getitem__)
+
+
+# --- theorem checks ---------------------------------------------------------------
+
+
+class TheoremViolated(LumpkitError):
+    """A structural preservation guarantee failed; indicates an implementation bug."""
+
+
+def verify_commutation(Q: RateMatrix, part: Partition, alphas: MeasureFamily,
+                       r: float, tol: float = DEFAULT_CONDITION_TOL) -> float:
+    """Residual between aggregating the uniformized chain and uniformizing
+    the aggregated generator; zero in exact arithmetic."""
+    m = uniformize(Q, r)
+    agg_m = aggregate(m, part, alphas, tol).matrix.dense()
+    agg_q = aggregate(Q, part, alphas, tol).matrix.dense()
+    other = np.eye(len(part)) + agg_q / r
+    return float(np.max(np.abs(agg_m - other)))
+
+
+def power_identity_residual(P: StochasticMatrix, part: Partition,
+                            alphas: MeasureFamily, n: int,
+                            tol: float = DEFAULT_CONDITION_TOL) -> float:
+    """Residual of the n-step identity: the aggregated matrix power equals
+    the condition value computed from the full n-step matrix."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    agg_n = np.linalg.matrix_power(aggregate(P, part, alphas, tol).matrix.dense(), n)
+    p_n = np.linalg.matrix_power(P.dense(), n)
+    w, b = alphas.weights(part), part.block_of
+    v = np.zeros((len(part), P.dim))
+    v[b, np.arange(P.dim)] = w  # V[i, s'] = alpha_i(s')
+    return float(np.max(np.abs(agg_n[:, b] - (v @ p_n) / w)))
+
+
+@dataclass(frozen=True)
+class PreservationReport:
+    original_irreducible: bool
+    aggregated_irreducible: bool
+    aperiodic_states_checked: int
+
+
+def structural_preservation(K, agg: AggregatedChain) -> PreservationReport:
+    """Assert that irreducibility and aperiodicity survive aggregation; a
+    violation falsifies the implementation, not the model."""
+    full = classify(K)
+    block = classify(agg.matrix)
+    if full.irreducible and not block.irreducible:
+        raise TheoremViolated("aggregation of an irreducible chain is reducible")
+    block_period = np.empty(len(agg.partition), dtype=np.int64)
+    for bcls, bperiod in zip(block.communicating_classes, block.periods):
+        block_period[list(bcls)] = bperiod
+    aperiodic = [s for cls, period in zip(full.communicating_classes, full.periods)
+                 if period == 1 for s in cls]
+    for bi in np.unique(agg.partition.block_of[aperiodic]):
+        if block_period[bi] != 1:
+            raise TheoremViolated(f"block {bi} of an aperiodic state has period {block_period[bi]}")
+    return PreservationReport(full.irreducible, block.irreducible, len(aperiodic))
+
+
+def evolve_discrete(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
+    """pi0 P^n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    v = pi0.weights
+    for _ in range(n):
+        v = P.vecmat(v)
+    return Distribution(v / v.sum())
+
+
+def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
+    """Running average (1/n) sum_{k=1..n} pi0 P^k."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    v = pi0.weights
+    acc = np.zeros(len(v))
+    for _ in range(n):
+        v = P.vecmat(v)
+        acc += v
+    return Distribution(acc / acc.sum())

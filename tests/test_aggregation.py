@@ -1,12 +1,14 @@
 import tracemalloc
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_expm, fig_chain, fig_partition
-from lumpkit import aggregation, casestudies, markov, rules
+import lumpkit
+from lumpkit import aggregation, casestudies, errors, markov, rules
 from lumpkit.errors import ConditionViolated, NotNested
 
 
@@ -354,19 +356,30 @@ class TestNested:
         assert np.abs(reagg.matrix.dense() - coarse_chain.matrix.dense()).max() <= 1e-11
 
 
+def test_theorem_checks_are_not_public():
+    """The theorem checks hold for every correct aggregation; they test the
+    library from the tests' oracle, not from inside it."""
+    moved = ("verify_commutation", "power_identity_residual", "structural_preservation",
+             "PreservationReport", "TheoremViolated", "evolve_discrete", "cesaro")
+    for module in (lumpkit, aggregation, markov, errors):
+        assert [name for name in moved if hasattr(module, name)] == [], module.__name__
+    assert not set(moved) & set(lumpkit.__all__)
+    assert all(hasattr(oracle, name) for name in moved)
+
+
 class TestIdentityResiduals:
     def test_commutation_fig_chain(self):
         q = fig_chain(1.25, 1.25)
         part = fig_partition()
         alphas = aggregation.uniform_measures(part)
         r = markov.default_rate(q)
-        assert aggregation.verify_commutation(q, part, alphas, r, 1e-12) <= 1e-13
+        assert oracle.verify_commutation(q, part, alphas, r, 1e-12) <= 1e-13
 
     def test_commutation_singleton(self):
         q = fig_chain(1.0, 2.0)
         part = aggregation.Partition.singletons(6)
         alphas = aggregation.uniform_measures(part)
-        assert aggregation.verify_commutation(q, part, alphas, 10.0, 1e-12) <= 1e-15
+        assert oracle.verify_commutation(q, part, alphas, 10.0, 1e-12) <= 1e-15
 
     def test_power_identity_scaffold(self):
         ch = scaffold_chain(1, 1, 1)
@@ -374,21 +387,21 @@ class TestIdentityResiduals:
         alphas = aggregation.uniform_measures(part)
         m = markov.uniformize(ch.matrix, markov.default_rate(ch.matrix))
         for n in (1, 5):
-            assert aggregation.power_identity_residual(m, part, alphas, n, 1e-9) <= 1e-12
+            assert oracle.power_identity_residual(m, part, alphas, n, 1e-9) <= 1e-12
 
     def test_power_identity_singleton(self):
         ch = scaffold_chain(1, 1, 1)
         part = aggregation.Partition.singletons(len(ch.space))
         alphas = aggregation.uniform_measures(part)
         m = markov.uniformize(ch.matrix, markov.default_rate(ch.matrix))
-        assert aggregation.power_identity_residual(m, part, alphas, 3, 1e-9) <= 1e-13
+        assert oracle.power_identity_residual(m, part, alphas, 3, 1e-9) <= 1e-13
 
     def test_structural_preservation_scaffold(self):
         ch = scaffold_chain()
         part = rules.build_partition(ch, casestudies.scaffold_phi2)
         alphas = aggregation.uniform_measures(part)
         agg = aggregation.aggregate(ch.matrix, part, alphas, 1e-9)
-        report = aggregation.structural_preservation(ch.matrix, agg)
+        report = oracle.structural_preservation(ch.matrix, agg)
         assert report.original_irreducible and report.aggregated_irreducible
 
     def test_two_cycle_lumped_to_self_loop(self):
@@ -397,7 +410,7 @@ class TestIdentityResiduals:
         alphas = aggregation.uniform_measures(part)
         agg = aggregation.aggregate(p, part, alphas, 1e-12)
         assert agg.matrix.dense()[0, 0] == 1.0
-        report = aggregation.structural_preservation(p, agg)
+        report = oracle.structural_preservation(p, agg)
         assert report.aggregated_irreducible
 
 
@@ -411,8 +424,8 @@ class TestLumpabilityInvertibility:
         blocks0 = markov.Distribution([0.5, 0.2, 0.2, 0.1])
         pi0 = aggregation.lift(blocks0, part, alphas)
         for n in (1, 4, 9):
-            full = markov.evolve_discrete(p, pi0, n)
-            small = markov.evolve_discrete(agg.matrix, blocks0, n)
+            full = oracle.evolve_discrete(p, pi0, n)
+            small = oracle.evolve_discrete(agg.matrix, blocks0, n)
             assert np.abs(aggregation.restrict(full, part).weights
                           - small.weights).max() <= 1e-9
             lifted = aggregation.lift(small, part, alphas)

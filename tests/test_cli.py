@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lumpkit import cli
+from lumpkit import cli, dsl, rules
 
 SCAFFOLD_111 = """\
 node A { sites: b }
@@ -132,6 +132,20 @@ class TestExplore:
         text = dot.read_text()
         assert text.startswith("digraph")
         assert f'  n{i} -> n{j} [label="r1 (1)"];\n' in text
+
+    def test_dot_export_searches_once(self, tmp_path, monkeypatch):
+        # the chain and its DOT labels come from one breadth-first search
+        model = tmp_path / "p.model"
+        assert cli.main(["casestudy", "polymer", "--n", "2", "--out", str(model)]) == 0
+        search, calls = rules._applications, []
+        monkeypatch.setattr(rules, "_applications",
+                            lambda *args: calls.append(args) or search(*args))
+        dot = tmp_path / "p.dot"
+        assert cli.main(["explore", str(model), "--out", str(tmp_path / "p.json"),
+                         "--dot", str(dot)]) == 0
+        assert len(calls) == 1
+        parsed = dsl.parse_model(model.read_text())
+        assert dot.read_text() == rules.export_dot(parsed, rules.explore(parsed))
 
 
 class TestCheck:

@@ -270,6 +270,100 @@ class TestExplore:
         assert sorted_rows(chain.matrix) == sorted_rows(chain2.matrix)
 
 
+def side(sites, *edges):
+    return SiteGraph(frozenset(sites), sites, frozenset(edges))
+
+
+class TestErrorPrecedence:
+    """explore raises what a search of one (source, rule) pair at a time
+    raises: the first error or state cap in (source, rule, embedding) order.
+    B#2 lacks site x, so in level 1 the source A#1.b-B#1.a comes before
+    A#1.b-B#2.a, where a rule testing B.x free no longer embeds validly.
+    The cases hold for any search; they also run with the frontier expanded
+    one or two sources at a time (``rules._CHUNK``, if the search has it)."""
+
+    AB = {"A": frozenset({"b"}), "B": frozenset({"a"})}
+    ABX = {"A": frozenset({"b"}), "B": frozenset({"a", "x"})}
+    BC = {"B": frozenset({"c"}), "C": frozenset({"b"})}
+    RULES = {
+        "bind_ab": rules.RewriteRule(side(AB), side(AB, edge("A", "b", "B", "a")), 1.0, "bind_ab"),
+        "bind_bc": rules.RewriteRule(side(BC), side(BC, edge("B", "c", "C", "b")), 1.0, "bind_bc"),
+        # InvalidEmbedding wherever A is bound to an instance of B lacking x
+        "noop_x": rules.RewriteRule(side(ABX, edge("A", "b", "B", "a")),
+                                    side(ABX, edge("A", "b", "B", "a")), 1.0, "noop_x"),
+        # binds A.b twice: SiteConflict wherever A is bound to B#1
+        "steal_x": rules.RewriteRule(side(ABX, edge("A", "b", "B", "a")),
+                                     side(ABX, edge("A", "b", "B", "a"), edge("A", "b", "B", "x")),
+                                     1.0, "steal_x"),
+        # binds A.b twice from the start, where the first embedding is (A#1, B#1)
+        "grab_x": rules.RewriteRule(side(ABX),
+                                    side(ABX, edge("A", "b", "B", "a"), edge("A", "b", "B", "x")),
+                                    1.0, "grab_x"),
+    }
+
+    @classmethod
+    def model(cls, names, lacking="B#2"):
+        interface = {"A#1": frozenset({"b"}), "B#1": frozenset({"a", "c", "x"}),
+                     "B#2": frozenset({"a", "c", "x"}), "C#1": frozenset({"b"})}
+        interface[lacking] = frozenset({"a", "c"})
+        initial = ReactionMixture(side(interface), {"A": 1, "B": 2, "C": 1})
+        return rules.RuleModel(tuple(cls.RULES[name] for name in names), initial)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    @pytest.mark.parametrize("names", [("noop_x", "bind_ab", "steal_x"),
+                                       ("steal_x", "bind_ab", "noop_x")])
+    def test_the_earlier_source_wins_whatever_the_rule_order(self, names, chunk, monkeypatch):
+        if chunk:  # each source of level 1 in a chunk of its own, or both in one
+            monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
+        with pytest.raises(SiteConflict, match="steal_x"):
+            rules.explore(self.model(names))
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    @pytest.mark.parametrize("max_states, error", [
+        (5, StateCapExceeded), (6, StateCapExceeded), (7, InvalidEmbedding),
+        (200, InvalidEmbedding)])
+    def test_the_state_cap_at_an_earlier_source_wins(self, max_states, error, chunk,
+                                                     monkeypatch):
+        # level 1 has 4 states; its first source finds 2 new ones and the
+        # second raises, so the cap comes first below 7 states
+        if chunk:
+            monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
+        with pytest.raises(error):
+            rules.explore(self.model(("noop_x", "bind_ab", "bind_bc")), max_states)
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("max_states, error", [
+        (5, StateCapExceeded), (6, StateCapExceeded), (7, SiteConflict)])
+    def test_the_state_cap_at_an_earlier_rule_of_one_source_wins(self, max_states, error,
+                                                                  chunk, monkeypatch):
+        # at the first source of level 1, bind_bc finds 2 new states before
+        # steal_x raises
+        if chunk:
+            monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
+        with pytest.raises(error):
+            rules.explore(self.model(("bind_bc", "bind_ab", "steal_x")), max_states)
+
+    @pytest.mark.parametrize("lacking, error", [("B#1", InvalidEmbedding),
+                                                ("B#2", SiteConflict)])
+    def test_a_lacking_site_comes_before_the_conflict(self, lacking, error):
+        # the first embedding decides: one that lacks x and binds A.b twice
+        # is an InvalidEmbedding
+        with pytest.raises(error):
+            rules.explore(self.model(("grab_x",), lacking))
+
+
+@pytest.mark.parametrize("model", [scaffold_model(2, 2, 2, rates=(1.0, 2.0, 0.5, 0.25)),
+                                   casestudies.polymer_model(casestudies.PolymerParams(2))])
+def test_chunked_frontier_gives_the_same_applications(model, monkeypatch):
+    assert isinstance(rules._CHUNK, int) and rules._CHUNK > 1
+    want = rules._applications(model, 1000)
+    for chunk in (1, 3):
+        monkeypatch.setattr(rules, "_CHUNK", chunk)
+        got = rules._applications(model, 1000)
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+
 def test_single_rule_application_is_not_public():
     """The library has one rule engine, explore's compiled rules; the
     site-graph semantics it compiles live in the tests' oracle."""
