@@ -8,6 +8,7 @@ are the reciprocals of these sizes.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
@@ -210,9 +211,18 @@ def _classify(bonds, nodes, sites_of) -> ComponentClass:
 def polymer_phi1(bonds):
     """Sorted multiset of (kind, length index) over the connected components
     of a bond map, each node with the polymer interface of its type."""
-    classes = (_classify(bonds, nodes, lambda v: POLYMER_INTERFACE[node_type(v)])
+    classes = (_polymer_class(tuple((v, tuple(bonds[v])) for v in nodes))
                for nodes in components(bonds))
     return tuple(sorted(Counter((c.kind, c.length_index) for c in classes).items()))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _polymer_class(component) -> ComponentClass:
+    """_classify of one concrete component, given as its nodes in reach
+    order, each with its bonds, as sitegraph._concrete_key takes it: a
+    chain's states repeat few components (4,880 at polymer n=4)."""
+    bonds = dict(component)
+    return _classify(bonds, bonds, lambda v: POLYMER_INTERFACE[node_type(v)])
 
 
 def polymer_phi2(bonds):

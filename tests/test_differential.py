@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lumpkit import aggregation, markov
+from conftest import bond_maps
+
+from lumpkit import aggregation, casestudies, markov, rules
 from lumpkit.errors import ConditionViolated
+from lumpkit.sitegraph import node_type
 
 weights = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 
@@ -181,13 +184,48 @@ class TestCond3:
             reference_cond3(matrix.dense(), part)
 
 
-@st.composite
-def irreducible_chains(draw):
-    dim = draw(st.integers(1, 7))
-    p = stochastic_rows(draw, dim, dim, sparse=False)  # all entries positive
+def as_chain(draw, p):
+    """The stochastic rows p, or a generator with their off-diagonal pattern."""
     if draw(st.booleans()):
         return markov.RateMatrix.from_dense(to_generator(p, draw(weights) * 10))
     return markov.StochasticMatrix.from_dense(p)
+
+
+@st.composite
+def irreducible_chains(draw):
+    dim = draw(st.integers(1, 7))
+    return as_chain(draw, stochastic_rows(draw, dim, dim, sparse=False))  # all entries positive
+
+
+@st.composite
+def sparse_irreducible_chains(draw):
+    """Sparse entries plus a directed cycle through the states in a drawn
+    order, which makes the chain irreducible. The cycle's first edge has no
+    reverse, so the pattern is never symmetric."""
+    dim = draw(st.integers(3, 12))
+    order = draw(st.permutations(range(dim)))
+    p = stochastic_rows(draw, dim, dim)
+    for a, b in zip(order, order[1:] + order[:1]):
+        p[a, b] += draw(weights)
+    p[order[1], order[0]] = 0.0
+    return as_chain(draw, p / p.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def single_closed_class_chains(draw):
+    """(matrix, its transient states): a closed class whose entries are all
+    positive, and transient states that each step to a state numbered below
+    them, so every path ends in the closed class; then the states shuffled."""
+    closed = draw(st.integers(1, 4))
+    dim = closed + draw(st.integers(1, 5))
+    p = np.zeros((dim, dim))
+    p[:closed, :closed] = stochastic_rows(draw, closed, closed, sparse=False)
+    for s in range(closed, dim):
+        p[s] = stochastic_rows(draw, 1, dim)[0]
+        p[s, draw(st.integers(0, s - 1))] += draw(weights)
+        p[s] /= p[s].sum()
+    order = np.array(draw(st.permutations(range(dim))))
+    return as_chain(draw, p[np.ix_(order, order)]), np.flatnonzero(order >= closed)
 
 
 def dense_stationary(matrix):
@@ -200,12 +238,57 @@ def dense_stationary(matrix):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
+def detailed_balance(chain, ratio):
+    """pi(s) proportional to the product of k_on / k_off over the bonds of s,
+    ratio[bond type] = k_on / k_off. The case studies bind and unbind one
+    pair of sites per step, at a rate per pair, and each step has its
+    reverse, so pi(s) K(s, s') = pi(s') K(s', s) on every transition."""
+    log_w = np.array([sum(math.log(ratio[frozenset({(node_type(v), s), (node_type(w), t)})])
+                          for v, sites in bonds.items() for s, (w, t) in sites) / 2
+                      for bonds in bond_maps(chain)])  # a bond map lists each bond twice
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+RATES = (1.3, 0.7, 1.1, 0.9)
+A_B, B_C, A_R_B_L = (frozenset({("A", "b"), ("B", "a")}), frozenset({("B", "c"), ("C", "b")}),
+                     frozenset({("A", "r"), ("B", "l")}))
+SCAFFOLD_RATIO = {A_B: RATES[0] / RATES[2], B_C: RATES[1] / RATES[3]}  # c1/c3, c2/c4
+POLYMER_RATIO = {A_B: RATES[0] / RATES[1], A_R_B_L: RATES[2] / RATES[3]}  # b-a, then r-l
+
+
 class TestStationary:
     @settings(max_examples=100, deadline=None)
     @given(irreducible_chains())
     def test_matches_a_dense_solve(self, matrix):
         mu = markov.stationary(matrix)
         assert np.abs(mu.weights - dense_stationary(matrix)).max() <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_irreducible_chains())
+    def test_sparse_unsymmetric_pattern_matches_a_dense_solve(self, matrix):
+        pattern = matrix.dense() != 0
+        assert (pattern != pattern.T).any()
+        mu = markov.stationary(matrix)
+        assert np.abs(mu.weights - dense_stationary(matrix)).max() <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(single_closed_class_chains())
+    def test_transient_states_get_no_weight(self, case):
+        matrix, transient = case
+        mu = markov.stationary(matrix)
+        assert (mu.weights[transient] == 0.0).all()
+        assert np.abs(mu.weights - dense_stationary(matrix)).max() <= 1e-10
+
+    @pytest.mark.parametrize("model, ratio", [
+        (casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3, *RATES)), SCAFFOLD_RATIO),
+        (casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 4, *RATES)), SCAFFOLD_RATIO),
+        (casestudies.polymer_model(casestudies.PolymerParams(3, *RATES)), POLYMER_RATIO),
+    ], ids=["scaffold-333", "scaffold-334", "polymer-3"])
+    def test_matches_detailed_balance(self, model, ratio):
+        chain = rules.explore(model)
+        mu = markov.stationary(chain.matrix)
+        assert np.abs(mu.weights - detailed_balance(chain, ratio)).max() <= 1e-12
 
 
 @st.composite
