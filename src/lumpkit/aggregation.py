@@ -75,7 +75,7 @@ class MeasureFamily:
             if not all(w > 0 for w in alpha.values()):  # NaN fails w > 0
                 raise ValueError(f"measure {i} has a weight that is not positive")
             total = sum(alpha.values())
-            if abs(total - 1.0) > 1e-12:
+            if abs(total - 1.0) > markov.ROW_SUM_TOL:
                 raise ValueError(f"measure {i} sums to {total!r}, expected 1")
 
     def check_compatible(self, part: Partition):

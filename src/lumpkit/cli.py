@@ -76,7 +76,7 @@ def cmd_explore(args):
     markov.save_chain(args.out, chain.space, chain.matrix)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(rules.export_dot(model, chain, labels))
+            fh.write(rules.export_dot(chain, labels))
     print(f"explored {len(chain.space)} states -> {args.out}")
     return EXIT_OK
 
@@ -130,7 +130,7 @@ def _initial_distribution(args, space):
 def cmd_transient(args):
     space, matrix = markov.load_chain(args.chain)
     if not isinstance(matrix, markov.RateMatrix):
-        raise LumpkitError("transient requires a rate-matrix chain")
+        raise LumpkitError(f"{args.chain}: transient requires a rate-matrix chain")
     pi0 = _initial_distribution(args, space)
     # solve every time before writing any file, so a bad time leaves no output
     results = [(t, markov.transient(matrix, pi0, t, args.tol)) for t in args.t]
@@ -218,7 +218,7 @@ def build_parser():
     p.add_argument("--partition")
     p.add_argument("--measures")
     p.add_argument("--out", required=True, help="output file prefix")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=markov.DEFAULT_TRANSIENT_TOL)
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("stationary", help="stationary distribution")

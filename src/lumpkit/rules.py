@@ -65,13 +65,12 @@ class RuleModel:
                 for v in rule.left.nodes:
                     derived.setdefault(v, set()).update(rule.left.interface[v])
             for name, sites in self.initial.graph.interface.items():
-                t = name.split("#", 1)[0]
-                derived.setdefault(t, set()).update(sites)
+                derived.setdefault(node_type(name), set()).update(sites)
             object.__setattr__(self, "interface",
                                {v: frozenset(s) for v, s in derived.items()})
         edge_types = self.edge_types
         for edge in self.initial.graph.edges:
-            etype = frozenset((v.split("#", 1)[0], s) for v, s in edge)
+            etype = frozenset((node_type(v), s) for v, s in edge)
             if etype not in edge_types:
                 raise ValueError("initial mixture uses an edge type absent from the rules")
 
@@ -472,23 +471,11 @@ def explore(model: RuleModel, max_states: int = DEFAULT_MAX_STATES) -> ExploredC
 
 
 def explore_labelled(model: RuleModel, max_states: int = DEFAULT_MAX_STATES):
-    """``explore``'s chain and ``edge_labels``' labels of it, from one
-    search."""
+    """``explore``'s chain and its rule labels, from one search: (i, j) ->
+    sorted names of the rules, zero-rate ones included, that take state i to
+    state j != i, in order of first application."""
     keys, rows, cols, applied = _applications(model, max_states)
     return _chain(model, keys, rows, cols, applied), _labels(model, rows, cols, applied)
-
-
-def edge_labels(model: RuleModel, chain: ExploredChain) -> dict:
-    """(i, j) -> sorted names of the rules, zero-rate ones included, that take
-    state i to state j != i, in order of first application. Raises
-    ValueError unless chain is ``explore(model)``'s."""
-    try:
-        keys, rows, cols, applied = _applications(model, len(chain.space))
-    except StateCapExceeded:
-        keys = None
-    if keys != chain.space.states:
-        raise ValueError("the chain is not the one that explore makes of the model")
-    return _labels(model, rows, cols, applied)
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
@@ -500,12 +487,9 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     return Partition(tuple(tuple(fibers[v]) for v in sorted(fibers)))
 
 
-def export_dot(model: RuleModel, chain: ExploredChain, labels=None) -> str:
-    """DOT digraph of the model's explored chain with rule names as edge
-    labels, ``edge_labels(model, chain)`` unless given; transitions of rate
-    zero draw no edge."""
-    if labels is None:
-        labels = edge_labels(model, chain)
+def export_dot(chain: ExploredChain, labels: dict) -> str:
+    """DOT digraph of an explored chain with its ``explore_labelled`` labels
+    as edge labels; transitions of rate zero draw no edge."""
     lines = ["digraph chain {"]
     for i, key in enumerate(chain.space.states):
         lines.append(f'  n{i} [label="{key}"];')

@@ -132,6 +132,14 @@ class TestConditionChecks:
         assert res == {"holds": True, "residual": 0.0}
         assert aggregation.check_cond3(q, part)
 
+    def test_partition_of_another_dimension_refused(self):
+        q = fig_chain(0.3, 1.7)
+        part = aggregation.Partition.singletons(5)
+        with pytest.raises(ValueError, match="does not cover the matrix dimension"):
+            aggregation.check_condition(q, part, aggregation.uniform_measures(part))
+        with pytest.raises(ValueError, match="does not cover the matrix dimension"):
+            aggregation.check_cond3(q, part)
+
     def test_scaffold_phi1_holds(self):
         ch = scaffold_chain(1, 1, 1)
         part = rules.build_partition(ch, casestudies.scaffold_phi1)
@@ -251,6 +259,12 @@ class TestRestrictLiftRespects:
         lifted = aggregation.lift(blocks, part, alphas)
         assert np.allclose(lifted.weights, [1 / 3, 1 / 3, 1 / 3])
 
+    def test_lift_refuses_another_number_of_blocks(self):
+        part = aggregation.Partition(((0, 1), (2,)))
+        with pytest.raises(ValueError, match="3 block weights for 2 blocks"):
+            aggregation.lift(markov.Distribution.uniform(3), part,
+                             aggregation.uniform_measures(part))
+
     def test_restrict_after_lift_is_identity(self):
         part = aggregation.Partition(((0, 2), (1, 3, 4)))
         alphas = aggregation.MeasureFamily((
@@ -322,6 +336,11 @@ class TestNested:
         coarse = aggregation.Partition(((0,), (1, 2)))
         with pytest.raises(NotNested):
             aggregation.nested(fine, coarse)
+
+    def test_partitions_of_different_spaces_refused(self):
+        with pytest.raises(ValueError, match="different state spaces"):
+            aggregation.nested(aggregation.Partition(((0, 1),)),
+                               aggregation.Partition(((0, 1, 2),)))
 
     def test_scaffold_alpha_prime_sizes(self):
         ch = scaffold_chain()

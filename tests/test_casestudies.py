@@ -437,3 +437,16 @@ class TestPolymerCounts:
     def test_partition_numbers(self):
         values = [casestudies.partition_number(n) for n in range(7)]
         assert values == [1, 1, 2, 3, 5, 7, 11]
+
+    @pytest.mark.parametrize("count", [
+        lambda: casestudies.scaffold_state_counts(-1),
+        lambda: casestudies.polymer_state_counts(-1),
+        lambda: casestudies.partition_number(-1),
+        lambda: casestudies.polymer_count_f(1, -1, 1, 0),
+        lambda: casestudies.polymer_class_size_phi2(3, 0, 2),
+        lambda: casestudies.polymer_class_size_phi3(5, 2),
+    ], ids=["scaffold-states", "polymer-states", "partition-number", "f-negative",
+            "phi2-size", "phi3-size"])
+    def test_arguments_out_of_range_rejected(self, count):
+        with pytest.raises(InvalidArgs):
+            count()

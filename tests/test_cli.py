@@ -145,7 +145,7 @@ class TestExplore:
                          "--dot", str(dot)]) == 0
         assert len(calls) == 1
         parsed = dsl.parse_model(model.read_text())
-        assert dot.read_text() == rules.export_dot(parsed, rules.explore(parsed))
+        assert dot.read_text() == rules.export_dot(*rules.explore_labelled(parsed))
 
 
 class TestCheck:
@@ -316,6 +316,32 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("usage: lumpkit") and message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "{chain}"], "supply --partition FILE or --phi NAME"),
+        (["transient", "{chain}", "--init", "respectful:{tmp}/blocks.csv", "--t", "1",
+          "--out", "{tmp}/p"], "respectful: init requires --partition"),
+        (["transient", "{chain}", "--init", "uniform", "--t", "1", "--tol", "0",
+          "--out", "{tmp}/p"], "tol must lie in (0, 1)"),
+        (["explore", "{model}", "--out", "{tmp}/c.json", "--max-states", "0"],
+         "max_states must be at least 1"),
+    ], ids=["no-partition", "respectful-without-partition", "transient-tol-0", "max-states-0"])
+    def test_option_error_is_an_input_error(self, scaffold_files, tmp_path, capsys, argv,
+                                            message):
+        model, chain = scaffold_files
+        argv = [arg.format(model=model, chain=chain, tmp=tmp_path) for arg in argv]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "scaffold.model"]
+
+    def test_transient_of_a_stochastic_chain_names_the_file(self, tmp_path, capsys):
+        chain = tmp_path / "dtmc.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "stochastic",
+                                     "triplets": [[0, 1, 1.0], [1, 0, 1.0]]}))
+        assert cli.main(["transient", str(chain), "--init", "uniform", "--t", "1",
+                         "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {chain}: transient requires a rate-matrix chain\n")
+
     def test_help_exits_0(self, capsys):
         assert cli.main(["explore", "--help"]) == 0
         assert "--max-states" in capsys.readouterr().out
@@ -361,6 +387,8 @@ class TestBadInput:
         ("chain", lambda states: {"states": states[:1] * 2, "kind": "rate", "triplets": []}),
         ("chain", lambda states: {"states": states, "kind": "rate", "triplets": [[0, 0, {}]]}),
         ("chain", lambda states: {"states": states, "kind": "rate", "triplets": 5}),
+        ("chain", lambda states: {"states": states, "kind": "rate", "triplets": [[0, 1]]}),
+        ("chain", lambda states: {"states": [], "kind": "rate", "triplets": []}),
         ("partition", lambda states: [1]),
         ("partition", lambda states: {}),
         ("partition", lambda states: {"blocks": "".join(states)}),  # read as "a", "b"
@@ -372,10 +400,13 @@ class TestBadInput:
         ("measures", lambda states: {"alphas": [{s: float("nan")} for s in states]}),
         ("measures", lambda states: {"alphas": [{s: 0.4} for s in states]}),
         ("measures", lambda states: {"alphas": [{s: -1.0} for s in states]}),
+        ("measures", lambda states: {"alphas": [{} for s in states]}),
+        ("measures", lambda states: {"alphas": [{s: 0.5 for s in states}]}),
     ], ids=["not-object", "list-key", "no-kind", "kind-foo", "state-twice", "object-value",
-            "number-triplets", "not-object", "no-blocks", "string-blocks", "state-twice",
-            "empty-block", "not-object", "string-weight", "bool-weight", "nan-weight",
-            "sum-0.4", "negative-weight"])
+            "number-triplets", "short-triplet", "no-states", "not-object", "no-blocks",
+            "string-blocks", "state-twice", "empty-block", "not-object", "string-weight",
+            "bool-weight", "nan-weight", "sum-0.4", "negative-weight", "empty-measure",
+            "too-few-measures"])
     def test_malformed_json_file_names_the_file(self, tmp_path, capsys, reader, content):
         states = ["a", "b"]
         chain = tmp_path / "ab.json"
@@ -485,13 +516,32 @@ class TestUnreadableFiles:
         ("A(x), B(a) -> A(x), B(a) @ 1", "site 'x' is not declared for node type 'A'"),
         ("A(b), B(a) -> A(b!1), B(a!1) @ -1", "rate must be finite and nonnegative"),
         ("A(b), B(a) -> A(b!1), B(a!1) @ 1e400", "rate must be finite and nonnegative"),
-    ], ids=["undeclared-site", "negative-rate", "rate-past-float-range"])
+        ("A b, B(a) -> A(b!1), B(a!1) @ 1", "malformed agent 'A b'"),
+        ("A(b!x), B(a) -> A(b), B(a) @ 1", "malformed site 'b!x'"),
+        ("A(b, b), B(a) -> A(b, b), B(a) @ 1", "site 'b' mentioned twice"),
+        ("A(b), B(a) -> A(), B(a) @ 1", "rule sides must share the interfaces"),
+        ("A(b), B(a) -> A(b!1), B(a!1)", "malformed rule"),
+    ], ids=["undeclared-site", "negative-rate", "rate-past-float-range", "malformed-agent",
+            "malformed-site", "site-twice", "interfaces-differ", "no-rate"])
     def test_model_error_names_file_and_line(self, tmp_path, capsys, rule, message):
         model = tmp_path / "x.model"
         model.write_text(f"node A {{ sites: b }}\nnode B {{ sites: a }}\nrule r: {rule}\n"
                          "init: A*1, B*1\n")
         assert cli.main(["explore", str(model), "--out", str(tmp_path / "c.json")]) == 1
         assert capsys.readouterr().err == f"error: {model}: {message} at line 3\n"
+
+    @pytest.mark.parametrize("lines, message", [
+        (["node A { sites: b }", "node A { sites: c }", "init: A*1"],
+         "node type 'A' declared twice at line 2"),
+        (["node A { sites: b }", "init A*1"], "malformed init line at line 2"),
+        (["node A { sites: b }", "init: A*x"], "malformed init entry 'A*x' at line 2"),
+        (["node A { sites: b }", "init: B*1"], "node type 'B' is not declared at line 2"),
+    ], ids=["node-twice", "malformed-init", "malformed-init-entry", "init-undeclared-type"])
+    def test_declaration_error_names_file_and_line(self, tmp_path, capsys, lines, message):
+        model = tmp_path / "x.model"
+        model.write_text("\n".join(lines) + "\n")
+        assert cli.main(["explore", str(model), "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
     def test_number_past_the_float_range_names_the_file(self, tmp_path, capsys):
         chain = tmp_path / "big.json"

@@ -7,6 +7,7 @@ from lumpkit.errors import (
     UnbalancedBond,
     UndeclaredSite,
 )
+from lumpkit.sitegraph import make_mixture
 
 SCAFFOLD_TEXT = """\
 # two independent binding sites on B
@@ -136,3 +137,12 @@ class TestPrinting:
         once = dsl.print_model(model)
         twice = dsl.print_model(dsl.parse_model(once))
         assert once == twice
+
+    def test_bonded_initial_mixture_refused(self):
+        # an init line lists counts only
+        iface = casestudies.SCAFFOLD_INTERFACE
+        initial = make_mixture(iface, {"A": 1, "B": 1, "C": 1},
+                               [frozenset((("A#1", "b"), ("B#1", "a")))])
+        model = rules.RuleModel(dsl.parse_model(SCAFFOLD_TEXT).rules, initial, dict(iface))
+        with pytest.raises(ValueError, match="edgeless initial mixtures"):
+            dsl.print_model(model)

@@ -1,7 +1,7 @@
-"""Differential test: the slot-encoded ``rules.explore`` and
-``rules.edge_labels`` against the
-breadth-first search it replaced, written here from the oracle's
-``find_embeddings``, ``apply`` and ``mixture_key``."""
+"""Differential test: the slot-encoded ``rules.explore`` and the labels of
+``rules.explore_labelled`` against the breadth-first search they replaced,
+written here from the oracle's ``find_embeddings``, ``apply`` and
+``mixture_key``."""
 
 import numpy as np
 import oracle
@@ -155,7 +155,8 @@ class TestExploreMatchesReference:
         states, matrix, edge_labels, mixtures = want
         assert chain.space.states == states
         assert chain.matrix == matrix
-        assert list(rules.edge_labels(model, chain).items()) == list(edge_labels.items())
+        labels = rules.explore_labelled(model, MAX_STATES)[1]
+        assert list(labels.items()) == list(edge_labels.items())
         assert chain.counts == dict(model.initial.counts)
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
 
@@ -176,7 +177,8 @@ class TestExploreMatchesReference:
         assert chain.space.states == states
         assert np.array_equal(got.row, matrix.row) and np.array_equal(got.col, matrix.col)
         assert np.abs(got.data - matrix.data).max(initial=0.0) <= 1e-12
-        assert list(rules.edge_labels(model, chain).items()) == list(edge_labels.items())
+        labels = rules.explore_labelled(model, MAX_STATES)[1]
+        assert list(labels.items()) == list(edge_labels.items())
         assert chain.counts == dict(model.initial.counts)
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
 
@@ -206,7 +208,8 @@ class TestInstancesWithDifferentInterfaces:
         chain = rules.explore(model, MAX_STATES)
         assert chain.space.states == states and len(states) == 7
         assert chain.matrix == matrix
-        assert rules.edge_labels(model, chain) == edge_labels
+        labels = rules.explore_labelled(model, MAX_STATES)[1]
+        assert list(labels.items()) == list(edge_labels.items())
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
 
     def test_site_one_instance_lacks_refused_as_the_reference(self):

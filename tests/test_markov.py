@@ -83,6 +83,15 @@ class TestTypes:
         p = markov.StochasticMatrix.from_triplets(2, [(0, 1, 0.25), (1, 0, 1.0), (0, 1, 0.75)])
         assert p == markov.StochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: markov.RateMatrix(2, [0], [0, 1], [0.0]),
+        lambda: markov.RateMatrix.from_dense(np.zeros((2, 3))),
+        lambda: markov.Distribution([[0.5], [0.5]]),
+    ], ids=["lengths-differ", "not-square", "not-a-vector"])
+    def test_malformed_construction_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_triplet_round_trip(self):
         q = two_state_q()
         again = markov.RateMatrix.from_triplets(2, q.triplets())
@@ -102,6 +111,22 @@ class TestStationary:
     def test_symmetric_stochastic(self):
         p = markov.StochasticMatrix.from_dense(np.full((2, 2), 0.5))
         assert np.allclose(markov.stationary(p).weights, [0.5, 0.5], atol=1e-14)
+
+    @pytest.mark.parametrize("rate", [1e-15, 1e-13])
+    def test_tiny_weight_kept(self, rate):
+        # a weight far below the largest is still a weight, not rounding
+        q = markov.RateMatrix.from_dense(np.array([[-1.0, 1.0], [rate, -rate]]))
+        exact = np.array([rate, 1.0]) / (1.0 + rate)
+        assert np.abs(markov.stationary(q).weights / exact - 1.0).max() <= 1e-12
+
+    def test_residual_above_tol_refused(self):
+        # no floating-point solve of this chain has a zero flow residual
+        rng = np.random.default_rng(7)
+        q = rng.uniform(0.1, 1.0, (30, 30)) / 3
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        with pytest.raises(SolverFailure, match="residual"):
+            markov.stationary(markov.RateMatrix.from_dense(q), tol=0.0)
 
     def test_reducible_rejected(self):
         p = markov.StochasticMatrix.from_dense(np.eye(2))
@@ -207,6 +232,10 @@ class TestTransient:
         res = markov.transient(ch.matrix, pi0, 5.0)
         oracle = pi0.weights @ scipy.linalg.expm(ch.matrix.dense() * 5.0)
         assert np.abs(res.weights - oracle).max() < 1e-10
+
+    def test_distribution_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="length does not match"):
+            markov.transient(two_state_q(), markov.Distribution.uniform(3), 1.0)
 
     def test_term_cap_raises(self):
         q = markov.RateMatrix.from_dense(np.array([[-1e6, 1e6], [1e6, -1e6]]))

@@ -138,11 +138,11 @@ class TestExplore:
     def test_three_parallel_bc_binds(self):
         c2 = 0.75
         model = scaffold_model(1, 3, 1, rates=(1.0, c2, 1.0, 1.0))
-        chain = rules.explore(model)
+        chain, labels = rules.explore_labelled(model)
         start = make_mixture(SCAFFOLD, {"A": 1, "B": 3, "C": 1},
                              [edge("A#1", "b", "B#1", "a")])
         i = chain.space.index[oracle.mixture_key(start)]
-        r2_rates = [v for (a, b), names in rules.edge_labels(model, chain).items()
+        r2_rates = [v for (a, b), names in labels.items()
                     if a == i and "r2" in names
                     for (row, col, v) in chain.matrix.triplets()
                     if row == a and col == b]
@@ -184,8 +184,7 @@ class TestExplore:
 
     def test_zero_rate_target_stays_with_its_label(self):
         model = scaffold_model(rates=(0.0, 1.0, 1.0, 1.0))
-        chain = rules.explore(model)
-        labels = rules.edge_labels(model, chain)
+        chain, labels = rules.explore_labelled(model)
         assert len(chain.space) == 4
         assert len(labels) == 8
         assert len(chain.matrix.triplets()) == 10
@@ -243,7 +242,7 @@ class TestExplore:
         monkeypatch.setattr(ReactionMixture, "__post_init__", forbidden)
         chain = rules.explore(model)
         assert len(chain.space) == 49
-        assert len(rules.edge_labels(model, chain)) == 224
+        assert len(rules.explore_labelled(model)[1]) == 224
 
     def test_deterministic_ordering(self):
         a = rules.explore(scaffold_model(1, 3, 1))
@@ -375,6 +374,13 @@ def test_single_rule_application_is_not_public():
     assert all(hasattr(oracle, name) for name in moved)
 
 
+def test_one_source_of_rule_labels():
+    """Rule labels come from explore_labelled's search only: no function
+    reruns the search to rebuild them for a chain."""
+    assert not hasattr(rules, "edge_labels")
+    assert not hasattr(lumpkit, "edge_labels")
+
+
 class TestReversibility:
     def test_scaffold_reversible(self):
         assert oracle.is_reversible(scaffold_model())
@@ -498,27 +504,20 @@ class TestSerialization:
 
     def test_export_dot(self):
         model = scaffold_model()
-        chain = rules.explore(model)
-        dot = rules.export_dot(model, chain)
+        chain, labels = rules.explore_labelled(model)
+        dot = rules.export_dot(chain, labels)
         i, j = chain.space.index["-"], chain.space.index["A#1.b-B#1.a"]
         assert dot.startswith("digraph")
         assert f'  n{i} -> n{j} [label="r1 (1)"];\n' in dot
 
     def test_export_dot_draws_no_zero_rate_edge(self):
         model = scaffold_model(rates=(0.0, 1.0, 1.0, 1.0))
-        chain = rules.explore(model)
-        dot = rules.export_dot(model, chain)
+        chain, labels = rules.explore_labelled(model)
+        dot = rules.export_dot(chain, labels)
         i, j = chain.space.index["-"], chain.space.index["A#1.b-B#1.a"]
         assert f"n{i} -> n{j} " not in dot
         assert 'label="r1' not in dot
         assert dot.count(" -> ") == 6
-
-    @pytest.mark.parametrize("size", [(1, 1, 1), (2, 2, 2)], ids=["fewer", "more"])
-    def test_edge_labels_refuse_another_models_chain(self, size):
-        # the model reaches fewer states than the chain has, or more
-        chain = rules.explore(scaffold_model(1, 2, 1))
-        with pytest.raises(ValueError, match="not the one that explore makes"):
-            rules.edge_labels(scaffold_model(*size), chain)
 
     def test_max_states_env(self, monkeypatch):
         monkeypatch.delenv("LUMPKIT_MAX_STATES", raising=False)

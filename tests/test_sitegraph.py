@@ -175,6 +175,15 @@ class TestSiteGraph:
         assert mix.graph.nodes == frozenset(
             {"A#1", "B#1", "B#2", "B#3", "C#1"})
 
+    def test_interface_must_match_the_nodes(self):
+        with pytest.raises(ValueError, match="exactly on the node set"):
+            SiteGraph(frozenset({"A"}), {"B": frozenset({"a"})}, frozenset())
+
+    def test_mixture_refuses_instances_other_than_the_counts(self):
+        graph = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1}).graph
+        with pytest.raises(ValueError, match="do not match the counts"):
+            ReactionMixture(graph, {"A": 2, "B": 1, "C": 1})
+
 
 class TestComponents:
     def test_edgeless_graph(self):
