@@ -11,6 +11,7 @@ original chain's distribution can be recovered from the aggregated one.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .markov import Distribution, RateMatrix, transient
 DEFAULT_CONDITION_TOL = 1e-9
 RESPECT_TOL = 1e-12
 ZERO_BLOCK_EPS = 1e-12
+DEFAULT_DIAGNOSTICS_TRANSIENT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class Partition:
         ordered = np.sort(states)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
-            raise ValueError(f"state {repeated[0]} occurs in two blocks")
+            raise ValueError(f"state {repeated[0]} listed twice")
         if states.size and (ordered[0] != 0 or ordered[-1] != states.size - 1):
             raise ValueError("blocks must cover a contiguous index range")
         block_of = np.empty(states.size, dtype=np.int64)
@@ -246,7 +248,7 @@ def nested(fine: Partition, coarse: Partition) -> NestedResult:
 def convergence_diagnostics(Q: RateMatrix, part: Partition, alphas: MeasureFamily,
                             pi0: Distribution, times,
                             tol: float = DEFAULT_CONDITION_TOL,
-                            transient_tol: float = 1e-14):
+                            transient_tol: float = DEFAULT_DIAGNOSTICS_TRANSIENT_TOL):
     """Lumpability and invertibility deviations between the full chain and
     the aggregated chain, per time point."""
     agg = aggregate(Q, part, alphas, tol)
@@ -274,7 +276,12 @@ def load_partition(path, space) -> Partition:
     data = markov.load_json(path)
     markov.check_shape(data, {"blocks": [[str]]}, path)
     blocks = tuple(tuple(space.lookup(k, path) for k in block) for block in data["blocks"])
-    uncovered = len(space) - len({s for block in blocks for s in block})
+    seen = set()
+    for key in itertools.chain.from_iterable(data["blocks"]):
+        if key in seen:
+            raise ValueError(f"state {key!r} listed twice in {path}")
+        seen.add(key)
+    uncovered = len(space) - len(seen)
     with markov.naming(path):
         if uncovered:
             raise ValueError(f"partition leaves {uncovered} of {len(space)} states uncovered")

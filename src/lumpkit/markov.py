@@ -23,6 +23,7 @@ from .errors import ModelSyntaxError, NotIrreducible, RateBoundViolated, SolverF
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_TRANSIENT_TOL = 1e-12
+DEFAULT_STATIONARY_TOL = 1e-10
 DEFAULT_RATE_SLACK = 1.05
 POISSON_TERM_CAP = 10 ** 6
 
@@ -119,7 +120,14 @@ class SquareMatrix:
         return arr
 
     def triplets(self):
-        return list(zip(self.row.tolist(), self.col.tolist(), self.data.tolist()))
+        """The nonzero entries as (row, col, value) tuples of Python int, int
+        and float, sorted by (row, col). The tuples share one int object per
+        state index and one float object per distinct value, instead of
+        holding a new object for every number: about 75 bytes per nonzero
+        instead of 160, and the chain writer's peak falls with it."""
+        index = np.arange(self.dim).astype(object)
+        values, which = np.unique(self.data, return_inverse=True)
+        return list(zip(index[self.row], index[self.col], values.astype(object)[which]))
 
     def vecmat(self, v):
         """Row vector times matrix: (v K)_j = sum_i v_i K(i, j)."""
@@ -243,7 +251,7 @@ def classify(K) -> ChainStructure:
         count == 1 and bool(closed[0]))
 
 
-def stationary(K, tol=1e-10) -> Distribution:
+def stationary(K, tol=DEFAULT_STATIONARY_TOL) -> Distribution:
     """Stationary distribution of an irreducible chain.
 
     Solves mu K = mu (stochastic) or mu K = 0 (rate) with the last balance
@@ -302,11 +310,16 @@ def uniformize(Q: RateMatrix, r: float) -> StochasticMatrix:
 
 
 def default_rate(Q: RateMatrix) -> float:
-    """Uniformization rate strictly above the exit-rate bound."""
+    """Uniformization rate strictly above the exit-rate bound: the slack
+    times the largest exit rate, or the next float up where that product
+    rounds back to it (a subnormal rate) or overflows. Only the largest
+    float has no finite float above it; it gets infinity, whose r*t
+    ``transient`` refuses."""
     qmax = float(Q.exit_rates().max())
     if qmax == 0.0:
         return 1.0
-    return DEFAULT_RATE_SLACK * qmax
+    r = DEFAULT_RATE_SLACK * qmax
+    return r if qmax < r < math.inf else math.nextafter(qmax, math.inf)
 
 
 def _poisson_window(rt: float, tol: float):
@@ -319,6 +332,12 @@ def _poisson_window(rt: float, tol: float):
     outside the window is at most tol. Weights are products of ratios scaled
     from the mode, so none overflows and only the negligible ones underflow.
     """
+    # the window reaches past rt, so an rt at the cap needs too many terms;
+    # refusing it first keeps an rt near or past the float range, where the
+    # bounds below overflow, out of them
+    if not rt < POISSON_TERM_CAP:
+        raise SolverFailure(f"r*t = {rt:.6g} needs over r*t Poisson terms, "
+                            f"more than the cap of {POISSON_TERM_CAP}")
     log_tol = math.log(2.0 / tol)
     left = max(0, math.floor(rt - math.sqrt(2.0 * rt * log_tol)))
     right = math.ceil(rt + log_tol / 3.0 + math.sqrt(log_tol ** 2 / 9.0 + 2.0 * rt * log_tol))

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,7 @@ class TestPartitionAndMeasures:
             aggregation.Partition(((0, 1), (3,)))
 
     def test_partition_must_be_disjoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state 1 listed twice"):
             aggregation.Partition(((0, 1), (1, 2)))
 
     def test_block_of(self):
@@ -315,6 +316,11 @@ class TestToleranceValidation:
                                                   alphas, tol)):
             with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
                 call()
+
+    def test_diagnostics_transient_tol_default_is_its_constant(self):
+        default = inspect.signature(aggregation.convergence_diagnostics).parameters[
+            "transient_tol"].default
+        assert default is aggregation.DEFAULT_DIAGNOSTICS_TRANSIENT_TOL == 1e-14
 
     def test_zero_tol_accepted(self):
         q = fig_chain(1.5, 1.5)

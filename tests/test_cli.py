@@ -543,6 +543,17 @@ class TestUnreadableFiles:
         assert cli.main(["explore", str(model), "--out", str(tmp_path / "c.json")]) == 1
         assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
+    @pytest.mark.parametrize("blocks", [[["a", "b"], ["b"]], [["a", "a", "b"]]],
+                             ids=["two-blocks", "one-block"])
+    def test_partition_listing_a_state_twice_names_file_and_key(self, ab_files, tmp_path,
+                                                                capsys, blocks):
+        chain, _ = ab_files
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps({"blocks": blocks}))
+        assert cli.main(["check", str(chain), "--partition", str(dup)]) == 1
+        repeated = "b" if len(blocks) == 2 else "a"
+        assert capsys.readouterr().err == f"error: state {repeated!r} listed twice in {dup}\n"
+
     def test_number_past_the_float_range_names_the_file(self, tmp_path, capsys):
         chain = tmp_path / "big.json"
         chain.write_text('{"states": ["a"], "kind": "rate", "triplets": [[0, 0, 1%s]]}'
@@ -598,6 +609,25 @@ class TestBadNumbers:
                          "--t", t, "--out", str(tmp_path / "dist")])
         assert code == 1
         assert capsys.readouterr().err == "error: t must be finite and nonnegative\n"
+
+    def test_subnormal_exit_rate(self, tmp_path):
+        # 1.05 times 5e-324 rounds back to 5e-324, which is no uniformization rate
+        chain = tmp_path / "tiny.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": [
+            [0, 1, 5e-324], [0, 0, -5e-324]]}))
+        assert cli.main(["transient", str(chain), "--init", "uniform", "--t", "1",
+                         "--out", str(tmp_path / "p")]) == 0
+        assert (tmp_path / "p_t1.csv").read_text() == "a,0.5\nb,0.5\n"
+
+    def test_rates_near_the_float_range_refused(self, tmp_path, capsys):
+        chain = tmp_path / "huge.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": [
+            [0, 1, 1.7e308], [0, 0, -1.7e308], [1, 0, 1.7e308], [1, 1, -1.7e308]]}))
+        assert cli.main(["transient", str(chain), "--init", "uniform", "--t", "1",
+                         "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: r*t = ") and "cap of 1000000" in err
+        assert "Traceback" not in err and not list(tmp_path.glob("p_t*.csv"))
 
     @pytest.mark.parametrize("times, message", [
         ("1,nan", "error: t must be finite and nonnegative\n"),

@@ -1,11 +1,14 @@
+import inspect
 import json
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_expm
@@ -28,6 +31,20 @@ def small_rate_matrices(draw):
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     return markov.RateMatrix.from_dense(q)
+
+
+@st.composite
+def matrices_with_repeated_values(draw):
+    """Rate matrices whose rates repeat, some with no entries at all, or the
+    stochastic matrices that uniformize them."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    rates = draw(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=3))
+    q = np.array(draw(st.lists(st.sampled_from([0.0] + rates),
+                               min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    q = markov.RateMatrix.from_dense(q)
+    return q if draw(st.booleans()) else markov.uniformize(q, markov.default_rate(q))
 
 
 class TestTypes:
@@ -97,6 +114,30 @@ class TestTypes:
         again = markov.RateMatrix.from_triplets(2, q.triplets())
         assert q == again
 
+    @settings(max_examples=60, deadline=None)
+    @given(matrices_with_repeated_values())
+    @example(markov.RateMatrix.from_dense(np.zeros((3, 3))))
+    def test_triplets_match_one_object_per_number(self, m):
+        expected = list(zip(m.row.tolist(), m.col.tolist(), m.data.tolist()))
+        got = m.triplets()
+        assert type(got) is list and got == expected
+        assert [tuple(map(type, t)) for t in got] == [(int, int, float)] * len(expected)
+        assert json.dumps(got) == json.dumps(expected)
+
+    def test_triplets_share_index_and_value_objects(self):
+        # scaffold (3,3,3): a new int or float per number retains about 142
+        # bytes per entry, shared index and value objects about 76
+        m = rules.explore(casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3))).matrix
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trip = m.triplets()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trip) == 9724
+        assert retained / len(trip) < 100, retained / len(trip)
+
 
 class TestStationary:
     def test_one_state(self):
@@ -118,6 +159,10 @@ class TestStationary:
         q = markov.RateMatrix.from_dense(np.array([[-1.0, 1.0], [rate, -rate]]))
         exact = np.array([rate, 1.0]) / (1.0 + rate)
         assert np.abs(markov.stationary(q).weights / exact - 1.0).max() <= 1e-12
+
+    def test_tol_default_is_its_constant(self):
+        default = inspect.signature(markov.stationary).parameters["tol"].default
+        assert default is markov.DEFAULT_STATIONARY_TOL == 1e-10
 
     def test_residual_above_tol_refused(self):
         # no floating-point solve of this chain has a zero flow residual
@@ -169,6 +214,19 @@ class TestUniformize:
         q = two_state_q()
         r = markov.default_rate(q)
         assert r > max(q.exit_rates())
+        # 1.05 * qmax rounds back to qmax at 5e-324 and overflows at 1.75e308
+        for qmax in (5e-324, 1e-310, 1.7e308, 1.75e308):
+            q = markov.RateMatrix.from_dense(np.array([[-qmax, qmax], [0.0, 0.0]]))
+            r = markov.default_rate(q)
+            assert qmax < r < math.inf, qmax
+            assert markov.uniformize(q, r).dense()[0, 0] >= 0.0
+
+    def test_default_rate_past_the_largest_float(self):
+        big = sys.float_info.max
+        q = markov.RateMatrix.from_dense(np.array([[-big, big], [0.0, 0.0]]))
+        assert markov.default_rate(q) == math.inf
+        with pytest.raises(SolverFailure, match=f"cap of {markov.POISSON_TERM_CAP}"):
+            markov.transient(q, markov.Distribution([1.0, 0.0]), 1e-300)
 
 
 class TestTransient:
@@ -238,12 +296,17 @@ class TestTransient:
             markov.transient(two_state_q(), markov.Distribution.uniform(3), 1.0)
 
     def test_term_cap_raises(self):
-        q = markov.RateMatrix.from_dense(np.array([[-1e6, 1e6], [1e6, -1e6]]))
-        with pytest.raises(SolverFailure):
-            markov.transient(q, markov.Distribution([1.0, 0.0]), 2.0)
+        # at rate 1.7e308, r*t = 1.785e308 overflows the window's bounds,
+        # and at t = 1e300 it is infinite
+        for rate, t in ((1e6, 2.0), (1.7e308, 1.0), (1.7e308, 1e300)):
+            q = markov.RateMatrix.from_dense(np.array([[-rate, rate], [rate, -rate]]))
+            with pytest.raises(SolverFailure, match=f"cap of {markov.POISSON_TERM_CAP}"):
+                markov.transient(q, markov.Distribution([1.0, 0.0]), t)
 
     @settings(max_examples=25, deadline=None)
     @given(small_rate_matrices(), st.floats(min_value=0.0, max_value=3.0))
+    # 1.05 times the exit rate 5e-324 rounds back to 5e-324
+    @example(markov.RateMatrix.from_dense(np.array([[-5e-324, 5e-324], [0.0, 0.0]])), 1.0)
     def test_transient_is_a_distribution(self, q, t):
         pi0 = markov.Distribution.uniform(q.dim)
         res = markov.transient(q, pi0, t)
