@@ -8,14 +8,12 @@ are the reciprocals of these sizes.
 
 from __future__ import annotations
 
-import functools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import InvalidArgs, InvalidCounts, NotPolymerComponent
+from .errors import InvalidArgs, InvalidCounts
 from .rules import RewriteRule, RuleModel, check_rate
-from .sitegraph import SiteGraph, components, make_edge, make_mixture, node_type
+from .sitegraph import SiteGraph, make_edge, make_mixture, node_type
 
 
 # --- case study 1: scaffold --------------------------------------------------
@@ -161,68 +159,6 @@ def polymer_model(p: PolymerParams) -> RuleModel:
     )
     initial = make_mixture(POLYMER_INTERFACE, {"A": p.n, "B": p.n})
     return RuleModel(rules, initial, dict(POLYMER_INTERFACE))
-
-
-@dataclass(frozen=True)
-class ComponentClass:
-    """Shape of a polymer component.
-
-    Chain kinds are named by their free end sites: ChainAB has free b and a
-    (all internal bonds r-l), ChainBA has free l and r, ChainAA/ChainBB end
-    in two nodes of the same type, and Ring has no free sites. length_index
-    follows the sequential-choice counting convention: it is the number of
-    majority-type nodes, so an isolated A is ChainAA with index 1.
-    """
-
-    kind: str  # ChainAB | ChainBA | ChainAA | ChainBB | Ring
-    length_index: int
-
-
-def _classify(bonds, nodes, sites_of) -> ComponentClass:
-    """The shape of the component with these nodes, read from a bond map
-    that holds them: a node's free sites are those of sites_of(node) with no
-    bond."""
-    n_a = sum(1 for v in nodes if node_type(v) == "A")
-    n_b = sum(1 for v in nodes if node_type(v) == "B")
-    if n_a + n_b != len(nodes) or n_a + n_b == 0:
-        raise NotPolymerComponent("component has non-polymer node types")
-    free_sites = sorted(s for v in nodes
-                        for s in sites_of(v).difference(t for t, _ in bonds[v]))
-    if not free_sites:
-        # each bond appears once at each end
-        if n_a != n_b or sum(len(bonds[v]) for v in nodes) != 4 * n_a:
-            raise NotPolymerComponent("ring shape mismatch")
-        return ComponentClass("Ring", n_a)
-    if len(free_sites) != 2:
-        raise NotPolymerComponent(f"component has {len(free_sites)} free sites")
-    if free_sites == ["a", "b"]:
-        kind, index = "ChainAB", n_a
-    elif free_sites == ["l", "r"]:
-        kind, index = "ChainBA", n_a
-    elif free_sites == ["b", "r"]:
-        kind, index = "ChainAA", n_a
-    elif free_sites == ["a", "l"]:
-        kind, index = "ChainBB", n_b
-    else:
-        raise NotPolymerComponent(f"free sites {free_sites} match no chain kind")
-    return ComponentClass(kind, index)
-
-
-def polymer_phi1(bonds):
-    """Sorted multiset of (kind, length index) over the connected components
-    of a bond map, each node with the polymer interface of its type."""
-    classes = (_polymer_class(tuple((v, tuple(bonds[v])) for v in nodes))
-               for nodes in components(bonds))
-    return tuple(sorted(Counter((c.kind, c.length_index) for c in classes).items()))
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _polymer_class(component) -> ComponentClass:
-    """_classify of one concrete component, given as its nodes in reach
-    order, each with its bonds, as sitegraph._concrete_key takes it: a
-    chain's states repeat few components (4,880 at polymer n=4)."""
-    bonds = dict(component)
-    return _classify(bonds, bonds, lambda v: POLYMER_INTERFACE[node_type(v)])
 
 
 def polymer_phi2(bonds):

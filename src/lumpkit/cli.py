@@ -17,11 +17,18 @@ EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_VIOLATED = 3
 
+
+def _species(bonds):
+    return tuple(sorted(sitegraph.species_census(bonds).items()))
+
+
+# a polymer component's chain or ring shape fixes its species, so
+# polymer-phi1 is the census under the case study's name
 _PHI_FUNCS = {
-    "species": lambda bonds: tuple(sorted(sitegraph.species_census(bonds).items())),
+    "species": _species,
     "scaffold-phi1": casestudies.scaffold_phi1,
     "scaffold-phi2": casestudies.scaffold_phi2,
-    "polymer-phi1": casestudies.polymer_phi1,
+    "polymer-phi1": _species,
     "polymer-phi2": casestudies.polymer_phi2,
     "polymer-phi3": casestudies.polymer_phi3,
 }
@@ -128,14 +135,19 @@ def _initial_distribution(args, space):
 
 
 def cmd_transient(args):
+    outs = {}  # file name -> time; {t:g} gives close times one name
+    for t in args.t:
+        out = f"{args.out}_t{t:g}.csv"
+        if out in outs:
+            raise LumpkitError(f"--t {outs[out]!r} and {t!r} both write {out}")
+        outs[out] = t
     space, matrix = markov.load_chain(args.chain)
     if not isinstance(matrix, markov.RateMatrix):
         raise LumpkitError(f"{args.chain}: transient requires a rate-matrix chain")
     pi0 = _initial_distribution(args, space)
     # solve every time before writing any file, so a bad time leaves no output
-    results = [(t, markov.transient(matrix, pi0, t, args.tol)) for t in args.t]
-    for t, result in results:
-        out = f"{args.out}_t{t:g}.csv"
+    results = [(out, t, markov.transient(matrix, pi0, t, args.tol)) for out, t in outs.items()]
+    for out, t, result in results:
         markov.save_distribution(out, space, result)
         print(f"t = {t:g} -> {out}")
     return EXIT_OK

@@ -119,6 +119,9 @@ def parse_model(text: str) -> RuleModel:
             if name in declared:
                 raise ModelSyntaxError(f"node type {name!r} declared twice", lineno)
             sites = [s.strip() for s in site_text.split(",") if s.strip()]
+            twice = [s for s in sites if sites.count(s) > 1]
+            if twice:
+                raise ModelSyntaxError(f"site {twice[0]!r} declared twice for {name!r}", lineno)
             declared[name] = frozenset(sites)
         elif line.startswith("rule"):
             match = _RULE_RE.match(line)
@@ -146,6 +149,8 @@ def parse_model(text: str) -> RuleModel:
                 name, count = count_match.groups()
                 if name not in declared:
                     raise UndeclaredSite(f"node type {name!r} is not declared", lineno)
+                if name in init_counts:
+                    raise ModelSyntaxError(f"node type {name!r} counted twice in init", lineno)
                 init_counts[name] = int(count)
         else:
             raise ModelSyntaxError(f"unrecognized line {line!r}", lineno)

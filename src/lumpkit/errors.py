@@ -59,10 +59,6 @@ class InvalidArgs(LumpkitError):
     """Arguments outside the admissible range of a counting function."""
 
 
-class NotPolymerComponent(LumpkitError):
-    """A connected component does not match any polymer chain/ring shape."""
-
-
 class ModelSyntaxError(LumpkitError):
     """Rule DSL parse error, carrying source position."""
 

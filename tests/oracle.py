@@ -2,15 +2,17 @@
 compiles. A rule is applied one embedding at a time, on whole site-graphs,
 and a mixture is keyed from its edges by a writer of its own.
 
-The library has one rule engine, ``explore`` with its compiled rules, and
-one component walk, ``sitegraph.components``. The functions here restate
-both from the definitions, so that tests can compare the two.
+The library has one rule engine, ``explore`` with its compiled rules, one
+component walk, ``sitegraph.components``, and one species partition,
+``sitegraph.species_census``. The functions here restate all three from the
+definitions, the last by polymer shape, so that tests can compare them.
 
 The theorem checks at the end hold for every correct aggregation: they
 test the library's ``aggregate`` and ``classify``, dense and unguarded, on
 small chains only."""
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,6 @@ from lumpkit.aggregation import (
     Partition,
     aggregate,
 )
-from lumpkit.casestudies import ComponentClass, _classify
 from lumpkit.errors import InvalidEmbedding, LumpkitError, SiteConflict, UnsupportedPattern
 from lumpkit.markov import Distribution, RateMatrix, StochasticMatrix, classify, uniformize
 from lumpkit.rules import RewriteRule, RuleModel
@@ -38,6 +39,10 @@ from lumpkit.sitegraph import (
 
 class RenamingIncomplete(LumpkitError):
     """A node renaming does not cover all nodes of the graph."""
+
+
+class NotPolymerComponent(LumpkitError):
+    """A connected component does not match any polymer chain/ring shape."""
 
 
 def connected_components(g: SiteGraph):
@@ -158,10 +163,58 @@ def is_reversible(model: RuleModel) -> bool:
     return all((rule.right, rule.left) in sides for rule in model.rules)
 
 
+@dataclass(frozen=True)
+class ComponentClass:
+    """Shape of a polymer component.
+
+    Chain kinds are named by their free end sites: ChainAB has free b and a
+    (all internal bonds r-l), ChainBA has free l and r, ChainAA/ChainBB end
+    in two nodes of the same type, and Ring has no free sites. length_index
+    follows the sequential-choice counting convention: it is the number of
+    majority-type nodes, so an isolated A is ChainAA with index 1.
+    """
+
+    kind: str  # ChainAB | ChainBA | ChainAA | ChainBB | Ring
+    length_index: int
+
+
 def polymer_classify(component: SiteGraph) -> ComponentClass:
     """The polymer shape of a connected component, each node with its own
-    interface."""
-    return _classify(component.bonds(), component.nodes, component.interface.__getitem__)
+    interface: a node's free sites are those of its interface with no bond.
+    The shape fixes the component's species, so it is an oracle of the
+    species census on the polymer case study."""
+    nodes, bonds = component.nodes, component.bonds()
+    n_a = sum(1 for v in nodes if node_type(v) == "A")
+    n_b = sum(1 for v in nodes if node_type(v) == "B")
+    if n_a + n_b != len(nodes) or n_a + n_b == 0:
+        raise NotPolymerComponent("component has non-polymer node types")
+    free_sites = sorted(s for v in nodes
+                        for s in component.interface[v].difference(t for t, _ in bonds[v]))
+    if not free_sites:
+        # each bond appears once at each end
+        if n_a != n_b or sum(len(bonds[v]) for v in nodes) != 4 * n_a:
+            raise NotPolymerComponent("ring shape mismatch")
+        return ComponentClass("Ring", n_a)
+    if len(free_sites) != 2:
+        raise NotPolymerComponent(f"component has {len(free_sites)} free sites")
+    if free_sites == ["a", "b"]:
+        kind, index = "ChainAB", n_a
+    elif free_sites == ["l", "r"]:
+        kind, index = "ChainBA", n_a
+    elif free_sites == ["b", "r"]:
+        kind, index = "ChainAA", n_a
+    elif free_sites == ["a", "l"]:
+        kind, index = "ChainBB", n_b
+    else:
+        raise NotPolymerComponent(f"free sites {free_sites} match no chain kind")
+    return ComponentClass(kind, index)
+
+
+def polymer_shapes(mix: ReactionMixture) -> tuple:
+    """Sorted multiset of (kind, length index) over the components of a
+    mixture, as polymer_classify reads them."""
+    shapes = Counter(polymer_classify(c) for c in connected_components(mix.graph))
+    return tuple(sorted(((c.kind, c.length_index), k) for c, k in shapes.items()))
 
 
 # --- theorem checks ---------------------------------------------------------------

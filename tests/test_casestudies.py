@@ -7,7 +7,7 @@ import pytest
 from conftest import bond_maps, key_mixture
 
 from lumpkit import casestudies, cli, rules, sitegraph
-from lumpkit.errors import InvalidArgs, InvalidCounts, NotPolymerComponent
+from lumpkit.errors import InvalidArgs, InvalidCounts
 from lumpkit.sitegraph import SiteGraph, make_mixture, species_census
 
 POLYMER = casestudies.POLYMER_INTERFACE
@@ -24,6 +24,13 @@ def scaffold_chain(na, nb, nc):
 
 def polymer_chain(n):
     return rules.explore(casestudies.polymer_model(casestudies.PolymerParams(n)))
+
+
+def chain_shapes(chain):
+    """The oracle's shape census of each state of a polymer chain, read off
+    the mixture that the state's key names."""
+    return [oracle.polymer_shapes(key_mixture(key, POLYMER, chain.counts))
+            for key in chain.space.states]
 
 
 def fiber_sizes(chain, phi):
@@ -103,15 +110,17 @@ class TestScaffoldPhis:
         assert casestudies.scaffold_phi2(split.graph.bonds()) == (1, 1)
 
     def test_phi1_fibers_match_species_census(self):
-        # polymer_phi1 classifies components in closed form, without keys
-        cases = [(scaffold_chain(*counts), casestudies.scaffold_phi1)
-                 for counts in ((1, 1, 1), (1, 3, 1), (2, 2, 2))]
-        cases += [(polymer_chain(n), casestudies.polymer_phi1) for n in (2, 3)]
-        for chain, phi1 in cases:
+        # scaffold_phi1 reads B's two sites, the polymer oracle each
+        # component's shape: neither keys a component
+        cases = [(chain, [casestudies.scaffold_phi1(bonds) for bonds in bond_maps(chain)])
+                 for chain in (scaffold_chain(*counts)
+                               for counts in ((1, 1, 1), (1, 3, 1), (2, 2, 2)))]
+        cases += [(chain, chain_shapes(chain)) for chain in map(polymer_chain, (2, 3))]
+        for chain, phi1_values in cases:
             by_phi1 = {}
             by_census = {}
-            for i, bonds in enumerate(bond_maps(chain)):
-                by_phi1.setdefault(phi1(bonds), set()).add(i)
+            for i, (value, bonds) in enumerate(zip(phi1_values, bond_maps(chain))):
+                by_phi1.setdefault(value, set()).add(i)
                 key = tuple(sorted(species_census(bonds).items()))
                 by_census.setdefault(key, set()).add(i)
             assert set(map(frozenset, by_phi1.values())) == set(
@@ -173,14 +182,15 @@ class TestPhisAgainstMixtureReference:
     def test_polymer(self, n):
         phi = cli._PHI_FUNCS
         chain = polymer_chain(n)
-        for key, bonds in zip(chain.space.states, bond_maps(chain)):
+        for key, bonds, shapes in zip(chain.space.states, bond_maps(chain),
+                                      chain_shapes(chain)):
             mix = key_mixture(key, POLYMER, chain.counts)
-            classes = Counter(oracle.polymer_classify(c)
-                              for c in oracle.connected_components(mix.graph))
             edges = mix.graph.edges
             m_rl = sum(1 for e in edges if {s for _, s in e} == {"r", "l"})
-            assert phi["polymer-phi1"](bonds) == tuple(sorted(
-                ((c.kind, c.length_index), k) for c, k in classes.items()))
+            species = reference_species(mix)
+            # one species per component shape, with the same multiplicities
+            assert sorted(k for _, k in species) == sorted(k for _, k in shapes)
+            assert phi["polymer-phi1"](bonds) == species
             assert phi["polymer-phi2"](bonds) == (m_rl, len(edges) - m_rl)
             assert phi["polymer-phi3"](bonds) == len(edges)
             assert phi["species"](bonds) == reference_species(mix)
@@ -290,7 +300,7 @@ class TestPolymerClassify:
 
     def test_foreign_node_type_rejected(self):
         g = SiteGraph(frozenset({"X#1"}), {"X#1": frozenset({"s"})}, frozenset())
-        with pytest.raises(NotPolymerComponent):
+        with pytest.raises(oracle.NotPolymerComponent):
             oracle.polymer_classify(g)
 
     @staticmethod
@@ -300,18 +310,18 @@ class TestPolymerClassify:
 
     def test_rl_dimer_is_chain_ab(self):
         g = self.polymer_graph({"A#1", "B#1"}, {edge("A#1", "r", "B#1", "l")})
-        assert oracle.polymer_classify(g) == casestudies.ComponentClass("ChainAB", 1)
+        assert oracle.polymer_classify(g) == oracle.ComponentClass("ChainAB", 1)
 
     def test_chain_bb_counts_b_nodes(self):
         g = self.polymer_graph({"A#1", "B#1", "B#2"}, {edge("A#1", "b", "B#1", "a"),
                                                        edge("A#1", "r", "B#2", "l")})
-        assert oracle.polymer_classify(g) == casestudies.ComponentClass("ChainBB", 2)
+        assert oracle.polymer_classify(g) == oracle.ComponentClass("ChainBB", 2)
 
     def test_ring_of_two(self):
         g = self.polymer_graph({"A#1", "A#2", "B#1", "B#2"}, {
             edge("A#1", "b", "B#1", "a"), edge("B#1", "l", "A#2", "r"),
             edge("A#2", "b", "B#2", "a"), edge("B#2", "l", "A#1", "r")})
-        assert oracle.polymer_classify(g) == casestudies.ComponentClass("Ring", 2)
+        assert oracle.polymer_classify(g) == oracle.ComponentClass("Ring", 2)
 
     @pytest.mark.parametrize("nodes, edges, interface, message", [
         # two free monomers in one graph, with all their sites, then with one each
@@ -326,7 +336,7 @@ class TestPolymerClassify:
     ])
     def test_not_polymer_component(self, nodes, edges, interface, message):
         g = self.polymer_graph(nodes, edges, interface)
-        with pytest.raises(NotPolymerComponent) as exc:
+        with pytest.raises(oracle.NotPolymerComponent) as exc:
             oracle.polymer_classify(g)
         assert str(exc.value) == message
 
@@ -341,25 +351,12 @@ class TestPolymerPhis:
             edge("A#3", "b", "B#3", "a"), edge("A#3", "r", "B#4", "l"),
             # A#4-B#5-A#5
             edge("A#4", "b", "B#5", "a"), edge("B#5", "l", "A#5", "r")])
-        expected = ((("ChainAA", 2), 1), (("ChainBB", 2), 1), (("Ring", 2), 1))
-        assert casestudies.polymer_phi1(mix.graph.bonds()) == expected
-        per_component = Counter(oracle.polymer_classify(c)
-                                for c in oracle.connected_components(mix.graph))
-        assert tuple(sorted(((c.kind, c.length_index), k)
-                            for c, k in per_component.items())) == expected
-
-    def test_phi1_builds_no_component_graph(self, monkeypatch):
-        maps = bond_maps(polymer_chain(2))
-        expected = [casestudies.polymer_phi1(bonds) for bonds in maps]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("polymer_phi1 built or walked a per-component graph")
-
-        monkeypatch.setattr(SiteGraph, "__post_init__", forbidden)
-        monkeypatch.setattr(SiteGraph, "bound_endpoints", forbidden)
-        monkeypatch.setattr(oracle, "connected_components", forbidden)
-        assert [casestudies.polymer_phi1(bonds) for bonds in maps] == expected
-        assert len(set(expected)) == 15  # one per species census at n=2
+        assert oracle.polymer_shapes(mix) == (
+            (("ChainAA", 2), 1), (("ChainBB", 2), 1), (("Ring", 2), 1))
+        # the census tells the three shapes apart, the two chains of three included
+        census = cli._PHI_FUNCS["polymer-phi1"](mix.graph.bonds())
+        assert census == reference_species(mix)
+        assert [k for _, k in census] == [1, 1, 1]
 
     def test_trivial_values(self):
         free = make_mixture(POLYMER, {"A": 2, "B": 2}).graph.bonds()
@@ -406,9 +403,14 @@ class TestPolymerCounts:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phi1_fiber_sizes_from_f_functions(self, n):
+        # each polymer-phi1 fiber holds one shape census, and all of its mixtures
         chain = polymer_chain(n)
-        for v, size in fiber_sizes(chain, casestudies.polymer_phi1).items():
-            assert phi1_size_oracle(v, n) == size
+        fibers = {}
+        for bonds, shapes in zip(bond_maps(chain), chain_shapes(chain)):
+            fibers.setdefault(cli._PHI_FUNCS["polymer-phi1"](bonds), []).append(shapes)
+        for shapes in fibers.values():
+            assert len(set(shapes)) == 1
+            assert phi1_size_oracle(shapes[0], n) == len(shapes)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phi2_phi3_sizes_match_enumeration(self, n):

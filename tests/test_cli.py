@@ -199,7 +199,27 @@ class TestCheck:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith(f"error: --phi {phi} ")
         assert not (tmp_path / "agg.json").exists()
-        assert cli.main(["check", str(chain), "--phi", "species", "--model", str(model)]) in (0, 3)
+        # each start is edgeless, where the species census is lumpable
+        assert cli.main(["check", str(chain), "--phi", "species", "--model", str(model)]) == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polymer_phi1_is_the_species_census(self, tmp_path, capsys, n):
+        model = tmp_path / "poly.model"
+        assert cli.main(["casestudy", "polymer", "--n", str(n), "--out", str(model)]) == 0
+        chain = tmp_path / "poly.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        capsys.readouterr()
+        agg, part, alphas = (tmp_path / name for name in ("agg.json", "part.json", "alphas.json"))
+        outputs = []
+        for phi in ("polymer-phi1", "species"):
+            given = [str(chain), "--phi", phi, "--model", str(model)]
+            assert cli.main(["check", *given]) == 0
+            assert cli.main(["aggregate", *given, "--out", str(agg), "--partition-out", str(part),
+                             "--measures-out", str(alphas)]) == 0
+            outputs.append((capsys.readouterr().out, [f.read_bytes() for f in (agg, part, alphas)]))
+            for f in (agg, part, alphas):
+                f.unlink()
+        assert outputs[0] == outputs[1]
 
 
 class TestAggregateAndDistributions:
@@ -536,7 +556,11 @@ class TestUnreadableFiles:
         (["node A { sites: b }", "init A*1"], "malformed init line at line 2"),
         (["node A { sites: b }", "init: A*x"], "malformed init entry 'A*x' at line 2"),
         (["node A { sites: b }", "init: B*1"], "node type 'B' is not declared at line 2"),
-    ], ids=["node-twice", "malformed-init", "malformed-init-entry", "init-undeclared-type"])
+        (["node A { sites: b }", "node B { sites: a }", "init: A*1, B*1, A*2"],
+         "node type 'A' counted twice in init at line 3"),
+        (["node A { sites: b, b }", "init: A*1"], "site 'b' declared twice for 'A' at line 1"),
+    ], ids=["node-twice", "malformed-init", "malformed-init-entry", "init-undeclared-type",
+            "init-type-twice", "site-declared-twice"])
     def test_declaration_error_names_file_and_line(self, tmp_path, capsys, lines, message):
         model = tmp_path / "x.model"
         model.write_text("\n".join(lines) + "\n")
@@ -628,6 +652,21 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: r*t = ") and "cap of 1000000" in err
         assert "Traceback" not in err and not list(tmp_path.glob("p_t*.csv"))
+
+    @pytest.mark.parametrize("times, first, second", [("1,1.0000001", "1.0", "1.0000001"),
+                                                      ("1,1", "1.0", "1.0")])
+    def test_times_with_one_file_name_refused(self, tmp_path, capsys, times, first, second):
+        # the files are named by {t:g}: the second time would overwrite the first
+        chain = tmp_path / "ab.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": [
+            [0, 1, 1.0], [0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0]]}))
+        out = tmp_path / "q"
+        code = cli.main(["transient", str(chain), "--init", "uniform", "--t", times,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: --t {first} and {second} both write {out}_t1.csv\n")
+        assert not list(tmp_path.glob("q_t*.csv"))
 
     @pytest.mark.parametrize("times, message", [
         ("1,nan", "error: t must be finite and nonnegative\n"),

@@ -112,6 +112,16 @@ class TestErrors:
         self.check("node A { sites: b }\ninit: A*1\ninit: A*2\n",
                    ModelSyntaxError, 3)
 
+    def test_init_type_counted_twice(self):
+        # the last count would win silently
+        self.check("node A { sites: b }\nnode B { sites: a }\ninit: A*1, B*1, A*2\n",
+                   ModelSyntaxError, 3)
+
+    def test_site_declared_twice(self):
+        # as a pattern naming a site twice is refused, not read once
+        self.check("node A { sites: b, b }\ninit: A*1\n", ModelSyntaxError, 1)
+        self.check("node A { sites: b, c, b }\ninit: A*1\n", ModelSyntaxError, 1)
+
     def test_unknown_line(self):
         self.check("frobnicate\n", ModelSyntaxError, 1)
 

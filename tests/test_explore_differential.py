@@ -10,7 +10,8 @@ from conftest import bond_maps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpkit import rules
+from lumpkit import cli, rules
+from lumpkit.aggregation import check_condition, uniform_measures
 from lumpkit.errors import InvalidEmbedding, StateCapExceeded
 from lumpkit.markov import RateMatrix, StateSpace
 from lumpkit.sitegraph import ReactionMixture, SiteGraph, instance_name, make_mixture
@@ -113,7 +114,7 @@ def rule_sides(draw, interface):
 
 
 @st.composite
-def models(draw, rates=(0.0, 0.5, 1.0, 2.5)):
+def models(draw, rates=(0.0, 0.5, 1.0, 2.5), bonded=True):
     types = ("A", "B", "C")[:draw(st.integers(2, 3))]
     interface = {t: frozenset(draw(st.sets(st.sampled_from(("x", "y")), min_size=1)))
                  for t in types}
@@ -132,7 +133,7 @@ def models(draw, rates=(0.0, 0.5, 1.0, 2.5)):
              for s in sorted(interface[t])]
     bondable = [pair for pair in node_pairs(slots)
                 if frozenset((v.split("#")[0], s) for v, s in pair) in edge_types]
-    bonds = matching(draw, bondable, 4) if draw(st.booleans()) else set()
+    bonds = matching(draw, bondable, 4) if bonded and draw(st.booleans()) else set()
     return rules.RuleModel(tuple(rule_list), make_mixture(interface, counts, bonds))
 
 
@@ -181,6 +182,21 @@ class TestExploreMatchesReference:
         assert list(labels.items()) == list(edge_labels.items())
         assert chain.counts == dict(model.initial.counts)
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
+
+
+class TestSpeciesCensusFromAnEdgelessStart:
+    @settings(max_examples=200, deadline=None)
+    @given(models(bonded=False))
+    def test_condition_holds(self, model):
+        # renaming the instances of a type commutes with the rules and fixes an
+        # edgeless start, so the reachable mixtures are closed under it; the
+        # census blocks are its orbits, which lump under uniform measures
+        chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
+        if chain is None:
+            return
+        part = rules.build_partition(chain, cli._PHI_FUNCS["species"])
+        result = check_condition(chain.matrix, part, uniform_measures(part))
+        assert result["holds"], result["residual"]
 
 
 class TestInstancesWithDifferentInterfaces:

@@ -367,10 +367,13 @@ def test_single_rule_application_is_not_public():
     """The library has one rule engine, explore's compiled rules; the
     site-graph semantics it compiles live in the tests' oracle."""
     moved = ("apply", "find_embeddings", "rename", "is_subgraph", "mixture_key",
-             "is_reversible", "connected_components", "polymer_classify", "RenamingIncomplete")
+             "is_reversible", "connected_components", "polymer_classify", "RenamingIncomplete",
+             "ComponentClass", "NotPolymerComponent")
+    # the polymer shape classifier: the species census is the one species partition
+    deleted = ("polymer_phi1", "_polymer_class", "_classify")
     for module in (lumpkit, rules, sitegraph, casestudies, errors):
-        assert [name for name in moved if hasattr(module, name)] == [], module.__name__
-    assert not set(moved) & set(lumpkit.__all__)
+        assert [name for name in moved + deleted if hasattr(module, name)] == [], module.__name__
+    assert not set(moved + deleted) & set(lumpkit.__all__)
     assert all(hasattr(oracle, name) for name in moved)
 
 
