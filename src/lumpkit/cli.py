@@ -52,7 +52,7 @@ def _partition_for(args, space, matrix):
         if model.interface != _CASE_STUDY_INTERFACES.get(study, model.interface):
             raise LumpkitError(f"--phi {args.phi} needs a model with the {study} "
                                f"case study's node types and sites")
-        chain = rules.ExploredChain(space, matrix, model.initial.counts)
+        chain = rules.ExploredChain(space, matrix, model.initial.counts, model.interface)
         return rules.build_partition(chain, _PHI_FUNCS[args.phi])
     raise LumpkitError("supply --partition FILE or --phi NAME")
 

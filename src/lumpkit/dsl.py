@@ -128,6 +128,8 @@ def parse_model(text: str) -> RuleModel:
             if not match:
                 raise ModelSyntaxError("malformed rule", lineno)
             rule_name, left_text, right_text, rate_text = match.groups()
+            if any(rule.name == rule_name for rule in rules):
+                raise ModelSyntaxError(f"rule {rule_name!r} declared twice", lineno)
             left = _parse_pattern(left_text, declared, lineno)
             right = _parse_pattern(right_text, declared, lineno)
             rate = _parse_rate(rate_text, lineno)

@@ -85,9 +85,10 @@ class RuleModel:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _edge_from_part(part: str) -> frozenset:
-    """The edge of one ``v1.s1-v2.s2`` part of a mixture key; the parts of a
-    model's keys are few."""
+def _part_ends(part: str) -> tuple:
+    """The two ends of one ``v1.s1-v2.s2`` part of a mixture key, each as
+    its node, its bond as the node's bond map lists it, and the node's
+    type; the parts of a model's keys are few."""
     try:
         end1, end2 = part.split("-")
         (v1, s1), (v2, s2) = end1.rsplit(".", 1), end2.rsplit(".", 1)
@@ -95,28 +96,35 @@ def _edge_from_part(part: str) -> frozenset:
         raise ValueError(f"malformed bond {part!r} in a state key") from None
     if v1 == v2:
         raise ValueError(f"bond {part!r} joins a node to itself")
-    return frozenset(((v1, s1), (v2, s2)))
+    return (v1, (s1, (v2, s2)), node_type(v1)), (v2, (s2, (v1, s1)), node_type(v2))
 
 
-def mixture_from_key(key: str, counts: dict) -> dict:
+def mixture_from_key(key: str, counts: dict, interface=None) -> dict:
     """The bond map of the mixture a state key encodes, as
-    ``SiteGraph.bonds()`` gives it: every instance of counts -> its bonds in
-    site order. A key that names an instance outside counts or binds a site
-    twice raises ``ValueError``."""
+    ``SiteGraph.bonds()`` gives it: every instance of counts -> a tuple of
+    its bonds in site order. A key that names an instance outside counts,
+    binds a site twice or, given interface (type -> sites), binds a site
+    that its type does not declare raises ``ValueError``."""
     bonds = {v: [] for v in _instances(tuple(counts.items()))}
-    edges = () if key == "-" else map(_edge_from_part, key.split(";"))
     try:
-        for (v1, s1), (v2, s2) in edges:
-            bonds[v1].append((s1, (v2, s2)))
-            bonds[v2].append((s2, (v1, s1)))
+        for part in () if key == "-" else key.split(";"):
+            ends = (v1, bond1, _), (v2, bond2, _) = _part_ends(part)
+            if interface is not None:
+                for v, (s, _), t in ends:
+                    if s not in interface.get(t, ()):
+                        raise ValueError(f"state {key!r} binds site {s!r} of {v}, which "
+                                         f"the model does not declare")
+            bonds[v1].append(bond1)
+            bonds[v2].append(bond2)
     except KeyError as exc:
         raise ValueError(f"state {key!r} names {exc.args[0]}, an instance outside "
                          f"the counts") from None
-    for sites in bonds.values():
+    for v, sites in bonds.items():
         if len(sites) > 1:
             sites.sort()
             if len({s for s, _ in sites}) < len(sites):
                 raise ValueError(f"state {key!r} binds a site twice")
+        bonds[v] = tuple(sites)
     return bonds
 
 
@@ -129,9 +137,17 @@ def _instances(counts) -> tuple:
 
 @dataclass(frozen=True)
 class ExploredChain:
+    """The states, their generator and the instance counts per type. A chain
+    from ``explore`` also holds the search's slot rows, from which
+    ``build_partition`` reads its bond maps; any other decodes each state
+    key through ``mixture_from_key``, checked against interface if given."""
+
     space: StateSpace
     matrix: RateMatrix
-    counts: dict  # type -> instances; a state key decodes through mixture_from_key
+    counts: dict  # type -> instances
+    interface: dict = None  # type -> the sites a state key may bind
+    rows: np.ndarray = field(default=None, compare=False, repr=False)  # read-only, by index
+    ends: tuple = field(default=(), compare=False, repr=False)  # slot -> (instance, site)
 
 
 # --- slot-encoded exploration -------------------------------------------------
@@ -375,13 +391,14 @@ def _expand(compiled, states):
 def _applications(model: RuleModel, max_states: int):
     """Breadth-first closure of the initial mixture under all rule
     applications, with deterministic (sorted-frontier) state indexing. Returns
-    the state keys in index order and three arrays: the source, target and
-    rule index of every application that changes the mixture, by source,
-    then rule, then embedding. The frontier is expanded _CHUNK states at a
-    time against the visited states, rows sorted as bytes. Raises what comes
-    first in that order, as a search of one source at a time would: the
-    error of a (source, rule) pair, or StateCapExceeded at the application
-    that finds state max_states + 1."""
+    the state keys and the read-only array of state rows, both in index
+    order, the slot -> (instance, site) ends of the rows' columns, and three
+    arrays: the source, target and rule index of every application that
+    changes the mixture, by source, then rule, then embedding. The frontier
+    is expanded _CHUNK states at a time against the visited states, rows
+    sorted as bytes. Raises what comes first in that order, as a search of
+    one source at a time would: the error of a (source, rule) pair, or
+    StateCapExceeded at the application that finds state max_states + 1."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial)
@@ -399,6 +416,7 @@ def _applications(model: RuleModel, max_states: int):
     keys = keys_of(start)
     frontier, numbers = start, np.zeros(1, dtype=np.intp)
     order = [numbers]  # discovery numbers in index order, per level
+    levels = [start]  # the states of each level in index order
     found = []  # sources, targets and rules per chunk, as rows of one array
     while len(frontier):
         level, discovered = len(keys), []
@@ -429,7 +447,10 @@ def _applications(model: RuleModel, max_states: int):
         numbers = level + np.argsort(np.array(keys[level:], dtype=object))
         order.append(numbers)
         frontier = np.concatenate(discovered)[numbers - level]
+        levels.append(frontier)
     del seen, seen_number
+    states = np.concatenate(levels)
+    states.flags.writeable = False
     order = np.concatenate(order)
     index = np.empty(len(order), dtype=np.intp)
     index[order] = np.arange(len(order))  # discovery number -> state index
@@ -441,10 +462,10 @@ def _applications(model: RuleModel, max_states: int):
         applications[:2, end:end + part.shape[1]] = index[part[:2]]
         applications[2, end:end + part.shape[1]] = part[2]
         end += part.shape[1]
-    return (tuple(np.array(keys, dtype=object)[order]), *applications)
+    return (tuple(np.array(keys, dtype=object)[order]), states, tuple(ends), *applications)
 
 
-def _chain(model: RuleModel, keys, rows, cols, applied) -> ExploredChain:
+def _chain(model: RuleModel, keys, states, ends, rows, cols, applied) -> ExploredChain:
     """The chain of ``_applications``' results: each application is one
     generator entry at its rule's rate; ``RateMatrix`` adds up the entries
     that share a target, and each diagonal is minus the sum of its row's
@@ -453,7 +474,8 @@ def _chain(model: RuleModel, keys, rows, cols, applied) -> ExploredChain:
     diagonal = np.arange(len(keys))
     matrix = RateMatrix(len(keys), np.r_[rows, diagonal], np.r_[cols, diagonal],
                         np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(keys))])
-    return ExploredChain(StateSpace(keys), matrix, dict(model.initial.counts))
+    return ExploredChain(StateSpace(keys), matrix, dict(model.initial.counts),
+                         rows=states, ends=ends)
 
 
 def _labels(model: RuleModel, rows, cols, applied) -> dict:
@@ -474,16 +496,56 @@ def explore_labelled(model: RuleModel, max_states: int = DEFAULT_MAX_STATES):
     """``explore``'s chain and its rule labels, from one search: (i, j) ->
     sorted names of the rules, zero-rate ones included, that take state i to
     state j != i, in order of first application."""
-    keys, rows, cols, applied = _applications(model, max_states)
-    return _chain(model, keys, rows, cols, applied), _labels(model, rows, cols, applied)
+    found = _applications(model, max_states)
+    return _chain(model, *found), _labels(model, *found[3:])
+
+
+def _row_bond_maps(chain: ExploredChain):
+    """The bond map of each state from the chain's slot rows, as
+    ``mixture_from_key`` decodes its key, _CHUNK states at a time. Each
+    instance's distinct partner patterns in a chunk are found with
+    ``np.unique`` over one integer code per row, and each pattern's bonds
+    are one tuple, shared by every state that has it."""
+    names = _instances(tuple(chain.counts.items()))
+    columns = {v: [] for v in names}  # an instance's slots, in site order
+    for x, (v, _) in enumerate(chain.ends):
+        columns[v].append(x)
+    radix = len(chain.ends) + 1  # a partner slot plus one; 0 is no partner
+    shared = {}  # (instance, partner slots) -> its bonds
+    for lo in range(0, len(chain.rows), _CHUNK):
+        block = chain.rows[lo:lo + _CHUNK]
+        table = np.empty((len(block), len(names)), dtype=object)
+        for k, v in enumerate(names):
+            code, size = np.zeros(len(block), dtype=np.int64), 1  # codes lie below size
+            for x in columns[v]:
+                if size > np.iinfo(np.int64).max // radix:  # renumbered before it overflows
+                    code, size = np.unique(code, return_inverse=True)[1], len(block)
+                code, size = code * radix + block[:, x] + 1, size * radix
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            patterns = np.empty(len(first), dtype=object)
+            for j, partners in enumerate(block[first][:, columns[v]].tolist()):
+                pattern = (v, tuple(partners))
+                if pattern not in shared:
+                    shared[pattern] = tuple((chain.ends[x][1], chain.ends[y])
+                                            for x, y in zip(columns[v], partners) if y >= 0)
+                patterns[j] = shared[pattern]
+            table[:, k] = patterns[inverse]
+        for row in table.tolist():
+            yield dict(zip(names, row))
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
-    """Blocks are the fibers of an abstraction map over the bond maps that
-    the state keys decode to, ordered by sorted abstraction value."""
+    """Blocks are the fibers of an abstraction map over the states' bond
+    maps, ordered by sorted abstraction value. The bond maps are read from
+    the chain's slot rows when it holds them, else decoded from the keys."""
+    if chain.rows is not None:
+        bond_maps = _row_bond_maps(chain)
+    else:
+        bond_maps = (mixture_from_key(key, chain.counts, chain.interface)
+                     for key in chain.space.states)
     fibers = {}
-    for i, key in enumerate(chain.space.states):
-        fibers.setdefault(phi(mixture_from_key(key, chain.counts)), []).append(i)
+    for i, bonds in enumerate(bond_maps):
+        fibers.setdefault(phi(bonds), []).append(i)
     return Partition(tuple(tuple(fibers[v]) for v in sorted(fibers)))
 
 

@@ -54,15 +54,13 @@ class SiteGraph:
         return {endpoint for edge in self.edges for endpoint in edge}
 
     def bonds(self) -> dict:
-        """Each node's bonds in site order: node -> [(site, (partner,
-        partner_site))]. A site in two edges appears twice."""
+        """Each node's bonds in site order: node -> ((site, (partner,
+        partner_site)), ...). A site in two edges appears twice."""
         out = {v: [] for v in self.nodes}
         for (v1, s1), (v2, s2) in self.edges:
             out[v1].append((s1, (v2, s2)))
             out[v2].append((s2, (v1, s1)))
-        for sites in out.values():
-            sites.sort()
-        return out
+        return {v: tuple(sorted(sites)) for v, sites in out.items()}
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def _rooted_body(bonds, root) -> str:
 
 def species_census(bonds) -> Counter:
     """Multiset of canonical keys of the connected components of a bond map."""
-    return Counter(_concrete_key(tuple((v, tuple(bonds[v])) for v in nodes))
+    return Counter(_concrete_key(tuple((v, bonds[v]) for v in nodes))
                    for nodes in components(bonds))
 
 

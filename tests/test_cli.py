@@ -202,6 +202,26 @@ class TestCheck:
         # each start is edgeless, where the species census is lumpable
         assert cli.main(["check", str(chain), "--phi", "species", "--model", str(model)]) == 0
 
+    @pytest.mark.parametrize("phi", ["polymer-phi2", "species"])
+    def test_chain_binding_an_undeclared_site_refused(self, tmp_path, capsys, phi):
+        # the keys bind A's site z, which the model does not declare: no
+        # verdict on the condition is given for a chain of another model
+        model = tmp_path / "p2.model"
+        assert cli.main(["casestudy", "polymer", "--n", "2", "--out", str(model)]) == 0
+        chain = tmp_path / "p2.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        data = json.loads(chain.read_text())
+        data["states"] = [key.replace(".r-", ".z-") for key in data["states"]]
+        chain.write_text(json.dumps(data))
+        first = next(key for key in data["states"] if ".z-" in key)
+        instance = next(part for part in first.split(";") if ".z-" in part).split(".")[0]
+        capsys.readouterr()
+        assert cli.main(["check", str(chain), "--phi", phi, "--model", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: state {first!r} binds site 'z' of {instance}, "
+                                f"which the model does not declare\n")
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_polymer_phi1_is_the_species_census(self, tmp_path, capsys, n):
         model = tmp_path / "poly.model"
@@ -559,8 +579,11 @@ class TestUnreadableFiles:
         (["node A { sites: b }", "node B { sites: a }", "init: A*1, B*1, A*2"],
          "node type 'A' counted twice in init at line 3"),
         (["node A { sites: b, b }", "init: A*1"], "site 'b' declared twice for 'A' at line 1"),
+        (["node A { sites: b }", "node B { sites: a }",
+          "rule r: A(b), B(a) -> A(b!1), B(a!1) @ 1", "rule r: A(b!1), B(a!1) -> A(b), B(a) @ 1",
+          "init: A*1, B*1"], "rule 'r' declared twice at line 4"),
     ], ids=["node-twice", "malformed-init", "malformed-init-entry", "init-undeclared-type",
-            "init-type-twice", "site-declared-twice"])
+            "init-type-twice", "site-declared-twice", "rule-twice"])
     def test_declaration_error_names_file_and_line(self, tmp_path, capsys, lines, message):
         model = tmp_path / "x.model"
         model.write_text("\n".join(lines) + "\n")

@@ -122,6 +122,15 @@ class TestErrors:
         self.check("node A { sites: b, b }\ninit: A*1\n", ModelSyntaxError, 1)
         self.check("node A { sites: b, c, b }\ninit: A*1\n", ModelSyntaxError, 1)
 
+    def test_rule_declared_twice(self):
+        # two rules of one name would share their edge labels
+        text = ("node A { sites: b }\nnode B { sites: a }\n"
+                "rule r: A(b), B(a) -> A(b!1), B(a!1) @ 1\n"
+                "rule r: A(b!1), B(a!1) -> A(b), B(a) @ 1\ninit: A*1, B*1\n")
+        self.check(text, ModelSyntaxError, 4)
+        with pytest.raises(ModelSyntaxError, match="rule 'r' declared twice"):
+            dsl.parse_model(text)
+
     def test_unknown_line(self):
         self.check("frobnicate\n", ModelSyntaxError, 1)
 

@@ -10,7 +10,7 @@ from conftest import bond_maps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpkit import cli, rules
+from lumpkit import casestudies, cli, rules
 from lumpkit.aggregation import check_condition, uniform_measures
 from lumpkit.errors import InvalidEmbedding, StateCapExceeded
 from lumpkit.markov import RateMatrix, StateSpace
@@ -184,6 +184,53 @@ class TestExploreMatchesReference:
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
 
 
+def ordered(maps):
+    """Bond maps as lists of items: equal only in the same instance order."""
+    return [list(bonds.items()) for bonds in maps]
+
+
+class TestRowBondMapsMatchTheKeys:
+    """``build_partition`` reads an explored chain's bond maps from its slot
+    rows and any other chain's from its keys: the two producers agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models(), models(bonded=False)))
+    def test_same_bond_maps(self, model):
+        chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
+        if chain is None:
+            return
+        assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
+
+    @pytest.mark.parametrize("model", [
+        casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3)),
+        casestudies.polymer_model(casestudies.PolymerParams(3))], ids=["scaffold-333", "polymer-3"])
+    def test_same_partition_for_every_map(self, model):
+        chain = rules.explore(model)
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        for phi in cli._PHI_FUNCS.values():
+            assert rules.build_partition(chain, phi) == rules.build_partition(keyed, phi)
+
+    def test_codes_renumbered_before_they_overflow(self):
+        # eleven sites on 60 slots: an instance's partner pattern read as one
+        # number in base 61 would pass the int64 range
+        sites = {"A": frozenset(f"s{i:02}" for i in range(11)),
+                 "B": frozenset(f"t{i:02}" for i in range(11))}
+
+        def rule(name, a, b, bind):
+            iface = {"A": frozenset({a}), "B": frozenset({b})}
+            free = SiteGraph(frozenset(iface), iface, frozenset())
+            bound = SiteGraph(frozenset(iface), iface, frozenset({frozenset((("A", a), ("B", b)))}))
+            return rules.RewriteRule(*((free, bound) if bind else (bound, free)), 1.0, name)
+
+        model = rules.RuleModel(
+            tuple(rule(f"{kind}{i}", a, b, kind == "bind") for i, (a, b) in
+                  enumerate((("s00", "t10"), ("s10", "t00"))) for kind in ("bind", "unbind")),
+            make_mixture(sites, {"A": 3, "B": 3}))
+        chain = rules.explore(model)
+        assert len(chain.ends) == 66 and len(chain.space) == 34 ** 2
+        assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
+
+
 class TestSpeciesCensusFromAnEdgelessStart:
     @settings(max_examples=200, deadline=None)
     @given(models(bonded=False))
@@ -227,6 +274,7 @@ class TestInstancesWithDifferentInterfaces:
         labels = rules.explore_labelled(model, MAX_STATES)[1]
         assert list(labels.items()) == list(edge_labels.items())
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
+        assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
 
     def test_site_one_instance_lacks_refused_as_the_reference(self):
         model = self.model("y")

@@ -416,10 +416,13 @@ class TestBuildPartition:
         assert sorted(len(b) for b in part.blocks) == [1, 3, 3, 9]
 
     def test_no_mixture_or_site_graph_for_any_phi(self, monkeypatch):
-        chains = {"scaffold": rules.explore(scaffold_model(2, 2, 2)),
-                  "polymer": rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2)))}
+        explored = {"scaffold": rules.explore(scaffold_model(2, 2, 2)),
+                    "polymer": rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2)))}
+        # each chain read from its slot rows, and from its keys alone
+        chains = [(study, chain) for study, c in explored.items()
+                  for chain in (c, rules.ExploredChain(c.space, c.matrix, c.counts))]
         cases = [(name, phi, chain) for name, phi in cli._PHI_FUNCS.items()
-                 for study, chain in chains.items()
+                 for study, chain in chains
                  if name == "species" or name.startswith(study)]
         expected = [rules.build_partition(chain, phi) for _, phi, chain in cases]
 
@@ -430,7 +433,36 @@ class TestBuildPartition:
         monkeypatch.setattr(ReactionMixture, "__post_init__", forbidden)
         assert [rules.build_partition(chain, phi) for _, phi, chain in cases] == expected
         assert sorted(name for name, _, _ in cases) == sorted(
-            list(cli._PHI_FUNCS) + ["species"])
+            2 * list(cli._PHI_FUNCS) + 2 * ["species"])
+
+    def test_explored_chain_decodes_no_key(self, monkeypatch):
+        chain, species = rules.explore(scaffold_model(2, 2, 2)), cli._PHI_FUNCS["species"]
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        expected = rules.build_partition(keyed, species)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a state key was decoded")
+
+        monkeypatch.setattr(rules, "mixture_from_key", forbidden)
+        assert rules.build_partition(chain, species) == expected
+
+    def test_slot_rows_are_read_only(self):
+        chain = rules.explore(scaffold_model(1, 2, 1))
+        assert chain.rows.shape == (len(chain.space), len(chain.ends)) == (9, 6)
+        assert chain.ends == (("A#1", "b"), ("B#1", "a"), ("B#1", "c"), ("B#2", "a"),
+                              ("B#2", "c"), ("C#1", "b"))
+        with pytest.raises(ValueError):
+            chain.rows[0, 0] = 1
+
+    def test_key_path_refuses_a_site_the_interface_lacks(self):
+        chain = rules.explore(scaffold_model(1, 1, 1))
+        narrow = {"A": frozenset({"b"}), "B": frozenset({"a"}), "C": frozenset({"b"})}
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, narrow)
+        with pytest.raises(ValueError, match=r"state 'B#1.c-C#1.b' binds site 'c' of B#1, "
+                                             r"which the model does not declare"):
+            rules.build_partition(keyed, casestudies.scaffold_phi2)
+        # the slot rows hold only the slots of the initial mixture's sites
+        assert len(rules.build_partition(chain, casestudies.scaffold_phi2)) == 4
 
 
 class TestSerialization:
@@ -457,9 +489,19 @@ class TestSerialization:
         small = rules.mixture_from_key(key, {"A": 1, "B": 2, "C": 1})
         large = rules.mixture_from_key(key, {"A": 1, "B": 3, "C": 1})
         assert "B#3" in large and "B#3" not in small
-        assert large["B#3"] == [] and small["A#1"] == large["A#1"] == [("b", ("B#2", "a"))]
+        assert large["B#3"] == () and small["A#1"] == large["A#1"] == (("b", ("B#2", "a")),)
         with pytest.raises(ValueError, match="B#3"):
             rules.mixture_from_key("A#1.b-B#3.a", {"A": 1, "B": 2, "C": 1})
+
+    def test_decoding_checks_the_interface_when_given(self):
+        counts = {"A": 1, "B": 1}
+        interface = {"A": frozenset({"b"}), "B": frozenset({"a"})}
+        assert rules.mixture_from_key("A#1.b-B#1.a", counts, interface) == \
+            rules.mixture_from_key("A#1.b-B#1.a", counts)
+        with pytest.raises(ValueError, match=r"state 'A#1.z-B#1.a' binds site 'z' of A#1, "
+                                             r"which the model does not declare"):
+            rules.mixture_from_key("A#1.z-B#1.a", counts, interface)
+        assert rules.mixture_from_key("A#1.z-B#1.a", counts)["A#1"] == (("z", ("B#1", "a")),)
 
     def test_edgeless_key(self):
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1})
@@ -467,7 +509,7 @@ class TestSerialization:
 
     def test_edgeless_key_decodes_to_every_instance_unbound(self):
         bonds = rules.mixture_from_key("-", {"A": 2, "B": 1, "C": 1})
-        assert bonds == {"A#1": [], "A#2": [], "B#1": [], "C#1": []}
+        assert bonds == {"A#1": (), "A#2": (), "B#1": (), "C#1": ()}
         assert list(bonds) == ["A#1", "A#2", "B#1", "C#1"]
         assert rules.mixture_from_key("-", {}) == {}
 
