@@ -19,7 +19,7 @@ import numpy as np
 
 from . import markov
 from .errors import ConditionViolated, NotNested
-from .markov import Distribution, RateMatrix, transient
+from .markov import Distribution, RateMatrix, narrowed, run_starts, transient
 
 DEFAULT_CONDITION_TOL = 1e-9
 RESPECT_TOL = 1e-12
@@ -39,7 +39,8 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
         if not all(blocks):
             raise ValueError("blocks must be nonempty")
-        states = np.array([s for block in blocks for s in block], dtype=np.int64)
+        states = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64,
+                             count=sum(map(len, blocks)))
         ordered = np.sort(states)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
@@ -65,52 +66,83 @@ class Partition:
 
 @dataclass(frozen=True)
 class MeasureFamily:
-    """One probability measure per block, strictly positive on its block."""
+    """One probability measure per block, strictly positive on its block.
+    Besides the dicts, the measures are held as three read-only arrays, one
+    entry per (measure, state) in the dicts' order: the state, its weight,
+    and the measure's index."""
 
     alphas: tuple  # tuple of dicts state index -> weight
+    states: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    measure_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(dict(a) for a in self.alphas))
-        for i, alpha in enumerate(self.alphas):
+        alphas = tuple(dict(a) for a in self.alphas)
+        object.__setattr__(self, "alphas", alphas)
+        sizes = np.array([len(a) for a in alphas], dtype=np.int64)
+        states = np.array(list(itertools.chain.from_iterable(alphas)))
+        if states.size and states.dtype.kind not in "iu":
+            raise ValueError("measures must be over integer state indices")
+        values = np.fromiter(itertools.chain.from_iterable(a.values() for a in alphas),
+                             dtype=float, count=int(sizes.sum()))
+        measure_of = np.repeat(np.arange(len(alphas)), sizes)
+        positive = np.ones(len(alphas), dtype=bool)
+        positive[measure_of[~(values > 0)]] = False  # NaN fails w > 0
+        for i, alpha in enumerate(alphas):
             if not alpha:
                 raise ValueError(f"measure {i} is empty")
-            if not all(w > 0 for w in alpha.values()):  # NaN fails w > 0
+            if not positive[i]:
                 raise ValueError(f"measure {i} has a weight that is not positive")
-            total = sum(alpha.values())
+            # fsum rounds once: a left-to-right sum of n copies of fl(1/n)
+            # drifts past ROW_SUM_TOL for some n in the thousands
+            total = math.fsum(alpha.values())
             if abs(total - 1.0) > markov.ROW_SUM_TOL:
                 raise ValueError(f"measure {i} sums to {total!r}, expected 1")
+        for name, arr in (("states", states.astype(np.int64)), ("values", values),
+                          ("measure_of", measure_of)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def check_compatible(self, part: Partition):
+        """Is measure i's support block i of part, for every i? A measure
+        matches its block when it has as many states, all in that block."""
         if len(self.alphas) != len(part):
             raise ValueError(f"{len(self.alphas)} measures for {len(part)} blocks")
-        for i, alpha in enumerate(self.alphas):
-            if set(alpha) != set(part.blocks[i]):
-                raise ValueError(f"measure {i} support does not match block {i}")
+        inside = (self.states >= 0) & (self.states < part.num_states)
+        home = np.where(inside, part.block_of[np.where(inside, self.states, 0)], -1)
+        wrong = np.bincount(self.measure_of[home != self.measure_of], minlength=len(part)) > 0
+        wrong |= (np.bincount(self.measure_of, minlength=len(part))
+                  != np.bincount(part.block_of, minlength=len(part)))
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise ValueError(f"measure {i} support does not match block {i}")
 
     def weights(self, part: Partition) -> np.ndarray:
         """alpha_i(s) for every state s, with A_i the block holding s."""
         self.check_compatible(part)
         w = np.empty(part.num_states)
-        for alpha in self.alphas:
-            w[list(alpha)] = list(alpha.values())
+        w[self.states] = self.values
         return w
 
 
 def uniform_measures(part: Partition) -> MeasureFamily:
     """alpha_i(s) = 1/|A_i| on each block."""
-    return MeasureFamily(tuple({s: 1.0 / len(b) for s in b} for b in part.blocks))
+    return MeasureFamily(tuple(dict.fromkeys(b, 1.0 / len(b)) for b in part.blocks))
 
 
 def _spread(group, target, value, block_of, m):
     """max - min of value over the states of each target block, per group,
-    where a state without an entry in a group counts as 0. Each (group,
-    target state) pair has at most one entry; memory is linear in them."""
-    keys, where = np.unique(group * m + block_of[target], return_inverse=True)
-    hi = np.full(keys.size, -np.inf)
-    lo = np.full(keys.size, np.inf)
-    np.maximum.at(hi, where, value)
-    np.minimum.at(lo, where, value)
-    lacking = np.bincount(where, minlength=keys.size) < np.bincount(block_of, minlength=m)[keys % m]
+    in order of (group, target block), where a state without an entry in a
+    group counts as 0. Each (group, target state) pair has at most one entry;
+    memory is linear in them."""
+    key = group.astype(np.int64) * m + block_of[target]
+    order = np.argsort(narrowed(key, key.max(initial=0) + 1), kind="stable")
+    key, value = key[order], value[order]
+    starts = np.flatnonzero(run_starts(key))
+    hi = np.maximum.reduceat(value, starts)
+    lo = np.minimum.reduceat(value, starts)
+    lacking = (np.diff(np.r_[starts, value.size])
+               < np.bincount(block_of, minlength=m)[key[starts] % m])
     hi[lacking] = np.maximum(hi[lacking], 0.0)
     lo[lacking] = np.minimum(lo[lacking], 0.0)
     return hi - lo
@@ -122,11 +154,18 @@ def _residual(K, part: Partition, w) -> float:
     w[s] = alpha_j(s) for s in A_j."""
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    n, b = K.dim, part.block_of
-    cells, where = np.unique(b[K.row] * n + K.col, return_inverse=True)
-    flow = np.bincount(where, weights=w[K.row] * K.data)  # summed in entry order
-    col = cells % n
-    return float(_spread(cells // n, col, flow / w[col], b, len(part)).max(initial=0.0))
+    m, b = len(part), part.block_of
+    # entries sorted by (source block, target state) cell; the sort is stable,
+    # so each cell's flow is summed in entry order
+    src, col = narrowed(b[K.row], m), narrowed(K.col, K.dim)
+    order = np.lexsort((col, src))
+    src, col = src[order], col[order]
+    first = run_starts(src, col)
+    cell = np.cumsum(first)
+    cell -= 1
+    flow = np.bincount(cell, weights=(w[K.row] * K.data)[order])
+    src, col = src[first], col[first]
+    return float(_spread(src, col, flow / w[col], b, m).max(initial=0.0))
 
 
 def _check_tol(tol):
@@ -158,11 +197,11 @@ def check_cond3(K, part: Partition) -> bool:
         raise ValueError("partition does not cover the matrix dimension")
     m, b = len(part), part.block_of
     src = b[K.row]
-    order = np.lexsort((K.data, K.col, src))
+    order = np.lexsort((K.data, narrowed(K.col, K.dim), narrowed(src, m)))
     src, col, val = src[order], K.col[order], K.data[order]
     # rank of each rate inside its (source block, target state) group
     index = np.arange(val.size)
-    first = np.r_[True, (src[1:] != src[:-1]) | (col[1:] != col[:-1])]
+    first = run_starts(src, col)
     group = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
     ends = np.r_[starts[1:], val.size]

@@ -13,7 +13,7 @@ from math import comb, factorial
 
 from .errors import InvalidArgs, InvalidCounts
 from .rules import RewriteRule, RuleModel, check_rate
-from .sitegraph import SiteGraph, make_edge, make_mixture, node_type
+from .sitegraph import SiteGraph, make_edge, make_mixture
 
 
 # --- case study 1: scaffold --------------------------------------------------
@@ -68,26 +68,33 @@ def scaffold_model(p: ScaffoldParams) -> RuleModel:
 
 
 def _scaffold_bound_b(bonds):
-    """The B instances of a bond map bound on site a and those bound on site c."""
-    bound = {"a": set(), "c": set()}
+    """The numbers of B instances of a bond map bound on site a, bound on
+    site c, and bound on both, read off each B's bonds in site order."""
+    on_a = on_c = on_both = 0
     for v, sites in bonds.items():
-        for s, _ in sites:
-            if s in bound and node_type(v) == "B":
-                bound[s].add(v)
-    return bound["a"], bound["c"]
+        if sites and (v[:2] == "B#" or v == "B"):  # node_type(v) == "B"
+            a = c = False
+            for s, _ in sites:
+                if s == "a":
+                    a = True
+                elif s == "c":
+                    c = True
+            on_a += a
+            on_c += c
+            on_both += a and c
+    return on_a, on_c, on_both
 
 
 def scaffold_phi1(bonds):
     """(AB-only, BC-only, ABC) complex counts, read off each B's two sites."""
-    on_a, on_c = _scaffold_bound_b(bonds)
-    m_abc = len(on_a & on_c)
-    return (len(on_a) - m_abc, len(on_c) - m_abc, m_abc)
+    on_a, on_c, on_both = _scaffold_bound_b(bonds)
+    return (on_a - on_both, on_c - on_both, on_both)
 
 
 def scaffold_phi2(bonds):
     """(number of B bound on a, number of B bound on c)."""
-    on_a, on_c = _scaffold_bound_b(bonds)
-    return (len(on_a), len(on_c))
+    on_a, on_c, _ = _scaffold_bound_b(bonds)
+    return (on_a, on_c)
 
 
 def scaffold_class_size_phi1(v, p: ScaffoldParams) -> int:
@@ -164,9 +171,13 @@ def polymer_model(p: PolymerParams) -> RuleModel:
 def polymer_phi2(bonds):
     """(number of r-l bonds, number of b-a bonds); a bond map lists each
     bond at both of its ends."""
-    ends = [(s, t) for sites in bonds.values() for s, (_, t) in sites]
-    m_rl = sum(1 for end in ends if end in (("r", "l"), ("l", "r"))) // 2
-    return (m_rl, len(ends) // 2 - m_rl)
+    ends = rl_ends = 0
+    for sites in bonds.values():
+        ends += len(sites)
+        for s, (_, t) in sites:
+            if (s == "r" and t == "l") or (s == "l" and t == "r"):
+                rl_ends += 1
+    return (rl_ends // 2, ends // 2 - rl_ends // 2)
 
 
 def polymer_phi3(bonds) -> int:

@@ -52,6 +52,24 @@ class StateSpace:
             raise ValueError(f"unknown state {key!r} in {path}") from None
 
 
+def narrowed(key, bound):
+    """An integer sort key whose values lie in [0, bound), cast to the
+    smallest unsigned dtype that holds them: numpy's stable sorts, and so
+    ``np.lexsort``, radix-sort keys of 16 bits or fewer. The permutation is
+    the one the wider key gives."""
+    return key.astype(np.min_scalar_type(max(int(bound) - 1, 0)), copy=False)
+
+
+def run_starts(*keys):
+    """Mask of the entries that start a run of equal key tuples, for keys
+    sorted together."""
+    first = np.zeros(keys[0].size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
 class SquareMatrix:
     """Square sparse matrix held as three read-only arrays: ``row``, ``col``
     and ``data`` list the nonzero entries sorted by (row, col), with
@@ -71,13 +89,12 @@ class SquareMatrix:
             raise ValueError(f"entry ({row[k]}, {col[k]}) out of range for dimension {dim}")
         if not np.isfinite(data).all():
             raise ValueError("entries must be finite")
-        order = np.lexsort((col, row))
+        order = np.lexsort((narrowed(col, dim), narrowed(row, dim)))
         row, col, data = row[order], col[order], data[order]
-        if row.size:
-            starts = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (col[1:] != col[:-1])])
-            row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
-            nonzero = data != 0.0
-            row, col, data = row[nonzero], col[nonzero], data[nonzero]
+        starts = np.flatnonzero(run_starts(row, col))
+        row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
+        nonzero = data != 0.0
+        row, col, data = row[nonzero], col[nonzero], data[nonzero]
         for arr in (row, col, data):
             arr.flags.writeable = False
         self.dim, self.row, self.col, self.data = int(dim), row, col, data
@@ -105,10 +122,16 @@ class SquareMatrix:
 
     @classmethod
     def from_triplets(cls, dim, triplets):
-        t = np.asarray(triplets, dtype=float)
-        if t.size and (t.ndim != 2 or t.shape[1] != 3):
+        """The matrix of a sequence of (row, col, value) entries, read as one
+        flat run of 3 * len(triplets) floats."""
+        try:
+            t = (np.fromiter(itertools.chain.from_iterable(triplets), dtype=float,
+                             count=3 * len(triplets)).reshape(-1, 3)
+                 if set(map(len, triplets)) <= {3} else None)
+        except TypeError:  # an entry, or a number in one, of the wrong kind
+            t = None
+        if t is None:
             raise ValueError("triplets must be [row, col, value] entries")
-        t = t.reshape(-1, 3)
         index = t[:, :2]
         if not (np.isfinite(index) & (index == np.round(index))).all():
             raise ValueError("triplet row and column indices must be integers")

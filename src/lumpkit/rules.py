@@ -15,6 +15,7 @@ which keeps the total exit rate equal to sum of rate * embedding count.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .aggregation import Partition
 from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
-from .markov import RateMatrix, StateSpace
+from .markov import RateMatrix, StateSpace, narrowed
 from .sitegraph import ReactionMixture, SiteGraph, instance_name, node_type
 
 DEFAULT_MAX_STATES = 200000
@@ -384,7 +385,8 @@ def _expand(compiled, states):
         applied.append(np.full(len(src), r, dtype=np.intp))
         new.append(dst)
     rows, applied, new = map(np.concatenate, (rows, applied, new))
-    order = np.argsort(rows * len(compiled) + applied, kind="stable")
+    order = np.argsort(narrowed(rows * len(compiled) + applied, len(states) * len(compiled)),
+                       kind="stable")
     return rows[order], applied[order], new[order], error
 
 
@@ -502,51 +504,64 @@ def explore_labelled(model: RuleModel, max_states: int = DEFAULT_MAX_STATES):
 
 def _row_bond_maps(chain: ExploredChain):
     """The bond map of each state from the chain's slot rows, as
-    ``mixture_from_key`` decodes its key, _CHUNK states at a time. Each
-    instance's distinct partner patterns in a chunk are found with
-    ``np.unique`` over one integer code per row, and each pattern's bonds
-    are one tuple, shared by every state that has it."""
+    ``mixture_from_key`` decodes its key. Each instance's distinct partner
+    patterns are found once over all rows, with ``np.unique`` over one
+    integer code per row, and each pattern's bonds are one tuple, shared by
+    every state that has it; the maps are made _CHUNK states at a time."""
     names = _instances(tuple(chain.counts.items()))
     columns = {v: [] for v in names}  # an instance's slots, in site order
     for x, (v, _) in enumerate(chain.ends):
         columns[v].append(x)
     radix = len(chain.ends) + 1  # a partner slot plus one; 0 is no partner
-    shared = {}  # (instance, partner slots) -> its bonds
-    for lo in range(0, len(chain.rows), _CHUNK):
-        block = chain.rows[lo:lo + _CHUNK]
-        table = np.empty((len(block), len(names)), dtype=object)
-        for k, v in enumerate(names):
-            code, size = np.zeros(len(block), dtype=np.int64), 1  # codes lie below size
-            for x in columns[v]:
-                if size > np.iinfo(np.int64).max // radix:  # renumbered before it overflows
-                    code, size = np.unique(code, return_inverse=True)[1], len(block)
-                code, size = code * radix + block[:, x] + 1, size * radix
-            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-            patterns = np.empty(len(first), dtype=object)
-            for j, partners in enumerate(block[first][:, columns[v]].tolist()):
-                pattern = (v, tuple(partners))
-                if pattern not in shared:
-                    shared[pattern] = tuple((chain.ends[x][1], chain.ends[y])
-                                            for x, y in zip(columns[v], partners) if y >= 0)
-                patterns[j] = shared[pattern]
-            table[:, k] = patterns[inverse]
-        for row in table.tolist():
-            yield dict(zip(names, row))
+    rows = chain.rows
+    patterns, which = [], []  # per instance: its patterns' bonds, each row's pattern
+    for v in names:
+        code, size = np.zeros(len(rows), dtype=np.int64), 1  # codes lie below size
+        for x in columns[v]:
+            if size > np.iinfo(np.int64).max // radix:  # renumbered before it overflows
+                code, size = np.unique(code, return_inverse=True)[1], len(rows)
+            code, size = code * radix + rows[:, x] + 1, size * radix
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        bonds = np.empty(len(first), dtype=object)
+        for j, partners in enumerate(rows[first][:, columns[v]].tolist()):
+            bonds[j] = tuple((chain.ends[x][1], chain.ends[y])
+                             for x, y in zip(columns[v], partners) if y >= 0)
+        patterns.append(bonds)
+        which.append(inverse)
+
+    def chunk(lo):
+        shares = zip(*(bonds[inverse[lo:lo + _CHUNK]].tolist()
+                       for bonds, inverse in zip(patterns, which)))
+        return map(dict, map(zip, itertools.repeat(names), shares))
+
+    return itertools.chain.from_iterable(map(chunk, range(0, len(rows), _CHUNK)))
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
     """Blocks are the fibers of an abstraction map over the states' bond
-    maps, ordered by sorted abstraction value. The bond maps are read from
-    the chain's slot rows when it holds them, else decoded from the keys."""
+    maps, ordered by sorted abstraction value, each in state order. The bond
+    maps are read from the chain's slot rows when it holds them, else
+    decoded from the keys. phi is called once per state, and its value's
+    integer label, in order of first appearance, is the one other step per
+    state: the labels are ranked by value, and the blocks gathered by one
+    stable sort of the states by rank."""
     if chain.rows is not None:
         bond_maps = _row_bond_maps(chain)
     else:
         bond_maps = (mixture_from_key(key, chain.counts, chain.interface)
                      for key in chain.space.states)
-    fibers = {}
-    for i, bonds in enumerate(bond_maps):
-        fibers.setdefault(phi(bonds), []).append(i)
-    return Partition(tuple(tuple(fibers[v]) for v in sorted(fibers)))
+    n = len(chain.space)
+    first = {}  # phi value -> the first state that has it, each state's label
+    label = np.fromiter(map(first.setdefault, map(phi, bond_maps), itertools.count()),
+                        dtype=np.intp, count=n)
+    values = list(first)
+    rank = np.zeros(n, dtype=np.intp)  # label -> rank of its value
+    rank[np.array(list(first.values()), dtype=np.intp)[
+        sorted(range(len(values)), key=values.__getitem__)]] = np.arange(len(values))
+    block_of = rank[label]
+    order = np.argsort(narrowed(block_of, len(values)), kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(block_of))[:-1])
+    return Partition(tuple(tuple(block.tolist()) for block in blocks))
 
 
 def export_dot(chain: ExploredChain, labels: dict) -> str:
