@@ -7,9 +7,10 @@ component walk, ``sitegraph.components``, and one species partition,
 ``sitegraph.species_census``. The functions here restate all three from the
 definitions, the last by polymer shape, so that tests can compare them.
 
-The theorem checks at the end hold for every correct aggregation: they
-test the library's ``aggregate`` and ``classify``, dense and unguarded, on
-small chains only."""
+The theorem checks hold for every correct aggregation: they test the
+library's ``aggregate`` and ``classify``, dense and unguarded, on small
+chains only. The sorts at the end are the int64 sorts and ``np.unique``
+groupings that the library's narrowed sort keys replaced."""
 
 import itertools
 from collections import Counter
@@ -295,3 +296,69 @@ def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
         v = P.vecmat(v)
         acc += v
     return Distribution(acc / acc.sum())
+
+
+# --- the sorts before key narrowing -------------------------------------------------
+#
+# The library sorts narrowed keys (``markov.narrowed``) and groups sorted
+# runs; these are the int64 sorts and ``np.unique`` groupings it replaced,
+# kept to pin that the results are exactly equal.
+
+def coordinate_arrays(dim, row, col, data):
+    """``SquareMatrix``'s arrays the int64 way: entries sorted by an int64
+    ``np.lexsort`` on (row, col), duplicates summed by ``np.add.reduceat``
+    (pairwise), exact zeros dropped."""
+    row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+    data = np.asarray(data, dtype=float)
+    order = np.lexsort((col, row))
+    row, col, data = row[order], col[order], data[order]
+    if row.size:
+        starts = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (col[1:] != col[:-1])])
+        row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
+        nonzero = data != 0.0
+        row, col, data = row[nonzero], col[nonzero], data[nonzero]
+    return row, col, data
+
+
+def unique_spread(group, target, value, block_of, m):
+    """max - min of value per (group, target block), a missing state
+    counting as 0, grouped by ``np.unique`` and reduced by ``ufunc.at``."""
+    keys, where = np.unique(group * m + block_of[target], return_inverse=True)
+    hi = np.full(keys.size, -np.inf)
+    lo = np.full(keys.size, np.inf)
+    np.maximum.at(hi, where, value)
+    np.minimum.at(lo, where, value)
+    lacking = np.bincount(where, minlength=keys.size) < np.bincount(block_of, minlength=m)[keys % m]
+    hi[lacking] = np.maximum(hi[lacking], 0.0)
+    lo[lacking] = np.minimum(lo[lacking], 0.0)
+    return hi - lo
+
+
+def unique_residual(K, part: Partition, alphas: MeasureFamily) -> float:
+    """The backward condition's residual, with each (source block, target
+    state) cell found by ``np.unique`` and its flow summed in entry order."""
+    n, b = K.dim, part.block_of
+    w = np.empty(n)
+    for alpha in alphas.alphas:
+        w[list(alpha)] = list(alpha.values())
+    cells, where = np.unique(b[K.row] * n + K.col, return_inverse=True)
+    flow = np.bincount(where, weights=w[K.row] * K.data)
+    col = cells % n
+    return float(unique_spread(cells // n, col, flow / w[col], b, len(part)).max(initial=0.0))
+
+
+def unique_cond3(K, part: Partition) -> bool:
+    """``check_cond3`` on int64 sort keys and ``unique_spread``."""
+    m, b = len(part), part.block_of
+    src = b[K.row]
+    order = np.lexsort((K.data, K.col, src))
+    src, col, val = src[order], K.col[order], K.data[order]
+    index = np.arange(val.size)
+    first = np.r_[True, (src[1:] != src[:-1]) | (col[1:] != col[:-1])][:val.size]
+    group = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], val.size]
+    positive = val > 0
+    rank = np.where(positive, ends[group] - 1 - index, index - starts[group])
+    slot = (src * 2 + positive) * (rank.max(initial=0) + 1) + rank
+    return bool(np.all(unique_spread(slot, col, val, b, m) <= DEFAULT_CONDITION_TOL))

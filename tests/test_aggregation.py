@@ -69,6 +69,62 @@ class TestPartitionAndMeasures:
             aggregation.MeasureFamily(({0: 1.0, 1: float("nan")},))
 
 
+class TestLargeUniformBlocks:
+    """A measure's sum is checked against an absolute bound, so it must be
+    rounded once: summed left to right, n copies of fl(1/n) miss 1 by more
+    than markov.ROW_SUM_TOL for many n in the thousands."""
+
+    @pytest.mark.parametrize("n", [36217, 104709])  # 104,709: scaffold (4,4,5)
+    def test_one_block_measure_is_accepted(self, n):
+        part = aggregation.Partition((tuple(range(n)),))
+        alphas = aggregation.uniform_measures(part)
+        assert np.array_equal(alphas.weights(part), np.full(n, 1.0 / n))
+
+    def test_nested_in_singletons(self):
+        n = 36217
+        result = aggregation.nested(aggregation.Partition.singletons(n),
+                                    aggregation.Partition((tuple(range(n)),)))
+        assert result.groups.blocks == (tuple(range(n)),)
+        assert set(result.alpha_prime.alphas[0].values()) == {1.0 / n}
+
+    def test_sum_still_bounded(self):
+        with pytest.raises(ValueError, match="measure 1 sums to"):
+            aggregation.MeasureFamily(({0: 1.0}, dict.fromkeys(range(1, 1001), 1.001e-3)))
+
+
+class TestMeasureArrays:
+    def test_arrays_follow_the_dicts(self):
+        alphas = aggregation.MeasureFamily(({2: 0.25, 0: 0.75}, {1: 1.0}))
+        assert alphas.states.tolist() == [2, 0, 1]
+        assert alphas.values.tolist() == [0.25, 0.75, 1.0]
+        assert alphas.measure_of.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError):
+            alphas.values[0] = 1.0
+
+    @pytest.mark.parametrize("alphas, blocks", [
+        (({0: 0.5, 1: 0.5}, {2: 1.0}), ((0, 1), (2, 3))),  # block 1 has a state more
+        (({0: 0.5, 1: 0.5}, {2: 0.5, 3: 0.5}), ((0, 1, 2), (3,))),
+        (({0: 0.5, 9: 0.5}, {2: 1.0}), ((0, 1), (2,))),  # a state outside the partition
+        (({0: 0.5, -1: 0.5}, {2: 1.0}), ((0, 1), (2,))),  # not counted from the end
+        (({0: 1.0}, {1: 0.5, 2: 0.5}), ((1, 2), (0,))),  # measures in the other order
+    ])
+    def test_support_must_be_the_block(self, alphas, blocks):
+        family = aggregation.MeasureFamily(alphas)
+        part = aggregation.Partition(blocks)
+        with pytest.raises(ValueError, match=r"measure \d support does not match block \d"):
+            family.weights(part)
+
+    def test_first_mismatched_measure_is_named(self):
+        family = aggregation.MeasureFamily(({0: 1.0}, {1: 1.0}, {2: 0.5, 4: 0.5}, {3: 1.0}))
+        part = aggregation.Partition(((0,), (1,), (2, 3), (4,)))
+        with pytest.raises(ValueError, match="measure 2 support does not match block 2"):
+            family.check_compatible(part)
+
+    def test_states_must_be_integers(self):
+        with pytest.raises(ValueError, match="integer state indices"):
+            aggregation.MeasureFamily(({"a": 1.0},))
+
+
 class TestDeltaTable:
     def test_singleton_partition_reproduces_matrix(self):
         q = fig_chain(1.0, 2.0)

@@ -4,6 +4,8 @@ from math import factorial
 
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import bond_maps, key_mixture
 
 from lumpkit import casestudies, cli, rules, sitegraph
@@ -165,6 +167,57 @@ class TestScaffoldPhisAgainstPerNodeReading:
         bonds = mix.graph.bonds()
         assert (casestudies.scaffold_phi1(bonds),
                 casestudies.scaffold_phi2(bonds)) == scaffold_phis_by_node(mix)
+
+
+def set_scaffold_phis(bonds):
+    """scaffold_phi1 and scaffold_phi2 as sets of B instances bound on a
+    and on c, each bond's node typed by node_type."""
+    bound = {"a": set(), "c": set()}
+    for v, sites in bonds.items():
+        for s, _ in sites:
+            if s in bound and sitegraph.node_type(v) == "B":
+                bound[s].add(v)
+    on_a, on_c = bound["a"], bound["c"]
+    both = len(on_a & on_c)
+    return (len(on_a) - both, len(on_c) - both, both), (len(on_a), len(on_c))
+
+
+def ends_polymer_phi2(bonds):
+    """polymer_phi2 from the list of every bond end's (site, partner site)."""
+    ends = [(s, t) for sites in bonds.values() for s, (_, t) in sites]
+    m_rl = sum(1 for end in ends if end in (("r", "l"), ("l", "r"))) // 2
+    return (m_rl, len(ends) // 2 - m_rl)
+
+
+NAMES = ["A#1", "A#2", "B#1", "B#2", "B#3", "C#1", "B", "A", "Bx#1", "B#x#y", "D#1", "b#1"]
+SITES = ["a", "b", "c", "l", "r", "z", "A", "aa"]
+
+
+@st.composite
+def foreign_bond_maps(draw):
+    """Bond maps in site order over case-study, bare, foreign and look-alike
+    instances and sites; a site may appear twice and a bond at one end only."""
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=8))
+    end = st.tuples(st.sampled_from(SITES), st.tuples(st.sampled_from(NAMES),
+                                                       st.sampled_from(SITES)))
+    return {v: tuple(sorted(draw(st.lists(end, max_size=4)))) for v in names}
+
+
+class TestMapsAgainstTheirFirstFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(foreign_bond_maps())
+    def test_on_arbitrary_bond_maps(self, bonds):
+        assert (casestudies.scaffold_phi1(bonds),
+                casestudies.scaffold_phi2(bonds)) == set_scaffold_phis(bonds)
+        assert casestudies.polymer_phi2(bonds) == ends_polymer_phi2(bonds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_on_every_explored_state(self, n):
+        for chain in (scaffold_chain(n, n, n), polymer_chain(n)):
+            for bonds in rules._row_bond_maps(chain):
+                assert (casestudies.scaffold_phi1(bonds),
+                        casestudies.scaffold_phi2(bonds)) == set_scaffold_phis(bonds)
+                assert casestudies.polymer_phi2(bonds) == ends_polymer_phi2(bonds)
 
 
 def reference_species(mix):

@@ -242,6 +242,23 @@ class TestCheck:
         assert outputs[0] == outputs[1]
 
 
+class TestLargeBlock:
+    def test_one_block_of_a_36217_state_ring(self, tmp_path, capsys):
+        # a uniform measure on 36,217 states sums to 1 + 1.0e-12 left to right
+        n = 36217
+        states = [f"s{i}" for i in range(n)]
+        chain, part = tmp_path / "ring.json", tmp_path / "one.json"
+        chain.write_text(json.dumps({"states": states, "kind": "rate", "triplets": [
+            t for i in range(n) for t in ([i, (i + 1) % n, 1.0], [i, i, -1.0])]}))
+        part.write_text(json.dumps({"blocks": [states]}))
+        assert cli.main(["check", str(chain), "--partition", str(part)]) == 0
+        assert "residual: 0.000e+00" in capsys.readouterr().out
+        out = tmp_path / "agg.json"
+        assert cli.main(["aggregate", str(chain), "--partition", str(part),
+                         "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["states"]) == 1
+
+
 class TestAggregateAndDistributions:
     def test_aggregate_then_stationary(self, tmp_path, capsys):
         model, chain = scaffold_131(tmp_path)
@@ -600,6 +617,18 @@ class TestUnreadableFiles:
         assert cli.main(["check", str(chain), "--partition", str(dup)]) == 1
         repeated = "b" if len(blocks) == 2 else "a"
         assert capsys.readouterr().err == f"error: state {repeated!r} listed twice in {dup}\n"
+
+    @pytest.mark.parametrize("triplets, message", [
+        ([[0, 1, 1.0, 0], [0, 0, -1.0]], "triplets must be [row, col, value] entries"),
+        ([[0, 1, 1.0], [0, 0]], "triplets must be [row, col, value] entries"),
+        ([[0, 0.5, 1.0], [0, 0, -1.0]], "triplet row and column indices must be integers"),
+    ], ids=["four-entries", "two-entries", "non-integer-index"])
+    def test_malformed_triplet_names_the_file(self, tmp_path, capsys, triplets, message):
+        chain = tmp_path / "bad.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate",
+                                     "triplets": triplets}))
+        assert cli.main(["stationary", str(chain), "--out", str(tmp_path / "mu.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {chain}: {message}\n"
 
     def test_number_past_the_float_range_names_the_file(self, tmp_path, capsys):
         chain = tmp_path / "big.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import bond_maps
 
 from lumpkit import aggregation, casestudies, markov, rules
@@ -381,3 +382,95 @@ class TestClassify:
         assert list(got.closed_flags) == closed
         assert list(got.periods) == periods
         assert got.irreducible == (len(classes) == 1 and closed[0])
+
+
+# --- narrowed sort keys against the int64 sorts they replaced ----------------------
+
+class _Plain(markov.SquareMatrix):
+    """A SquareMatrix with no row-sum or sign check, for arbitrary entries."""
+
+    def _validate(self):
+        pass
+
+
+KEY_WIDTH_DIMS = (1, 256, 257, 65536, 65537)  # each side of the uint8 and uint16 limits
+
+
+@st.composite
+def raw_triplets(draw):
+    """A dimension at a key-width limit and entries that repeat coordinates,
+    hold exact zeros, and cancel."""
+    dim = draw(st.sampled_from(KEY_WIDTH_DIMS))
+    index = st.one_of(st.sampled_from(sorted({0, dim // 2, max(dim - 2, 0), dim - 1})),
+                      st.integers(0, dim - 1))
+    cells = draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
+    values = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 1e-300]),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+    entries = draw(st.lists(st.tuples(st.sampled_from(cells), values), max_size=40))
+    cancelled = draw(st.lists(st.sampled_from(entries), max_size=5)) if entries else []
+    entries += [(cell, -value) for cell, value in cancelled]
+    row = [r for (r, _), _ in entries]
+    col = [c for (_, c), _ in entries]
+    return dim, row, col, [v for _, v in entries]
+
+
+@st.composite
+def sparse_chains(draw):
+    """A sparse generator at or past a key-width limit, a partition with up
+    to one block per state, and measures uniform or drawn per block."""
+    dim = draw(st.sampled_from([2, 3, 5, 8, 40, 255, 256, 257, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = min(dim, draw(st.sampled_from([1, 2, 3, 7, 256, 257, dim])))
+    labels = np.unique(rng.integers(0, k, dim), return_inverse=True)[1]
+    part = aggregation.Partition(tuple(tuple(np.flatnonzero(labels == j).tolist())
+                                       for j in range(labels.max() + 1)))
+    nnz = draw(st.integers(0, 4 * dim))
+    row, col = rng.integers(0, dim, nnz), rng.integers(0, dim, nnz)
+    pool = np.array([0.5, 1.0, 0.25, 2.0])  # few values, so spreads are often exactly 0
+    rates = pool[rng.integers(0, 4, nnz)] if draw(st.booleans()) else rng.random(nnz)
+    off = row != col
+    row, col, rates = row[off], col[off], rates[off]
+    ids = np.arange(dim)
+    Q = markov.RateMatrix(dim, np.r_[row, ids], np.r_[col, ids],
+                          np.r_[rates, -np.bincount(row, weights=rates, minlength=dim)])
+    if draw(st.booleans()):
+        return Q, part, aggregation.uniform_measures(part)
+    alphas = []
+    for block in part.blocks:
+        raw = rng.uniform(0.1, 1.0, len(block))
+        alphas.append(dict(zip(block, (raw / raw.sum()).tolist())))
+    return Q, part, aggregation.MeasureFamily(tuple(alphas))
+
+
+class TestNarrowedSortKeys:
+    @pytest.mark.parametrize("bound, dtype", [(0, np.uint8), (1, np.uint8), (256, np.uint8),
+                                              (257, np.uint16), (65536, np.uint16),
+                                              (65537, np.uint32), (2 ** 32 + 1, np.uint64)])
+    def test_narrowest_unsigned_dtype(self, bound, dtype):
+        key = np.array([0, max(bound - 1, 0)], dtype=np.int64)
+        narrow = markov.narrowed(key, bound)
+        assert narrow.dtype == dtype and np.array_equal(narrow, key)
+
+    @settings(max_examples=120, deadline=None)
+    @given(raw_triplets())
+    def test_square_matrix_equals_the_int64_sort(self, case):
+        dim, row, col, data = case
+        m = _Plain(dim, row, col, data)
+        for got, want in zip((m.row, m.col, m.data),
+                             oracle.coordinate_arrays(dim, row, col, data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_chains())
+    def test_residual_and_cond3_equal_the_unique_grouping(self, case):
+        Q, part, alphas = case
+        want = oracle.unique_residual(Q, part, alphas)
+        assert aggregation.check_condition(Q, part, alphas)["residual"] == want
+        assert aggregation.check_cond3(Q, part) == oracle.unique_cond3(Q, part)
+        agg = aggregation.aggregate(Q, part, alphas, tol=1e300)
+        assert agg.residual == want
+        w, b = alphas.weights(part), part.block_of
+        for got, expected in zip((agg.matrix.row, agg.matrix.col, agg.matrix.data),
+                                 oracle.coordinate_arrays(len(part), b[Q.row], b[Q.col],
+                                                          w[Q.row] * Q.data)):
+            assert np.array_equal(got, expected)

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -463,6 +464,41 @@ class TestBuildPartition:
             rules.build_partition(keyed, casestudies.scaffold_phi2)
         # the slot rows hold only the slots of the initial mixture's sites
         assert len(rules.build_partition(chain, casestudies.scaffold_phi2)) == 4
+
+
+@functools.cache
+def scaffold_333():
+    """The scaffold (3,3,3) chain, 1,156 states, explored once."""
+    return rules.explore(scaffold_model(3, 3, 3))
+
+
+@st.composite
+def phi_values(draw):
+    """One abstraction value per state of scaffold (3,3,3): ints, tuples or
+    strings, from a pool of 1 to 400 (past 256 blocks), so most repeat."""
+    kind = draw(st.sampled_from([st.integers(-5, 500),
+                                 st.tuples(st.integers(0, 9), st.integers(0, 40)),
+                                 st.text("abc", max_size=8)]))
+    pool = draw(st.lists(kind, min_size=1, max_size=400, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [pool[i] for i in rng.integers(0, len(pool), len(scaffold_333().space))]
+
+
+class TestBuildPartitionByValue:
+    @settings(max_examples=40, deadline=None)
+    @given(phi_values())
+    def test_fibers_sorted_by_value(self, values):
+        chain = scaffold_333()
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        fibers = {}
+        for i, value in enumerate(values):
+            fibers.setdefault(value, []).append(i)
+        expected = tuple(tuple(fibers[v]) for v in sorted(fibers))
+        for c in (chain, keyed):
+            calls = iter(values)
+            part = rules.build_partition(c, lambda bonds: next(calls))
+            assert part.blocks == expected
+            assert next(calls, None) is None  # one call per state
 
 
 class TestSerialization:
