@@ -541,23 +541,22 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     """Blocks are the fibers of an abstraction map over the states' bond
     maps, ordered by sorted abstraction value, each in state order. The bond
     maps are read from the chain's slot rows when it holds them, else
-    decoded from the keys. phi is called once per state, and its value's
-    integer label, in order of first appearance, is the one other step per
-    state: the labels are ranked by value, and the blocks gathered by one
-    stable sort of the states by rank."""
+    decoded from the keys. Besides its bond map and the call of phi, a
+    state costs one ``dict.setdefault``, which labels it with the first
+    state of its value; the distinct values are ranked by sorting them, and
+    the blocks gathered by one stable sort of the states by rank."""
     if chain.rows is not None:
         bond_maps = _row_bond_maps(chain)
     else:
         bond_maps = (mixture_from_key(key, chain.counts, chain.interface)
                      for key in chain.space.states)
     n = len(chain.space)
-    first = {}  # phi value -> the first state that has it, each state's label
+    first = {}  # phi value -> the first state that has it, the label of its states
     label = np.fromiter(map(first.setdefault, map(phi, bond_maps), itertools.count()),
                         dtype=np.intp, count=n)
-    values = list(first)
-    rank = np.zeros(n, dtype=np.intp)  # label -> rank of its value
-    rank[np.array(list(first.values()), dtype=np.intp)[
-        sorted(range(len(values)), key=values.__getitem__)]] = np.arange(len(values))
+    values, labels = list(first), np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    rank = np.zeros(n, dtype=np.intp)  # label -> the rank of its value
+    rank[labels[sorted(range(len(values)), key=values.__getitem__)]] = np.arange(len(values))
     block_of = rank[label]
     order = np.argsort(narrowed(block_of, len(values)), kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(block_of))[:-1])
