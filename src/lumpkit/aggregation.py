@@ -148,22 +148,30 @@ def _spread(group, target, value, block_of, m):
     return hi - lo
 
 
-def _residual(K, part: Partition, w) -> float:
-    """Largest spread over a target block A_j of the condition value
-    delta(A_i, s) = sum_{s' in A_i} alpha_i(s') K(s', s) / alpha_j(s), with
-    w[s] = alpha_j(s) for s in A_j."""
+def _entries(K, part: Partition, w):
+    """Each entry's source block b[K.row], narrowed, and its weighted rate
+    w[K.row] * K.data."""
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
+    weighted = w[K.row]
+    weighted *= K.data
+    return narrowed(part.block_of, len(part))[K.row], weighted
+
+
+def _residual(K, part: Partition, w, src, weighted) -> float:
+    """Largest spread over a target block A_j of the condition value
+    delta(A_i, s) = sum_{s' in A_i} alpha_i(s') K(s', s) / alpha_j(s), with
+    w[s] = alpha_j(s) for s in A_j, and src and weighted from ``_entries``."""
     m, b = len(part), part.block_of
     # entries sorted by (source block, target state) cell; the sort is stable,
     # so each cell's flow is summed in entry order
-    src, col = narrowed(b[K.row], m), narrowed(K.col, K.dim)
+    col = narrowed(K.col, K.dim)
     order = np.lexsort((col, src))
     src, col = src[order], col[order]
     first = run_starts(src, col)
     cell = np.cumsum(first)
     cell -= 1
-    flow = np.bincount(cell, weights=(w[K.row] * K.data)[order])
+    flow = np.bincount(cell, weights=weighted[order])
     src, col = src[first], col[first]
     return float(_spread(src, col, flow / w[col], b, m).max(initial=0.0))
 
@@ -179,7 +187,8 @@ def check_condition(K, part: Partition, alphas: MeasureFamily,
                     tol: float = DEFAULT_CONDITION_TOL):
     """Does the backward condition hold at tolerance tol? Reports the residual."""
     _check_tol(tol)
-    residual = _residual(K, part, alphas.weights(part))
+    w = alphas.weights(part)
+    residual = _residual(K, part, w, *_entries(K, part, w))
     return {"holds": residual <= tol, "residual": residual}
 
 
@@ -226,11 +235,12 @@ def aggregate(K, part: Partition, alphas: MeasureFamily,
     average of the condition value over block j, and rows keep the sums of
     K's rows."""
     _check_tol(tol)
-    w, b = alphas.weights(part), part.block_of
-    residual = _residual(K, part, w)
+    w = alphas.weights(part)
+    src, weighted = _entries(K, part, w)
+    residual = _residual(K, part, w, src, weighted)
     if residual > tol:
         raise ConditionViolated(residual, tol)
-    matrix = type(K)(len(part), b[K.row], b[K.col], w[K.row] * K.data)
+    matrix = type(K)(len(part), src, part.block_of[K.col], weighted)
     return AggregatedChain(part, alphas, matrix, residual)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import InvalidArgs, InvalidCounts
-from .rules import RewriteRule, RuleModel, check_rate
+from .rules import RewriteRule, RuleModel, check_rate, reads_local_views
 from .sitegraph import SiteGraph, make_edge, make_mixture
 
 
@@ -85,12 +85,14 @@ def _scaffold_bound_b(bonds):
     return on_a, on_c, on_both
 
 
+@reads_local_views
 def scaffold_phi1(bonds):
     """(AB-only, BC-only, ABC) complex counts, read off each B's two sites."""
     on_a, on_c, on_both = _scaffold_bound_b(bonds)
     return (on_a - on_both, on_c - on_both, on_both)
 
 
+@reads_local_views
 def scaffold_phi2(bonds):
     """(number of B bound on a, number of B bound on c)."""
     on_a, on_c, _ = _scaffold_bound_b(bonds)
@@ -168,6 +170,7 @@ def polymer_model(p: PolymerParams) -> RuleModel:
     return RuleModel(rules, initial, dict(POLYMER_INTERFACE))
 
 
+@reads_local_views
 def polymer_phi2(bonds):
     """(number of r-l bonds, number of b-a bonds); a bond map lists each
     bond at both of its ends."""
@@ -180,6 +183,7 @@ def polymer_phi2(bonds):
     return (rl_ends // 2, ends // 2 - rl_ends // 2)
 
 
+@reads_local_views
 def polymer_phi3(bonds) -> int:
     """Total bond count."""
     return sum(map(len, bonds.values())) // 2

@@ -23,7 +23,7 @@ import numpy as np
 
 from .aggregation import Partition
 from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
-from .markov import RateMatrix, StateSpace, narrowed
+from .markov import RateMatrix, StateSpace, narrowed, run_starts
 from .sitegraph import ReactionMixture, SiteGraph, instance_name, node_type
 
 DEFAULT_MAX_STATES = 200000
@@ -502,12 +502,25 @@ def explore_labelled(model: RuleModel, max_states: int = DEFAULT_MAX_STATES):
     return _chain(model, *found), _labels(model, *found[3:])
 
 
-def _row_bond_maps(chain: ExploredChain):
-    """The bond map of each state from the chain's slot rows, as
-    ``mixture_from_key`` decodes its key. Each instance's distinct partner
-    patterns are found once over all rows, with ``np.unique`` over one
-    integer code per row, and each pattern's bonds are one tuple, shared by
-    every state that has it; the maps are made _CHUNK states at a time."""
+def reads_local_views(phi):
+    """Declare that the abstraction map phi reads a bond map only through
+    its local-view census: the multiset over instances of ``(type, ((site,
+    (partner_type, partner_site)), ...))``, each instance's bonds in site
+    order. ``build_partition`` then calls phi once per census instead of
+    once per state. Returns phi itself, unwrapped."""
+    phi._local_views = phi  # phi itself: a wrapper that copies its attributes is not declared
+    return phi
+
+
+def _declared(phi) -> bool:
+    return getattr(phi, "_local_views", None) is phi
+
+
+def _row_patterns(chain: ExploredChain):
+    """Each instance's distinct partner patterns over the chain's slot rows,
+    found with ``np.unique`` over one integer code per row. Returns the
+    instance names and, per instance, its patterns' bonds as one tuple each
+    (an object array) and each row's pattern."""
     names = _instances(tuple(chain.counts.items()))
     columns = {v: [] for v in names}  # an instance's slots, in site order
     for x, (v, _) in enumerate(chain.ends):
@@ -528,32 +541,86 @@ def _row_bond_maps(chain: ExploredChain):
                              for x, y in zip(columns[v], partners) if y >= 0)
         patterns.append(bonds)
         which.append(inverse)
+    return names, patterns, which
+
+
+def _row_bond_maps(chain: ExploredChain):
+    """The bond map of each state from the chain's slot rows, as
+    ``mixture_from_key`` decodes its key. Each pattern's bonds are one
+    tuple, shared by every state that has it; the maps are made _CHUNK
+    states at a time."""
+    names, patterns, which = _row_patterns(chain)
+    n = len(chain.rows)
+    if not names:  # zipping no instance's patterns would give no state at all
+        return ({} for _ in range(n))
 
     def chunk(lo):
         shares = zip(*(bonds[inverse[lo:lo + _CHUNK]].tolist()
                        for bonds, inverse in zip(patterns, which)))
         return map(dict, map(zip, itertools.repeat(names), shares))
 
-    return itertools.chain.from_iterable(map(chunk, range(0, len(rows), _CHUNK)))
+    return itertools.chain.from_iterable(map(chunk, range(0, n, _CHUNK)))
+
+
+def _census_groups(chain: ExploredChain):
+    """The states of the chain's slot rows grouped by local-view census.
+    Each instance pattern gets the id of its local view; a state's view ids,
+    sorted, are its census, in the width of its instances whatever the
+    number of views. Equal censuses are grouped by one stable lexsort.
+    Returns each state's group, the groups numbered in order of their first
+    states, and those states' bond maps."""
+    names, patterns, which = _row_patterns(chain)
+    views, ids = {}, []  # local view -> its id; per instance, its patterns' ids
+    for v, bonds in zip(names, patterns):
+        t = node_type(v)
+        ids.append([views.setdefault((t, tuple((s, (node_type(w), u)) for s, (w, u) in pattern)),
+                                     len(views)) for pattern in bonds])
+    # one row per instance, or one of zeros when there is none
+    census = np.zeros((max(len(names), 1), len(chain.rows)),
+                      dtype=np.min_scalar_type(max(len(views) - 1, 0)))
+    for row, view, inverse in zip(census, ids, which):
+        row[:] = np.array(view)[inverse]
+    census.sort(axis=0)
+    order = np.lexsort(census)
+    starts = run_starts(*census[:, order])
+    leaders = order[starts]  # the first state of each group: the lexsort is stable
+    by_state = np.argsort(leaders)
+    number = np.empty(len(leaders), dtype=np.intp)
+    number[by_state] = np.arange(len(leaders))
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = number[np.cumsum(starts) - 1]
+    leaders = leaders[by_state].tolist()
+    return group, leaders, (dict(zip(names, (bonds[inverse[s]]
+                                             for bonds, inverse in zip(patterns, which))))
+                            for s in leaders)
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
     """Blocks are the fibers of an abstraction map over the states' bond
-    maps, ordered by sorted abstraction value, each in state order. The bond
-    maps are read from the chain's slot rows when it holds them, else
-    decoded from the keys. Besides its bond map and the call of phi, a
-    state costs one ``dict.setdefault``, which labels it with the first
-    state of its value; the distinct values are ranked by sorting them, and
-    the blocks gathered by one stable sort of the states by rank."""
-    if chain.rows is not None:
-        bond_maps = _row_bond_maps(chain)
-    else:
-        bond_maps = (mixture_from_key(key, chain.counts, chain.interface)
-                     for key in chain.space.states)
+    maps, ordered by sorted abstraction value, each in state order.
+
+    A map declared by ``reads_local_views``, on a chain that holds slot
+    rows, is called once per local-view census: on the bond map of the
+    first state of each census, in state order, and each state takes its
+    census's value. Any other map is called once per state, in state order,
+    on bond maps read from the slot rows, or else decoded from the keys.
+    Each value labels its states with the first state that has it
+    (``dict.setdefault``); the distinct values are ranked by sorting them,
+    and the blocks gathered by one stable sort of the states by rank."""
     n = len(chain.space)
     first = {}  # phi value -> the first state that has it, the label of its states
-    label = np.fromiter(map(first.setdefault, map(phi, bond_maps), itertools.count()),
-                        dtype=np.intp, count=n)
+    if chain.rows is not None and _declared(phi):
+        group, leaders, bond_maps = _census_groups(chain)
+        label = np.fromiter(map(first.setdefault, map(phi, bond_maps), leaders),
+                            dtype=np.intp, count=len(leaders))[group]
+    else:
+        if chain.rows is not None:
+            bond_maps = _row_bond_maps(chain)
+        else:
+            bond_maps = (mixture_from_key(key, chain.counts, chain.interface)
+                         for key in chain.space.states)
+        label = np.fromiter(map(first.setdefault, map(phi, bond_maps), itertools.count()),
+                            dtype=np.intp, count=n)
     values, labels = list(first), np.fromiter(first.values(), dtype=np.intp, count=len(first))
     rank = np.zeros(n, dtype=np.intp)  # label -> the rank of its value
     rank[labels[sorted(range(len(values)), key=values.__getitem__)]] = np.arange(len(values))

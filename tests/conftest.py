@@ -1,14 +1,37 @@
 """Shared builders for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 
 from lumpkit import aggregation, markov, rules
-from lumpkit.sitegraph import make_mixture
+from lumpkit.sitegraph import make_mixture, node_type
+
+# the case-study maps declared with rules.reads_local_views
+LOCAL_VIEW_MAPS = ("scaffold_phi1", "scaffold_phi2", "polymer_phi2", "polymer_phi3")
 
 
 def bond_maps(chain):
     """The bond map of each state of an explored chain, decoded from its key."""
     return [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
+
+
+def local_view_census(bonds):
+    """The multiset of a bond map's local views, each instance's type and
+    its bonds with the partner named by type, sorted (a site may appear
+    twice in a drawn map), as sorted (view, count) pairs."""
+    return tuple(sorted(Counter(
+        (node_type(v), tuple(sorted((s, (node_type(w), t)) for s, (w, t) in sites)))
+        for v, sites in bonds.items()).items()))
+
+
+def fibers(maps, phi):
+    """The blocks of phi by one call per state on the bond maps of maps,
+    grouped in a dict: sorted by value, each in state order."""
+    groups = {}
+    for i, bonds in enumerate(maps):
+        groups.setdefault(phi(bonds), []).append(i)
+    return tuple(tuple(groups[value]) for value in sorted(groups))
 
 
 def key_mixture(key, interface, counts):

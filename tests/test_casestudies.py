@@ -6,7 +6,7 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bond_maps, key_mixture
+from conftest import LOCAL_VIEW_MAPS, bond_maps, key_mixture, local_view_census
 
 from lumpkit import casestudies, cli, rules, sitegraph
 from lumpkit.errors import InvalidArgs, InvalidCounts
@@ -218,6 +218,87 @@ class TestMapsAgainstTheirFirstFormulas:
                 assert (casestudies.scaffold_phi1(bonds),
                         casestudies.scaffold_phi2(bonds)) == set_scaffold_phis(bonds)
                 assert casestudies.polymer_phi2(bonds) == ends_polymer_phi2(bonds)
+
+
+# instance names by type, with bare and look-alike names: "B" and "B#x#y"
+# are of type B, "BX#1" of type BX
+TYPED_NAMES = {"A": ("A#1", "A#2", "A"), "B": ("B#1", "B#2", "B#3", "B", "B#x#y"),
+               "BX": ("BX#1", "BX#2"), "C": ("C#1", "C#2"), "D": ("D#1", "D#2")}
+
+
+@st.composite
+def typed_bond_maps(draw):
+    """Bond maps in site order over the names of TYPED_NAMES and foreign
+    sites; a site may appear twice and a bond at one end only."""
+    pool = [v for names in TYPED_NAMES.values() for v in names]
+    names = draw(st.lists(st.sampled_from(pool), unique=True, max_size=8))
+    end = st.tuples(st.sampled_from(SITES), st.tuples(st.sampled_from(pool),
+                                                       st.sampled_from(SITES)))
+    return {v: tuple(sorted(draw(st.lists(end, max_size=4)))) for v in names}
+
+
+def in_site_order(bonds):
+    return {v: tuple(sorted(sites)) for v, sites in bonds.items()}
+
+
+@st.composite
+def renamed(draw, bonds):
+    """bonds with its instances renamed by a permutation of each type's names."""
+    rename = {}
+    for names in TYPED_NAMES.values():
+        rename.update(zip(names, draw(st.permutations(names))))
+    return in_site_order({rename[v]: tuple((s, (rename[w], t)) for s, (w, t) in sites)
+                          for v, sites in bonds.items()})
+
+
+@st.composite
+def swapped(draw):
+    """A drawn bond map with two bonds of one kind (type.site-type.site)
+    added, u.s-x.t and v.s-y.t, and the same map with them as u.s-y.t and
+    v.s-x.t; the bonds are listed at both ends or at the first only."""
+    bonds = draw(typed_bond_maps())
+    kind = st.sampled_from(sorted(TYPED_NAMES))
+    pair = kind.flatmap(lambda t: st.lists(st.sampled_from(TYPED_NAMES[t]), min_size=2,
+                                           max_size=2, unique=True))
+    (u, v), (x, y) = draw(pair), draw(pair)
+    s, t = draw(st.sampled_from(SITES)), draw(st.sampled_from(SITES))
+    both = draw(st.booleans())
+
+    def with_bonds(*added):
+        new = {w: list(sites) for w, sites in bonds.items()}
+        for (a, p), (b, q) in added:
+            new.setdefault(a, []).append((p, (b, q)))
+            if both:
+                new.setdefault(b, []).append((q, (a, p)))
+        return in_site_order(new)
+
+    return (with_bonds(((u, s), (x, t)), ((v, s), (y, t))),
+            with_bonds(((u, s), (y, t)), ((v, s), (x, t))))
+
+
+class TestDeclaredMapsReadOnlyLocalViews:
+    """The promise of ``rules.reads_local_views``: each declared map keeps
+    its value wherever the local-view census does."""
+
+    @staticmethod
+    def same_values(bonds, other):
+        assert local_view_census(other) == local_view_census(bonds)
+        for name in LOCAL_VIEW_MAPS:
+            phi = getattr(casestudies, name)
+            assert phi(other) == phi(bonds), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_under_renaming(self, data):
+        bonds = data.draw(typed_bond_maps())
+        self.same_values(bonds, data.draw(renamed(bonds)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_under_swapped_partners(self, data):
+        bonds, other = data.draw(swapped())
+        self.same_values(bonds, other)
+        self.same_values(bonds, data.draw(renamed(other)))
 
 
 def reference_species(mix):

@@ -6,7 +6,7 @@ written here from the oracle's ``find_embeddings``, ``apply`` and
 import numpy as np
 import oracle
 import pytest
-from conftest import bond_maps
+from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, local_view_census
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,9 +231,28 @@ class TestRowBondMapsMatchTheKeys:
         assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
 
 
+class TestLocalViewCensusMatchesPerStateGrouping:
+    """A map declared by ``rules.reads_local_views`` is called once per
+    local-view census of an explored chain; its blocks are those of one
+    call per state, and the finest such map gives one block per census."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models(), models(bonded=False)))
+    def test_same_blocks(self, model):
+        chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
+        if chain is None:
+            return
+        maps = bond_maps(chain)
+        for name in LOCAL_VIEW_MAPS:
+            phi = getattr(casestudies, name)
+            assert rules.build_partition(chain, phi).blocks == fibers(maps, phi), name
+        census = rules.reads_local_views(lambda bonds: local_view_census(bonds))
+        assert rules.build_partition(chain, census).blocks == fibers(maps, local_view_census)
+
+
 class TestSpeciesCensusFromAnEdgelessStart:
     @settings(max_examples=200, deadline=None)
-    @given(models(bonded=False))
+    @given(st.one_of(models(bonded=False), models(NON_DYADIC_RATES, bonded=False)))
     def test_condition_holds(self, model):
         # renaming the instances of a type commutes with the rules and fixes an
         # edgeless start, so the reachable mixtures are closed under it; the

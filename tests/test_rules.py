@@ -4,7 +4,7 @@ import os
 import numpy as np
 import oracle
 import pytest
-from conftest import bond_maps, key_mixture
+from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, key_mixture, local_view_census
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -499,6 +499,98 @@ class TestBuildPartitionByValue:
             part = rules.build_partition(c, lambda bonds: next(calls))
             assert part.blocks == expected
             assert next(calls, None) is None  # one call per state
+
+
+@functools.cache
+def polymer_3():
+    """The polymer n=3 chain, explored once."""
+    return rules.explore(casestudies.polymer_model(casestudies.PolymerParams(3)))
+
+
+CENSUS_CHAINS = {
+    "scaffold-234": lambda: rules.explore(scaffold_model(2, 3, 4)),
+    "scaffold-333": scaffold_333,
+    "polymer-3": polymer_3,
+    "polymer-4": lambda: rules.explore(casestudies.polymer_model(casestudies.PolymerParams(4))),
+}
+
+
+def no_bond_map(*args, **kwargs):
+    raise AssertionError("a per-state bond map was built")
+
+
+def ordered(maps):
+    """Bond maps as lists of items: equal only in the same instance order."""
+    return [list(bonds.items()) for bonds in maps]
+
+
+class TestLocalViewCensus:
+    """A map declared by ``reads_local_views`` is called once per local-view
+    census of an explored chain; the blocks are those of one call per state."""
+
+    def test_declared_maps(self):
+        declared = {name for name in dir(casestudies)
+                    if rules._declared(getattr(casestudies, name))}
+        assert declared == set(LOCAL_VIEW_MAPS)
+        assert not rules._declared(cli._PHI_FUNCS["species"])
+
+    def test_declaring_keeps_the_map_and_marks_no_wrapper(self):
+        def phi(bonds):
+            return 0
+
+        assert rules.reads_local_views(phi) is phi and rules._declared(phi)
+        assert not rules._declared(functools.wraps(phi)(lambda bonds: phi(bonds)))
+
+    @pytest.mark.parametrize("name", CENSUS_CHAINS)
+    def test_same_blocks_as_a_per_state_grouping(self, name):
+        chain = CENSUS_CHAINS[name]()
+        maps = bond_maps(chain)
+        for phi in map(functools.partial(getattr, casestudies), LOCAL_VIEW_MAPS):
+            want = fibers(maps, phi)
+            assert rules.build_partition(chain, phi).blocks == want
+            # an undeclared copy takes the per-state path
+            assert rules.build_partition(chain, lambda bonds, phi=phi: phi(bonds)).blocks == want
+        # the finest declared map: one block per census
+        census = rules.reads_local_views(lambda bonds: local_view_census(bonds))
+        assert rules.build_partition(chain, census).blocks == fibers(maps, local_view_census)
+
+    @pytest.mark.parametrize("name, phi, groups", [
+        ("scaffold-333", casestudies.scaffold_phi1, 20),
+        ("polymer-3", casestudies.polymer_phi2, 28)])
+    def test_one_call_per_census(self, name, phi, groups, monkeypatch):
+        chain = CENSUS_CHAINS[name]()
+        maps = bond_maps(chain)
+        want = fibers(maps, phi)
+        first = {}  # census -> its first state
+        for i, bonds in enumerate(maps):
+            first.setdefault(local_view_census(bonds), i)
+        calls = []
+
+        @rules.reads_local_views
+        def counting(bonds):
+            calls.append(bonds)
+            return phi(bonds)
+
+        monkeypatch.setattr(rules, "_row_bond_maps", no_bond_map)
+        monkeypatch.setattr(rules, "mixture_from_key", no_bond_map)
+        assert rules.build_partition(chain, counting).blocks == want
+        assert len(calls) == len(first) == groups
+        # each census's first state, in state order, its bond map as the keys give it
+        assert ordered(calls) == ordered(maps[i] for i in sorted(first.values()))
+        monkeypatch.undo()
+        calls.clear()
+        traced = rules.build_partition(chain, lambda bonds: counting(bonds))
+        assert traced.blocks == want and len(calls) == len(chain.space)
+
+    def test_chain_without_instances(self):
+        iface = {"A": frozenset({"x"}), "B": frozenset({"x"})}
+        bound = frozenset({edge("A", "x", "B", "x")})
+        bind = rules.RewriteRule(SiteGraph(frozenset(iface), iface, frozenset()),
+                                 SiteGraph(frozenset(iface), iface, bound), 1.0, "bind")
+        chain = rules.explore(rules.RuleModel((bind,), make_mixture({}, {})))
+        assert chain.space.states == ("-",) and chain.ends == ()
+        for phi in (len, rules.reads_local_views(lambda bonds: len(bonds))):
+            assert rules.build_partition(chain, phi).blocks == ((0,),)
 
 
 class TestSerialization:
