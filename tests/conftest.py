@@ -4,16 +4,22 @@ from collections import Counter
 
 import numpy as np
 
-from lumpkit import aggregation, markov, rules
+from lumpkit import aggregation, casestudies, markov, rules
 from lumpkit.sitegraph import make_mixture, node_type
 
-# the case-study maps declared with rules.reads_local_views
-LOCAL_VIEW_MAPS = ("scaffold_phi1", "scaffold_phi2", "polymer_phi2", "polymer_phi3")
+# the case-study maps declared with rules.reads_local_views, by name
+LOCAL_VIEW_MAPS = {name: getattr(casestudies, name) for name in
+                   ("scaffold_phi1", "scaffold_phi2", "polymer_phi2", "polymer_phi3")}
 
 
 def bond_maps(chain):
     """The bond map of each state of an explored chain, decoded from its key."""
     return [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
+
+
+def ordered(maps):
+    """Bond maps as lists of items: equal only in the same instance order."""
+    return [list(bonds.items()) for bonds in maps]
 
 
 def local_view_census(bonds):

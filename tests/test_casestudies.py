@@ -283,8 +283,7 @@ class TestDeclaredMapsReadOnlyLocalViews:
     @staticmethod
     def same_values(bonds, other):
         assert local_view_census(other) == local_view_census(bonds)
-        for name in LOCAL_VIEW_MAPS:
-            phi = getattr(casestudies, name)
+        for name, phi in LOCAL_VIEW_MAPS.items():
             assert phi(other) == phi(bonds), name
 
     @settings(max_examples=300, deadline=None)

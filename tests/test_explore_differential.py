@@ -6,7 +6,7 @@ written here from the oracle's ``find_embeddings``, ``apply`` and
 import numpy as np
 import oracle
 import pytest
-from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, local_view_census
+from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, local_view_census, ordered
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,11 +184,6 @@ class TestExploreMatchesReference:
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
 
 
-def ordered(maps):
-    """Bond maps as lists of items: equal only in the same instance order."""
-    return [list(bonds.items()) for bonds in maps]
-
-
 class TestRowBondMapsMatchTheKeys:
     """``build_partition`` reads an explored chain's bond maps from its slot
     rows and any other chain's from its keys: the two producers agree."""
@@ -243,8 +238,7 @@ class TestLocalViewCensusMatchesPerStateGrouping:
         if chain is None:
             return
         maps = bond_maps(chain)
-        for name in LOCAL_VIEW_MAPS:
-            phi = getattr(casestudies, name)
+        for name, phi in LOCAL_VIEW_MAPS.items():
             assert rules.build_partition(chain, phi).blocks == fibers(maps, phi), name
         census = rules.reads_local_views(lambda bonds: local_view_census(bonds))
         assert rules.build_partition(chain, census).blocks == fibers(maps, local_view_census)

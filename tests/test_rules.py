@@ -4,7 +4,7 @@ import os
 import numpy as np
 import oracle
 import pytest
-from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, key_mixture, local_view_census
+from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, key_mixture, local_view_census, ordered
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -519,11 +519,6 @@ def no_bond_map(*args, **kwargs):
     raise AssertionError("a per-state bond map was built")
 
 
-def ordered(maps):
-    """Bond maps as lists of items: equal only in the same instance order."""
-    return [list(bonds.items()) for bonds in maps]
-
-
 class TestLocalViewCensus:
     """A map declared by ``reads_local_views`` is called once per local-view
     census of an explored chain; the blocks are those of one call per state."""
@@ -545,7 +540,7 @@ class TestLocalViewCensus:
     def test_same_blocks_as_a_per_state_grouping(self, name):
         chain = CENSUS_CHAINS[name]()
         maps = bond_maps(chain)
-        for phi in map(functools.partial(getattr, casestudies), LOCAL_VIEW_MAPS):
+        for phi in LOCAL_VIEW_MAPS.values():
             want = fibers(maps, phi)
             assert rules.build_partition(chain, phi).blocks == want
             # an undeclared copy takes the per-state path
