@@ -18,6 +18,7 @@ EXIT_CAP = 2
 EXIT_VIOLATED = 3
 
 
+@rules.reads_species
 def _species(bonds):
     return tuple(sorted(sitegraph.species_census(bonds).items()))
 
@@ -41,20 +42,25 @@ def _load_model(path):
         return dsl.parse_model(fh.read())
 
 
-def _partition_for(args, space, matrix):
+def _partitioned_chain(args):
+    """The chain file's space and matrix, and the partition that --partition
+    or --phi gives, with the options checked before any file is read."""
+    if not (args.partition or args.phi):
+        raise LumpkitError("supply --partition FILE or --phi NAME")
+    if args.phi and not args.model:
+        raise LumpkitError("--phi requires --model for the instance counts and interface")
+    if args.model and not args.phi:
+        raise LumpkitError("--model is read only with --phi")
+    space, matrix = markov.load_chain(args.chain)
     if args.partition:
-        return aggregation.load_partition(args.partition, space)
-    if args.phi:
-        if not args.model:
-            raise LumpkitError("--phi requires --model for the instance counts and interface")
-        model = _load_model(args.model)
-        study = args.phi.split("-", 1)[0]
-        if model.interface != _CASE_STUDY_INTERFACES.get(study, model.interface):
-            raise LumpkitError(f"--phi {args.phi} needs a model with the {study} "
-                               f"case study's node types and sites")
-        chain = rules.ExploredChain(space, matrix, model.initial.counts, model.interface)
-        return rules.build_partition(chain, _PHI_FUNCS[args.phi])
-    raise LumpkitError("supply --partition FILE or --phi NAME")
+        return space, matrix, aggregation.load_partition(args.partition, space)
+    model = _load_model(args.model)
+    study = args.phi.split("-", 1)[0]
+    if model.interface != _CASE_STUDY_INTERFACES.get(study, model.interface):
+        raise LumpkitError(f"--phi {args.phi} needs a model with the {study} "
+                           f"case study's node types and sites")
+    chain = rules.ExploredChain(space, matrix, model.initial.counts, model.interface)
+    return space, matrix, rules.build_partition(chain, _PHI_FUNCS[args.phi])
 
 
 def _measures_for(args, space, part):
@@ -83,14 +89,13 @@ def cmd_explore(args):
     markov.save_chain(args.out, chain.space, chain.matrix)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(rules.export_dot(chain, labels))
+            fh.writelines(rules.export_dot(chain, labels))
     print(f"explored {len(chain.space)} states -> {args.out}")
     return EXIT_OK
 
 
 def cmd_check(args):
-    space, matrix = markov.load_chain(args.chain)
-    part = _partition_for(args, space, matrix)
+    space, matrix, part = _partitioned_chain(args)
     alphas = _measures_for(args, space, part)
     result = aggregation.check_condition(matrix, part, alphas, args.tol)
     cond3 = aggregation.check_cond3(matrix, part)
@@ -100,8 +105,7 @@ def cmd_check(args):
 
 
 def cmd_aggregate(args):
-    space, matrix = markov.load_chain(args.chain)
-    part = _partition_for(args, space, matrix)
+    space, matrix, part = _partitioned_chain(args)
     alphas = _measures_for(args, space, part)
     agg = aggregation.aggregate(matrix, part, alphas, args.tol)
     markov.save_chain(args.out, _block_space(part), agg.matrix)
@@ -196,8 +200,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     partitioned = argparse.ArgumentParser(add_help=False)  # check and aggregate
     partitioned.add_argument("chain")
-    partitioned.add_argument("--partition")
-    partitioned.add_argument("--phi", choices=_PHI_FUNCS)
+    source = partitioned.add_mutually_exclusive_group()
+    source.add_argument("--partition")
+    source.add_argument("--phi", choices=_PHI_FUNCS)
     partitioned.add_argument("--model")
     partitioned.add_argument("--measures")
     partitioned.add_argument("--tol", type=float, default=aggregation.DEFAULT_CONDITION_TOL)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .aggregation import Partition
 from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
 from .markov import RateMatrix, StateSpace, narrowed, run_starts
-from .sitegraph import ReactionMixture, SiteGraph, instance_name, node_type
+from .sitegraph import ReactionMixture, SiteGraph, _concrete_key, instance_name, node_type
 
 DEFAULT_MAX_STATES = 200000
 
@@ -94,9 +95,9 @@ def _part_ends(part: str) -> tuple:
         end1, end2 = part.split("-")
         (v1, s1), (v2, s2) = end1.rsplit(".", 1), end2.rsplit(".", 1)
     except ValueError:
-        raise ValueError(f"malformed bond {part!r} in a state key") from None
+        raise ValueError(f"malformed bond {part!r}") from None
     if v1 == v2:
-        raise ValueError(f"bond {part!r} joins a node to itself")
+        raise ValueError(f"bond {part!r}, which joins a node to itself")
     return (v1, (s1, (v2, s2)), node_type(v1)), (v2, (s2, (v1, s1)), node_type(v2))
 
 
@@ -105,11 +106,16 @@ def mixture_from_key(key: str, counts: dict, interface=None) -> dict:
     ``SiteGraph.bonds()`` gives it: every instance of counts -> a tuple of
     its bonds in site order. A key that names an instance outside counts,
     binds a site twice or, given interface (type -> sites), binds a site
-    that its type does not declare raises ``ValueError``."""
+    that its type does not declare raises ``ValueError``, naming the key.
+    The one validating parser of keys: a chain built from keys runs each
+    key that brings a part not seen before through it once."""
     bonds = {v: [] for v in _instances(tuple(counts.items()))}
     try:
         for part in () if key == "-" else key.split(";"):
-            ends = (v1, bond1, _), (v2, bond2, _) = _part_ends(part)
+            try:
+                ends = (v1, bond1, _), (v2, bond2, _) = _part_ends(part)
+            except ValueError as exc:  # it names the part
+                raise ValueError(f"state {key!r} holds {exc}") from None
             if interface is not None:
                 for v, (s, _), t in ends:
                     if s not in interface.get(t, ()):
@@ -138,10 +144,12 @@ def _instances(counts) -> tuple:
 
 @dataclass(frozen=True)
 class ExploredChain:
-    """The states, their generator and the instance counts per type. A chain
-    from ``explore`` also holds the search's slot rows, from which
-    ``build_partition`` reads its bond maps; any other decodes each state
-    key through ``mixture_from_key``, checked against interface if given."""
+    """The states, their generator, the instance counts per type and the
+    slot rows, one per state, that ``build_partition`` reads. A chain from
+    ``explore`` holds the search's rows. Given no rows, a chain decodes its
+    state keys into rows once (``_key_rows``): each instance has the slots
+    of its type's sites in interface, or else of the sites the keys bind,
+    and a key is refused as ``mixture_from_key`` refuses it."""
 
     space: StateSpace
     matrix: RateMatrix
@@ -149,6 +157,14 @@ class ExploredChain:
     interface: dict = None  # type -> the sites a state key may bind
     rows: np.ndarray = field(default=None, compare=False, repr=False)  # read-only, by index
     ends: tuple = field(default=(), compare=False, repr=False)  # slot -> (instance, site)
+
+    def __post_init__(self):
+        if self.rows is None:
+            rows, ends = _key_rows(self.space.states, self.counts, self.interface)
+            object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "ends", ends)
+        elif self.rows.shape != (len(self.space), max(len(self.ends), 1)):
+            raise ValueError("slot rows need one row per state and one column per end")
 
 
 # --- slot-encoded exploration -------------------------------------------------
@@ -164,19 +180,67 @@ class ExploredChain:
 _CHUNK = 2048  # frontier states expanded at once; bounds the search's temporaries
 
 
-def _layout(initial: ReactionMixture):
-    """Slots of the initial mixture: instances in counts order, then by index,
-    each with its sites sorted. Returns type -> instances, instance ->
-    {site: slot} and slot -> (instance, site)."""
+def _layout(counts, sites):
+    """Slots of the instances of counts, each with sites[instance]: instances
+    in counts order, then by index, each with its sites sorted. Returns type
+    -> instances, instance -> {site: slot} and slot -> (instance, site)."""
     instances, slots, ends = {}, {}, []
-    for t, n in initial.counts.items():
+    for t, n in counts.items():
         instances[t] = tuple(instance_name(t, j) for j in range(1, n + 1))
         for v in instances[t]:
             slots[v] = {}
-            for s in sorted(initial.graph.interface[v]):
+            for s in sorted(sites[v]):
                 slots[v][s] = len(ends)
                 ends.append((v, s))
     return instances, slots, ends
+
+
+def _rows_dtype(slots: int):
+    """The integer type of slot rows: it holds every slot and -1."""
+    return np.min_scalar_type(-max(slots, 1))
+
+
+def _key_rows(keys, counts, interface):
+    """The read-only slot rows of the states with these keys, and their
+    ends, in ``_layout``'s order; each instance has the sites of its type in
+    interface, or else those that the keys bind at its type. A key that
+    brings a part not seen before goes through ``mixture_from_key`` once;
+    every other part is a table lookup. One count of each state's bound
+    slots then finds a site bound twice. The first refused state, in state
+    order, is decoded again to raise its message."""
+    sizes = np.array([0 if key == "-" else key.count(";") + 1 for key in keys], dtype=np.intp)
+    parts = ";".join(key for key in keys if key != "-").split(";") if sizes.any() else []
+    number = {part: j for j, part in enumerate(dict.fromkeys(parts))}  # by first appearance
+    ids = np.fromiter(map(number.__getitem__, parts), dtype=np.intp, count=len(parts))
+    state = np.repeat(np.arange(len(keys)), sizes)
+    new = ids > np.maximum.accumulate(np.r_[-1, ids[:-1]])  # a part's first appearance
+    refused = len(keys)
+    for i in np.unique(state[new]).tolist():
+        try:
+            mixture_from_key(keys[i], counts, interface)
+        except ValueError:
+            refused = i
+            break
+    known = int(sizes[:refused].sum())  # the parts of the states before it, all valid
+    valid = int(ids[:known].max(initial=-1)) + 1  # they are numbered first
+    ends_of = [_part_ends(part) for part in itertools.islice(number, valid)]
+    sites = interface
+    if sites is None:  # type -> the sites the keys bind
+        sites = {}
+        for _, (s, _), t in itertools.chain.from_iterable(ends_of):
+            sites.setdefault(t, set()).add(s)
+    names = _instances(tuple(counts.items()))
+    _, slots, ends = _layout(counts, {v: sites.get(node_type(v), ()) for v in names})
+    pair = np.array([(slots[v1][s1], slots[v2][s2]) for (v1, (s1, _), _), (v2, (s2, _), _)
+                     in ends_of], dtype=np.intp).reshape(-1, 2)
+    rows = np.full((refused, max(len(ends), 1)), -1, dtype=_rows_dtype(len(ends)))
+    at, (a, b) = state[:known], pair[ids[:known]].T
+    rows[at, a], rows[at, b] = b, a
+    twice = np.flatnonzero(np.count_nonzero(rows >= 0, axis=1) != 2 * sizes[:refused])
+    if len(twice) or refused < len(keys):
+        mixture_from_key(keys[twice[0] if len(twice) else refused], counts, interface)
+    rows.flags.writeable = False
+    return rows, tuple(ends)
 
 
 def _slot_table(site_slots, sites):
@@ -403,12 +467,12 @@ def _applications(model: RuleModel, max_states: int):
     StateCapExceeded at the application that finds state max_states + 1."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    layout = _layout(model.initial)
+    layout = _layout(model.initial.counts, model.initial.graph.interface)
     compiled = [_compile(rule, layout) for rule in model.rules]
     _, slots, ends = layout
     keys_of = _key_writer(model, ends)
     n = len(ends)
-    start = np.full((1, max(n, 1)), -1, dtype=np.min_scalar_type(-max(n, 1)))
+    start = np.full((1, max(n, 1)), -1, dtype=_rows_dtype(n))
     for (v1, s1), (v2, s2) in model.initial.graph.edges:
         a, b = slots[v1][s1], slots[v2][s2]
         start[0, a], start[0, b] = b, a
@@ -512,8 +576,13 @@ def reads_local_views(phi):
     return phi
 
 
-def _declared(phi) -> bool:
-    return getattr(phi, "_local_views", None) is phi
+def reads_species(phi):
+    """Declare that the abstraction map phi reads a bond map only through
+    its species census: the multiset of the canonical keys of its connected
+    components. ``build_partition`` then calls phi once per census instead
+    of once per state. Returns phi itself, unwrapped."""
+    phi._species = phi  # as in reads_local_views
+    return phi
 
 
 def _row_patterns(chain: ExploredChain):
@@ -529,11 +598,7 @@ def _row_patterns(chain: ExploredChain):
     rows = chain.rows
     patterns, which = [], []  # per instance: its patterns' bonds, each row's pattern
     for v in names:
-        code, size = np.zeros(len(rows), dtype=np.int64), 1  # codes lie below size
-        for x in columns[v]:
-            if size > np.iinfo(np.int64).max // radix:  # renumbered before it overflows
-                code, size = np.unique(code, return_inverse=True)[1], len(rows)
-            code, size = code * radix + rows[:, x] + 1, size * radix
+        code = _mixed_radix(len(rows), ((rows[:, x], radix) for x in columns[v]))
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         bonds = np.empty(len(first), dtype=object)
         for j, partners in enumerate(rows[first][:, columns[v]].tolist()):
@@ -542,6 +607,18 @@ def _row_patterns(chain: ExploredChain):
         patterns.append(bonds)
         which.append(inverse)
     return names, patterns, which
+
+
+def _mixed_radix(n, digits):
+    """One int64 code per row of n for the (digit array, radix) pairs, each
+    digit in [-1, radix - 1): equal codes, equal digits. Codes are
+    renumbered before they could overflow."""
+    code, size = np.zeros(n, dtype=np.int64), 1  # codes lie below size
+    for digit, radix in digits:
+        if size > np.iinfo(np.int64).max // radix:
+            code, size = np.unique(code, return_inverse=True)[1], n
+        code, size = code * radix + digit + 1, size * radix  # int64 before the + 1
+    return code
 
 
 def _row_bond_maps(chain: ExploredChain):
@@ -562,24 +639,83 @@ def _row_bond_maps(chain: ExploredChain):
     return itertools.chain.from_iterable(map(chunk, range(0, n, _CHUNK)))
 
 
-def _census_groups(chain: ExploredChain):
-    """The states of the chain's slot rows grouped by local-view census.
-    Each instance pattern gets the id of its local view; a state's view ids,
-    sorted, are its census, in the width of its instances whatever the
-    number of views. Equal censuses are grouped by one stable lexsort.
-    Returns each state's group, the groups numbered in order of their first
-    states, and those states' bond maps."""
-    names, patterns, which = _row_patterns(chain)
+def _local_view_ids(chain, names, patterns, which):
+    """Per (instance, state), the id of the instance's local view."""
     views, ids = {}, []  # local view -> its id; per instance, its patterns' ids
     for v, bonds in zip(names, patterns):
         t = node_type(v)
         ids.append([views.setdefault((t, tuple((s, (node_type(w), u)) for s, (w, u) in pattern)),
                                      len(views)) for pattern in bonds])
-    # one row per instance, or one of zeros when there is none
-    census = np.zeros((max(len(names), 1), len(chain.rows)),
+    census = np.zeros((len(names), len(chain.rows)),
                       dtype=np.min_scalar_type(max(len(views) - 1, 0)))
     for row, view, inverse in zip(census, ids, which):
         row[:] = np.array(view)[inverse]
+    return census
+
+
+def _species_ids(chain, names, patterns, which):
+    """Per (instance, state), the id of the species of the component that
+    the instance is the first of, from 1, or 0 where it is not the first.
+    Each instance is labelled with the first instance of its component by
+    min-label propagation over the slot columns, until nothing changes. Per
+    first instance, the concrete components are told apart by one code per
+    state from their members' patterns, and each distinct one is keyed once
+    with ``sitegraph._concrete_key``."""
+    n, m = len(chain.rows), len(names)
+    index = {v: i for i, v in enumerate(names)}
+    owner = np.array([index[v] for v, _ in chain.ends] + [m], dtype=np.intp)  # -1 reads m
+    label = np.repeat(np.arange(m + 1, dtype=np.min_scalar_type(m))[:, None], n, axis=1)
+    states = np.arange(n)
+    changed = True
+    while changed:
+        changed = False
+        for x, (v, _) in enumerate(chain.ends):
+            mine, theirs = label[index[v]], label[owner[chain.rows[:, x]], states]
+            lower = theirs < mine
+            if lower.any():
+                mine[lower] = theirs[lower]
+                changed = True
+    species, census = {}, np.zeros((m, n), dtype=np.int32)  # canonical key -> its id
+    for r in range(m):
+        at = np.flatnonzero(label[r] == r)
+        if not len(at):
+            continue
+        member = label[r:m, at] == r
+        ever = np.flatnonzero(member.any(axis=1)).tolist()  # in some component of r
+        code = _mixed_radix(len(at), ((np.where(member[i], which[r + i][at], -1),
+                                       len(patterns[r + i]) + 1) for i in ever))
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        held = sorted(((names[r + i], patterns[r + i][which[r + i][at[first]]].tolist(),
+                        member[i, first].tolist()) for i in ever), key=itemgetter(0))
+        ids = []
+        for j in range(len(first)):  # each distinct concrete component, nodes by name
+            key = _concrete_key(tuple((v, pattern[j]) for v, pattern, held_by in held
+                                      if held_by[j]))
+            ids.append(species.setdefault(key, len(species) + 1))
+        census[r, at] = np.array(ids, dtype=np.int32)[inverse]
+    return census.astype(np.min_scalar_type(len(species)))
+
+
+def _census(phi):
+    """The census ids that phi is declared to read, or None."""
+    if getattr(phi, "_local_views", None) is phi:
+        return _local_view_ids
+    if getattr(phi, "_species", None) is phi:
+        return _species_ids
+    return None
+
+
+def _census_groups(chain: ExploredChain, census_ids):
+    """The states of the chain's slot rows grouped by census: census_ids
+    gives one id per (position, state), and a state's ids, sorted, are its
+    census, in the width of its positions whatever the number of ids. Equal
+    censuses are grouped by one stable lexsort. Returns each state's group,
+    the groups numbered in order of their first states, and those states'
+    bond maps."""
+    names, patterns, which = _row_patterns(chain)
+    census = census_ids(chain, names, patterns, which)
+    if not names:  # one row of zeros: no instance, one census
+        census = np.zeros((1, len(chain.rows)), dtype=np.uint8)
     census.sort(axis=0)
     order = np.lexsort(census)
     starts = run_starts(*census[:, order])
@@ -597,30 +733,26 @@ def _census_groups(chain: ExploredChain):
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
     """Blocks are the fibers of an abstraction map over the states' bond
-    maps, ordered by sorted abstraction value, each in state order.
+    maps, read from the chain's slot rows, ordered by sorted abstraction
+    value, each in state order.
 
-    A map declared by ``reads_local_views``, on a chain that holds slot
-    rows, is called once per local-view census: on the bond map of the
-    first state of each census, in state order, and each state takes its
-    census's value. Any other map is called once per state, in state order,
-    on bond maps read from the slot rows, or else decoded from the keys.
-    Each value labels its states with the first state that has it
+    A map declared by ``reads_local_views`` or ``reads_species`` is called
+    once per census of that kind: on the bond map of the first state of
+    each census, in state order, and each state takes its census's value.
+    Any other map is called once per state, in state order. Each value
+    labels its states with the first state that has it
     (``dict.setdefault``); the distinct values are ranked by sorting them,
     and the blocks gathered by one stable sort of the states by rank."""
     n = len(chain.space)
     first = {}  # phi value -> the first state that has it, the label of its states
-    if chain.rows is not None and _declared(phi):
-        group, leaders, bond_maps = _census_groups(chain)
+    census_ids = _census(phi)
+    if census_ids is not None:
+        group, leaders, bond_maps = _census_groups(chain, census_ids)
         label = np.fromiter(map(first.setdefault, map(phi, bond_maps), leaders),
                             dtype=np.intp, count=len(leaders))[group]
     else:
-        if chain.rows is not None:
-            bond_maps = _row_bond_maps(chain)
-        else:
-            bond_maps = (mixture_from_key(key, chain.counts, chain.interface)
-                         for key in chain.space.states)
-        label = np.fromiter(map(first.setdefault, map(phi, bond_maps), itertools.count()),
-                            dtype=np.intp, count=n)
+        label = np.fromiter(map(first.setdefault, map(phi, _row_bond_maps(chain)),
+                                itertools.count()), dtype=np.intp, count=n)
     values, labels = list(first), np.fromiter(first.values(), dtype=np.intp, count=len(first))
     rank = np.zeros(n, dtype=np.intp)  # label -> the rank of its value
     rank[labels[sorted(range(len(values)), key=values.__getitem__)]] = np.arange(len(values))
@@ -630,18 +762,18 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     return Partition(tuple(tuple(block.tolist()) for block in blocks))
 
 
-def export_dot(chain: ExploredChain, labels: dict) -> str:
-    """DOT digraph of an explored chain with its ``explore_labelled`` labels
-    as edge labels; transitions of rate zero draw no edge."""
-    lines = ["digraph chain {"]
+def export_dot(chain: ExploredChain, labels: dict):
+    """The lines of a DOT digraph of an explored chain, each ending in a
+    newline, with its ``explore_labelled`` labels as edge labels;
+    transitions of rate zero draw no edge."""
+    yield "digraph chain {\n"
     for i, key in enumerate(chain.space.states):
-        lines.append(f'  n{i} [label="{key}"];')
+        yield f'  n{i} [label="{key}"];\n'
     for i, j, v in chain.matrix.triplets():
         if i != j:
             names = ",".join(labels.get((i, j), ()))
-            lines.append(f'  n{i} -> n{j} [label="{names} ({v:g})"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  n{i} -> n{j} [label="{names} ({v:g})"];\n'
+    yield "}\n"
 
 
 def max_states_from_env() -> int:

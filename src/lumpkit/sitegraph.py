@@ -184,14 +184,15 @@ def _rooted_body(bonds, root) -> str:
 
 def species_census(bonds) -> Counter:
     """Multiset of canonical keys of the connected components of a bond map."""
-    return Counter(_concrete_key(tuple((v, bonds[v]) for v in nodes))
+    return Counter(_concrete_key(tuple((v, bonds[v]) for v in sorted(nodes)))
                    for nodes in components(bonds))
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def _concrete_key(component) -> str:
-    """_component_key of one concrete component, given as its nodes in reach
-    order, each with its bonds: a chain's states repeat few of them (108
-    at scaffold (4,4,4), 4,880 at polymer n=4), and keying is the cost."""
+    """_component_key of one concrete component, given as its nodes in
+    sorted order, each with its bonds: a chain's states repeat few of them
+    (108 at scaffold (4,4,4), 4,880 at polymer n=4), and keying is the
+    cost."""
     bonds = dict(component)
     return _component_key(bonds, bonds)

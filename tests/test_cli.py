@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lumpkit import cli, dsl, rules
+from lumpkit import cli, dsl, rules, sitegraph
 
 SCAFFOLD_111 = """\
 node A { sites: b }
@@ -54,6 +54,14 @@ def scaffold_131(tmp_path):
     chain = tmp_path / "s131.json"
     assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
     return model, chain
+
+
+def replaced_in_keys(old, new):
+    return lambda keys: [key.replace(old, new) for key in keys]
+
+
+def last_two_keys(*keys):
+    return lambda states: states[:-2] + list(keys)
 
 
 class TestExplore:
@@ -145,7 +153,7 @@ class TestExplore:
                          "--dot", str(dot)]) == 0
         assert len(calls) == 1
         parsed = dsl.parse_model(model.read_text())
-        assert dot.read_text() == rules.export_dot(*rules.explore_labelled(parsed))
+        assert dot.read_text() == "".join(rules.export_dot(*rules.explore_labelled(parsed)))
 
 
 class TestCheck:
@@ -221,6 +229,97 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == (f"error: state {first!r} binds site 'z' of {instance}, "
                                 f"which the model does not declare\n")
+
+    @pytest.mark.parametrize("command", ["check", "aggregate"])
+    def test_partition_and_phi_refused_together(self, tmp_path, capsys, command):
+        # given both, the partition file was read and --phi ignored
+        model = tmp_path / "p2.model"
+        assert cli.main(["casestudy", "polymer", "--n", "2", "--out", str(model)]) == 0
+        chain, part = tmp_path / "p2.json", tmp_path / "part.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        assert cli.main(["aggregate", str(chain), "--phi", "polymer-phi2", "--model", str(model),
+                         "--out", str(tmp_path / "agg.json"), "--partition-out", str(part)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "again.json"
+        argv = [command, str(chain), "--partition", str(part), "--phi", "species",
+                "--model", str(model)] + (["--out", str(out)] if command == "aggregate" else [])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --phi: not allowed with argument --partition" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "aggregate"])
+    def test_model_without_phi_refused(self, scaffold_files, tmp_path, capsys, command):
+        # the model was ignored, even when there was no such file
+        _, chain = scaffold_files
+        states = json.loads(chain.read_text())["states"]
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"blocks": [[s] for s in states]}))
+        out = tmp_path / "agg.json"
+        argv = [command, str(chain), "--partition", str(part),
+                "--model", str(tmp_path / "missing.model")]
+        assert cli.main(argv + (["--out", str(out)] if command == "aggregate" else [])) == 1
+        assert capsys.readouterr().err == "error: --model is read only with --phi\n"
+        assert not out.exists()
+
+    @staticmethod
+    def edit_keys(tmp_path, edit):
+        """The polymer n=2 model and its chain file with the keys edited;
+        returns them and the first edited key."""
+        model = tmp_path / "p2.model"
+        assert cli.main(["casestudy", "polymer", "--n", "2", "--out", str(model)]) == 0
+        chain = tmp_path / "p2.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        data = json.loads(chain.read_text())
+        keys = edit(list(data["states"]))
+        first = next(new for old, new in zip(data["states"], keys) if new != old)
+        data["states"] = keys
+        chain.write_text(json.dumps(data))
+        return model, chain, first
+
+    @pytest.mark.parametrize("edit, message", [
+        (replaced_in_keys("B#2", "B#3"), "names B#3, an instance outside the counts"),
+        (replaced_in_keys(".r-", ".z-"),
+         "binds site 'z' of {instance}, which the model does not declare"),
+        (last_two_keys("A#1.b-B#1.a;A#1.b-B#2.a", "A#1.b-B#1.a;A#2.b-B#1.a"),
+         "binds a site twice"),
+        (last_two_keys("A#1.b-B#1.a;A#1.b-B#1.a", "A#1.b-B#2.a;A#1.b-B#2.a"),
+         "binds a site twice"),
+        (replaced_in_keys("A#1.b-B#1.a", "A#1.b-B#1a"), "holds malformed bond 'A#1.b-B#1a'"),
+        (last_two_keys("A#1.b-B#1.a;-", "A#1.b-B#2.a;-"), "holds malformed bond '-'"),
+        (last_two_keys("", "A#1.b-B#1.a;"), "holds malformed bond ''"),
+        (replaced_in_keys("A#1.b-B#1.a", "A#1.b-A#1.a"),
+         "holds bond 'A#1.b-A#1.a', which joins a node to itself"),
+    ], ids=["instance", "site", "bound-twice", "one-part-twice", "malformed", "dash-part",
+            "empty-part", "self-bond"])
+    def test_refused_chain_names_its_first_refused_state(self, tmp_path, capsys, edit, message):
+        model, chain, first = self.edit_keys(tmp_path, edit)
+        instance = first.split(".")[0]
+        capsys.readouterr()
+        for phi in ("species", "polymer-phi2"):
+            assert cli.main(["check", str(chain), "--phi", phi, "--model", str(model)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: state {first!r} "
+                                    f"{message.format(instance=instance)}\n")
+
+    def test_species_census_decodes_each_part_once(self, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "p3.model"
+        assert cli.main(["casestudy", "polymer", "--n", "3", "--out", str(model)]) == 0
+        chain = tmp_path / "p3.json"
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        keys = json.loads(chain.read_text())["states"]
+        parts = {part for key in keys if key != "-" for part in key.split(";")}
+        decoded, censuses = [], []
+        decode, census = rules.mixture_from_key, sitegraph.species_census
+        monkeypatch.setattr(rules, "mixture_from_key",
+                            lambda *args: decoded.append(args[0]) or decode(*args))
+        monkeypatch.setattr(sitegraph, "species_census",
+                            lambda bonds: censuses.append(bonds) or census(bonds))
+        assert cli.main(["check", str(chain), "--phi", "species", "--model", str(model)]) == 0
+        assert 0 < len(decoded) <= len(parts) and len(set(decoded)) == len(decoded)
+        assert len(censuses) == 46  # once per species census, not once per state
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_polymer_phi1_is_the_species_census(self, tmp_path, capsys, n):
@@ -366,6 +465,8 @@ class TestBadInput:
         (["check", "c.json", "--phi", "nosuch"], "argument --phi: invalid choice: 'nosuch'"),
         (["explore", "m.model"], "the following arguments are required: --out"),
         (["explore"], "the following arguments are required: model, --out"),
+        (["check", "c.json", "--partition", "p.json", "--phi", "species"],
+         "argument --phi: not allowed with argument --partition"),
     ])
     def test_malformed_argument_is_an_input_error(self, capsys, argv, message):
         # argparse alone would exit 2, the code reserved for the state cap

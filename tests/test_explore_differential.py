@@ -185,8 +185,9 @@ class TestExploreMatchesReference:
 
 
 class TestRowBondMapsMatchTheKeys:
-    """``build_partition`` reads an explored chain's bond maps from its slot
-    rows and any other chain's from its keys: the two producers agree."""
+    """``build_partition`` reads bond maps from slot rows: an explored
+    chain's from the search's rows, any other's from its keys decoded into
+    rows. The rows, and the bond maps, agree with the keys'."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(models(), models(bonded=False)))
@@ -195,6 +196,13 @@ class TestRowBondMapsMatchTheKeys:
         if chain is None:
             return
         assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, model.interface)
+        assert keyed.ends == chain.ends and keyed.rows.dtype == chain.rows.dtype
+        assert np.array_equal(keyed.rows, chain.rows)
+        # without an interface, the slots of the sites the keys bind
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        assert set(keyed.ends) <= set(chain.ends)
+        assert ordered(rules._row_bond_maps(keyed)) == ordered(bond_maps(chain))
 
     @pytest.mark.parametrize("model", [
         casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3)),
@@ -242,6 +250,23 @@ class TestLocalViewCensusMatchesPerStateGrouping:
             assert rules.build_partition(chain, phi).blocks == fibers(maps, phi), name
         census = rules.reads_local_views(lambda bonds: local_view_census(bonds))
         assert rules.build_partition(chain, census).blocks == fibers(maps, local_view_census)
+
+
+class TestSpeciesCensusMatchesPerStateGrouping:
+    """The species map, declared by ``rules.reads_species``, is called once
+    per species census; its blocks are those of one call per state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models(), models(bonded=False)))
+    def test_same_blocks(self, model):
+        chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
+        if chain is None:
+            return
+        species = cli._PHI_FUNCS["species"]
+        want = fibers(bond_maps(chain), species)
+        assert rules.build_partition(chain, species).blocks == want
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        assert rules.build_partition(keyed, species).blocks == want
 
 
 class TestSpeciesCensusFromAnEdgelessStart:

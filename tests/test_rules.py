@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 
 import numpy as np
 import oracle
@@ -419,7 +420,7 @@ class TestBuildPartition:
     def test_no_mixture_or_site_graph_for_any_phi(self, monkeypatch):
         explored = {"scaffold": rules.explore(scaffold_model(2, 2, 2)),
                     "polymer": rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2)))}
-        # each chain read from its slot rows, and from its keys alone
+        # each chain read from its slot rows, and from its keys decoded into rows
         chains = [(study, chain) for study, c in explored.items()
                   for chain in (c, rules.ExploredChain(c.space, c.matrix, c.counts))]
         cases = [(name, phi, chain) for name, phi in cli._PHI_FUNCS.items()
@@ -458,10 +459,10 @@ class TestBuildPartition:
     def test_key_path_refuses_a_site_the_interface_lacks(self):
         chain = rules.explore(scaffold_model(1, 1, 1))
         narrow = {"A": frozenset({"b"}), "B": frozenset({"a"}), "C": frozenset({"b"})}
-        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, narrow)
+        # a chain decodes its keys when it is built
         with pytest.raises(ValueError, match=r"state 'B#1.c-C#1.b' binds site 'c' of B#1, "
                                              r"which the model does not declare"):
-            rules.build_partition(keyed, casestudies.scaffold_phi2)
+            rules.ExploredChain(chain.space, chain.matrix, chain.counts, narrow)
         # the slot rows hold only the slots of the initial mixture's sites
         assert len(rules.build_partition(chain, casestudies.scaffold_phi2)) == 4
 
@@ -525,16 +526,23 @@ class TestLocalViewCensus:
 
     def test_declared_maps(self):
         declared = {name for name in dir(casestudies)
-                    if rules._declared(getattr(casestudies, name))}
+                    if rules._census(getattr(casestudies, name)) is rules._local_view_ids}
         assert declared == set(LOCAL_VIEW_MAPS)
-        assert not rules._declared(cli._PHI_FUNCS["species"])
+        assert rules._census(cli._PHI_FUNCS["species"]) is rules._species_ids
 
     def test_declaring_keeps_the_map_and_marks_no_wrapper(self):
         def phi(bonds):
             return 0
 
-        assert rules.reads_local_views(phi) is phi and rules._declared(phi)
-        assert not rules._declared(functools.wraps(phi)(lambda bonds: phi(bonds)))
+        assert rules.reads_local_views(phi) is phi and rules._census(phi) is rules._local_view_ids
+        assert rules._census(functools.wraps(phi)(lambda bonds: phi(bonds))) is None
+
+    def test_declaring_species_keeps_the_map_and_marks_no_wrapper(self):
+        def phi(bonds):
+            return 0
+
+        assert rules.reads_species(phi) is phi and rules._census(phi) is rules._species_ids
+        assert rules._census(functools.wraps(phi)(lambda bonds: phi(bonds))) is None
 
     @pytest.mark.parametrize("name", CENSUS_CHAINS)
     def test_same_blocks_as_a_per_state_grouping(self, name):
@@ -586,6 +594,125 @@ class TestLocalViewCensus:
         assert chain.space.states == ("-",) and chain.ends == ()
         for phi in (len, rules.reads_local_views(lambda bonds: len(bonds))):
             assert rules.build_partition(chain, phi).blocks == ((0,),)
+
+
+class TestSpeciesCensus:
+    """A map declared by ``reads_species`` is called once per species census
+    of a chain; the blocks are those of one call per state."""
+
+    @pytest.mark.parametrize("name", CENSUS_CHAINS)
+    def test_same_blocks_as_a_per_state_grouping(self, name):
+        chain = CENSUS_CHAINS[name]()
+        maps = bond_maps(chain)
+        species = cli._PHI_FUNCS["species"]
+        assert rules.build_partition(chain, species).blocks == fibers(maps, species)
+        # a coarser declared map: the components' multiplicities
+        def sizes(bonds):
+            return tuple(sorted(sitegraph.species_census(bonds).values()))
+
+        assert rules.build_partition(chain, rules.reads_species(sizes)).blocks == \
+            fibers(maps, sizes)
+
+    @pytest.mark.parametrize("name, groups", [("scaffold-333", 20), ("polymer-3", 46)])
+    def test_one_call_per_census(self, name, groups, monkeypatch):
+        chain = CENSUS_CHAINS[name]()
+        maps = bond_maps(chain)
+        species = cli._PHI_FUNCS["species"]
+        first = {}  # census -> its first state
+        for i, bonds in enumerate(maps):
+            first.setdefault(species(bonds), i)
+        calls = []
+
+        @rules.reads_species
+        def counting(bonds):
+            calls.append(bonds)
+            return species(bonds)
+
+        monkeypatch.setattr(rules, "_row_bond_maps", no_bond_map)
+        monkeypatch.setattr(rules, "mixture_from_key", no_bond_map)
+        assert rules.build_partition(chain, counting).blocks == fibers(maps, species)
+        assert len(calls) == len(first) == groups
+        assert ordered(calls) == ordered(maps[i] for i in sorted(first.values()))
+
+    def test_component_codes_renumbered_before_they_overflow(self):
+        # 40 B instances in two patterns each: a code over every instance's
+        # pattern in base 3 would pass the int64 range
+        keys = ("-",) + tuple(f"A#1.b-B#{j}.a" for j in range(1, 41)) + tuple(
+            f"A#1.b-B#{j}.a;B#{j}.c-C#1.b" for j in range(1, 41))
+        chain = key_chain(keys, {"A": 1, "B": 40, "C": 1})
+        species = cli._PHI_FUNCS["species"]
+        maps = [rules.mixture_from_key(key, chain.counts) for key in keys]
+        assert rules.build_partition(chain, species).blocks == fibers(maps, species)
+        assert len(rules.build_partition(chain, species)) == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda pairs: st.lists(st.lists(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 200)), min_size=pairs, max_size=pairs),
+        min_size=1, max_size=8)), st.integers(1, 40))
+    def test_mixed_radix_codes_tell_digits_apart(self, rows, width):
+        # rows of (small digit, large digit) pairs, repeated width times,
+        # and so past the int64 range as one number
+        digits = np.array([[d for pair in row for d in pair] * width for row in rows])
+        radices = [5, 202] * (len(rows[0]) * width)
+        code = rules._mixed_radix(len(digits), zip(digits.T, radices))
+        distinct = {tuple(r) for r in digits.tolist()}
+        assert len(set(code.tolist())) == len(distinct)
+
+
+def key_chain(keys, counts, interface=None):
+    """A chain over the states with these keys and an all-zero generator."""
+    n = len(keys)
+    matrix = markov.RateMatrix(n, np.arange(n), np.arange(n), np.zeros(n))
+    return rules.ExploredChain(markov.StateSpace(tuple(keys)), matrix, counts, interface)
+
+
+class TestKeyRows:
+    """A chain given no rows decodes its keys into ``explore``'s slot rows
+    once, and refuses a key as ``mixture_from_key`` does."""
+
+    @pytest.mark.parametrize("model", [
+        scaffold_model(3, 3, 3), scaffold_model(4, 4, 4),
+        casestudies.polymer_model(casestudies.PolymerParams(3)),
+        casestudies.polymer_model(casestudies.PolymerParams(4))],
+        ids=["scaffold-333", "scaffold-444", "polymer-3", "polymer-4"])
+    def test_rows_and_ends_equal_explores(self, model):
+        chain = rules.explore(model)
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, model.interface)
+        assert keyed.ends == chain.ends
+        assert keyed.rows.dtype == chain.rows.dtype
+        assert np.array_equal(keyed.rows, chain.rows)
+        assert not keyed.rows.flags.writeable
+
+    def test_without_interface_the_keys_sites(self):
+        # no state binds B's site c: without an interface it has no slot
+        keys = ("-", "A#1.b-B#1.a", "A#1.b-B#2.a")
+        counts = {"A": 1, "B": 2, "C": 1}
+        chain = key_chain(keys, counts)
+        assert chain.ends == (("A#1", "b"), ("B#1", "a"), ("B#2", "a"))
+        assert chain.rows.tolist() == [[-1, -1, -1], [1, 0, -1], [2, -1, 0]]
+        assert ordered(rules._row_bond_maps(chain)) == \
+            ordered(rules.mixture_from_key(key, counts) for key in keys)
+        assert key_chain(keys, counts, SCAFFOLD).ends == (
+            ("A#1", "b"), ("B#1", "a"), ("B#1", "c"), ("B#2", "a"), ("B#2", "c"), ("C#1", "b"))
+
+    def test_rows_without_their_ends_refused(self):
+        # read without ends, every instance would look unbound: one block
+        chain = polymer_3()
+        for ends in ((), chain.ends[:-1]):
+            with pytest.raises(ValueError, match="one column per end"):
+                rules.ExploredChain(chain.space, chain.matrix, chain.counts, rows=chain.rows,
+                                    ends=ends)
+        with pytest.raises(ValueError, match="one row per state"):
+            rules.ExploredChain(chain.space, chain.matrix, chain.counts, rows=chain.rows[1:],
+                                ends=chain.ends)
+
+    @pytest.mark.parametrize("keys, first", [
+        (("-", "A#1.b-B#1.a", "A#1.b-B#2.a", "A#1.b-B#1.a;A#1.b-B#2.a", "A#1.b-B#3.a"), 3),
+        (("-", "A#1.b-B#1.a", "A#1.b-B#2.a", "A#1.b-B#3.a", "A#1.b-B#1.a;A#1.b-B#2.a"), 3),
+    ], ids=["twice-first", "instance-first"])
+    def test_site_bound_twice_and_a_bad_part_in_state_order(self, keys, first):
+        with pytest.raises(ValueError, match=f"^state {re.escape(repr(keys[first]))} "):
+            key_chain(keys, {"A": 1, "B": 2, "C": 1})
 
 
 class TestSerialization:
@@ -673,7 +800,7 @@ class TestSerialization:
     def test_export_dot(self):
         model = scaffold_model()
         chain, labels = rules.explore_labelled(model)
-        dot = rules.export_dot(chain, labels)
+        dot = "".join(rules.export_dot(chain, labels))
         i, j = chain.space.index["-"], chain.space.index["A#1.b-B#1.a"]
         assert dot.startswith("digraph")
         assert f'  n{i} -> n{j} [label="r1 (1)"];\n' in dot
@@ -681,7 +808,7 @@ class TestSerialization:
     def test_export_dot_draws_no_zero_rate_edge(self):
         model = scaffold_model(rates=(0.0, 1.0, 1.0, 1.0))
         chain, labels = rules.explore_labelled(model)
-        dot = rules.export_dot(chain, labels)
+        dot = "".join(rules.export_dot(chain, labels))
         i, j = chain.space.index["-"], chain.space.index["A#1.b-B#1.a"]
         assert f"n{i} -> n{j} " not in dot
         assert 'label="r1' not in dot
