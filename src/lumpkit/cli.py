@@ -7,6 +7,7 @@ Exit codes form a stable contract: 0 success, 1 input or parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import aggregation, casestudies, dsl, markov, rules, sitegraph
@@ -35,6 +36,23 @@ _PHI_FUNCS = {
 }
 _CASE_STUDY_INTERFACES = {"scaffold": casestudies.SCAFFOLD_INTERFACE,
                           "polymer": casestudies.POLYMER_INTERFACE}
+
+
+def _refuse_overwrite(inputs, outputs):
+    """Refuse, before any file is read or written, an output that names the
+    same file as another output or as an input: inputs and outputs are
+    (option, file name) pairs, a name of None not given."""
+    named = {}  # real path -> the first option that names it
+    for option, path in inputs:
+        if path is not None:
+            named.setdefault(os.path.realpath(path), option)
+    for option, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in named:
+            raise LumpkitError(f"{named[real]} and {option} both name {path}")
+        named[real] = option
 
 
 def _load_model(path):
@@ -78,6 +96,7 @@ def _block_space(part):
 
 
 def cmd_explore(args):
+    _refuse_overwrite([("model", args.model)], [("--out", args.out), ("--dot", args.dot)])
     model = _load_model(args.model)
     max_states = args.max_states
     if max_states is None:  # read here, so that a bad value is an input error
@@ -105,6 +124,10 @@ def cmd_check(args):
 
 
 def cmd_aggregate(args):
+    _refuse_overwrite([("chain", args.chain), ("--partition", args.partition),
+                       ("--model", args.model), ("--measures", args.measures)],
+                      [("--out", args.out), ("--partition-out", args.partition_out),
+                       ("--measures-out", args.measures_out)])
     space, matrix, part = _partitioned_chain(args)
     alphas = _measures_for(args, space, part)
     agg = aggregation.aggregate(matrix, part, alphas, args.tol)
@@ -145,6 +168,9 @@ def cmd_transient(args):
         if out in outs:
             raise LumpkitError(f"--t {outs[out]!r} and {t!r} both write {out}")
         outs[out] = t
+    init = None if args.init == "uniform" else args.init.removeprefix("respectful:")
+    _refuse_overwrite([("chain", args.chain), ("--init", init), ("--partition", args.partition),
+                       ("--measures", args.measures)], [("--out", out) for out in outs])
     space, matrix = markov.load_chain(args.chain)
     if not isinstance(matrix, markov.RateMatrix):
         raise LumpkitError(f"{args.chain}: transient requires a rate-matrix chain")
@@ -158,6 +184,7 @@ def cmd_transient(args):
 
 
 def cmd_stationary(args):
+    _refuse_overwrite([("chain", args.chain)], [("--out", args.out)])
     space, matrix = markov.load_chain(args.chain)
     mu = markov.stationary(matrix)
     markov.save_distribution(args.out, space, mu)
@@ -166,6 +193,9 @@ def cmd_stationary(args):
 
 
 def cmd_deaggregate(args):
+    _refuse_overwrite([("blockdist", args.blockdist), ("--chain", args.chain),
+                       ("--partition", args.partition), ("--measures", args.measures)],
+                      [("--out", args.out)])
     space, _ = markov.load_chain(args.chain)
     markov.save_distribution(args.out, space, _lift(args, space, args.blockdist))
     print(f"lifted distribution -> {args.out}")

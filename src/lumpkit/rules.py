@@ -572,7 +572,7 @@ def reads_local_views(phi):
     (partner_type, partner_site)), ...))``, each instance's bonds in site
     order. ``build_partition`` then calls phi once per census instead of
     once per state. Returns phi itself, unwrapped."""
-    phi._local_views = phi  # phi itself: a wrapper that copies its attributes is not declared
+    phi._census = (phi, _local_view_ids)  # owned by phi: a wrapper that copies it is not declared
     return phi
 
 
@@ -581,7 +581,7 @@ def reads_species(phi):
     its species census: the multiset of the canonical keys of its connected
     components. ``build_partition`` then calls phi once per census instead
     of once per state. Returns phi itself, unwrapped."""
-    phi._species = phi  # as in reads_local_views
+    phi._census = (phi, _species_ids)  # as in reads_local_views
     return phi
 
 
@@ -621,22 +621,20 @@ def _mixed_radix(n, digits):
     return code
 
 
-def _row_bond_maps(chain: ExploredChain):
-    """The bond map of each state from the chain's slot rows, as
-    ``mixture_from_key`` decodes its key. Each pattern's bonds are one
-    tuple, shared by every state that has it; the maps are made _CHUNK
-    states at a time."""
-    names, patterns, which = _row_patterns(chain)
-    n = len(chain.rows)
+def _bond_maps(names, patterns, which, states):
+    """The bond map of each state of the states array, in its order, from
+    ``_row_patterns``' results, as ``mixture_from_key`` decodes its key.
+    Each pattern's bonds are one tuple, shared by every state that has it;
+    the maps are made _CHUNK states at a time."""
     if not names:  # zipping no instance's patterns would give no state at all
-        return ({} for _ in range(n))
+        return ({} for _ in states)
 
     def chunk(lo):
-        shares = zip(*(bonds[inverse[lo:lo + _CHUNK]].tolist()
-                       for bonds, inverse in zip(patterns, which)))
+        at = states[lo:lo + _CHUNK]
+        shares = zip(*(bonds[inverse[at]].tolist() for bonds, inverse in zip(patterns, which)))
         return map(dict, map(zip, itertools.repeat(names), shares))
 
-    return itertools.chain.from_iterable(map(chunk, range(0, n, _CHUNK)))
+    return itertools.chain.from_iterable(map(chunk, range(0, len(states), _CHUNK)))
 
 
 def _local_view_ids(chain, names, patterns, which):
@@ -698,24 +696,18 @@ def _species_ids(chain, names, patterns, which):
 
 def _census(phi):
     """The census ids that phi is declared to read, or None."""
-    if getattr(phi, "_local_views", None) is phi:
-        return _local_view_ids
-    if getattr(phi, "_species", None) is phi:
-        return _species_ids
-    return None
+    owner, census_ids = getattr(phi, "_census", (None, None))
+    return census_ids if owner is phi else None
 
 
-def _census_groups(chain: ExploredChain, census_ids):
-    """The states of the chain's slot rows grouped by census: census_ids
-    gives one id per (position, state), and a state's ids, sorted, are its
-    census, in the width of its positions whatever the number of ids. Equal
-    censuses are grouped by one stable lexsort. Returns each state's group,
-    the groups numbered in order of their first states, and those states'
-    bond maps."""
-    names, patterns, which = _row_patterns(chain)
-    census = census_ids(chain, names, patterns, which)
-    if not names:  # one row of zeros: no instance, one census
-        census = np.zeros((1, len(chain.rows)), dtype=np.uint8)
+def _census_groups(census):
+    """The states grouped by census: census holds one id per (position,
+    state), and a state's ids, sorted, are its census, in the width of its
+    positions whatever the number of ids. Equal censuses are grouped by one
+    stable lexsort. Returns each state's group, the groups numbered in order
+    of their first states, and those states."""
+    if not len(census):  # no instance, so no position: one census
+        census = np.zeros((1, census.shape[1]), dtype=np.uint8)
     census.sort(axis=0)
     order = np.lexsort(census)
     starts = run_starts(*census[:, order])
@@ -725,10 +717,7 @@ def _census_groups(chain: ExploredChain, census_ids):
     number[by_state] = np.arange(len(leaders))
     group = np.empty(len(order), dtype=np.intp)
     group[order] = number[np.cumsum(starts) - 1]
-    leaders = leaders[by_state].tolist()
-    return group, leaders, (dict(zip(names, (bonds[inverse[s]]
-                                             for bonds, inverse in zip(patterns, which))))
-                            for s in leaders)
+    return group, leaders[by_state]
 
 
 def build_partition(chain: ExploredChain, phi) -> Partition:
@@ -736,23 +725,23 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     maps, read from the chain's slot rows, ordered by sorted abstraction
     value, each in state order.
 
-    A map declared by ``reads_local_views`` or ``reads_species`` is called
-    once per census of that kind: on the bond map of the first state of
-    each census, in state order, and each state takes its census's value.
-    Any other map is called once per state, in state order. Each value
-    labels its states with the first state that has it
+    The states are grouped: by census for a map declared by
+    ``reads_local_views`` or ``reads_species``, one group per state for any
+    other map. phi is called once per group, in state order, on the bond
+    map of the group's first state, and each state takes its group's
+    value. Each value labels its states with the first state that has it
     (``dict.setdefault``); the distinct values are ranked by sorting them,
     and the blocks gathered by one stable sort of the states by rank."""
     n = len(chain.space)
-    first = {}  # phi value -> the first state that has it, the label of its states
+    names, patterns, which = _row_patterns(chain)
     census_ids = _census(phi)
-    if census_ids is not None:
-        group, leaders, bond_maps = _census_groups(chain, census_ids)
-        label = np.fromiter(map(first.setdefault, map(phi, bond_maps), leaders),
-                            dtype=np.intp, count=len(leaders))[group]
+    if census_ids is None:
+        group = leaders = np.arange(n)
     else:
-        label = np.fromiter(map(first.setdefault, map(phi, _row_bond_maps(chain)),
-                                itertools.count()), dtype=np.intp, count=n)
+        group, leaders = _census_groups(census_ids(chain, names, patterns, which))
+    first = {}  # phi value -> the first state that has it, the label of its states
+    label = np.fromiter(map(first.setdefault, map(phi, _bond_maps(names, patterns, which, leaders)),
+                            leaders.tolist()), dtype=np.intp, count=len(leaders))[group]
     values, labels = list(first), np.fromiter(first.values(), dtype=np.intp, count=len(first))
     rank = np.zeros(n, dtype=np.intp)  # label -> the rank of its value
     rank[labels[sorted(range(len(values)), key=values.__getitem__)]] = np.arange(len(values))

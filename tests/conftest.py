@@ -17,6 +17,12 @@ def bond_maps(chain):
     return [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
 
 
+def row_bond_maps(chain):
+    """The bond map of each state of a chain, built from its slot rows by
+    the builder ``build_partition`` calls, given every state."""
+    return rules._bond_maps(*rules._row_patterns(chain), np.arange(len(chain.rows)))
+
+
 def ordered(maps):
     """Bond maps as lists of items: equal only in the same instance order."""
     return [list(bonds.items()) for bonds in maps]

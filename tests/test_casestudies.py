@@ -6,7 +6,7 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import LOCAL_VIEW_MAPS, bond_maps, key_mixture, local_view_census
+from conftest import LOCAL_VIEW_MAPS, bond_maps, key_mixture, local_view_census, row_bond_maps
 
 from lumpkit import casestudies, cli, rules, sitegraph
 from lumpkit.errors import InvalidArgs, InvalidCounts
@@ -214,7 +214,7 @@ class TestMapsAgainstTheirFirstFormulas:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_on_every_explored_state(self, n):
         for chain in (scaffold_chain(n, n, n), polymer_chain(n)):
-            for bonds in rules._row_bond_maps(chain):
+            for bonds in row_bond_maps(chain):
                 assert (casestudies.scaffold_phi1(bonds),
                         casestudies.scaffold_phi2(bonds)) == set_scaffold_phis(bonds)
                 assert casestudies.polymer_phi2(bonds) == ends_polymer_phi2(bonds)

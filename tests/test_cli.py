@@ -757,6 +757,49 @@ class TestUnreadableFiles:
             f"error: {measures}: measure 0 support does not match block 0\n")
 
 
+class TestOverwriteRefused:
+    """An output that names the same file as another output or as an input
+    is refused before any file is read or written (1)."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        """Polymer n=2 files in the working directory: its model and chain,
+        a partition and measures, a block and a state distribution."""
+        monkeypatch.chdir(tmp_path)
+        for argv in (["casestudy", "polymer", "--n", "2", "--out", "p.model"],
+                     ["explore", "p.model", "--out", "p.json"],
+                     ["aggregate", "p.json", "--phi", "species", "--model", "p.model",
+                      "--out", "agg.json", "--partition-out", "part.json",
+                      "--measures-out", "alphas.json"],
+                     ["stationary", "agg.json", "--out", "b_t1.csv"],
+                     ["stationary", "p.json", "--out", "mu_t1.csv"]):
+            assert cli.main(argv) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, message", [
+        ("explore p.model --out same.json --dot same.json", "--out and --dot both name same.json"),
+        ("explore p.model --out p.model", "model and --out both name p.model"),
+        ("aggregate p.json --phi species --model p.model --out o2.json --partition-out p.json",
+         "chain and --partition-out both name p.json"),
+        ("aggregate p.json --partition part.json --out o2.json --measures-out ./o2.json",
+         "--out and --measures-out both name ./o2.json"),
+        ("stationary p.json --out ./p.json", "chain and --out both name ./p.json"),
+        ("deaggregate b_t1.csv --chain p.json --partition part.json --measures alphas.json "
+         "--out alphas.json", "--measures and --out both name alphas.json"),
+        ("transient p.json --init mu_t1.csv --t 1 --out mu", "--init and --out both name mu_t1.csv"),
+        ("transient p.json --init respectful:b_t1.csv --partition part.json --t 1 --out b",
+         "--init and --out both name b_t1.csv"),
+    ], ids=["two-outputs", "explore-model", "aggregate-chain", "aggregate-outputs",
+            "stationary-chain", "deaggregate-measures", "transient-init", "transient-respectful"])
+    def test_refused_before_any_file_is_written(self, files, capsys, argv, message):
+        before = {path.name: path.read_bytes() for path in files.iterdir()}
+        capsys.readouterr()
+        assert cli.main(argv.split()) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # no output created, every input's bytes unchanged
+        assert {path.name: path.read_bytes() for path in files.iterdir()} == before
+
+
 class TestBadNumbers:
     @pytest.fixture
     def polymer_files(self, tmp_path):

@@ -6,7 +6,8 @@ written here from the oracle's ``find_embeddings``, ``apply`` and
 import numpy as np
 import oracle
 import pytest
-from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, local_view_census, ordered
+from conftest import (LOCAL_VIEW_MAPS, bond_maps, fibers, local_view_census, ordered,
+                      row_bond_maps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,14 +196,14 @@ class TestRowBondMapsMatchTheKeys:
         chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
         if chain is None:
             return
-        assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
+        assert ordered(row_bond_maps(chain)) == ordered(bond_maps(chain))
         keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, model.interface)
         assert keyed.ends == chain.ends and keyed.rows.dtype == chain.rows.dtype
         assert np.array_equal(keyed.rows, chain.rows)
         # without an interface, the slots of the sites the keys bind
         keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
         assert set(keyed.ends) <= set(chain.ends)
-        assert ordered(rules._row_bond_maps(keyed)) == ordered(bond_maps(chain))
+        assert ordered(row_bond_maps(keyed)) == ordered(bond_maps(chain))
 
     @pytest.mark.parametrize("model", [
         casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3)),
@@ -231,7 +232,7 @@ class TestRowBondMapsMatchTheKeys:
             make_mixture(sites, {"A": 3, "B": 3}))
         chain = rules.explore(model)
         assert len(chain.ends) == 66 and len(chain.space) == 34 ** 2
-        assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
+        assert ordered(row_bond_maps(chain)) == ordered(bond_maps(chain))
 
 
 class TestLocalViewCensusMatchesPerStateGrouping:
@@ -312,7 +313,7 @@ class TestInstancesWithDifferentInterfaces:
         labels = rules.explore_labelled(model, MAX_STATES)[1]
         assert list(labels.items()) == list(edge_labels.items())
         assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
-        assert ordered(rules._row_bond_maps(chain)) == ordered(bond_maps(chain))
+        assert ordered(row_bond_maps(chain)) == ordered(bond_maps(chain))
 
     def test_site_one_instance_lacks_refused_as_the_reference(self):
         model = self.model("y")

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import oracle
 import pytest
-from conftest import LOCAL_VIEW_MAPS, bond_maps, fibers, key_mixture, local_view_census, ordered
+from conftest import (LOCAL_VIEW_MAPS, bond_maps, fibers, key_mixture, local_view_census,
+                      ordered, row_bond_maps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -520,6 +521,18 @@ def no_bond_map(*args, **kwargs):
     raise AssertionError("a per-state bond map was built")
 
 
+def record_bond_maps(monkeypatch):
+    """A list that gets the states of each call to ``rules._bond_maps``."""
+    built, bond_maps_of = [], rules._bond_maps
+
+    def recording(names, patterns, which, states):
+        built.append(states.tolist())
+        return bond_maps_of(names, patterns, which, states)
+
+    monkeypatch.setattr(rules, "_bond_maps", recording)
+    return built
+
+
 class TestLocalViewCensus:
     """A map declared by ``reads_local_views`` is called once per local-view
     census of an explored chain; the blocks are those of one call per state."""
@@ -574,10 +587,12 @@ class TestLocalViewCensus:
             calls.append(bonds)
             return phi(bonds)
 
-        monkeypatch.setattr(rules, "_row_bond_maps", no_bond_map)
+        built = record_bond_maps(monkeypatch)
         monkeypatch.setattr(rules, "mixture_from_key", no_bond_map)
         assert rules.build_partition(chain, counting).blocks == want
         assert len(calls) == len(first) == groups
+        # the builder makes the bond maps of each census's first state, no other
+        assert built == [sorted(first.values())] and groups < len(chain.space)
         # each census's first state, in state order, its bond map as the keys give it
         assert ordered(calls) == ordered(maps[i] for i in sorted(first.values()))
         monkeypatch.undo()
@@ -628,10 +643,11 @@ class TestSpeciesCensus:
             calls.append(bonds)
             return species(bonds)
 
-        monkeypatch.setattr(rules, "_row_bond_maps", no_bond_map)
+        built = record_bond_maps(monkeypatch)
         monkeypatch.setattr(rules, "mixture_from_key", no_bond_map)
         assert rules.build_partition(chain, counting).blocks == fibers(maps, species)
         assert len(calls) == len(first) == groups
+        assert built == [sorted(first.values())] and groups < len(chain.space)
         assert ordered(calls) == ordered(maps[i] for i in sorted(first.values()))
 
     def test_component_codes_renumbered_before_they_overflow(self):
@@ -657,6 +673,19 @@ class TestSpeciesCensus:
         code = rules._mixed_radix(len(digits), zip(digits.T, radices))
         distinct = {tuple(r) for r in digits.tolist()}
         assert len(set(code.tolist())) == len(distinct)
+
+
+class TestBondMaps:
+    """``rules._bond_maps``, the one builder of bond maps from slot rows,
+    given any sorted states."""
+
+    def test_states_apart_over_several_chunks(self):
+        chain = CENSUS_CHAINS["polymer-4"]()
+        states = np.arange(0, len(chain.space), 3)  # every third state
+        assert len(states) == 14561 > 2 * rules._CHUNK
+        maps = rules._bond_maps(*rules._row_patterns(chain), states)
+        assert ordered(maps) == ordered(rules.mixture_from_key(chain.space.states[i], chain.counts)
+                                        for i in states.tolist())
 
 
 def key_chain(keys, counts, interface=None):
@@ -690,7 +719,7 @@ class TestKeyRows:
         chain = key_chain(keys, counts)
         assert chain.ends == (("A#1", "b"), ("B#1", "a"), ("B#2", "a"))
         assert chain.rows.tolist() == [[-1, -1, -1], [1, 0, -1], [2, -1, 0]]
-        assert ordered(rules._row_bond_maps(chain)) == \
+        assert ordered(row_bond_maps(chain)) == \
             ordered(rules.mixture_from_key(key, counts) for key in keys)
         assert key_chain(keys, counts, SCAFFOLD).ends == (
             ("A#1", "b"), ("B#1", "a"), ("B#1", "c"), ("B#2", "a"), ("B#2", "c"), ("C#1", "b"))
