@@ -424,8 +424,19 @@ def naming(path):
 
 
 def load_json(path) -> dict:
+    """The JSON value in the file at path; an object that names a key twice
+    is refused, not read as its last value."""
     with naming(path), open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"key {repeated!r} listed twice in one object")
+    return obj
 
 
 def check_shape(value, shape, path, where=""):

@@ -106,26 +106,23 @@ def mixture_from_key(key: str, counts: dict, interface=None) -> dict:
     ``SiteGraph.bonds()`` gives it: every instance of counts -> a tuple of
     its bonds in site order. A key that names an instance outside counts,
     binds a site twice or, given interface (type -> sites), binds a site
-    that its type does not declare raises ``ValueError``, naming the key.
-    The one validating parser of keys: a chain built from keys runs each
-    key that brings a part not seen before through it once."""
+    that its type does not declare raises ``ValueError``, naming the key
+    (each end: its instance, then its site). The one validating parser of
+    keys; ``_key_rows`` runs one state of a chain through it."""
     bonds = {v: [] for v in _instances(tuple(counts.items()))}
-    try:
-        for part in () if key == "-" else key.split(";"):
-            try:
-                ends = (v1, bond1, _), (v2, bond2, _) = _part_ends(part)
-            except ValueError as exc:  # it names the part
-                raise ValueError(f"state {key!r} holds {exc}") from None
-            if interface is not None:
-                for v, (s, _), t in ends:
-                    if s not in interface.get(t, ()):
-                        raise ValueError(f"state {key!r} binds site {s!r} of {v}, which "
-                                         f"the model does not declare")
-            bonds[v1].append(bond1)
-            bonds[v2].append(bond2)
-    except KeyError as exc:
-        raise ValueError(f"state {key!r} names {exc.args[0]}, an instance outside "
-                         f"the counts") from None
+    for part in () if key == "-" else key.split(";"):
+        try:
+            ends = (v1, bond1, _), (v2, bond2, _) = _part_ends(part)
+        except ValueError as exc:  # it names the part
+            raise ValueError(f"state {key!r} holds {exc}") from None
+        for v, (s, _), t in ends:
+            if v not in bonds:
+                raise ValueError(f"state {key!r} names {v}, an instance outside the counts")
+            if interface is not None and s not in interface.get(t, ()):
+                raise ValueError(f"state {key!r} binds site {s!r} of {v}, which "
+                                 f"the model does not declare")
+        bonds[v1].append(bond1)
+        bonds[v2].append(bond2)
     for v, sites in bonds.items():
         if len(sites) > 1:
             sites.sort()
@@ -147,9 +144,9 @@ class ExploredChain:
     """The states, their generator, the instance counts per type and the
     slot rows, one per state, that ``build_partition`` reads. A chain from
     ``explore`` holds the search's rows. Given no rows, a chain decodes its
-    state keys into rows once (``_key_rows``): each instance has the slots
-    of its type's sites in interface, or else of the sites the keys bind,
-    and a key is refused as ``mixture_from_key`` refuses it."""
+    state keys into rows once (``_key_rows``), each instance with the slots
+    of its type's sites in interface, which it then needs; a key is refused
+    as ``mixture_from_key`` refuses it."""
 
     space: StateSpace
     matrix: RateMatrix
@@ -160,6 +157,8 @@ class ExploredChain:
 
     def __post_init__(self):
         if self.rows is None:
+            if self.interface is None:
+                raise ValueError("a chain given no slot rows needs the interface to decode it")
             rows, ends = _key_rows(self.space.states, self.counts, self.interface)
             object.__setattr__(self, "rows", rows)
             object.__setattr__(self, "ends", ends)
@@ -202,43 +201,34 @@ def _rows_dtype(slots: int):
 
 def _key_rows(keys, counts, interface):
     """The read-only slot rows of the states with these keys, and their
-    ends, in ``_layout``'s order; each instance has the sites of its type in
-    interface, or else those that the keys bind at its type. A key that
-    brings a part not seen before goes through ``mixture_from_key`` once;
-    every other part is a table lookup. One count of each state's bound
-    slots then finds a site bound twice. The first refused state, in state
-    order, is decoded again to raise its message."""
+    ends, in ``_layout``'s order, each instance with its type's sites in
+    interface. Each distinct bond part is placed once, as its two slots, or
+    not at all. A state is refused unless it fills twice as many slots as it
+    has parts; the first refused state, in state order, goes through
+    ``mixture_from_key`` to raise its message, and with none the first
+    state does, as a check: its row must hold the bonds the parser reads."""
+    names = _instances(tuple(counts.items()))
+    _, slots, ends = _layout(counts, {v: interface.get(node_type(v), ()) for v in names})
     sizes = np.array([0 if key == "-" else key.count(";") + 1 for key in keys], dtype=np.intp)
     parts = ";".join(key for key in keys if key != "-").split(";") if sizes.any() else []
-    number = {part: j for j, part in enumerate(dict.fromkeys(parts))}  # by first appearance
-    ids = np.fromiter(map(number.__getitem__, parts), dtype=np.intp, count=len(parts))
-    state = np.repeat(np.arange(len(keys)), sizes)
-    new = ids > np.maximum.accumulate(np.r_[-1, ids[:-1]])  # a part's first appearance
-    refused = len(keys)
-    for i in np.unique(state[new]).tolist():
-        try:
-            mixture_from_key(keys[i], counts, interface)
-        except ValueError:
-            refused = i
-            break
-    known = int(sizes[:refused].sum())  # the parts of the states before it, all valid
-    valid = int(ids[:known].max(initial=-1)) + 1  # they are numbered first
-    ends_of = [_part_ends(part) for part in itertools.islice(number, valid)]
-    sites = interface
-    if sites is None:  # type -> the sites the keys bind
-        sites = {}
-        for _, (s, _), t in itertools.chain.from_iterable(ends_of):
-            sites.setdefault(t, set()).add(s)
-    names = _instances(tuple(counts.items()))
-    _, slots, ends = _layout(counts, {v: sites.get(node_type(v), ()) for v in names})
-    pair = np.array([(slots[v1][s1], slots[v2][s2]) for (v1, (s1, _), _), (v2, (s2, _), _)
-                     in ends_of], dtype=np.intp).reshape(-1, 2)
-    rows = np.full((refused, max(len(ends), 1)), -1, dtype=_rows_dtype(len(ends)))
-    at, (a, b) = state[:known], pair[ids[:known]].T
+    number = {part: j for j, part in enumerate(dict.fromkeys(parts))}
+    pair = np.full((len(number), 2), -1, dtype=np.intp)
+    for j, part in enumerate(number):
+        try:  # not placed: malformed, a self-bond, or an instance or site undeclared
+            (v1, (s1, _), _), (v2, (s2, _), _) = _part_ends(part)
+            pair[j] = slots[v1][s1], slots[v2][s2]
+        except (KeyError, ValueError):
+            pass
+    pair = pair[np.fromiter(map(number.__getitem__, parts), dtype=np.intp, count=len(parts))]
+    on = pair[:, 0] >= 0
+    at, (a, b) = np.repeat(np.arange(len(keys)), sizes)[on], pair[on].T
+    rows = np.full((len(keys), max(len(ends), 1)), -1, dtype=_rows_dtype(len(ends)))
     rows[at, a], rows[at, b] = b, a
-    twice = np.flatnonzero(np.count_nonzero(rows >= 0, axis=1) != 2 * sizes[:refused])
-    if len(twice) or refused < len(keys):
-        mixture_from_key(keys[twice[0] if len(twice) else refused], counts, interface)
+    refused = np.flatnonzero(np.count_nonzero(rows >= 0, axis=1) != 2 * sizes)
+    i = refused[0] if len(refused) else 0
+    bonds = mixture_from_key(keys[i], counts, interface) if len(keys) else {}
+    if any(rows[i, slots[v][s]] != slots[w][t] for v in bonds for s, (w, t) in bonds[v]):
+        raise AssertionError(f"state {keys[i]!r} decoded into a row of other bonds")
     rows.flags.writeable = False
     return rows, tuple(ends)
 

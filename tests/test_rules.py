@@ -67,6 +67,38 @@ def decode_inputs(draw):
     return iface, counts, draw(st.permutations(edges)), fault
 
 
+@st.composite
+def key_lists(draw):
+    """A polymer or scaffold signature, instance counts and 1 to 8 distinct
+    state keys. Each key is a random matching of sites, its parts and their
+    ends in any order; in half of the lists some keys hold one more part that
+    may be refused: a bond on a bound site or within an instance, a repeated
+    part, an instance or site not declared, or a malformed, empty or ``-``
+    part."""
+    iface = draw(st.sampled_from([POLYMER, SCAFFOLD]))
+    counts = {t: draw(st.integers(1, 3)) for t in sorted(iface)}
+    sites = [f"{t}#{j}.{s}" for t in sorted(iface) for j in range(1, counts[t] + 1)
+             for s in sorted(iface[t])]
+    faulty, keys = draw(st.booleans()), []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(sites))[:2 * draw(st.integers(0, len(sites) // 2))]
+        parts = [f"{a}-{b}" for a, b in zip(order[::2], order[1::2])
+                 if a.split(".")[0] != b.split(".")[0]]
+        if faulty and draw(st.booleans()):
+            end, other = draw(st.sampled_from(sites)), draw(st.sampled_from(sites))
+            v, s = end.split(".")
+            t = sitegraph.node_type(v)
+            bad = draw(st.sampled_from([
+                f"{end}-{other}", f"{other}-{order[0] if order else end}",
+                draw(st.sampled_from(parts or ["-"])),
+                f"{t}#{counts[t] + 1}.{s}-{other}", f"D#1.{s}-{other}", f"{other}-{v}.q",
+                f"{v}.{s}-{v}.{max(iface[t])}", end, f"{v}{s}-{other}", f"{end}-{other}-{end}",
+                "", "-"]))
+            parts.insert(draw(st.integers(0, len(parts))), bad)
+        keys.append(";".join(parts) if parts else "-")
+    return iface, counts, tuple(dict.fromkeys(keys))
+
+
 class TestRewriteRule:
     def test_sides_must_share_nodes(self):
         left = SiteGraph(frozenset({"A"}), {"A": frozenset({"b"})}, frozenset())
@@ -421,9 +453,10 @@ class TestBuildPartition:
     def test_no_mixture_or_site_graph_for_any_phi(self, monkeypatch):
         explored = {"scaffold": rules.explore(scaffold_model(2, 2, 2)),
                     "polymer": rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2)))}
+        interfaces = {"scaffold": SCAFFOLD, "polymer": POLYMER}
         # each chain read from its slot rows, and from its keys decoded into rows
-        chains = [(study, chain) for study, c in explored.items()
-                  for chain in (c, rules.ExploredChain(c.space, c.matrix, c.counts))]
+        chains = [(study, chain) for study, c in explored.items() for chain in
+                  (c, rules.ExploredChain(c.space, c.matrix, c.counts, interfaces[study]))]
         cases = [(name, phi, chain) for name, phi in cli._PHI_FUNCS.items()
                  for study, chain in chains
                  if name == "species" or name.startswith(study)]
@@ -440,7 +473,7 @@ class TestBuildPartition:
 
     def test_explored_chain_decodes_no_key(self, monkeypatch):
         chain, species = rules.explore(scaffold_model(2, 2, 2)), cli._PHI_FUNCS["species"]
-        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, SCAFFOLD)
         expected = rules.build_partition(keyed, species)
 
         def forbidden(*args, **kwargs):
@@ -491,7 +524,7 @@ class TestBuildPartitionByValue:
     @given(phi_values())
     def test_fibers_sorted_by_value(self, values):
         chain = scaffold_333()
-        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, SCAFFOLD)
         fibers = {}
         for i, value in enumerate(values):
             fibers.setdefault(value, []).append(i)
@@ -655,7 +688,7 @@ class TestSpeciesCensus:
         # pattern in base 3 would pass the int64 range
         keys = ("-",) + tuple(f"A#1.b-B#{j}.a" for j in range(1, 41)) + tuple(
             f"A#1.b-B#{j}.a;B#{j}.c-C#1.b" for j in range(1, 41))
-        chain = key_chain(keys, {"A": 1, "B": 40, "C": 1})
+        chain = key_chain(keys, {"A": 1, "B": 40, "C": 1}, SCAFFOLD)
         species = cli._PHI_FUNCS["species"]
         maps = [rules.mixture_from_key(key, chain.counts) for key in keys]
         assert rules.build_partition(chain, species).blocks == fibers(maps, species)
@@ -688,7 +721,7 @@ class TestBondMaps:
                                         for i in states.tolist())
 
 
-def key_chain(keys, counts, interface=None):
+def key_chain(keys, counts, interface):
     """A chain over the states with these keys and an all-zero generator."""
     n = len(keys)
     matrix = markov.RateMatrix(n, np.arange(n), np.arange(n), np.zeros(n))
@@ -712,17 +745,32 @@ class TestKeyRows:
         assert np.array_equal(keyed.rows, chain.rows)
         assert not keyed.rows.flags.writeable
 
-    def test_without_interface_the_keys_sites(self):
-        # no state binds B's site c: without an interface it has no slot
+    def test_every_instance_has_its_types_sites(self):
+        # no state binds B's site c or C#1: each still has its slot
         keys = ("-", "A#1.b-B#1.a", "A#1.b-B#2.a")
-        counts = {"A": 1, "B": 2, "C": 1}
-        chain = key_chain(keys, counts)
-        assert chain.ends == (("A#1", "b"), ("B#1", "a"), ("B#2", "a"))
-        assert chain.rows.tolist() == [[-1, -1, -1], [1, 0, -1], [2, -1, 0]]
-        assert ordered(row_bond_maps(chain)) == \
-            ordered(rules.mixture_from_key(key, counts) for key in keys)
-        assert key_chain(keys, counts, SCAFFOLD).ends == (
+        assert key_chain(keys, {"A": 1, "B": 2, "C": 1}, SCAFFOLD).ends == (
             ("A#1", "b"), ("B#1", "a"), ("B#1", "c"), ("B#2", "a"), ("B#2", "c"), ("C#1", "b"))
+
+    def test_keys_without_an_interface_refused(self):
+        chain = polymer_3()
+        with pytest.raises(ValueError, match="needs the interface to decode it"):
+            rules.ExploredChain(chain.space, chain.matrix, chain.counts)
+
+    def test_only_the_first_state_is_parsed(self, monkeypatch):
+        chain, parsed, parse = polymer_3(), [], rules.mixture_from_key
+        monkeypatch.setattr(rules, "mixture_from_key",
+                            lambda *args: parsed.append(args[0]) or parse(*args))
+        keyed = rules.ExploredChain(chain.space, chain.matrix, chain.counts, POLYMER)
+        assert parsed == [chain.space.states[0]] and np.array_equal(keyed.rows, chain.rows)
+
+    def test_first_row_checked_against_the_parser(self, monkeypatch):
+        # a parser that reads a bond into the edgeless first state
+        chain, parse = polymer_3(), rules.mixture_from_key
+        assert chain.space.states[0] == "-"
+        monkeypatch.setattr(rules, "mixture_from_key",
+                            lambda key, *args: parse(key.replace("-", "A#1.b-B#1.a"), *args))
+        with pytest.raises(AssertionError, match="^state '-' decoded into a row of other bonds$"):
+            rules.ExploredChain(chain.space, chain.matrix, chain.counts, POLYMER)
 
     def test_rows_without_their_ends_refused(self):
         # read without ends, every instance would look unbound: one block
@@ -741,7 +789,30 @@ class TestKeyRows:
     ], ids=["twice-first", "instance-first"])
     def test_site_bound_twice_and_a_bad_part_in_state_order(self, keys, first):
         with pytest.raises(ValueError, match=f"^state {re.escape(repr(keys[first]))} "):
-            key_chain(keys, {"A": 1, "B": 2, "C": 1})
+            key_chain(keys, {"A": 1, "B": 2, "C": 1}, SCAFFOLD)
+
+    @settings(max_examples=300, deadline=None)
+    @given(key_lists())
+    def test_refused_as_the_parser_refuses_else_its_bonds(self, inputs):
+        iface, counts, keys = inputs
+        try:
+            maps = [rules.mixture_from_key(key, counts, iface) for key in keys]
+        except ValueError as exc:  # the first refused key's message
+            with pytest.raises(ValueError) as refused:
+                key_chain(keys, counts, iface)
+            assert str(refused.value) == str(exc)
+            return
+        # the rows, built here from the parser's bond maps, one row at a time
+        ends = tuple((f"{t}#{j}", s) for t, n in counts.items() for j in range(1, n + 1)
+                     for s in sorted(iface[t]))
+        slot = {end: k for k, end in enumerate(ends)}
+        rows = [[-1] * len(ends) for _ in keys]
+        for row, bonds in zip(rows, maps):
+            for v, sites in bonds.items():
+                for s, partner in sites:
+                    row[slot[v, s]] = slot[partner]
+        chain = key_chain(keys, counts, iface)
+        assert chain.ends == ends and chain.rows.tolist() == rows
 
 
 class TestSerialization:
