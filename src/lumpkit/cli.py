@@ -77,7 +77,8 @@ def _partitioned_chain(args):
     if model.interface != _CASE_STUDY_INTERFACES.get(study, model.interface):
         raise LumpkitError(f"--phi {args.phi} needs a model with the {study} "
                            f"case study's node types and sites")
-    chain = rules.ExploredChain(space, matrix, model.initial.counts, model.interface)
+    with markov.naming(args.chain):  # a refused key names the chain file
+        chain = rules.ExploredChain(space, matrix, model.initial.counts, model.interface)
     return space, matrix, rules.build_partition(chain, _PHI_FUNCS[args.phi])
 
 

@@ -38,11 +38,6 @@ class NotConnected(LumpkitError):
     """Canonical keys are defined for connected components only."""
 
 
-class InvalidEmbedding(LumpkitError):
-    """A rule's left side does not embed where it is matched: it tests a
-    site that the instance lacks."""
-
-
 class SiteConflict(LumpkitError):
     """Rule application would bind an already occupied site."""
 

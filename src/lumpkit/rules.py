@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import Partition
-from .errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
+from .errors import SiteConflict, StateCapExceeded, UnsupportedPattern
 from .markov import RateMatrix, StateSpace, narrowed, run_starts
 from .sitegraph import ReactionMixture, SiteGraph, _concrete_key, instance_name, node_type
 
@@ -53,23 +53,29 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class RuleModel:
-    """A rule set with its derived signature and an initial mixture."""
+    """A rule set, an initial mixture and the model's signature, interface:
+    type -> its sites. Each initial instance carries its type's sites and each
+    rule tests only declared ones, else ``ValueError`` names the instance or rule."""
 
     rules: tuple
     initial: ReactionMixture
-    interface: dict = field(default=None, compare=False)
+    interface: dict = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        if self.interface is None:
-            derived = {}
-            for rule in self.rules:
-                for v in rule.left.nodes:
-                    derived.setdefault(v, set()).update(rule.left.interface[v])
-            for name, sites in self.initial.graph.interface.items():
-                derived.setdefault(node_type(name), set()).update(sites)
-            object.__setattr__(self, "interface",
-                               {v: frozenset(s) for v, s in derived.items()})
+        object.__setattr__(self, "interface",
+                           {t: frozenset(s) for t, s in self.interface.items()})
+        for v, sites in sorted(self.initial.graph.interface.items()):
+            declared = self.interface.get(node_type(v))
+            if sites != declared:
+                raise ValueError(f"initial instance {v} has sites {sorted(sites)}, but its "
+                                 f"type declares {sorted(declared or ())}")
+        for rule in self.rules:  # its sides share their interfaces
+            for v, sites in sorted(rule.left.interface.items()):
+                undeclared = sites - self.interface.get(node_type(v), frozenset())
+                if undeclared:
+                    raise ValueError(f"rule {rule.name!r} tests site {min(undeclared)!r} of "
+                                     f"{v}, which its type does not declare")
         edge_types = self.edge_types
         for edge in self.initial.graph.edges:
             etype = frozenset((node_type(v), s) for v, s in edge)
@@ -101,14 +107,14 @@ def _part_ends(part: str) -> tuple:
     return (v1, (s1, (v2, s2)), node_type(v1)), (v2, (s2, (v1, s1)), node_type(v2))
 
 
-def mixture_from_key(key: str, counts: dict, interface=None) -> dict:
+def mixture_from_key(key: str, counts: dict, interface: dict) -> dict:
     """The bond map of the mixture a state key encodes, as
     ``SiteGraph.bonds()`` gives it: every instance of counts -> a tuple of
     its bonds in site order. A key that names an instance outside counts,
-    binds a site twice or, given interface (type -> sites), binds a site
-    that its type does not declare raises ``ValueError``, naming the key
-    (each end: its instance, then its site). The one validating parser of
-    keys; ``_key_rows`` runs one state of a chain through it."""
+    binds a site twice or binds a site that its type does not declare in
+    interface (type -> sites) raises ``ValueError``, naming the key (each
+    end: its instance, then its site). The one validating parser of keys;
+    ``_key_rows`` runs one state of a chain through it."""
     bonds = {v: [] for v in _instances(tuple(counts.items()))}
     for part in () if key == "-" else key.split(";"):
         try:
@@ -118,7 +124,7 @@ def mixture_from_key(key: str, counts: dict, interface=None) -> dict:
         for v, (s, _), t in ends:
             if v not in bonds:
                 raise ValueError(f"state {key!r} names {v}, an instance outside the counts")
-            if interface is not None and s not in interface.get(t, ()):
+            if s not in interface.get(t, ()):
                 raise ValueError(f"state {key!r} binds site {s!r} of {v}, which "
                                  f"the model does not declare")
         bonds[v1].append(bond1)
@@ -141,27 +147,25 @@ def _instances(counts) -> tuple:
 
 @dataclass(frozen=True)
 class ExploredChain:
-    """The states, their generator, the instance counts per type and the
-    slot rows, one per state, that ``build_partition`` reads. A chain from
+    """The states, their generator, the instance counts per type, the
+    model's interface and the slot rows, one per state, that
+    ``build_partition`` reads, in ``_layout``'s slots (ends). A chain from
     ``explore`` holds the search's rows. Given no rows, a chain decodes its
-    state keys into rows once (``_key_rows``), each instance with the slots
-    of its type's sites in interface, which it then needs; a key is refused
-    as ``mixture_from_key`` refuses it."""
+    state keys into rows once (``_key_rows``): a key is refused as
+    ``mixture_from_key`` refuses it, and so are two keys of one mixture."""
 
     space: StateSpace
     matrix: RateMatrix
     counts: dict  # type -> instances
-    interface: dict = None  # type -> the sites a state key may bind
+    interface: dict  # type -> its sites
     rows: np.ndarray = field(default=None, compare=False, repr=False)  # read-only, by index
-    ends: tuple = field(default=(), compare=False, repr=False)  # slot -> (instance, site)
+    ends: tuple = field(init=False, compare=False, repr=False)  # slot -> (instance, site)
 
     def __post_init__(self):
+        object.__setattr__(self, "ends", tuple(_layout(self.counts, self.interface)[2]))
         if self.rows is None:
-            if self.interface is None:
-                raise ValueError("a chain given no slot rows needs the interface to decode it")
-            rows, ends = _key_rows(self.space.states, self.counts, self.interface)
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "ends", ends)
+            object.__setattr__(self, "rows",
+                               _key_rows(self.space.states, self.counts, self.interface))
         elif self.rows.shape != (len(self.space), max(len(self.ends), 1)):
             raise ValueError("slot rows need one row per state and one column per end")
 
@@ -179,16 +183,16 @@ class ExploredChain:
 _CHUNK = 2048  # frontier states expanded at once; bounds the search's temporaries
 
 
-def _layout(counts, sites):
-    """Slots of the instances of counts, each with sites[instance]: instances
-    in counts order, then by index, each with its sites sorted. Returns type
+def _layout(counts, interface):
+    """The one slot layout of rows: instances of counts in counts order, then
+    by index, each with its type's sites in interface, sorted. Returns type
     -> instances, instance -> {site: slot} and slot -> (instance, site)."""
     instances, slots, ends = {}, {}, []
     for t, n in counts.items():
         instances[t] = tuple(instance_name(t, j) for j in range(1, n + 1))
         for v in instances[t]:
             slots[v] = {}
-            for s in sorted(sites[v]):
+            for s in sorted(interface.get(t, ())):
                 slots[v][s] = len(ends)
                 ends.append((v, s))
     return instances, slots, ends
@@ -200,15 +204,15 @@ def _rows_dtype(slots: int):
 
 
 def _key_rows(keys, counts, interface):
-    """The read-only slot rows of the states with these keys, and their
-    ends, in ``_layout``'s order, each instance with its type's sites in
-    interface. Each distinct bond part is placed once, as its two slots, or
-    not at all. A state is refused unless it fills twice as many slots as it
-    has parts; the first refused state, in state order, goes through
-    ``mixture_from_key`` to raise its message, and with none the first
-    state does, as a check: its row must hold the bonds the parser reads."""
-    names = _instances(tuple(counts.items()))
-    _, slots, ends = _layout(counts, {v: interface.get(node_type(v), ()) for v in names})
+    """The read-only slot rows of the states with these keys, in
+    ``_layout``'s order. Each distinct bond part is placed once, as its two
+    slots, or not at all. A state is refused unless it fills twice as many
+    slots as it has parts; the first refused state, in state order, goes
+    through ``mixture_from_key`` to raise its message, and with none the
+    first state does, as a check: its row must hold the bonds the parser
+    reads. Then the first state whose row equals an earlier state's is
+    refused, naming both keys: they encode one mixture."""
+    _, slots, ends = _layout(counts, interface)
     sizes = np.array([0 if key == "-" else key.count(";") + 1 for key in keys], dtype=np.intp)
     parts = ";".join(key for key in keys if key != "-").split(";") if sizes.any() else []
     number = {part: j for j, part in enumerate(dict.fromkeys(parts))}
@@ -229,8 +233,15 @@ def _key_rows(keys, counts, interface):
     bonds = mixture_from_key(keys[i], counts, interface) if len(keys) else {}
     if any(rows[i, slots[v][s]] != slots[w][t] for v in bonds for s, (w, t) in bonds[v]):
         raise AssertionError(f"state {keys[i]!r} decoded into a row of other bonds")
+    row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    _, first, inverse = np.unique(rows.view(row).ravel(), return_index=True, return_inverse=True)
+    again = np.flatnonzero(first[inverse] != np.arange(len(keys)))  # a row seen before
+    if len(again):
+        j = again[0]
+        raise ValueError(f"state {keys[j]!r} encodes the mixture of state "
+                         f"{keys[first[inverse[j]]]!r}")
     rows.flags.writeable = False
-    return rows, tuple(ends)
+    return rows
 
 
 def _slot_table(site_slots, sites):
@@ -243,11 +254,11 @@ def _slot_table(site_slots, sites):
 @dataclass(frozen=True)
 class _Component:
     """Match plan of one connected pattern component. ``first`` holds the
-    slots of the first node's pattern sites for each candidate instance (-1
-    where the instance lacks the site); an embedding's slot vector appends
-    those of each further node. ``follow`` holds (position, valid, table):
-    the partner slot of the slot at that position must be valid, and its
-    table row holds the slots of the next node, the partner's instance."""
+    slots of the first node's pattern sites for each candidate instance; an
+    embedding's slot vector appends those of each further node. ``follow``
+    holds (position, valid, table): the partner slot of the slot at that
+    position must be valid, and its table row holds the slots of the next
+    node, the partner's instance, or -1 where the step is not valid."""
 
     first: np.ndarray  # one row per candidate instance of the first node, by index
     follow: tuple
@@ -255,25 +266,21 @@ class _Component:
     free: tuple  # positions tested free
 
     def match(self, states):
-        """Whether each (state, root) pair is an embedding, whether it lacks a
-        tested site, and its slot vector as one array per position, each of
-        shape (states, roots)."""
+        """Whether each (state, root) pair is an embedding, and its slot
+        vector as one array per position, each of shape (states, roots)."""
         rows = np.arange(len(states))[:, None]
         shape = (len(states), len(self.first))
         vec = [np.broadcast_to(col, shape) for col in self.first.T]
         ok = np.ones(shape, dtype=bool)
         for pos, valid, table in self.follow:
-            x = vec[pos]
-            y = np.where(x >= 0, states[rows, x], -1)  # -1, no partner, is never valid
+            y = states[rows, vec[pos]]  # -1, no partner, is never valid
             ok &= valid[y]
             vec.extend(np.moveaxis(table[y], -1, 0))
-        lacks = np.zeros(shape, dtype=bool)
         for p in self.free:
-            lacks |= vec[p] < 0
-            ok &= (vec[p] < 0) | (states[rows, vec[p]] < 0)
+            ok &= states[rows, vec[p]] < 0
         for p, q in self.bonds:
-            ok &= (vec[p] >= 0) & (vec[q] >= 0) & (states[rows, vec[p]] == vec[q])
-        return ok, lacks, vec
+            ok &= states[rows, vec[p]] == vec[q]
+        return ok, vec
 
 
 @dataclass(frozen=True)
@@ -289,28 +296,24 @@ class _CompiledRule:
         """As ``_Component.match``, over (state, root of each component) in
         the order of the instances of the sorted pattern nodes, each by index."""
         k = len(self.components)
-        ok = np.ones((len(states),) + (1,) * k, dtype=bool)
-        lacks, vec = np.zeros_like(ok), []
+        ok, vec = np.ones((len(states),) + (1,) * k, dtype=bool), []
         for c, component in enumerate(self.components):
-            embeds, lacking, part = component.match(states)
+            embeds, part = component.match(states)
             shape = (len(states),) + (1,) * c + (len(component.first),) + (1,) * (k - c - 1)
             ok = ok & embeds.reshape(shape)
-            lacks = lacks | lacking.reshape(shape)
             vec += [v.reshape(shape) for v in part]
-        return ok, lacks, [np.broadcast_to(v, ok.shape) for v in vec]
+        return ok, [np.broadcast_to(v, ok.shape) for v in vec]
 
-    def error(self, ok, lacks):
-        """The first state with an embedding that raises, and its error: one
-        that lacks a tested site, or else any when the right side binds a
-        site twice; (number of states, None) when there is none."""
-        ok, lacks = ok.reshape(len(ok), -1), lacks.reshape(len(ok), -1)
-        bad = ok.any(axis=1) if self.conflict else (ok & lacks).any(axis=1)
-        if not bad.any():
-            return len(ok), None
-        at = int(bad.argmax())
-        if self.conflict and not lacks[at, ok[at].argmax()]:
-            return at, SiteConflict(f"rule {self.name!r} binds {self.conflict} twice")
-        return at, InvalidEmbedding("renamed left side is not contained in the mixture")
+    def error(self, ok):
+        """The first state with an embedding when the right side binds a site
+        twice, and its ``SiteConflict``; (number of states, None) when there
+        is none."""
+        if self.conflict:
+            bad = ok.reshape(len(ok), -1).any(axis=1)
+            if bad.any():
+                return int(bad.argmax()), SiteConflict(
+                    f"rule {self.name!r} binds {self.conflict} twice")
+        return len(ok), None
 
     def apply(self, states, ok, vec):
         """The source row and the target state of each embedding in ok, whose
@@ -424,7 +427,7 @@ def _expand(compiled, states):
     matched = [rule.match(states) if rule.supported else None for rule in compiled]
     stop, stop_rule, error = len(states), len(compiled), None  # the pair that raises
     for r, (rule, m) in enumerate(zip(compiled, matched)):
-        at, exc = (rule.error(*m[:2]) if m is not None else
+        at, exc = (rule.error(m[0]) if m is not None else
                    (0, UnsupportedPattern("pattern mentions two nodes of the same type")))
         if at < stop:
             stop, stop_rule, error = at, r, exc
@@ -433,7 +436,7 @@ def _expand(compiled, states):
         limit = stop + (r < stop_rule)
         if m is None or not limit:
             continue
-        ok, _, vec = m
+        ok, vec = m
         src, dst = rule.apply(states, ok[:limit], vec)
         rows.append(src)
         applied.append(np.full(len(src), r, dtype=np.intp))
@@ -448,16 +451,16 @@ def _applications(model: RuleModel, max_states: int):
     """Breadth-first closure of the initial mixture under all rule
     applications, with deterministic (sorted-frontier) state indexing. Returns
     the state keys and the read-only array of state rows, both in index
-    order, the slot -> (instance, site) ends of the rows' columns, and three
-    arrays: the source, target and rule index of every application that
-    changes the mixture, by source, then rule, then embedding. The frontier
-    is expanded _CHUNK states at a time against the visited states, rows
-    sorted as bytes. Raises what comes first in that order, as a search of
-    one source at a time would: the error of a (source, rule) pair, or
-    StateCapExceeded at the application that finds state max_states + 1."""
+    order, and three arrays: the source, target and rule index of every
+    application that changes the mixture, by source, then rule, then
+    embedding. The frontier is expanded _CHUNK states at a time against the
+    visited states, rows sorted as bytes. Raises what comes first in that
+    order, as a search of one source at a time would: the error of a
+    (source, rule) pair, or StateCapExceeded at the application that finds
+    state max_states + 1."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    layout = _layout(model.initial.counts, model.initial.graph.interface)
+    layout = _layout(model.initial.counts, model.interface)
     compiled = [_compile(rule, layout) for rule in model.rules]
     _, slots, ends = layout
     keys_of = _key_writer(model, ends)
@@ -468,7 +471,7 @@ def _applications(model: RuleModel, max_states: int):
         start[0, a], start[0, b] = b, a
     row = np.dtype((np.void, start.itemsize * start.shape[1]))
     seen, seen_number = start.view(row).ravel(), np.zeros(1, dtype=np.intp)
-    # states are numbered in discovery order here and renumbered at the end
+    # states are numbered as found here and renumbered by key per level
     keys = keys_of(start)
     frontier, numbers = start, np.zeros(1, dtype=np.intp)
     order = [numbers]  # discovery numbers in index order, per level
@@ -488,7 +491,6 @@ def _applications(model: RuleModel, max_states: int):
                 raise StateCapExceeded(f"reachable set exceeds max_states = {max_states}")
             if error is not None:
                 raise error
-            fresh = fresh[np.argsort(first[fresh])]
             number = np.empty(len(unique), dtype=np.intp)
             number[known] = seen_number[at[known]]
             number[fresh] = np.arange(len(keys), len(keys) + len(fresh))
@@ -518,10 +520,10 @@ def _applications(model: RuleModel, max_states: int):
         applications[:2, end:end + part.shape[1]] = index[part[:2]]
         applications[2, end:end + part.shape[1]] = part[2]
         end += part.shape[1]
-    return (tuple(np.array(keys, dtype=object)[order]), states, tuple(ends), *applications)
+    return (tuple(np.array(keys, dtype=object)[order]), states, *applications)
 
 
-def _chain(model: RuleModel, keys, states, ends, rows, cols, applied) -> ExploredChain:
+def _chain(model: RuleModel, keys, states, rows, cols, applied) -> ExploredChain:
     """The chain of ``_applications``' results: each application is one
     generator entry at its rule's rate; ``RateMatrix`` adds up the entries
     that share a target, and each diagonal is minus the sum of its row's
@@ -531,7 +533,7 @@ def _chain(model: RuleModel, keys, states, ends, rows, cols, applied) -> Explore
     matrix = RateMatrix(len(keys), np.r_[rows, diagonal], np.r_[cols, diagonal],
                         np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(keys))])
     return ExploredChain(StateSpace(keys), matrix, dict(model.initial.counts),
-                         rows=states, ends=ends)
+                         model.interface, states)
 
 
 def _labels(model: RuleModel, rows, cols, applied) -> dict:
@@ -553,7 +555,7 @@ def explore_labelled(model: RuleModel, max_states: int = DEFAULT_MAX_STATES):
     sorted names of the rules, zero-rate ones included, that take state i to
     state j != i, in order of first application."""
     found = _applications(model, max_states)
-    return _chain(model, *found), _labels(model, *found[3:])
+    return _chain(model, *found), _labels(model, *found[2:])
 
 
 def reads_local_views(phi):
@@ -580,20 +582,18 @@ def _row_patterns(chain: ExploredChain):
     found with ``np.unique`` over one integer code per row. Returns the
     instance names and, per instance, its patterns' bonds as one tuple each
     (an object array) and each row's pattern."""
-    names = _instances(tuple(chain.counts.items()))
-    columns = {v: [] for v in names}  # an instance's slots, in site order
-    for x, (v, _) in enumerate(chain.ends):
-        columns[v].append(x)
-    radix = len(chain.ends) + 1  # a partner slot plus one; 0 is no partner
+    _, slots, ends = _layout(chain.counts, chain.interface)
+    names = tuple(slots)
+    radix = len(ends) + 1  # a partner slot plus one; 0 is no partner
     rows = chain.rows
     patterns, which = [], []  # per instance: its patterns' bonds, each row's pattern
     for v in names:
-        code = _mixed_radix(len(rows), ((rows[:, x], radix) for x in columns[v]))
+        columns = list(slots[v].values())  # its slots, in site order
+        code = _mixed_radix(len(rows), ((rows[:, x], radix) for x in columns))
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         bonds = np.empty(len(first), dtype=object)
-        for j, partners in enumerate(rows[first][:, columns[v]].tolist()):
-            bonds[j] = tuple((chain.ends[x][1], chain.ends[y])
-                             for x, y in zip(columns[v], partners) if y >= 0)
+        for j, partners in enumerate(rows[first][:, columns].tolist()):
+            bonds[j] = tuple((s, ends[y]) for s, y in zip(slots[v], partners) if y >= 0)
         patterns.append(bonds)
         which.append(inverse)
     return names, patterns, which

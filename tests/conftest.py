@@ -14,7 +14,8 @@ LOCAL_VIEW_MAPS = {name: getattr(casestudies, name) for name in
 
 def bond_maps(chain):
     """The bond map of each state of an explored chain, decoded from its key."""
-    return [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
+    return [rules.mixture_from_key(key, chain.counts, chain.interface)
+            for key in chain.space.states]
 
 
 def row_bond_maps(chain):

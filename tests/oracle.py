@@ -25,7 +25,7 @@ from lumpkit.aggregation import (
     Partition,
     aggregate,
 )
-from lumpkit.errors import InvalidEmbedding, LumpkitError, SiteConflict, UnsupportedPattern
+from lumpkit.errors import LumpkitError, SiteConflict, UnsupportedPattern
 from lumpkit.markov import Distribution, RateMatrix, StochasticMatrix, classify, uniformize
 from lumpkit.rules import RewriteRule, RuleModel
 from lumpkit.sitegraph import (
@@ -44,6 +44,11 @@ class RenamingIncomplete(LumpkitError):
 
 class NotPolymerComponent(LumpkitError):
     """A connected component does not match any polymer chain/ring shape."""
+
+
+class InvalidEmbedding(LumpkitError):
+    """A rule's left side does not embed where ``apply`` is given it: an
+    edge is missing or a site tested free is bound."""
 
 
 def connected_components(g: SiteGraph):

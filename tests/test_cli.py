@@ -227,8 +227,8 @@ class TestCheck:
         assert cli.main(["check", str(chain), "--phi", phi, "--model", str(model)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: state {first!r} binds site 'z' of {instance}, "
-                                f"which the model does not declare\n")
+        assert captured.err == (f"error: {chain}: state {first!r} binds site 'z' of "
+                                f"{instance}, which the model does not declare\n")
 
     @pytest.mark.parametrize("command", ["check", "aggregate"])
     def test_partition_and_phi_refused_together(self, tmp_path, capsys, command):
@@ -292,8 +292,10 @@ class TestCheck:
         (last_two_keys("", "A#1.b-B#1.a;"), "holds malformed bond ''"),
         (replaced_in_keys("A#1.b-B#1.a", "A#1.b-A#1.a"),
          "holds bond 'A#1.b-A#1.a', which joins a node to itself"),
+        # the last state, its part reversed, is state 1's mixture once more
+        (lambda keys: keys[:-1] + ["B#1.a-A#1.b"], "encodes the mixture of state 'A#1.b-B#1.a'"),
     ], ids=["instance", "type", "site", "bound-twice", "one-part-twice", "malformed", "dash-part",
-            "empty-part", "self-bond"])
+            "empty-part", "self-bond", "one-mixture-twice"])
     def test_refused_chain_names_its_first_refused_state(self, tmp_path, capsys, edit, message):
         model, chain, first = self.edit_keys(tmp_path, edit)
         instance = first.split(".")[0]
@@ -302,7 +304,7 @@ class TestCheck:
             assert cli.main(["check", str(chain), "--phi", phi, "--model", str(model)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == (f"error: state {first!r} "
+            assert captured.err == (f"error: {chain}: state {first!r} "
                                     f"{message.format(instance=instance)}\n")
 
     def test_species_census_decodes_each_part_once(self, tmp_path, capsys, monkeypatch):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from lumpkit import casestudies, cli, rules
 from lumpkit.aggregation import check_condition, uniform_measures
-from lumpkit.errors import InvalidEmbedding, StateCapExceeded
+from lumpkit.errors import StateCapExceeded
 from lumpkit.markov import RateMatrix, StateSpace
-from lumpkit.sitegraph import ReactionMixture, SiteGraph, instance_name, make_mixture
+from lumpkit.sitegraph import SiteGraph, instance_name, make_mixture
 
 MAX_STATES = 200
 # sums of these depend on the order they are added in
@@ -135,7 +135,7 @@ def models(draw, rates=(0.0, 0.5, 1.0, 2.5), bonded=True):
     bondable = [pair for pair in node_pairs(slots)
                 if frozenset((v.split("#")[0], s) for v, s in pair) in edge_types]
     bonds = matching(draw, bondable, 4) if bonded and draw(st.booleans()) else set()
-    return rules.RuleModel(tuple(rule_list), make_mixture(interface, counts, bonds))
+    return rules.RuleModel(tuple(rule_list), make_mixture(interface, counts, bonds), interface)
 
 
 def outcome(fn):
@@ -225,7 +225,7 @@ class TestRowBondMapsMatchTheKeys:
         model = rules.RuleModel(
             tuple(rule(f"{kind}{i}", a, b, kind == "bind") for i, (a, b) in
                   enumerate((("s00", "t10"), ("s10", "t00"))) for kind in ("bind", "unbind")),
-            make_mixture(sites, {"A": 3, "B": 3}))
+            make_mixture(sites, {"A": 3, "B": 3}), sites)
         chain = rules.explore(model)
         assert len(chain.ends) == 66 and len(chain.space) == 34 ** 2
         assert ordered(row_bond_maps(chain)) == ordered(bond_maps(chain))
@@ -279,41 +279,3 @@ class TestSpeciesCensusFromAnEdgelessStart:
         part = rules.build_partition(chain, cli._PHI_FUNCS["species"])
         result = check_condition(chain.matrix, part, uniform_measures(part))
         assert result["holds"], result["residual"]
-
-
-class TestInstancesWithDifferentInterfaces:
-    """Instances of one type need not share an interface: explore lays out
-    each instance's own sites, and decoding a key reads no interface."""
-
-    @staticmethod
-    def model(bind_on):
-        def rule(name, bound, rate):
-            sites = {"A": frozenset({bind_on}), "B": frozenset({bind_on})}
-            edges = frozenset({frozenset((("A", bind_on), ("B", bind_on)))})
-            free = SiteGraph(frozenset(sites), sites, frozenset())
-            both = SiteGraph(frozenset(sites), sites, edges)
-            return rules.RewriteRule(*((free, both) if bound else (both, free)), rate, name)
-
-        interface = {"A#1": frozenset({"x"}), "A#2": frozenset({"x", "y"}),
-                     "B#1": frozenset({"x", "y"}), "B#2": frozenset({"x"})}
-        initial = ReactionMixture(SiteGraph(frozenset(interface), interface, frozenset()),
-                                  {"A": 2, "B": 2})
-        return rules.RuleModel((rule("bind", True, 1.5), rule("unbind", False, 0.5)), initial)
-
-    def test_shared_site_explored_as_the_reference(self):
-        model = self.model("x")
-        states, matrix, edge_labels, mixtures = reference_explore(model, MAX_STATES)
-        chain = rules.explore(model, MAX_STATES)
-        assert chain.space.states == states and len(states) == 7
-        assert chain.matrix == matrix
-        labels = rules.explore_labelled(model, MAX_STATES)[1]
-        assert list(labels.items()) == list(edge_labels.items())
-        assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
-        assert ordered(row_bond_maps(chain)) == ordered(bond_maps(chain))
-
-    def test_site_one_instance_lacks_refused_as_the_reference(self):
-        model = self.model("y")
-        with pytest.raises(InvalidEmbedding):
-            reference_explore(model, MAX_STATES)
-        with pytest.raises(InvalidEmbedding):
-            rules.explore(model, MAX_STATES)

@@ -1,6 +1,7 @@
 import functools
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import oracle
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import lumpkit
 from lumpkit import aggregation, casestudies, cli, errors, markov, rules, sitegraph
-from lumpkit.errors import InvalidEmbedding, SiteConflict, StateCapExceeded, UnsupportedPattern
+from lumpkit.errors import SiteConflict, StateCapExceeded, UnsupportedPattern
 from lumpkit.sitegraph import ReactionMixture, SiteGraph, make_mixture
 
 SCAFFOLD = casestudies.SCAFFOLD_INTERFACE
@@ -69,12 +70,13 @@ def decode_inputs(draw):
 
 @st.composite
 def key_lists(draw):
-    """A polymer or scaffold signature, instance counts and 1 to 8 distinct
+    """A polymer or scaffold signature, instance counts and 1 to 9 distinct
     state keys. Each key is a random matching of sites, its parts and their
     ends in any order; in half of the lists some keys hold one more part that
     may be refused: a bond on a bound site or within an instance, a repeated
     part, an instance or site not declared, or a malformed, empty or ``-``
-    part."""
+    part. In half of the lists one more key rewrites an earlier one that has
+    parts, each reversed and in any order: a second key of one mixture."""
     iface = draw(st.sampled_from([POLYMER, SCAFFOLD]))
     counts = {t: draw(st.integers(1, 3)) for t in sorted(iface)}
     sites = [f"{t}#{j}.{s}" for t in sorted(iface) for j in range(1, counts[t] + 1)
@@ -96,6 +98,10 @@ def key_lists(draw):
                 "", "-"]))
             parts.insert(draw(st.integers(0, len(parts))), bad)
         keys.append(";".join(parts) if parts else "-")
+    bonded = [key for key in keys if key != "-"]
+    if bonded and draw(st.booleans()):
+        parts = draw(st.permutations(draw(st.sampled_from(bonded)).split(";")))
+        keys.append(";".join("-".join(part.split("-")[::-1]) for part in parts))
     return iface, counts, tuple(dict.fromkeys(keys))
 
 
@@ -117,8 +123,46 @@ class TestRewriteRule:
         bad_initial = make_mixture(
             {"A": frozenset({"b"}), "C": frozenset({"b"})}, {"A": 1, "C": 1},
             [edge("A#1", "b", "C#1", "b")])
-        with pytest.raises(ValueError):
-            rules.RuleModel(model.rules, bad_initial)
+        with pytest.raises(ValueError, match="edge type absent from the rules"):
+            rules.RuleModel(model.rules, bad_initial, model.interface)
+
+
+class TestRuleModelSignature:
+    """Every initial instance carries its type's declared sites, and every
+    rule tests only declared sites."""
+
+    AB = {"A": frozenset({"b", "x"}), "B": frozenset({"a"})}
+
+    @staticmethod
+    def bind(sites):
+        return rules.RewriteRule(side(sites), side(sites, edge("A", "b", "B", "a")), 1.0, "bind")
+
+    @pytest.mark.parametrize("instance, sites, message", [
+        ("A#2", {"b"}, r"A#2 has sites \['b'\], but its type declares \['b', 'x'\]"),
+        ("A#2", {"b", "x", "y"}, r"A#2 has sites \['b', 'x', 'y'\], but its type declares "
+                                 r"\['b', 'x'\]"),
+        ("D#1", {"q"}, r"D#1 has sites \['q'\], but its type declares \[\]"),
+    ], ids=["lacking", "extra", "undeclared-type"])
+    def test_initial_instance_with_other_sites_refused(self, instance, sites, message):
+        interface = {"A#1": self.AB["A"], "B#1": self.AB["B"], instance: frozenset(sites)}
+        counts = Counter(sitegraph.node_type(v) for v in interface)
+        initial = ReactionMixture(side(interface), counts)
+        with pytest.raises(ValueError, match=f"^initial instance {message}$"):
+            rules.RuleModel((self.bind(self.AB),), initial, self.AB)
+
+    @pytest.mark.parametrize("sites, message", [
+        ({"A": frozenset({"b", "z"}), "B": frozenset({"a"})}, "site 'z' of A"),
+        ({"A": frozenset({"b"}), "B": frozenset({"a"}), "D": frozenset({"q"})}, "site 'q' of D"),
+    ], ids=["site", "type"])
+    def test_rule_testing_an_undeclared_site_refused(self, sites, message):
+        initial = make_mixture(self.AB, {"A": 1, "B": 1})
+        with pytest.raises(ValueError, match=f"^rule 'bind' tests {message}, which its type "
+                                             f"does not declare$"):
+            rules.RuleModel((self.bind(sites),), initial, self.AB)
+
+    def test_interface_values_normalized(self):
+        model = rules.RuleModel((), make_mixture(self.AB, {"A": 1}), {"A": ["x", "b"], "B": {"a"}})
+        assert model.interface == self.AB
 
 
 class TestApply:
@@ -151,7 +195,7 @@ class TestApply:
         r1 = model.rules[0]
         bound = oracle.apply(r1, model.initial, {"A": "A#1", "B": "B#1"})
         # the left side tests A.b and B.a free, both bound now
-        with pytest.raises(InvalidEmbedding):
+        with pytest.raises(oracle.InvalidEmbedding):
             oracle.apply(r1, bound, {"A": "A#1", "B": "B#1"})
 
 
@@ -232,15 +276,6 @@ class TestExplore:
         assert labels[(i, j)] == ("r1",)
         assert (i, j) not in {(r, c) for r, c, _ in chain.matrix.triplets()}
 
-    def test_rule_site_outside_the_instance_interface(self):
-        sites = {"A": frozenset({"b", "x"}), "B": frozenset({"a"})}
-        left = SiteGraph(frozenset(sites), sites, frozenset())
-        right = SiteGraph(frozenset(sites), sites, frozenset({edge("A", "b", "B", "a")}))
-        initial = make_mixture({"A": {"b"}, "B": {"a"}}, {"A": 1, "B": 1})
-        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "bind"),), initial)
-        with pytest.raises(InvalidEmbedding):
-            rules.explore(model)
-
     def test_two_nodes_of_one_type(self):
         sites = {"A": frozenset({"b"}), "A#2": frozenset({"b"})}
         left = SiteGraph(frozenset(sites), sites, frozenset())
@@ -259,7 +294,7 @@ class TestExplore:
                           frozenset({bond, edge("A", "b", "C", "b")}))
         initial = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
                                [edge("A#1", "b", "B#1", "a")])
-        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "steal"),), initial)
+        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "steal"),), initial, SCAFFOLD)
         with pytest.raises(SiteConflict):
             rules.explore(model)
 
@@ -311,59 +346,56 @@ def side(sites, *edges):
 class TestErrorPrecedence:
     """explore raises what a search of one (source, rule) pair at a time
     raises: the first error or state cap in (source, rule, embedding) order.
-    B#2 lacks site x, so in level 1 the source A#1.b-B#1.a comes before
-    A#1.b-B#2.a, where a rule testing B.x free no longer embeds validly.
+    Level 1 holds the sources A#1.b-B#1.a, A#1.b-B#2.a, B#1.c-C#1.b and
+    B#2.c-C#1.b, in that order: a rule that binds the A end of an A-B bond
+    twice raises at the first of them, one that binds the C end of a B-C
+    bond twice at the third.
     The cases hold for any search; they also run with the frontier expanded
     one or two sources at a time (``rules._CHUNK``, if the search has it)."""
 
     AB = {"A": frozenset({"b"}), "B": frozenset({"a"})}
-    ABX = {"A": frozenset({"b"}), "B": frozenset({"a", "x"})}
     BC = {"B": frozenset({"c"}), "C": frozenset({"b"})}
+    ABX = {"A": frozenset({"b"}), "B": frozenset({"a", "x"})}
+    BCX = {"B": frozenset({"c", "x"}), "C": frozenset({"b"})}
     RULES = {
         "bind_ab": rules.RewriteRule(side(AB), side(AB, edge("A", "b", "B", "a")), 1.0, "bind_ab"),
         "bind_bc": rules.RewriteRule(side(BC), side(BC, edge("B", "c", "C", "b")), 1.0, "bind_bc"),
-        # InvalidEmbedding wherever A is bound to an instance of B lacking x
-        "noop_x": rules.RewriteRule(side(ABX, edge("A", "b", "B", "a")),
-                                    side(ABX, edge("A", "b", "B", "a")), 1.0, "noop_x"),
-        # binds A.b twice: SiteConflict wherever A is bound to B#1
+        # binds A.b twice: SiteConflict wherever A is bound
         "steal_x": rules.RewriteRule(side(ABX, edge("A", "b", "B", "a")),
                                      side(ABX, edge("A", "b", "B", "a"), edge("A", "b", "B", "x")),
                                      1.0, "steal_x"),
-        # binds A.b twice from the start, where the first embedding is (A#1, B#1)
-        "grab_x": rules.RewriteRule(side(ABX),
-                                    side(ABX, edge("A", "b", "B", "a"), edge("A", "b", "B", "x")),
-                                    1.0, "grab_x"),
+        # binds C.b twice: SiteConflict wherever C is bound
+        "steal_c": rules.RewriteRule(side(BCX, edge("B", "c", "C", "b")),
+                                     side(BCX, edge("B", "c", "C", "b"), edge("B", "x", "C", "b")),
+                                     1.0, "steal_c"),
     }
 
     @classmethod
-    def model(cls, names, lacking="B#2"):
-        interface = {"A#1": frozenset({"b"}), "B#1": frozenset({"a", "c", "x"}),
-                     "B#2": frozenset({"a", "c", "x"}), "C#1": frozenset({"b"})}
-        interface[lacking] = frozenset({"a", "c"})
-        initial = ReactionMixture(side(interface), {"A": 1, "B": 2, "C": 1})
-        return rules.RuleModel(tuple(cls.RULES[name] for name in names), initial)
+    def model(cls, names):
+        interface = {"A": frozenset({"b"}), "B": frozenset({"a", "c", "x"}), "C": frozenset({"b"})}
+        initial = make_mixture(interface, {"A": 1, "B": 2, "C": 1})
+        return rules.RuleModel(tuple(cls.RULES[name] for name in names), initial, interface)
 
     @pytest.mark.parametrize("chunk", [None, 1, 2])
-    @pytest.mark.parametrize("names", [("noop_x", "bind_ab", "steal_x"),
-                                       ("steal_x", "bind_ab", "noop_x")])
+    @pytest.mark.parametrize("names", [("steal_c", "bind_ab", "bind_bc", "steal_x"),
+                                       ("steal_x", "bind_ab", "bind_bc", "steal_c")])
     def test_the_earlier_source_wins_whatever_the_rule_order(self, names, chunk, monkeypatch):
-        if chunk:  # each source of level 1 in a chunk of its own, or both in one
+        if chunk:  # the sources of level 1 in chunks of one or two, or all in one
             monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
         with pytest.raises(SiteConflict, match="steal_x"):
             rules.explore(self.model(names))
 
     @pytest.mark.parametrize("chunk", [None, 1, 2])
     @pytest.mark.parametrize("max_states, error", [
-        (5, StateCapExceeded), (6, StateCapExceeded), (7, InvalidEmbedding),
-        (200, InvalidEmbedding)])
+        (5, StateCapExceeded), (8, StateCapExceeded), (9, SiteConflict), (200, SiteConflict)])
     def test_the_state_cap_at_an_earlier_source_wins(self, max_states, error, chunk,
                                                      monkeypatch):
-        # level 1 has 4 states; its first source finds 2 new ones and the
-        # second raises, so the cap comes first below 7 states
+        # level 1 has 4 states; its first two sources find 2 new ones each
+        # and the third raises, so the cap comes first below 9 states
         if chunk:
             monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
         with pytest.raises(error):
-            rules.explore(self.model(("noop_x", "bind_ab", "bind_bc")), max_states)
+            rules.explore(self.model(("steal_c", "bind_ab", "bind_bc")), max_states)
 
     @pytest.mark.parametrize("chunk", [None, 1])
     @pytest.mark.parametrize("max_states, error", [
@@ -376,14 +408,6 @@ class TestErrorPrecedence:
             monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
         with pytest.raises(error):
             rules.explore(self.model(("bind_bc", "bind_ab", "steal_x")), max_states)
-
-    @pytest.mark.parametrize("lacking, error", [("B#1", InvalidEmbedding),
-                                                ("B#2", SiteConflict)])
-    def test_a_lacking_site_comes_before_the_conflict(self, lacking, error):
-        # the first embedding decides: one that lacks x and binds A.b twice
-        # is an InvalidEmbedding
-        with pytest.raises(error):
-            rules.explore(self.model(("grab_x",), lacking))
 
 
 @pytest.mark.parametrize("model", [scaffold_model(2, 2, 2, rates=(1.0, 2.0, 0.5, 0.25)),
@@ -403,7 +427,7 @@ def test_single_rule_application_is_not_public():
     site-graph semantics it compiles live in the tests' oracle."""
     moved = ("apply", "find_embeddings", "rename", "is_subgraph", "mixture_key",
              "is_reversible", "connected_components", "polymer_classify", "RenamingIncomplete",
-             "ComponentClass", "NotPolymerComponent")
+             "ComponentClass", "NotPolymerComponent", "InvalidEmbedding")
     # the polymer shape classifier: the species census is the one species partition
     deleted = ("polymer_phi1", "_polymer_class", "_classify")
     for module in (lumpkit, rules, sitegraph, casestudies, errors):
@@ -497,7 +521,7 @@ class TestBuildPartition:
         with pytest.raises(ValueError, match=r"state 'B#1.c-C#1.b' binds site 'c' of B#1, "
                                              r"which the model does not declare"):
             rules.ExploredChain(chain.space, chain.matrix, chain.counts, narrow)
-        # the slot rows hold only the slots of the initial mixture's sites
+        # the explored chain's rows keep its model's slots
         assert len(rules.build_partition(chain, casestudies.scaffold_phi2)) == 4
 
 
@@ -638,7 +662,7 @@ class TestLocalViewCensus:
         bound = frozenset({edge("A", "x", "B", "x")})
         bind = rules.RewriteRule(SiteGraph(frozenset(iface), iface, frozenset()),
                                  SiteGraph(frozenset(iface), iface, bound), 1.0, "bind")
-        chain = rules.explore(rules.RuleModel((bind,), make_mixture({}, {})))
+        chain = rules.explore(rules.RuleModel((bind,), make_mixture({}, {}), iface))
         assert chain.space.states == ("-",) and chain.ends == ()
         for phi in (len, rules.reads_local_views(lambda bonds: len(bonds))):
             assert rules.build_partition(chain, phi).blocks == ((0,),)
@@ -690,7 +714,7 @@ class TestSpeciesCensus:
             f"A#1.b-B#{j}.a;B#{j}.c-C#1.b" for j in range(1, 41))
         chain = key_chain(keys, {"A": 1, "B": 40, "C": 1}, SCAFFOLD)
         species = cli._PHI_FUNCS["species"]
-        maps = [rules.mixture_from_key(key, chain.counts) for key in keys]
+        maps = [rules.mixture_from_key(key, chain.counts, SCAFFOLD) for key in keys]
         assert rules.build_partition(chain, species).blocks == fibers(maps, species)
         assert len(rules.build_partition(chain, species)) == 3
 
@@ -717,8 +741,9 @@ class TestBondMaps:
         states = np.arange(0, len(chain.space), 3)  # every third state
         assert len(states) == 14561 > 2 * rules._CHUNK
         maps = rules._bond_maps(*rules._row_patterns(chain), states)
-        assert ordered(maps) == ordered(rules.mixture_from_key(chain.space.states[i], chain.counts)
-                                        for i in states.tolist())
+        assert ordered(maps) == ordered(
+            rules.mixture_from_key(chain.space.states[i], chain.counts, chain.interface)
+            for i in states.tolist())
 
 
 def key_chain(keys, counts, interface):
@@ -751,11 +776,6 @@ class TestKeyRows:
         assert key_chain(keys, {"A": 1, "B": 2, "C": 1}, SCAFFOLD).ends == (
             ("A#1", "b"), ("B#1", "a"), ("B#1", "c"), ("B#2", "a"), ("B#2", "c"), ("C#1", "b"))
 
-    def test_keys_without_an_interface_refused(self):
-        chain = polymer_3()
-        with pytest.raises(ValueError, match="needs the interface to decode it"):
-            rules.ExploredChain(chain.space, chain.matrix, chain.counts)
-
     def test_only_the_first_state_is_parsed(self, monkeypatch):
         chain, parsed, parse = polymer_3(), [], rules.mixture_from_key
         monkeypatch.setattr(rules, "mixture_from_key",
@@ -772,16 +792,20 @@ class TestKeyRows:
         with pytest.raises(AssertionError, match="^state '-' decoded into a row of other bonds$"):
             rules.ExploredChain(chain.space, chain.matrix, chain.counts, POLYMER)
 
-    def test_rows_without_their_ends_refused(self):
-        # read without ends, every instance would look unbound: one block
+    def test_rows_with_the_wrong_column_count_refused(self):
+        # the ends come from the counts and the interface: rows laid out
+        # for other ones would be read against the wrong slots
         chain = polymer_3()
-        for ends in ((), chain.ends[:-1]):
+        assert chain.ends == rules.ExploredChain(chain.space, chain.matrix, chain.counts,
+                                                 POLYMER, chain.rows).ends
+        wider = np.hstack([chain.rows, chain.rows[:, :1]])
+        for rows in (chain.rows[:, :-1], chain.rows[:, :0], wider):
             with pytest.raises(ValueError, match="one column per end"):
-                rules.ExploredChain(chain.space, chain.matrix, chain.counts, rows=chain.rows,
-                                    ends=ends)
+                rules.ExploredChain(chain.space, chain.matrix, chain.counts, POLYMER, rows)
+        with pytest.raises(ValueError, match="one column per end"):
+            rules.ExploredChain(chain.space, chain.matrix, chain.counts, SCAFFOLD, chain.rows)
         with pytest.raises(ValueError, match="one row per state"):
-            rules.ExploredChain(chain.space, chain.matrix, chain.counts, rows=chain.rows[1:],
-                                ends=chain.ends)
+            rules.ExploredChain(chain.space, chain.matrix, chain.counts, POLYMER, chain.rows[1:])
 
     @pytest.mark.parametrize("keys, first", [
         (("-", "A#1.b-B#1.a", "A#1.b-B#2.a", "A#1.b-B#1.a;A#1.b-B#2.a", "A#1.b-B#3.a"), 3),
@@ -802,6 +826,13 @@ class TestKeyRows:
                 key_chain(keys, counts, iface)
             assert str(refused.value) == str(exc)
             return
+        twice = next((j for j, bonds in enumerate(maps) if bonds in maps[:j]), None)
+        if twice is not None:  # a later key of an earlier key's mixture, its parts reordered
+            with pytest.raises(ValueError) as refused:
+                key_chain(keys, counts, iface)
+            assert str(refused.value) == (f"state {keys[twice]!r} encodes the mixture of "
+                                          f"state {keys[maps.index(maps[twice])]!r}")
+            return
         # the rows, built here from the parser's bond maps, one row at a time
         ends = tuple((f"{t}#{j}", s) for t, n in counts.items() for j in range(1, n + 1)
                      for s in sorted(iface[t]))
@@ -821,7 +852,7 @@ class TestSerialization:
                            [edge("A#1", "b", "B#2", "a"),
                             edge("B#2", "c", "C#1", "b")])
         key = oracle.mixture_key(mix)
-        assert rules.mixture_from_key(key, mix.counts) == mix.graph.bonds()
+        assert rules.mixture_from_key(key, mix.counts, SCAFFOLD) == mix.graph.bonds()
 
     @pytest.mark.parametrize("model", [scaffold_model(1, 1, 1), scaffold_model(2, 3, 2),
                                        casestudies.polymer_model(casestudies.PolymerParams(2))],
@@ -836,32 +867,31 @@ class TestSerialization:
 
     def test_decoding_follows_the_signature(self):
         key = "A#1.b-B#2.a"
-        small = rules.mixture_from_key(key, {"A": 1, "B": 2, "C": 1})
-        large = rules.mixture_from_key(key, {"A": 1, "B": 3, "C": 1})
+        small = rules.mixture_from_key(key, {"A": 1, "B": 2, "C": 1}, SCAFFOLD)
+        large = rules.mixture_from_key(key, {"A": 1, "B": 3, "C": 1}, SCAFFOLD)
         assert "B#3" in large and "B#3" not in small
         assert large["B#3"] == () and small["A#1"] == large["A#1"] == (("b", ("B#2", "a")),)
         with pytest.raises(ValueError, match="B#3"):
-            rules.mixture_from_key("A#1.b-B#3.a", {"A": 1, "B": 2, "C": 1})
+            rules.mixture_from_key("A#1.b-B#3.a", {"A": 1, "B": 2, "C": 1}, SCAFFOLD)
 
-    def test_decoding_checks_the_interface_when_given(self):
+    def test_decoding_checks_the_interface(self):
         counts = {"A": 1, "B": 1}
         interface = {"A": frozenset({"b"}), "B": frozenset({"a"})}
         assert rules.mixture_from_key("A#1.b-B#1.a", counts, interface) == \
-            rules.mixture_from_key("A#1.b-B#1.a", counts)
+            {"A#1": (("b", ("B#1", "a")),), "B#1": (("a", ("A#1", "b")),)}
         with pytest.raises(ValueError, match=r"state 'A#1.z-B#1.a' binds site 'z' of A#1, "
                                              r"which the model does not declare"):
             rules.mixture_from_key("A#1.z-B#1.a", counts, interface)
-        assert rules.mixture_from_key("A#1.z-B#1.a", counts)["A#1"] == (("z", ("B#1", "a")),)
 
     def test_edgeless_key(self):
         mix = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1})
         assert oracle.mixture_key(mix) == "-"
 
     def test_edgeless_key_decodes_to_every_instance_unbound(self):
-        bonds = rules.mixture_from_key("-", {"A": 2, "B": 1, "C": 1})
+        bonds = rules.mixture_from_key("-", {"A": 2, "B": 1, "C": 1}, SCAFFOLD)
         assert bonds == {"A#1": (), "A#2": (), "B#1": (), "C#1": ()}
         assert list(bonds) == ["A#1", "A#2", "B#1", "C#1"]
-        assert rules.mixture_from_key("-", {}) == {}
+        assert rules.mixture_from_key("-", {}, {}) == {}
 
     @pytest.mark.parametrize("key, message", [
         ("A#1.b-B#1.a;A#1.b-B#2.a", "binds a site twice"),
@@ -875,7 +905,7 @@ class TestSerialization:
     ])
     def test_malformed_key_rejected(self, key, message):
         with pytest.raises(ValueError, match=message):
-            rules.mixture_from_key(key, {"A": 2, "B": 2, "C": 1})
+            rules.mixture_from_key(key, {"A": 2, "B": 2, "C": 1}, SCAFFOLD)
 
     @settings(max_examples=300, deadline=None)
     @given(decode_inputs())
@@ -884,18 +914,15 @@ class TestSerialization:
         parts = [f"{v1}.{s1}-{v2}.{s2}" for (v1, s1), (v2, s2) in
                  (sorted(e) if len(e) == 2 else 2 * sorted(e) for e in edges)]
         key = ";".join(sorted(parts)) if parts else "-"
-        # a key carries no interface: the decoder keeps a bond on the
-        # undeclared site "q" and refuses what make_mixture refuses with it declared
-        wide = {t: sites | {"q"} for t, sites in iface.items()}
         try:
-            reference = make_mixture(wide, counts, edges).graph.bonds()
+            reference = make_mixture(iface, counts, edges).graph.bonds()
         except ValueError:
             assert fault is not None
             with pytest.raises(ValueError):
-                rules.mixture_from_key(key, counts)
+                rules.mixture_from_key(key, counts, iface)
         else:
-            assert fault in (None, "site")
-            assert rules.mixture_from_key(key, counts) == reference
+            assert fault is None
+            assert rules.mixture_from_key(key, counts, iface) == reference
 
     def test_export_dot(self):
         model = scaffold_model()

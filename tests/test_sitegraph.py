@@ -423,7 +423,8 @@ class TestSpeciesCensus:
 
     def test_memo_cold_and_warm_agree_within_maxsize(self):
         chain = rules.explore(casestudies.polymer_model(casestudies.PolymerParams(3)))
-        maps = [rules.mixture_from_key(key, chain.counts) for key in chain.space.states]
+        maps = [rules.mixture_from_key(key, chain.counts, chain.interface)
+                for key in chain.space.states]
         memo = sitegraph._concrete_key
         memo.cache_clear()
         cold = [species_census(bonds) for bonds in maps]
