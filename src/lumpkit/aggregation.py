@@ -10,7 +10,6 @@ original chain's distribution can be recovered from the aggregated one.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -350,10 +349,3 @@ def load_measures(path, space) -> MeasureFamily:
     with markov.naming(path):
         return MeasureFamily(alphas)
 
-
-def save_diagnostics(path, series):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "dev_lump", "dev_inv"])
-        for t, dev_lump, dev_inv in series:
-            writer.writerow([repr(t), repr(dev_lump), repr(dev_inv)])

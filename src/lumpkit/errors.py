@@ -31,7 +31,7 @@ class NotNested(LumpkitError):
 
 
 class UnsupportedPattern(LumpkitError):
-    """A rule pattern mentions two nodes of the same type."""
+    """A rule's pattern has two nodes of one type; ``RuleModel`` refuses it."""
 
 
 class NotConnected(LumpkitError):
@@ -39,7 +39,7 @@ class NotConnected(LumpkitError):
 
 
 class SiteConflict(LumpkitError):
-    """Rule application would bind an already occupied site."""
+    """A rule side binds one site twice; ``RuleModel`` refuses it."""
 
 
 class StateCapExceeded(LumpkitError):

@@ -54,8 +54,11 @@ class RewriteRule:
 @dataclass(frozen=True)
 class RuleModel:
     """A rule set, an initial mixture and the model's signature, interface:
-    type -> its sites. Each initial instance carries its type's sites and each
-    rule tests only declared ones, else ``ValueError`` names the instance or rule."""
+    type -> its sites. Each initial instance carries its type's sites, else
+    ``ValueError`` names the instance. Each rule is refused, naming it, unless
+    its nodes are of declared types (``ValueError``) and of distinct types
+    (``UnsupportedPattern``), it tests only declared sites (``ValueError``),
+    and each side binds each site at most once (``SiteConflict``)."""
 
     rules: tuple
     initial: ReactionMixture
@@ -70,26 +73,36 @@ class RuleModel:
             if sites != declared:
                 raise ValueError(f"initial instance {v} has sites {sorted(sites)}, but its "
                                  f"type declares {sorted(declared or ())}")
-        for rule in self.rules:  # its sides share their interfaces
+        for rule in self.rules:  # its sides share their nodes and interfaces
             for v, sites in sorted(rule.left.interface.items()):
-                undeclared = sites - self.interface.get(node_type(v), frozenset())
+                declared = self.interface.get(node_type(v))
+                undeclared = sites - (declared or frozenset())
                 if undeclared:
                     raise ValueError(f"rule {rule.name!r} tests site {min(undeclared)!r} of "
                                      f"{v}, which its type does not declare")
+                if declared is None:
+                    raise ValueError(f"rule {rule.name!r} has node {v}, whose type the "
+                                     f"model does not declare")
+            types = sorted(node_type(v) for v in rule.left.nodes)
+            for t, u in zip(types, types[1:]):
+                if t == u:
+                    raise UnsupportedPattern(f"rule {rule.name!r} has two nodes of type {t!r}")
+            for side in (rule.left, rule.right):
+                ends = sorted(end for edge in side.edges for end in edge)
+                for end, other in zip(ends, ends[1:]):
+                    if end == other:
+                        raise SiteConflict(f"rule {rule.name!r} binds {end} twice")
         edge_types = self.edge_types
         for edge in self.initial.graph.edges:
-            etype = frozenset((node_type(v), s) for v, s in edge)
-            if etype not in edge_types:
+            if frozenset((node_type(v), s) for v, s in edge) not in edge_types:
                 raise ValueError("initial mixture uses an edge type absent from the rules")
 
     @property
     def edge_types(self):
-        types = set()
-        for rule in self.rules:
-            for side in (rule.left, rule.right):
-                for edge in side.edges:
-                    types.add(frozenset(edge))
-        return frozenset(types)
+        """The bond types that the rules' sides hold: each a frozenset of its
+        two (node type, site) ends."""
+        return frozenset(frozenset((node_type(v), s) for v, s in edge) for rule in self.rules
+                         for side in (rule.left, rule.right) for edge in side.edges)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -285,16 +298,14 @@ class _Component:
 
 @dataclass(frozen=True)
 class _CompiledRule:
-    name: str
-    supported: bool  # pattern nodes have distinct types
-    conflict: tuple  # a pattern site the right side binds twice, or ()
     components: tuple
     removed: tuple  # (position, position) per bond the rule breaks
     added: tuple  # (position, position) per bond the rule makes
 
-    def match(self, states):
-        """As ``_Component.match``, over (state, root of each component) in
-        the order of the instances of the sorted pattern nodes, each by index."""
+    def apply(self, states):
+        """The source row and the target state of each embedding in the
+        states, by state, then by the roots of the components, in the order
+        of the instances of the sorted pattern nodes, each by index."""
         k = len(self.components)
         ok, vec = np.ones((len(states),) + (1,) * k, dtype=bool), []
         for c, component in enumerate(self.components):
@@ -302,22 +313,7 @@ class _CompiledRule:
             shape = (len(states),) + (1,) * c + (len(component.first),) + (1,) * (k - c - 1)
             ok = ok & embeds.reshape(shape)
             vec += [v.reshape(shape) for v in part]
-        return ok, [np.broadcast_to(v, ok.shape) for v in vec]
-
-    def error(self, ok):
-        """The first state with an embedding when the right side binds a site
-        twice, and its ``SiteConflict``; (number of states, None) when there
-        is none."""
-        if self.conflict:
-            bad = ok.reshape(len(ok), -1).any(axis=1)
-            if bad.any():
-                return int(bad.argmax()), SiteConflict(
-                    f"rule {self.name!r} binds {self.conflict} twice")
-        return len(ok), None
-
-    def apply(self, states, ok, vec):
-        """The source row and the target state of each embedding in ok, whose
-        first axis covers the first len(ok) states."""
+        vec = [np.broadcast_to(v, ok.shape) for v in vec]
         hit = np.nonzero(ok)
         new, i = states[hit[0]], np.arange(len(hit[0]))
         for p, q in self.removed:
@@ -372,16 +368,8 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
     def pairs(edges):
         return tuple(tuple(position[end] for end in sorted(edge)) for edge in edges)
 
-    added = right.edges - left.edges
-    taken = [end for edge in right.edges for end in edge]
-    twice = [end for edge in added for end in sorted(edge) if taken.count(end) > 1]
-    return _CompiledRule(
-        name=rule.name,
-        supported=len({node_type(v) for v in nodes}) == len(nodes),
-        conflict=min(twice, default=()),
-        components=tuple(components),
-        removed=pairs(left.edges - right.edges),
-        added=pairs(added))
+    return _CompiledRule(components=tuple(components), removed=pairs(left.edges - right.edges),
+                         added=pairs(right.edges - left.edges))
 
 
 def _key_writer(model: RuleModel, ends):
@@ -391,7 +379,7 @@ def _key_writer(model: RuleModel, ends):
     mixture to those) has its part's rank among all such parts precomputed;
     a key joins its parts by rank. Only the slots of such kinds, the active
     ones, are read."""
-    bondable = {frozenset((node_type(v), s) for v, s in edge) for edge in model.edge_types}
+    bondable = model.edge_types
     kinds = [(node_type(v), s) for v, s in ends]
     active = [x for x, kind in enumerate(kinds) if any(kind in b for b in bondable)]
 
@@ -422,29 +410,17 @@ def _key_writer(model: RuleModel, ends):
 def _expand(compiled, states):
     """Every application of the rules to a block of states, by state, then
     rule, then embedding: the source row, rule index and target state of
-    each, and the error of the first (state, rule) pair that raises, or
-    None. Only the pairs before that one are applied."""
-    matched = [rule.match(states) if rule.supported else None for rule in compiled]
-    stop, stop_rule, error = len(states), len(compiled), None  # the pair that raises
-    for r, (rule, m) in enumerate(zip(compiled, matched)):
-        at, exc = (rule.error(m[0]) if m is not None else
-                   (0, UnsupportedPattern("pattern mentions two nodes of the same type")))
-        if at < stop:
-            stop, stop_rule, error = at, r, exc
+    each."""
     rows, applied, new = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [states[:0]]
-    for r, (rule, m) in enumerate(zip(compiled, matched)):
-        limit = stop + (r < stop_rule)
-        if m is None or not limit:
-            continue
-        ok, vec = m
-        src, dst = rule.apply(states, ok[:limit], vec)
+    for r, rule in enumerate(compiled):
+        src, dst = rule.apply(states)
         rows.append(src)
         applied.append(np.full(len(src), r, dtype=np.intp))
         new.append(dst)
     rows, applied, new = map(np.concatenate, (rows, applied, new))
     order = np.argsort(narrowed(rows * len(compiled) + applied, len(states) * len(compiled)),
                        kind="stable")
-    return rows[order], applied[order], new[order], error
+    return rows[order], applied[order], new[order]
 
 
 def _applications(model: RuleModel, max_states: int):
@@ -454,10 +430,8 @@ def _applications(model: RuleModel, max_states: int):
     order, and three arrays: the source, target and rule index of every
     application that changes the mixture, by source, then rule, then
     embedding. The frontier is expanded _CHUNK states at a time against the
-    visited states, rows sorted as bytes. Raises what comes first in that
-    order, as a search of one source at a time would: the error of a
-    (source, rule) pair, or StateCapExceeded at the application that finds
-    state max_states + 1."""
+    visited states, rows sorted as bytes. Raises StateCapExceeded once more
+    than max_states states are found."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial.counts, model.interface)
@@ -480,7 +454,7 @@ def _applications(model: RuleModel, max_states: int):
     while len(frontier):
         level, discovered = len(keys), []
         for lo in range(0, len(frontier), _CHUNK):
-            rows, applied, new, error = _expand(compiled, frontier[lo:lo + _CHUNK])
+            rows, applied, new = _expand(compiled, frontier[lo:lo + _CHUNK])
             unique, first, inverse = np.unique(new.view(row).ravel(), return_index=True,
                                                return_inverse=True)
             at = np.searchsorted(seen, unique)
@@ -489,8 +463,6 @@ def _applications(model: RuleModel, max_states: int):
             fresh = np.flatnonzero(~known)
             if len(keys) + len(fresh) > max_states:
                 raise StateCapExceeded(f"reachable set exceeds max_states = {max_states}")
-            if error is not None:
-                raise error
             number = np.empty(len(unique), dtype=np.intp)
             number[known] = seen_number[at[known]]
             number[fresh] = np.arange(len(keys), len(keys) + len(fresh))

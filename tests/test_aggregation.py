@@ -578,10 +578,3 @@ class TestSerialization:
         assert part.blocks == ((1, 2), (0,))
         alphas = aggregation.load_measures(tmp_path / "meas.json", space)
         assert alphas.alphas == ({1: 0.5, 2: 0.5}, {0: 1.0})
-
-    def test_diagnostics_csv(self, tmp_path):
-        path = tmp_path / "diag.csv"
-        aggregation.save_diagnostics(path, [(0.0, 0.0, 0.0), (1.0, 1e-12, 2e-12)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,dev_lump,dev_inv"
-        assert len(lines) == 3

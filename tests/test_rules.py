@@ -24,6 +24,10 @@ def edge(v1, s1, v2, s2):
     return frozenset(((v1, s1), (v2, s2)))
 
 
+def side(sites, *edges):
+    return SiteGraph(frozenset(sites), sites, frozenset(edges))
+
+
 def scaffold_model(na=1, nb=1, nc=1, rates=(1.0, 1.0, 1.0, 1.0)):
     return casestudies.scaffold_model(
         casestudies.ScaffoldParams(na, nb, nc, *rates))
@@ -160,6 +164,53 @@ class TestRuleModelSignature:
                                              f"does not declare$"):
             rules.RuleModel((self.bind(sites),), initial, self.AB)
 
+    RULES = {
+        "bind": rules.RewriteRule(side(AB), side(AB, edge("A", "b", "B", "a")), 1.0, "bind"),
+        "dimer": rules.RewriteRule(side({"A": {"b"}, "A#2": {"b"}}),
+                                   side({"A": {"b"}, "A#2": {"b"}}, edge("A", "b", "A#2", "b")),
+                                   1.0, "dimer"),
+        # binds B.a twice, once to A.b and once to A.x
+        "steal": rules.RewriteRule(side(AB, edge("A", "b", "B", "a")),
+                                   side(AB, edge("A", "b", "B", "a"), edge("A", "x", "B", "a")),
+                                   1.0, "steal"),
+        "grab": rules.RewriteRule(side(AB, edge("A", "b", "B", "a"), edge("A", "x", "B", "a")),
+                                  side(AB, edge("A", "b", "B", "a")), 1.0, "grab"),
+        "bind_z": rules.RewriteRule(side({**AB, "Z": set()}),
+                                    side({**AB, "Z": set()}, edge("A", "b", "B", "a")), 1.0,
+                                    "bind_z"),
+    }
+
+    @pytest.mark.parametrize("names, error, message", [
+        (("bind", "dimer"), UnsupportedPattern, "rule 'dimer' has two nodes of type 'A'"),
+        (("bind", "steal"), SiteConflict, r"rule 'steal' binds \('B', 'a'\) twice"),
+        (("steal",), SiteConflict, r"rule 'steal' binds \('B', 'a'\) twice"),
+        (("bind", "grab"), SiteConflict, r"rule 'grab' binds \('B', 'a'\) twice"),
+        (("bind_z",), ValueError, "rule 'bind_z' has node Z, whose type the model does not "
+                                  "declare"),
+    ], ids=["two-nodes-of-one-type", "right-side-binds-twice", "never-matches-its-start",
+            "left-side-binds-twice", "site-less-node-of-an-undeclared-type"])
+    def test_ill_formed_rule_refused_when_the_model_is_built(self, names, error, message):
+        # refused whether or not the rule would fire: from the edgeless start,
+        # steal alone never does
+        initial = make_mixture(self.AB, {"A": 1, "B": 1})
+        with pytest.raises(error, match=f"^{message}$"):
+            rules.RuleModel(tuple(self.RULES[name] for name in names), initial, self.AB)
+
+    def test_pattern_node_names_do_not_make_edge_types(self):
+        # rules written over A#1 and B#1 bond type A.b-B.a, so a start that
+        # holds that bond is admitted and explores to the edgeless start's states
+        sites = {"A#1": frozenset({"b"}), "B#1": frozenset({"a"})}
+        bond = edge("A#1", "b", "B#1", "a")
+        pair = (rules.RewriteRule(side(sites), side(sites, bond), 1.0, "bind"),
+                rules.RewriteRule(side(sites, bond), side(sites), 1.0, "unbind"))
+        interface = {"A": frozenset({"b"}), "B": frozenset({"a"})}
+        models = [rules.RuleModel(pair, make_mixture(interface, {"A": 2, "B": 2}, start), interface)
+                  for start in ([], [bond])]
+        assert models[1].edge_types == {frozenset({("A", "b"), ("B", "a")})}
+        edgeless, bonded = (rules.explore(model).space.states for model in models)
+        assert len(edgeless) == 7
+        assert sorted(bonded) == sorted(edgeless)
+
     def test_interface_values_normalized(self):
         model = rules.RuleModel((), make_mixture(self.AB, {"A": 1}), {"A": ["x", "b"], "B": {"a"}})
         assert model.interface == self.AB
@@ -254,8 +305,11 @@ class TestExplore:
         with pytest.raises(StateCapExceeded):
             rules.explore(scaffold_model(2, 2, 2), max_states=10)
 
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
     @pytest.mark.parametrize("size, states", [((1, 1, 1), 4), ((2, 2, 2), 49)])
-    def test_state_cap_boundary(self, size, states):
+    def test_state_cap_boundary(self, size, states, chunk, monkeypatch):
+        if chunk:  # the frontier one or two states at a time, else in one chunk
+            monkeypatch.setattr(rules, "_CHUNK", chunk)
         model = scaffold_model(*size)
         assert len(rules.explore(model, max_states=states).space) == states
         with pytest.raises(StateCapExceeded):
@@ -281,10 +335,9 @@ class TestExplore:
         left = SiteGraph(frozenset(sites), sites, frozenset())
         right = SiteGraph(frozenset(sites), sites, frozenset({edge("A", "b", "A#2", "b")}))
         initial = make_mixture({"A": {"b"}}, {"A": 2})
-        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "dimer"),), initial,
-                                {"A": frozenset({"b"})})
-        with pytest.raises(UnsupportedPattern):
-            rules.explore(model)
+        with pytest.raises(UnsupportedPattern, match="rule 'dimer'"):
+            rules.RuleModel((rules.RewriteRule(left, right, 1.0, "dimer"),), initial,
+                            {"A": frozenset({"b"})})
 
     def test_right_side_binds_an_occupied_site(self):
         sites = {"A": frozenset({"b"}), "B": frozenset({"a"}), "C": frozenset({"b"})}
@@ -294,9 +347,8 @@ class TestExplore:
                           frozenset({bond, edge("A", "b", "C", "b")}))
         initial = make_mixture(SCAFFOLD, {"A": 1, "B": 1, "C": 1},
                                [edge("A#1", "b", "B#1", "a")])
-        model = rules.RuleModel((rules.RewriteRule(left, right, 1.0, "steal"),), initial, SCAFFOLD)
-        with pytest.raises(SiteConflict):
-            rules.explore(model)
+        with pytest.raises(SiteConflict, match=r"^rule 'steal' binds \('A', 'b'\) twice$"):
+            rules.RuleModel((rules.RewriteRule(left, right, 1.0, "steal"),), initial, SCAFFOLD)
 
     def test_no_site_graph_per_transition(self, monkeypatch):
         model = scaffold_model(2, 2, 2)
@@ -337,77 +389,6 @@ class TestExplore:
             return sorted(tuple(sorted(row)) for row in rows)
 
         assert sorted_rows(chain.matrix) == sorted_rows(chain2.matrix)
-
-
-def side(sites, *edges):
-    return SiteGraph(frozenset(sites), sites, frozenset(edges))
-
-
-class TestErrorPrecedence:
-    """explore raises what a search of one (source, rule) pair at a time
-    raises: the first error or state cap in (source, rule, embedding) order.
-    Level 1 holds the sources A#1.b-B#1.a, A#1.b-B#2.a, B#1.c-C#1.b and
-    B#2.c-C#1.b, in that order: a rule that binds the A end of an A-B bond
-    twice raises at the first of them, one that binds the C end of a B-C
-    bond twice at the third.
-    The cases hold for any search; they also run with the frontier expanded
-    one or two sources at a time (``rules._CHUNK``, if the search has it)."""
-
-    AB = {"A": frozenset({"b"}), "B": frozenset({"a"})}
-    BC = {"B": frozenset({"c"}), "C": frozenset({"b"})}
-    ABX = {"A": frozenset({"b"}), "B": frozenset({"a", "x"})}
-    BCX = {"B": frozenset({"c", "x"}), "C": frozenset({"b"})}
-    RULES = {
-        "bind_ab": rules.RewriteRule(side(AB), side(AB, edge("A", "b", "B", "a")), 1.0, "bind_ab"),
-        "bind_bc": rules.RewriteRule(side(BC), side(BC, edge("B", "c", "C", "b")), 1.0, "bind_bc"),
-        # binds A.b twice: SiteConflict wherever A is bound
-        "steal_x": rules.RewriteRule(side(ABX, edge("A", "b", "B", "a")),
-                                     side(ABX, edge("A", "b", "B", "a"), edge("A", "b", "B", "x")),
-                                     1.0, "steal_x"),
-        # binds C.b twice: SiteConflict wherever C is bound
-        "steal_c": rules.RewriteRule(side(BCX, edge("B", "c", "C", "b")),
-                                     side(BCX, edge("B", "c", "C", "b"), edge("B", "x", "C", "b")),
-                                     1.0, "steal_c"),
-    }
-
-    @classmethod
-    def model(cls, names):
-        interface = {"A": frozenset({"b"}), "B": frozenset({"a", "c", "x"}), "C": frozenset({"b"})}
-        initial = make_mixture(interface, {"A": 1, "B": 2, "C": 1})
-        return rules.RuleModel(tuple(cls.RULES[name] for name in names), initial, interface)
-
-    @pytest.mark.parametrize("chunk", [None, 1, 2])
-    @pytest.mark.parametrize("names", [("steal_c", "bind_ab", "bind_bc", "steal_x"),
-                                       ("steal_x", "bind_ab", "bind_bc", "steal_c")])
-    def test_the_earlier_source_wins_whatever_the_rule_order(self, names, chunk, monkeypatch):
-        if chunk:  # the sources of level 1 in chunks of one or two, or all in one
-            monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
-        with pytest.raises(SiteConflict, match="steal_x"):
-            rules.explore(self.model(names))
-
-    @pytest.mark.parametrize("chunk", [None, 1, 2])
-    @pytest.mark.parametrize("max_states, error", [
-        (5, StateCapExceeded), (8, StateCapExceeded), (9, SiteConflict), (200, SiteConflict)])
-    def test_the_state_cap_at_an_earlier_source_wins(self, max_states, error, chunk,
-                                                     monkeypatch):
-        # level 1 has 4 states; its first two sources find 2 new ones each
-        # and the third raises, so the cap comes first below 9 states
-        if chunk:
-            monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
-        with pytest.raises(error):
-            rules.explore(self.model(("steal_c", "bind_ab", "bind_bc")), max_states)
-
-    @pytest.mark.parametrize("chunk", [None, 1])
-    @pytest.mark.parametrize("max_states, error", [
-        (5, StateCapExceeded), (6, StateCapExceeded), (7, SiteConflict)])
-    def test_the_state_cap_at_an_earlier_rule_of_one_source_wins(self, max_states, error,
-                                                                  chunk, monkeypatch):
-        # at the first source of level 1, bind_bc finds 2 new states before
-        # steal_x raises
-        if chunk:
-            monkeypatch.setattr(rules, "_CHUNK", chunk, raising=False)
-        with pytest.raises(error):
-            rules.explore(self.model(("bind_bc", "bind_ab", "steal_x")), max_states)
 
 
 @pytest.mark.parametrize("model", [scaffold_model(2, 2, 2, rates=(1.0, 2.0, 0.5, 0.25)),
