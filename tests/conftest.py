@@ -3,6 +3,8 @@
 from collections import Counter
 
 import numpy as np
+import pytest
+import scipy.sparse.linalg
 
 from lumpkit import aggregation, casestudies, markov, rules
 from lumpkit.sitegraph import make_mixture, node_type
@@ -92,3 +94,44 @@ def dense_expm(Q, t, terms=200):
     for _ in range(s):
         result = result @ result
     return result
+
+
+def dense_stationary(matrix):
+    """Least-squares solution of mu (K - I) = 0 (or mu Q = 0), sum(mu) = 1."""
+    k = matrix.dense()
+    if isinstance(matrix, markov.StochasticMatrix):
+        k = k - np.eye(matrix.dim)
+    a = np.vstack([k.T, np.ones(matrix.dim)])
+    b = np.r_[np.zeros(matrix.dim), 1.0]
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def reachability(adj):
+    """Transitive-reflexive closure by repeated boolean squaring: after k
+    squarings it holds every path of up to 2^k steps."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for _ in range(len(adj).bit_length()):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    return reach
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """The sparse LU factorizations that ``markov.stationary`` starts, listed."""
+    real, calls = scipy.sparse.linalg.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    return calls
+
+
+@pytest.fixture
+def without_lu(monkeypatch):
+    """A sparse LU that raises, so only detailed balance can solve."""
+    def refused(*args, **kwargs):
+        raise AssertionError("stationary fell back to the sparse LU")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refused)

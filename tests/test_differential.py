@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import bond_maps
+from conftest import bond_maps, dense_stationary, reachability, row_bond_maps
 
 from lumpkit import aggregation, casestudies, markov, rules
 from lumpkit.errors import ConditionViolated
@@ -229,24 +229,15 @@ def single_closed_class_chains(draw):
     return as_chain(draw, p[np.ix_(order, order)]), np.flatnonzero(order >= closed)
 
 
-def dense_stationary(matrix):
-    """Least-squares solution of mu (K - I) = 0 (or mu Q = 0), sum(mu) = 1."""
-    k = matrix.dense()
-    if isinstance(matrix, markov.StochasticMatrix):
-        k = k - np.eye(matrix.dim)
-    a = np.vstack([k.T, np.ones(matrix.dim)])
-    b = np.r_[np.zeros(matrix.dim), 1.0]
-    return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
-def detailed_balance(chain, ratio):
+def detailed_balance(maps, ratio):
     """pi(s) proportional to the product of k_on / k_off over the bonds of s,
-    ratio[bond type] = k_on / k_off. The case studies bind and unbind one
-    pair of sites per step, at a rate per pair, and each step has its
-    reverse, so pi(s) K(s, s') = pi(s') K(s', s) on every transition."""
+    given the bond map of each state, ratio[bond type] = k_on / k_off. The
+    case studies bind and unbind one pair of sites per step, at a rate per
+    pair, and each step has its reverse, so pi(s) K(s, s') = pi(s') K(s', s)
+    on every transition."""
     log_w = np.array([sum(math.log(ratio[frozenset({(node_type(v), s), (node_type(w), t)})])
                           for v, sites in bonds.items() for s, (w, t) in sites) / 2
-                      for bonds in bond_maps(chain)])  # a bond map lists each bond twice
+                      for bonds in maps])  # a bond map lists each bond twice
     w = np.exp(log_w - log_w.max())
     return w / w.sum()
 
@@ -289,7 +280,21 @@ class TestStationary:
     def test_matches_detailed_balance(self, model, ratio):
         chain = rules.explore(model)
         mu = markov.stationary(chain.matrix)
-        assert np.abs(mu.weights - detailed_balance(chain, ratio)).max() <= 1e-12
+        assert np.abs(mu.weights - detailed_balance(bond_maps(chain), ratio)).max() <= 1e-12
+
+    def test_lumped_solves_lift_to_the_full_one_at_scaffold_444(self, without_lu):
+        # the paper's invertibility at stationarity on 43,681 states, which
+        # the sparse LU does not solve in minutes; the closed form reads the
+        # bond maps from the slot rows, as decoding 43,681 keys takes seconds
+        params = casestudies.ScaffoldParams(4, 4, 4, *RATES)
+        chain = rules.explore(casestudies.scaffold_model(params))
+        mu = markov.stationary(chain.matrix).weights
+        assert np.abs(mu - detailed_balance(row_bond_maps(chain), SCAFFOLD_RATIO)).max() <= 1e-18
+        for phi in (casestudies.scaffold_phi1, casestudies.scaffold_phi2):
+            part = rules.build_partition(chain, phi)
+            alphas = aggregation.uniform_measures(part)
+            lumped = markov.stationary(aggregation.aggregate(chain.matrix, part, alphas).matrix)
+            assert np.abs(aggregation.lift(lumped, part, alphas).weights - mu).max() <= 1e-15
 
 
 @st.composite
@@ -333,14 +338,6 @@ class TestTransient:
         # weights are the exact ones scaled by it
         assert 1.0 - tol <= exact.sum() <= 1.0 + 1e-9
         assert np.abs(w * exact.sum() - exact).max() <= 1e-9
-
-
-def reachability(adj):
-    """Transitive-reflexive closure by repeated boolean squaring."""
-    reach = adj | np.eye(len(adj), dtype=bool)
-    for _ in range(len(adj)):
-        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
-    return reach
 
 
 @st.composite

@@ -3,17 +3,19 @@
 written here from the oracle's ``find_embeddings``, ``apply`` and
 ``mixture_key``."""
 
+import math
+
 import numpy as np
 import oracle
 import pytest
-from conftest import (LOCAL_VIEW_MAPS, bond_maps, fibers, local_view_census, ordered,
-                      row_bond_maps)
+from conftest import (LOCAL_VIEW_MAPS, bond_maps, dense_stationary, fibers, local_view_census,
+                      ordered, reachability, row_bond_maps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpkit import casestudies, cli, rules
+from lumpkit import casestudies, cli, markov, rules
 from lumpkit.aggregation import check_condition, uniform_measures
-from lumpkit.errors import StateCapExceeded
+from lumpkit.errors import NotIrreducible, StateCapExceeded
 from lumpkit.markov import RateMatrix, StateSpace
 from lumpkit.sitegraph import SiteGraph, instance_name, make_mixture
 
@@ -136,6 +138,29 @@ def models(draw, rates=(0.0, 0.5, 1.0, 2.5), bonded=True):
                 if frozenset((v.split("#")[0], s) for v, s in pair) in edge_types]
     bonds = matching(draw, bondable, 4) if bonded and draw(st.booleans()) else set()
     return rules.RuleModel(tuple(rule_list), make_mixture(interface, counts, bonds), interface)
+
+
+@st.composite
+def reversible_models(draw):
+    """A drawn model with each rule joined by its reverse, at rates that make
+    the chain reversible: each edge type has a drawn energy, and a rule that
+    changes the energy by e runs at a drawn rate times exp(-e / 2), its
+    reverse at that rate times exp(e / 2), so that pi(s) is proportional to
+    exp(-energy(s)) (Kelly 1979, ch. 1)."""
+    model = draw(models())
+    energies = {}
+
+    def energy(edges):
+        return sum(energies.setdefault(edge, draw(st.floats(-2.0, 2.0))) for edge in edges)
+
+    both_ways = []
+    for rule in model.rules:
+        rate = draw(st.sampled_from((0.5, 1.0, 2.5)))
+        change = energy(rule.right.edges) - energy(rule.left.edges)
+        both_ways += [
+            rules.RewriteRule(rule.left, rule.right, rate * math.exp(-change / 2), rule.name),
+            rules.RewriteRule(rule.right, rule.left, rate * math.exp(change / 2), rule.name)]
+    return rules.RuleModel(tuple(both_ways), model.initial, model.interface)
 
 
 def outcome(fn):
@@ -279,3 +304,24 @@ class TestSpeciesCensusFromAnEdgelessStart:
         part = rules.build_partition(chain, cli._PHI_FUNCS["species"])
         result = check_condition(chain.matrix, part, uniform_measures(part))
         assert result["holds"], result["residual"]
+
+
+class TestStationaryMatchesADenseSolve:
+    """``markov.stationary`` against a dense least-squares solve on explored
+    chains: reversible ones, solved by detailed balance, and chains of
+    one-way rules or zero rates, which the sparse LU solves or refuses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models(), reversible_models()))
+    def test_same_distribution_or_refused(self, model):
+        chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
+        if chain is None:
+            return
+        reach = reachability(chain.matrix.dense() > 0)
+        closed = (reach <= reach.T).all(axis=1)  # every state it reaches reaches it back
+        if len(np.unique(reach[closed], axis=0)) > 1:
+            with pytest.raises(NotIrreducible):
+                markov.stationary(chain.matrix)
+        else:
+            got = markov.stationary(chain.matrix).weights
+            assert np.abs(got - dense_stationary(chain.matrix)).max() <= 1e-10

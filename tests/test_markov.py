@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_expm
+from conftest import dense_expm, dense_stationary
 from oracle import cesaro, evolve_discrete
 from lumpkit import aggregation, casestudies, markov, rules
 from lumpkit.errors import NotIrreducible, RateBoundViolated, SolverFailure
@@ -19,6 +19,18 @@ from lumpkit.errors import NotIrreducible, RateBoundViolated, SolverFailure
 
 def two_state_q(a=1.3, b=0.7):
     return markov.RateMatrix.from_dense(np.array([[-a, a], [b, -b]]))
+
+
+def rate_matrix(dim, entries):
+    """The generator with these (row, col, rate) off-diagonal entries."""
+    row, col, rate = map(np.array, zip(*entries))
+    return markov.RateMatrix(dim, np.r_[row, row], np.r_[col, row], np.r_[rate, -rate])
+
+
+def birth_death(birth, death):
+    """The generator of k -> k + 1 at birth[k] and k + 1 -> k at death[k]."""
+    k = np.arange(len(birth))
+    return rate_matrix(len(k) + 1, [*zip(k, k + 1, birth), *zip(k + 1, k, death)])
 
 
 @st.composite
@@ -154,11 +166,20 @@ class TestStationary:
         assert np.allclose(markov.stationary(p).weights, [0.5, 0.5], atol=1e-14)
 
     @pytest.mark.parametrize("rate", [1e-15, 1e-13])
-    def test_tiny_weight_kept(self, rate):
+    def test_tiny_weight_kept(self, rate, lu_calls):
         # a weight far below the largest is still a weight, not rounding
         q = markov.RateMatrix.from_dense(np.array([[-1.0, 1.0], [rate, -rate]]))
         exact = np.array([rate, 1.0]) / (1.0 + rate)
         assert np.abs(markov.stationary(q).weights / exact - 1.0).max() <= 1e-12
+        assert lu_calls == []
+
+    @pytest.mark.parametrize("rate", [1e-15, 1e-13])
+    def test_tiny_weight_kept_by_the_lu(self, rate, lu_calls):
+        # one way round a 3-cycle, pi(i) is proportional to 1 / q_i
+        q = rate_matrix(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, rate)])
+        exact = np.array([rate, rate, 1.0]) / (1.0 + 2.0 * rate)
+        assert np.abs(markov.stationary(q).weights / exact - 1.0).max() <= 1e-12
+        assert len(lu_calls) == 1
 
     def test_tol_default_is_its_constant(self):
         default = inspect.signature(markov.stationary).parameters["tol"].default
@@ -172,6 +193,16 @@ class TestStationary:
         np.fill_diagonal(q, -q.sum(axis=1))
         with pytest.raises(SolverFailure, match="residual"):
             markov.stationary(markov.RateMatrix.from_dense(q), tol=0.0)
+
+    def test_residual_above_tol_refused_after_detailed_balance(self, lu_calls):
+        # a reversible chain whose balanced weights leave a flow residual
+        # above tol goes on to the LU, which is refused too
+        rng = np.random.default_rng(7)
+        q = birth_death(rng.uniform(0.1, 1.0, 29), rng.uniform(0.1, 1.0, 29))
+        assert 0.0 < np.abs(q.vecmat(markov._detailed_balance(q))).max()
+        with pytest.raises(SolverFailure, match="residual"):
+            markov.stationary(q, tol=0.0)
+        assert len(lu_calls) == 1
 
     def test_reducible_rejected(self):
         p = markov.StochasticMatrix.from_dense(np.eye(2))
@@ -192,6 +223,50 @@ class TestStationary:
         b = np.concatenate([np.zeros(3), [1.0]])
         oracle = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.abs(mu.weights - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)],
+        [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 3.0), (2, 0, 0.7)],
+        # every entry has its reverse, but the rate products round the
+        # cycle differ (2 one way, 1 the other): Kolmogorov's criterion fails
+        [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 2.0), (2, 1, 1.0), (2, 0, 1.0), (0, 2, 1.0)],
+        # off by 1e-11: the tree's weights leave a flow residual of about
+        # 3e-12, within tol, but an entry out of balance by 1e-11
+        [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0 + 1e-11), (2, 1, 1.0), (2, 0, 1.0), (0, 2, 1.0)],
+    ], ids=["one-way-cycle", "one-one-way-entry", "unbalanced-cycle", "nearly-balanced-cycle"])
+    def test_chains_without_detailed_balance_take_the_lu(self, entries, lu_calls):
+        q = rate_matrix(3, entries)
+        assert np.abs(markov.stationary(q).weights - dense_stationary(q)).max() < 1e-12
+        assert len(lu_calls) == 1
+
+    def test_two_reversible_components_rejected(self):
+        # every entry balances with weight 1 on the states the tree misses
+        q = rate_matrix(4, [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 1.5), (3, 2, 1.5)])
+        with pytest.raises(NotIrreducible):
+            markov.stationary(q)
+
+    @pytest.mark.parametrize("ratio", [1e150, 1e-150])
+    def test_extreme_rate_ratios_balanced_in_log_space(self, ratio, lu_calls):
+        # the weights span ratio^3 = 1e+-450, past the float range: the
+        # smallest underflows to 0 and every other one is exact
+        q = birth_death(np.full(3, ratio), np.ones(3))
+        w = markov.stationary(q).weights
+        log_w = np.arange(4) * math.log(ratio)
+        log_w -= log_w.max() + math.log(np.exp(log_w - log_w.max()).sum())
+        kept = log_w > math.log(np.finfo(float).tiny)
+        assert np.isfinite(w).all() and (w[~kept] == 0.0).all() and kept.sum() == 3
+        assert np.abs(np.log(w[kept]) - log_w[kept]).max() <= 1e-12
+        assert lu_calls == []
+
+    def test_detailed_balance_past_32_bit_edge_codes(self, without_lu):
+        # 50,000 states: a code row * n + col in 32 bits wraps past 46,341
+        # states; pi(k) is proportional to the product of birth / death rates
+        rng = np.random.default_rng(31)
+        birth, death = rng.uniform(0.5, 2.0, 49_999), rng.uniform(0.5, 2.0, 49_999)
+        w = markov.stationary(birth_death(birth, death)).weights
+        log_w = np.r_[0.0, np.cumsum(np.log(birth.astype(np.longdouble) / death))]
+        exact = np.exp(log_w - log_w.max())
+        assert np.abs(w / (exact / exact.sum()) - 1.0).max() <= 1e-12
 
 
 class TestUniformize:
