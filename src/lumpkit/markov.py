@@ -3,8 +3,13 @@
 Matrices are stored sparsely as coordinate arrays in row-major order;
 distributions are dense vectors. All values are immutable after construction
 and every operation is a pure function, so concurrent read access is safe.
-scipy is imported only inside the functions that use it, ``classify``,
-``_detailed_balance`` and ``stationary``'s LU, which keeps ``import lumpkit``
+Two derived values are built on first use and kept for the matrix's
+lifetime: a matrix's compiled sparse operator, which ``vecmat`` multiplies
+by, and a generator's uniformized chain, which ``transient`` steps. Both are
+functions of the immutable arrays, so two threads that build one at once
+build equal copies, and keeping either is harmless. scipy is imported only
+inside the functions that use it, ``classify``, ``_detailed_balance``,
+``stationary``'s LU and the operator's builder, which keeps ``import lumpkit``
 fast.
 """
 
@@ -17,6 +22,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +81,11 @@ def run_starts(*keys):
 class SquareMatrix:
     """Square sparse matrix held as three read-only arrays: ``row``, ``col``
     and ``data`` list the nonzero entries sorted by (row, col), with
-    duplicate coordinates summed and exact zeros dropped."""
+    duplicate coordinates summed and exact zeros dropped.
+
+    ``vecmat`` multiplies by a scipy sparse operator over these arrays,
+    built on the first product and kept for the matrix's lifetime; building
+    it twice in a race is harmless."""
 
     def __init__(self, dim, row, col, data):
         if dim <= 0:
@@ -156,7 +166,19 @@ class SquareMatrix:
 
     def vecmat(self, v):
         """Row vector times matrix: (v K)_j = sum_i v_i K(i, j)."""
-        return np.bincount(self.col, weights=v[self.row] * self.data, minlength=self.dim)
+        return self._operator @ v
+
+    @cached_property
+    def _operator(self):
+        """K^T for scipy's compiled product: the transpose of a CSR array
+        over the matrix's own ``col`` and ``data``, which are already in
+        row-major order, so only ``indptr`` is new. Its product sums each
+        output over increasing i, the order of the entries."""
+        from scipy.sparse import csr_array
+
+        indptr = np.r_[0, np.cumsum(np.bincount(self.row, minlength=self.dim))]
+        indptr.flags.writeable = False
+        return csr_array((self.data, self.col, indptr), shape=(self.dim, self.dim)).T
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.dim == other.dim
@@ -188,6 +210,13 @@ class RateMatrix(SquareMatrix):
         rates = np.zeros(self.dim)
         rates[self.row[diagonal]] = -self.data[diagonal]
         return rates
+
+    @cached_property
+    def _uniformized(self):
+        """The chain ``transient`` steps, uniformize(Q, default_rate(Q)),
+        built on the first solve and kept with its operator: one more copy
+        of the entries, shared by every later horizon."""
+        return uniformize(self, default_rate(self))
 
 
 class Distribution:
@@ -284,10 +313,13 @@ def _detailed_balance(K):
     The tree is breadth-first from state 0 over the off-diagonal entries,
     each of which must have its reverse. log pi(j) - log pi(i) = log K(i, j)
     - log K(j, i) for j's parent i, and these steps are summed up the tree by
-    pointer doubling: log2 of the depth vector steps, not one per level. The
-    result stands only if every entry balances its reverse,
-    |log pi(i) K(i, j) - log pi(j) K(j, i)| <= DETAILED_BALANCE_TOL, which
-    bounds the difference of the two sides relative to the larger one.
+    pointer doubling: d = log2 of the depth vector steps, not one per level.
+    The result stands only if every entry balances its reverse,
+    |log pi(i) K(i, j) - log pi(j) K(j, i)| <= DETAILED_BALANCE_TOL
+    + (d + 1) eps (|log pi(i)| + |log K(i, j)| + |log pi(j)| + |log K(j, i)|).
+    The first term bounds the difference of the two sides relative to the
+    larger one; the second is the rounding of the log terms, which grows
+    with them (an ulp of log pi is 3.6e-12 where it is 23,000).
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import breadth_first_order
@@ -309,11 +341,15 @@ def _detailed_balance(K):
     log_pi = np.zeros(n)
     log_pi[col[tree]] = log_rate[tree] - log_rate[back[tree]]
     # invariant: log_pi[j] = log pi(j) - log pi(above[j]); state 0 is above itself
-    above = np.maximum(parent, 0)
+    above, doublings = np.maximum(parent, 0), 0
     while above.any():
-        log_pi, above = log_pi + log_pi[above], above[above]
+        log_pi, above, doublings = log_pi + log_pi[above], above[above], doublings + 1
     flux = log_pi[row] + log_rate
-    if not np.abs(flux - flux[back]).max(initial=0.0) <= DETAILED_BALANCE_TOL:
+    # each log pi is a sum of `doublings` rounded additions and each side of
+    # an entry's balance one more, so rounding grows with the log terms
+    scale = np.abs(log_pi[row]) + np.abs(log_rate)
+    bound = DETAILED_BALANCE_TOL + (doublings + 1) * np.finfo(float).eps * (scale + scale[back])
+    if not (np.abs(flux - flux[back]) <= bound).all():
         return None
     mu = np.exp(log_pi - log_pi.max())
     return mu / mu.sum()
@@ -327,8 +363,9 @@ def stationary(K, tol=DEFAULT_STATIONARY_TOL) -> Distribution:
     returned when every off-diagonal entry has its reverse, a breadth-first
     tree over them reaches every state (so the chain is irreducible, with
     no ``classify``), every entry balances its reverse to
-    DETAILED_BALANCE_TOL = 1e-12 relative to the larger side, and the flow
-    residual is at most tol. A chain of 43,681 states takes about 0.05 s.
+    DETAILED_BALANCE_TOL = 1e-12 relative to the larger side plus the
+    rounding of its log terms, and the flow residual is at most tol. A chain
+    of 43,681 states takes about 0.05 s.
 
     Otherwise, solves mu K = mu (stochastic) or mu K = 0 (rate) with the
     last balance equation replaced by the normalization, by a sparse LU
@@ -437,7 +474,15 @@ def transient(Q: RateMatrix, pi0: Distribution, t: float,
               tol: float = DEFAULT_TRANSIENT_TOL) -> Distribution:
     """Transient solution pi0 e^{Qt} via the uniformized Poisson-weighted
     series, truncated on both sides with at most tol of Poisson mass lost;
-    raises SolverFailure when r*t needs more than POISSON_TERM_CAP terms."""
+    raises SolverFailure when r*t needs more than POISSON_TERM_CAP terms.
+
+    The series steps the uniformized chain M = I + Q/r, r = default_rate(Q),
+    through r*t + O(sqrt(r*t log(1/tol))) Poisson terms. Each term costs one
+    product v M, O(nnz(M)) in scipy's compiled sparse kernel (about 13 us at
+    1,156 states and 0.6 ms at 43,681 states, one core of a shared x86_64
+    machine), and one vector update. M and its operator are built on Q's
+    first solve and kept on Q, so every later horizon on Q pays for its
+    terms only."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative")
     if not 0 < tol < 1:
@@ -449,9 +494,8 @@ def transient(Q: RateMatrix, pi0: Distribution, t: float,
     qmax = float(Q.exit_rates().max())
     if qmax == 0.0:
         return pi0
-    r = default_rate(Q)
-    left, weights = _poisson_window(r * t, tol)
-    m = uniformize(Q, r)
+    left, weights = _poisson_window(default_rate(Q) * t, tol)
+    m = Q._uniformized
     v = pi0.weights
     for _ in range(left):
         v = m.vecmat(v)

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -249,6 +251,12 @@ SCAFFOLD_RATIO = {A_B: RATES[0] / RATES[2], B_C: RATES[1] / RATES[3]}  # c1/c3, 
 POLYMER_RATIO = {A_B: RATES[0] / RATES[1], A_R_B_L: RATES[2] / RATES[3]}  # b-a, then r-l
 
 
+@pytest.fixture(scope="module")
+def scaffold_444():
+    """The full scaffold (4,4,4) chain: 43,681 states, 498,465 nonzeros."""
+    return rules.explore(casestudies.scaffold_model(casestudies.ScaffoldParams(4, 4, 4, *RATES)))
+
+
 class TestStationary:
     @settings(max_examples=100, deadline=None)
     @given(irreducible_chains())
@@ -282,12 +290,11 @@ class TestStationary:
         mu = markov.stationary(chain.matrix)
         assert np.abs(mu.weights - detailed_balance(bond_maps(chain), ratio)).max() <= 1e-12
 
-    def test_lumped_solves_lift_to_the_full_one_at_scaffold_444(self, without_lu):
+    def test_lumped_solves_lift_to_the_full_one_at_scaffold_444(self, scaffold_444, without_lu):
         # the paper's invertibility at stationarity on 43,681 states, which
         # the sparse LU does not solve in minutes; the closed form reads the
         # bond maps from the slot rows, as decoding 43,681 keys takes seconds
-        params = casestudies.ScaffoldParams(4, 4, 4, *RATES)
-        chain = rules.explore(casestudies.scaffold_model(params))
+        chain = scaffold_444
         mu = markov.stationary(chain.matrix).weights
         assert np.abs(mu - detailed_balance(row_bond_maps(chain), SCAFFOLD_RATIO)).max() <= 1e-18
         for phi in (casestudies.scaffold_phi1, casestudies.scaffold_phi2):
@@ -327,6 +334,17 @@ class TestTransient:
         want = pi0.weights @ reference_expm(q.dense() * t)
         assert np.isfinite(got.weights).all()
         assert np.abs(got.weights - want).max() <= 1e-9
+
+    def test_matches_expm_multiply_at_scaffold_444(self, scaffold_444):
+        # the full n=4 chain against scipy's expm_multiply (Al-Mohy and
+        # Higham 2011), a truncated Taylor series that shares nothing with
+        # uniformization
+        q = scaffold_444.matrix
+        qt = scipy.sparse.csr_array((q.data, (q.col, q.row)), shape=(q.dim, q.dim))
+        pi0 = markov.Distribution.uniform(q.dim)
+        for t in (2.0, 8.0):
+            want = scipy.sparse.linalg.expm_multiply(qt * t, pi0.weights)
+            assert np.abs(markov.transient(q, pi0, t).weights - want).max() <= 1e-12
 
     @pytest.mark.parametrize("rt", [0.01, 1.0, 30.0, 745.0, 1e4, 2e5])
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
@@ -379,6 +397,70 @@ class TestClassify:
         assert list(got.closed_flags) == closed
         assert list(got.periods) == periods
         assert got.irreducible == (len(classes) == 1 and closed[0])
+
+
+# --- vecmat against dense products and the bincount sums it replaced -------------
+
+def canonical_chains(seed):
+    """A rate matrix and a stochastic matrix, of dimension seed % 8 + 1 and
+    drawn from the seed. The rate matrix has a state with no entries at
+    all and an absorbing state, whose empty row has no diagonal entry; the
+    stochastic matrix has a state that no entry enters, but at dim 1."""
+    rng = np.random.default_rng(seed)
+    dim = seed % 8 + 1
+    empty, absorbing = rng.permutation(dim)[[0, -1]]
+    q = np.where(rng.random((dim, dim)) < 0.5, rng.uniform(0.1, 5.0, (dim, dim)), 0.0)
+    q[empty], q[:, empty], q[absorbing] = 0.0, 0.0, 0.0
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    p = np.where(rng.random((dim, dim)) < 0.5, rng.uniform(0.1, 1.0, (dim, dim)), 0.0)
+    p[:, empty] = 0.0
+    p[p.sum(axis=1) == 0, absorbing] = 1.0
+    return (markov.RateMatrix.from_dense(q),
+            markov.StochasticMatrix.from_dense(p / p.sum(axis=1, keepdims=True)))
+
+
+def bincount_vecmat(k, v):
+    """v K as it was summed before scipy's product: left to right over the
+    entries in row-major order, one bin per column."""
+    return np.bincount(k.col, weights=v[k.row] * k.data, minlength=k.dim)
+
+
+class TestVecmat:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_dense_product(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in canonical_chains(seed):
+            for v in (rng.random(k.dim), rng.standard_normal(k.dim)):
+                dense = k.dense()
+                got = k.vecmat(v)
+                assert got.shape == (k.dim,)
+                assert (np.abs(got - v @ dense) <= 1e-15 * (np.abs(v) @ np.abs(dense))).all()
+
+    def test_the_seeds_hold_the_edge_cases(self):
+        chains = [canonical_chains(seed) for seed in range(24)]
+        assert {q.dim for q, _ in chains} >= {1} and {q.data.size for q, _ in chains} >= {0}
+        for q, _ in chains:
+            no_diagonal = np.setdiff1d(np.arange(q.dim), q.row[q.row == q.col])
+            assert np.isin(no_diagonal, q.row, invert=True).any()  # an absorbing state
+            assert np.isin(np.arange(q.dim), np.r_[q.row, q.col], invert=True).any()
+
+    @pytest.mark.parametrize("model", [
+        casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3, *RATES)),
+        casestudies.polymer_model(casestudies.PolymerParams(3, *RATES)),
+    ], ids=["scaffold-333", "polymer-3"])
+    def test_case_studies_equal_the_bincount_sums(self, model):
+        q = rules.explore(model).matrix
+        m = markov.uniformize(q, markov.default_rate(q))
+        rng = np.random.default_rng(32)
+        for k in (q, m):
+            for v in (np.full(k.dim, 1.0 / k.dim), rng.random(k.dim), rng.standard_normal(k.dim)):
+                assert np.array_equal(k.vecmat(v), bincount_vecmat(k, v))
+        # and along a run of uniformization steps, each from the last
+        v = w = np.full(m.dim, 1.0 / m.dim)
+        for _ in range(200):
+            v, w = m.vecmat(v), bincount_vecmat(m, w)
+        assert np.array_equal(v, w)
 
 
 # --- narrowed sort keys against the int64 sorts they replaced ----------------------

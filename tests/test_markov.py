@@ -268,6 +268,20 @@ class TestStationary:
         exact = np.exp(log_w - log_w.max())
         assert np.abs(w / (exact / exact.sum()) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [10_000, 50_000])
+    def test_detailed_balance_where_log_pi_spans_ten_thousand_and_more(self, n, without_lu):
+        # log pi falls by about 2.3 per state, so at 10,000 states an ulp of
+        # log pi is over 1e-12: the edge bound must grow with the log terms
+        rng = np.random.default_rng(1)
+        birth, death = rng.uniform(0.1, 1.0, n - 1), rng.uniform(1.0, 10.0, n - 1)
+        w = markov.stationary(birth_death(birth, death)).weights
+        log_w = np.r_[0.0, np.cumsum(np.log(birth.astype(np.longdouble) / death))]
+        assert -log_w.min() > 2 * n
+        log_w -= log_w.max() + np.log(np.exp(log_w - log_w.max()).sum())
+        kept = log_w > math.log(np.finfo(float).tiny)
+        assert 100 < kept.sum() < n
+        assert np.abs(w[kept] / np.exp(log_w[kept]) - 1.0).max() <= 1e-12
+
 
 class TestUniformize:
     def test_zero_generator(self):
@@ -377,6 +391,36 @@ class TestTransient:
             q = markov.RateMatrix.from_dense(np.array([[-rate, rate], [rate, -rate]]))
             with pytest.raises(SolverFailure, match=f"cap of {markov.POISSON_TERM_CAP}"):
                 markov.transient(q, markov.Distribution([1.0, 0.0]), t)
+
+    @pytest.mark.parametrize("times", [(0.5, 2.0, 8.0), (8.0, 2.0, 0.5)])
+    def test_horizons_share_one_uniformized_chain(self, times):
+        # each solve equals the same solve on a fresh copy of the generator:
+        # the kept chain carries nothing from one horizon to the next
+        q = rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2))).matrix
+        pi0 = markov.Distribution.point_mass(q.dim, 0)
+        got = [markov.transient(q, pi0, t).weights for t in times]
+        kept = q._uniformized
+        for t, x in zip(times, got):
+            fresh = markov.RateMatrix(q.dim, q.row, q.col, q.data)
+            assert np.array_equal(x, markov.transient(fresh, pi0, t).weights)
+        assert q._uniformized is kept
+        assert kept == markov.uniformize(q, markov.default_rate(q))
+
+    def test_kept_chain_is_read_only(self):
+        q = two_state_q()
+        markov.transient(q, markov.Distribution([1.0, 0.0]), 1.0)
+        m = q._uniformized
+        op = m._operator
+        for arr in (m.row, m.col, m.data, op.indptr, op.indices, op.data):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0] = 0.5
+
+    def test_zero_generator_builds_nothing(self):
+        q = markov.RateMatrix.from_dense(np.zeros((3, 3)))
+        pi0 = markov.Distribution([0.2, 0.3, 0.5])
+        assert markov.transient(q, pi0, 4.0) is pi0
+        assert "_uniformized" not in vars(q) and "_operator" not in vars(q)
 
     @settings(max_examples=25, deadline=None)
     @given(small_rate_matrices(), st.floats(min_value=0.0, max_value=3.0))
