@@ -323,13 +323,9 @@ def save_partition(path, part: Partition, space):
 def load_partition(path, space) -> Partition:
     data = markov.load_json(path)
     markov.check_shape(data, {"blocks": [[str]]}, path)
-    blocks = tuple(tuple(space.lookup(k, path) for k in block) for block in data["blocks"])
-    seen = set()
-    for key in itertools.chain.from_iterable(data["blocks"]):
-        if key in seen:
-            raise ValueError(f"state {key!r} listed twice in {path}")
-        seen.add(key)
-    uncovered = len(space) - len(seen)
+    found = iter(space.indices([k for b in data["blocks"] for k in b], path).tolist())
+    blocks = tuple(tuple(itertools.islice(found, len(b))) for b in data["blocks"])
+    uncovered = len(space) - sum(map(len, blocks))
     with markov.naming(path):
         if uncovered:
             raise ValueError(f"partition leaves {uncovered} of {len(space)} states uncovered")
@@ -344,8 +340,8 @@ def save_measures(path, alphas: MeasureFamily, space):
 def load_measures(path, space) -> MeasureFamily:
     data = markov.load_json(path)
     markov.check_shape(data, {"alphas": [{str: float}]}, path)
-    alphas = tuple({space.lookup(k, path): float(w) for k, w in a.items()}
-                   for a in data["alphas"])
+    found = iter(space.indices([k for a in data["alphas"] for k in a], path).tolist())
+    alphas = tuple({next(found): float(w) for w in a.values()} for a in data["alphas"])
     with markov.naming(path):
         return MeasureFamily(alphas)
 

@@ -46,18 +46,28 @@ class StateSpace:
     def __post_init__(self):
         index = {key: i for i, key in enumerate(self.states)}
         if len(index) != len(self.states):
-            raise ValueError("state keys must be pairwise distinct")
+            raise ValueError(f"state {_first_repeat(self.states)!r} listed twice")
         object.__setattr__(self, "index", index)
 
     def __len__(self):
         return len(self.states)
 
-    def lookup(self, key, path):
-        """Index of a state key read from the file at path."""
+    def indices(self, keys, path):
+        """The index array of state keys read from the file at path, which
+        must name known states, each at most once."""
         try:
-            return self.index[key]
-        except KeyError:
-            raise ValueError(f"unknown state {key!r} in {path}") from None
+            found = np.fromiter(map(self.index.__getitem__, keys), dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"unknown state {exc.args[0]!r} in {path}") from None
+        if np.unique(found).size < found.size:
+            raise ValueError(f"state {_first_repeat(keys)!r} listed twice in {path}")
+        return found
+
+
+def _first_repeat(keys):
+    """The first key that an earlier one equals, or None."""
+    seen = set()
+    return next((key for key in keys if key in seen or seen.add(key)), None)
 
 
 def narrowed(key, bound):
@@ -90,15 +100,22 @@ class SquareMatrix:
     def __init__(self, dim, row, col, data):
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        row = np.asarray(row, dtype=np.int64).ravel()
-        col = np.asarray(col, dtype=np.int64).ravel()
-        data = np.asarray(data, dtype=float).ravel()
+        row, col, data = (np.asarray(arr).ravel() for arr in (row, col, data))
+        # numpy would cast "1", True and 0.5 to the index 1, 1 and 0
+        if not all(a.dtype.kind in "iu" or a.dtype.kind == "f" and (a % 1 == 0).all()
+                   for a in (row, col)):
+            raise ValueError("triplet row and column indices must be integers")
+        if data.dtype.kind not in "iuf":
+            raise ValueError("entries must be real numbers")
         if not row.shape == col.shape == data.shape:
             raise ValueError("row, column and value arrays differ in length")
         outside = (row < 0) | (row >= dim) | (col < 0) | (col >= dim)
         if outside.any():
             k = int(np.argmax(outside))
-            raise ValueError(f"entry ({row[k]}, {col[k]}) out of range for dimension {dim}")
+            raise ValueError(f"entry ({int(row[k])}, {int(col[k])}) out of range "
+                             f"for dimension {dim}")
+        row, col = row.astype(np.int64, copy=False), col.astype(np.int64, copy=False)
+        data = data.astype(float, copy=False)
         if not np.isfinite(data).all():
             raise ValueError("entries must be finite")
         order = np.lexsort((narrowed(col, dim), narrowed(row, dim)))
@@ -131,23 +148,6 @@ class SquareMatrix:
             raise ValueError("expected a square matrix")
         row, col = np.nonzero(arr)
         return cls(arr.shape[0], row, col, arr[row, col])
-
-    @classmethod
-    def from_triplets(cls, dim, triplets):
-        """The matrix of a sequence of (row, col, value) entries, read as one
-        flat run of 3 * len(triplets) floats."""
-        try:
-            t = (np.fromiter(itertools.chain.from_iterable(triplets), dtype=float,
-                             count=3 * len(triplets)).reshape(-1, 3)
-                 if set(map(len, triplets)) <= {3} else None)
-        except TypeError:  # an entry, or a number in one, of the wrong kind
-            t = None
-        if t is None:
-            raise ValueError("triplets must be [row, col, value] entries")
-        index = t[:, :2]
-        if not (np.isfinite(index) & (index == np.round(index))).all():
-            raise ValueError("triplet row and column indices must be integers")
-        return cls(dim, index[:, 0], index[:, 1], t[:, 2])
 
     def dense(self):
         arr = np.zeros((self.dim, self.dim))
@@ -377,11 +377,13 @@ def stationary(K, tol=DEFAULT_STATIONARY_TOL) -> Distribution:
     The states outside the one closed class get weight exactly 0; every
     other weight is kept, however small.
     """
-    mu = _detailed_balance(K)
-    if mu is not None:
+    def flow_residual(mu):
         flow = K.vecmat(mu)
-        if np.max(np.abs(flow - mu if isinstance(K, StochasticMatrix) else flow)) <= tol:
-            return Distribution(mu)
+        return np.max(np.abs(flow - mu if isinstance(K, StochasticMatrix) else flow))
+
+    mu = _detailed_balance(K)
+    if mu is not None and flow_residual(mu) <= tol:
+        return Distribution(mu)
 
     from scipy.sparse import csr_array, eye_array, vstack
     from scipy.sparse.linalg import splu
@@ -409,8 +411,7 @@ def stationary(K, tol=DEFAULT_STATIONARY_TOL) -> Distribution:
     if not np.isfinite(mu).all() or (mu < 0).any():
         raise SolverFailure("stationary solve produced negative or non-finite weights")
     mu = mu / mu.sum()
-    flow = K.vecmat(mu)
-    residual = np.max(np.abs(flow - mu if isinstance(K, StochasticMatrix) else flow))
+    residual = flow_residual(mu)
     if not residual <= tol:
         raise SolverFailure(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
     return Distribution(mu)
@@ -536,9 +537,8 @@ def load_json(path) -> dict:
 def _unique_keys(pairs) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen = set()
-        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise ValueError(f"key {repeated!r} listed twice in one object")
+        raise ValueError(f"key {_first_repeat([key for key, _ in pairs])!r} "
+                         f"listed twice in one object")
     return obj
 
 
@@ -586,7 +586,11 @@ def load_chain(path):
         check_shape(triplets, [[float]], path, "triplets")
     with naming(path):
         space = StateSpace(tuple(data["states"]))
-        return space, cls.from_triplets(len(space), triplets)
+        if set(map(len, triplets)) - {3}:
+            raise ValueError("triplets must be [row, col, value] entries")
+        flat = np.fromiter(itertools.chain.from_iterable(triplets), dtype=float,
+                           count=3 * len(triplets))
+        return space, cls(len(space), flat[0::3], flat[1::3], flat[2::3])
 
 
 def save_distribution(path, space: StateSpace, dist: Distribution):
@@ -597,21 +601,19 @@ def save_distribution(path, space: StateSpace, dist: Distribution):
 
 
 def load_distribution(path, space: StateSpace) -> Distribution:
-    weights = np.zeros(len(space))
-    seen = set()
     with naming(path), open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
+    keys, values = [], []
     for number, row in enumerate(rows, start=1):
         if not row:
             continue
         try:
             key, value = row
-            weight = float(value)
+            values.append(float(value))
         except ValueError:
             raise ValueError(f"row {number} of {path} is not key,weight: {row!r}") from None
-        if key in seen:
-            raise ValueError(f"state {key!r} listed twice in {path}")
-        seen.add(key)
-        weights[space.lookup(key, path)] = weight
+        keys.append(key)
+    weights = np.zeros(len(space))
+    weights[space.indices(keys, path)] = values
     with naming(path):
         return Distribution(weights)

@@ -14,7 +14,6 @@ which keeps the total exit rate equal to sum of rate * embedding count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from operator import itemgetter
@@ -105,11 +104,9 @@ class RuleModel:
                          for side in (rule.left, rule.right) for edge in side.edges)
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _part_ends(part: str) -> tuple:
     """The two ends of one ``v1.s1-v2.s2`` part of a mixture key, each as
-    its node, its bond as the node's bond map lists it, and the node's
-    type; the parts of a model's keys are few."""
+    its node and its bond as the node's bond map lists it."""
     try:
         end1, end2 = part.split("-")
         (v1, s1), (v2, s2) = end1.rsplit(".", 1), end2.rsplit(".", 1)
@@ -117,27 +114,30 @@ def _part_ends(part: str) -> tuple:
         raise ValueError(f"malformed bond {part!r}") from None
     if v1 == v2:
         raise ValueError(f"bond {part!r}, which joins a node to itself")
-    return (v1, (s1, (v2, s2)), node_type(v1)), (v2, (s2, (v1, s1)), node_type(v2))
+    return (v1, (s1, (v2, s2))), (v2, (s2, (v1, s1)))
 
 
 def mixture_from_key(key: str, counts: dict, interface: dict) -> dict:
     """The bond map of the mixture a state key encodes, as
     ``SiteGraph.bonds()`` gives it: every instance of counts -> a tuple of
-    its bonds in site order. A key that names an instance outside counts,
-    binds a site twice or binds a site that its type does not declare in
-    interface (type -> sites) raises ``ValueError``, naming the key (each
-    end: its instance, then its site). The one validating parser of keys;
-    ``_key_rows`` runs one state of a chain through it."""
-    bonds = {v: [] for v in _instances(tuple(counts.items()))}
+    its bonds in site order. The instances and their declared sites are
+    ``_layout(counts, interface)``'s, the slots of explore's rows. A key
+    that names an instance outside counts, binds a site twice or binds a
+    site that its type does not declare in interface (type -> sites) raises
+    ``ValueError``, naming the key (each end: its instance, then its site).
+    The one validating parser of keys; ``_key_rows`` runs one state of a
+    chain through it."""
+    slots = _layout(counts, interface)[1]
+    bonds = {v: [] for v in slots}
     for part in () if key == "-" else key.split(";"):
         try:
-            ends = (v1, bond1, _), (v2, bond2, _) = _part_ends(part)
+            ends = (v1, bond1), (v2, bond2) = _part_ends(part)
         except ValueError as exc:  # it names the part
             raise ValueError(f"state {key!r} holds {exc}") from None
-        for v, (s, _), t in ends:
-            if v not in bonds:
+        for v, (s, _) in ends:
+            if v not in slots:
                 raise ValueError(f"state {key!r} names {v}, an instance outside the counts")
-            if s not in interface.get(t, ()):
+            if s not in slots[v]:
                 raise ValueError(f"state {key!r} binds site {s!r} of {v}, which "
                                  f"the model does not declare")
         bonds[v1].append(bond1)
@@ -149,13 +149,6 @@ def mixture_from_key(key: str, counts: dict, interface: dict) -> dict:
                 raise ValueError(f"state {key!r} binds a site twice")
         bonds[v] = tuple(sites)
     return bonds
-
-
-@functools.lru_cache(maxsize=16)
-def _instances(counts) -> tuple:
-    """The instance names of the (type, count) pairs: formatting them for
-    every key would take a third of a decode."""
-    return tuple(instance_name(t, j) for t, n in counts for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ def _key_rows(keys, counts, interface):
     pair = np.full((len(number), 2), -1, dtype=np.intp)
     for j, part in enumerate(number):
         try:  # not placed: malformed, a self-bond, or an instance or site undeclared
-            (v1, (s1, _), _), (v2, (s2, _), _) = _part_ends(part)
+            (v1, (s1, _)), (v2, (s2, _)) = _part_ends(part)
             pair[j] = slots[v1][s1], slots[v2][s2]
         except (KeyError, ValueError):
             pass

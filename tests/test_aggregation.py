@@ -578,3 +578,6 @@ class TestSerialization:
         assert part.blocks == ((1, 2), (0,))
         alphas = aggregation.load_measures(tmp_path / "meas.json", space)
         assert alphas.alphas == ({1: 0.5, 2: 0.5}, {0: 1.0})
+        # the readers keep Python ints, as the library's own blocks and measures
+        assert all(type(s) is int for b in part.blocks for s in b)
+        assert all(type(s) is int for a in alphas.alphas for s in a)

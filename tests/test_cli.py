@@ -721,6 +721,22 @@ class TestUnreadableFiles:
         repeated = "b" if len(blocks) == 2 else "a"
         assert capsys.readouterr().err == f"error: state {repeated!r} listed twice in {dup}\n"
 
+    def test_chain_listing_a_state_twice_names_file_and_key(self, tmp_path, capsys):
+        chain = tmp_path / "dupstates.json"
+        chain.write_text(json.dumps({"states": ["a", "b", "a"], "kind": "rate", "triplets": [
+            [0, 1, 1.0], [0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0]]}))
+        assert cli.main(["stationary", str(chain), "--out", str(tmp_path / "mu.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {chain}: state 'a' listed twice\n"
+
+    def test_measures_listing_a_state_twice_name_file_and_key(self, ab_files, tmp_path, capsys):
+        # each measure sums to 1, and measure 1 is not over block 1
+        chain, part = ab_files
+        measures = tmp_path / "m.json"
+        measures.write_text(json.dumps({"alphas": [{"a": 1.0}, {"a": 1.0}]}))
+        argv = ["check", str(chain), "--partition", str(part), "--measures", str(measures)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: state 'a' listed twice in {measures}\n"
+
     @pytest.mark.parametrize("reader, text, key", [
         ("chain", '{"states": ["a", "b"], "kind": "rate", "kind": "stochastic", '
                   '"triplets": [[0, 1, 1.0], [0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0]]}', "kind"),

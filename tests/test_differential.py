@@ -303,6 +303,19 @@ class TestStationary:
             lumped = markov.stationary(aggregation.aggregate(chain.matrix, part, alphas).matrix)
             assert np.abs(aggregation.lift(lumped, part, alphas).weights - mu).max() <= 1e-15
 
+    @pytest.mark.parametrize("phi", [casestudies.scaffold_phi1, casestudies.scaffold_phi2],
+                             ids=["phi1", "phi2"])
+    def test_aggregated_row_sums_far_inside_the_tolerance_at_scaffold_444(self, scaffold_444,
+                                                                          phi):
+        # a cell of the lumped generator sums up to 27,648 weighted rates;
+        # the constructor sums them pairwise, to row sums near 1.4e-14, where
+        # a sum left to right reaches 3.5e-12, past markov.ROW_SUM_TOL = 1e-12
+        part = rules.build_partition(scaffold_444, phi)
+        lumped = aggregation.aggregate(scaffold_444.matrix, part,
+                                       aggregation.uniform_measures(part)).matrix
+        sums = np.bincount(lumped.row, weights=lumped.data, minlength=lumped.dim)
+        assert np.abs(sums).max() <= 1e-13
+
 
 @st.composite
 def generators(draw):

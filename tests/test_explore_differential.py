@@ -65,7 +65,8 @@ def reference_explore(model, max_states):
             triplets.append((i, i, -total))
     edge_labels = {(space.index[a], space.index[b]): tuple(sorted(names))
                    for (a, b), names in labels.items()}
-    return (space.states, RateMatrix.from_triplets(len(keys), triplets), edge_labels,
+    row, col, rate = np.array(triplets, dtype=float).reshape(-1, 3).T
+    return (space.states, RateMatrix(len(keys), row, col, rate), edge_labels,
             [mixtures[k] for k in keys])
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -97,19 +98,30 @@ class TestTypes:
         with pytest.raises(ValueError):
             markov.Distribution([bad, 0.5])
 
-    @pytest.mark.parametrize("triplets", [
-        [(5, 0, 1.0), (0, 1, 1.0)],
-        [(-1, 0, 1.0), (0, 1, 1.0)],  # a valid chain if -1 counted from the end
-        [(1, 2, 1.0), (0, 1, 1.0)],
-        [(0.5, 0, 1.0), (0, 1, 1.0)],
-        [(0, 1, np.nan), (1, 0, 1.0)],
+    @pytest.mark.parametrize("triplets", [  # row, col and value arrays, the refusal
+        ([5, 0], [0, 1], [1.0, 1.0], "out of range"),
+        ([-1, 0], [0, 1], [1.0, 1.0], "out of range"),  # valid if -1 counted from the end
+        ([1, 0], [2, 1], [1.0, 1.0], "out of range"),
+        ([0.5, 1.9], [1.2, 0], [1.0, 1.0], "must be integers"),  # a cast reads (0, 1), (1, 0)
+        ([0, 1], [1, 0], [np.nan, 1.0], "finite"),
+        ([True, False], [1, 0], [1.0, 1.0], "must be integers"),
+        (["0", "1"], [1, 0], [1.0, 1.0], "must be integers"),
+        ([0, 1], [1, 0], ["1", "1"], "real numbers"),
     ])
     def test_bad_triplets_rejected(self, triplets):
-        with pytest.raises(ValueError):
-            markov.StochasticMatrix.from_triplets(2, triplets)
+        row, col, data, message = triplets
+        with pytest.raises(ValueError, match=message):
+            markov.StochasticMatrix(2, row, col, data)
+
+    @pytest.mark.parametrize("index_dtype", [np.int64, np.int32, np.uint8, float])
+    def test_whole_number_indices_accepted(self, index_dtype):
+        row, col = np.array([0, 1], dtype=index_dtype), np.array([1, 0], dtype=index_dtype)
+        p = markov.StochasticMatrix(2, row, col, np.array([1, 1]))
+        assert p == markov.StochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert p.row.dtype == np.int64 and p.data.dtype == float
 
     def test_duplicate_triplets_are_summed(self):
-        p = markov.StochasticMatrix.from_triplets(2, [(0, 1, 0.25), (1, 0, 1.0), (0, 1, 0.75)])
+        p = markov.StochasticMatrix(2, [0, 1, 0], [1, 0, 1], [0.25, 1.0, 0.75])
         assert p == markov.StochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("make", [
@@ -123,7 +135,7 @@ class TestTypes:
 
     def test_triplet_round_trip(self):
         q = two_state_q()
-        again = markov.RateMatrix.from_triplets(2, q.triplets())
+        again = markov.RateMatrix(2, *zip(*q.triplets()))
         assert q == again
 
     @settings(max_examples=60, deadline=None)
@@ -203,6 +215,29 @@ class TestStationary:
         with pytest.raises(SolverFailure, match="residual"):
             markov.stationary(q, tol=0.0)
         assert len(lu_calls) == 1
+
+    def test_failed_factorization_refused(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        q = rate_matrix(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)])  # no detailed balance
+        with pytest.raises(SolverFailure, match="Factor is exactly singular"):
+            markov.stationary(q)
+
+    @pytest.mark.parametrize("solution", [[0.5, 1.0, -0.5], [0.5, np.nan, 0.5],
+                                          [0.5, np.inf, 0.5]], ids=["negative", "nan", "inf"])
+    def test_negative_or_non_finite_solve_refused(self, monkeypatch, solution):
+        # each weight is inside the one closed class, where a negative one
+        # beyond rounding is no weight at all
+        class Factor:
+            def solve(self, b):
+                return np.array(solution)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kwargs: Factor())
+        q = rate_matrix(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)])
+        with pytest.raises(SolverFailure, match="negative or non-finite weights"):
+            markov.stationary(q)
 
     def test_reducible_rejected(self):
         p = markov.StochasticMatrix.from_dense(np.eye(2))
@@ -392,6 +427,16 @@ class TestTransient:
             with pytest.raises(SolverFailure, match=f"cap of {markov.POISSON_TERM_CAP}"):
                 markov.transient(q, markov.Distribution([1.0, 0.0]), t)
 
+    def test_window_past_the_cap_names_its_term_count(self):
+        # r*t = 999,000 is under the cap, but the window's right end,
+        # r*t + L/3 + sqrt(L^2/9 + 2 r*t L) with L = log(2/tol), is past it
+        rt, log_tol = 999_000, math.log(2e12)
+        right = math.ceil(rt + log_tol / 3 + math.sqrt(log_tol ** 2 / 9 + 2 * rt * log_tol))
+        assert right == 1_006_533
+        with pytest.raises(SolverFailure, match=f"needs {right} Poisson terms, more than the "
+                                                f"cap of {markov.POISSON_TERM_CAP}"):
+            markov._poisson_window(float(rt), 1e-12)
+
     @pytest.mark.parametrize("times", [(0.5, 2.0, 8.0), (8.0, 2.0, 0.5)])
     def test_horizons_share_one_uniformized_chain(self, times):
         # each solve equals the same solve on a fresh copy of the generator:
@@ -546,6 +591,17 @@ class TestSerialization:
         markov.save_distribution(path, space, pi)
         again = markov.load_distribution(path, space)
         assert np.array_equal(pi.weights, again.weights)
+
+    def test_state_space_maps_keys_to_indices(self):
+        space = markov.StateSpace(("a", "b", "c"))
+        assert space.indices(["c", "a"], "f.csv").tolist() == [2, 0]
+        assert space.indices([], "f.csv").size == 0
+        with pytest.raises(ValueError, match="unknown state 'x' in f.csv"):
+            space.indices(["a", "x"], "f.csv")
+        with pytest.raises(ValueError, match="state 'b' listed twice in f.csv"):
+            space.indices(["b", "a", "b"], "f.csv")
+        with pytest.raises(ValueError, match="state 'c' listed twice"):
+            markov.StateSpace(("a", "c", "b", "c"))
 
     def test_distribution_state_listed_twice(self, tmp_path):
         # the last row would win, and the file's weights add up to 1.5

@@ -844,7 +844,7 @@ class TestSerialization:
             built = key_mixture(key, model.interface, model.initial.counts)
             assert oracle.mixture_key(built) == key
             assert bonds == built.graph.bonds()
-            assert list(bonds) == list(rules._instances(tuple(model.initial.counts.items())))
+            assert list(bonds) == list(rules._layout(model.initial.counts, model.interface)[1])
 
     def test_decoding_follows_the_signature(self):
         key = "A#1.b-B#2.a"
