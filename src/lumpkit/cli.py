@@ -163,6 +163,8 @@ def _initial_distribution(args, space):
 
 
 def cmd_transient(args):
+    if (args.partition or args.measures) and not args.init.startswith("respectful:"):
+        raise LumpkitError("--partition and --measures are read only with --init respectful:FILE")
     outs = {}  # file name -> time; {t:g} gives close times one name
     for t in args.t:
         out = f"{args.out}_t{t:g}.csv"

@@ -391,46 +391,45 @@ def _key_writer(model: RuleModel, ends):
         rank[local[x], local[y]] = r
     column = np.arange(len(active))
 
-    def keys(rows):
-        partner = rows[:, active]
-        ranks = np.where(partner > active, rank[column, local[partner]], len(pairs))
-        ranks.sort(axis=1)
-        return ["".join(row)[1:] or "-" for row in parts[ranks[:, :len(active) // 2]].tolist()]
+    def keys(rows):  # _CHUNK rows at a time, which bounds the temporaries
+        out = []
+        for lo in range(0, len(rows), _CHUNK):
+            partner = rows[lo:lo + _CHUNK, active]
+            ranks = np.where(partner > active, rank[column, local[partner]], len(pairs))
+            ranks.sort(axis=1)
+            out += ["".join(row)[1:] or "-" for row in parts[ranks[:, :len(active) // 2]].tolist()]
+        return out
 
     return keys
 
 
 def _expand(compiled, states):
-    """Every application of the rules to a block of states, by state, then
-    rule, then embedding: the source row, rule index and target state of
-    each."""
+    """Every application of the rules to a block of states, rule by rule,
+    each rule's in its ``apply`` order (by state, then embedding): the
+    source row, rule index and target state of each."""
     rows, applied, new = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [states[:0]]
     for r, rule in enumerate(compiled):
         src, dst = rule.apply(states)
         rows.append(src)
         applied.append(np.full(len(src), r, dtype=np.intp))
         new.append(dst)
-    rows, applied, new = map(np.concatenate, (rows, applied, new))
-    order = np.argsort(narrowed(rows * len(compiled) + applied, len(states) * len(compiled)),
-                       kind="stable")
-    return rows[order], applied[order], new[order]
+    return map(np.concatenate, (rows, applied, new))
 
 
 def _applications(model: RuleModel, max_states: int):
     """Breadth-first closure of the initial mixture under all rule
-    applications, with deterministic (sorted-frontier) state indexing. Returns
-    the state keys and the read-only array of state rows, both in index
-    order, and three arrays: the source, target and rule index of every
-    application that changes the mixture, by source, then rule, then
-    embedding. The frontier is expanded _CHUNK states at a time against the
-    visited states, rows sorted as bytes. Raises StateCapExceeded once more
-    than max_states states are found."""
+    applications. States are numbered as found, then keyed in one pass and
+    indexed by (level, key). Returns the state keys and the read-only array
+    of state rows, both in index order, and three arrays: the source, target
+    and rule index of every application that changes the mixture, in search
+    order, not by source: each source's by rule, then embedding. The
+    frontier is expanded _CHUNK states at a time against the visited
+    states, rows sorted as bytes. Raises StateCapExceeded past max_states."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial.counts, model.interface)
     compiled = [_compile(rule, layout) for rule in model.rules]
     _, slots, ends = layout
-    keys_of = _key_writer(model, ends)
     n = len(ends)
     start = np.full((1, max(n, 1)), -1, dtype=_rows_dtype(n))
     for (v1, s1), (v2, s2) in model.initial.graph.edges:
@@ -438,14 +437,10 @@ def _applications(model: RuleModel, max_states: int):
         start[0, a], start[0, b] = b, a
     row = np.dtype((np.void, start.itemsize * start.shape[1]))
     seen, seen_number = start.view(row).ravel(), np.zeros(1, dtype=np.intp)
-    # states are numbered as found here and renumbered by key per level
-    keys = keys_of(start)
-    frontier, numbers = start, np.zeros(1, dtype=np.intp)
-    order = [numbers]  # discovery numbers in index order, per level
-    levels = [start]  # the states of each level in index order
+    frontier, levels = start, [start]  # the last level, and each, in the order found
     found = []  # sources, targets and rules per chunk, as rows of one array
     while len(frontier):
-        level, discovered = len(keys), []
+        base, discovered = len(seen) - len(frontier), []  # the frontier's first number
         for lo in range(0, len(frontier), _CHUNK):
             rows, applied, new = _expand(compiled, frontier[lo:lo + _CHUNK])
             unique, first, inverse = np.unique(new.view(row).ravel(), return_index=True,
@@ -454,29 +449,29 @@ def _applications(model: RuleModel, max_states: int):
             known = at < len(seen)
             known[known] = seen[at[known]] == unique[known]
             fresh = np.flatnonzero(~known)
-            if len(keys) + len(fresh) > max_states:
+            if len(seen) + len(fresh) > max_states:
                 raise StateCapExceeded(f"reachable set exceeds max_states = {max_states}")
             number = np.empty(len(unique), dtype=np.intp)
             number[known] = seen_number[at[known]]
-            number[fresh] = np.arange(len(keys), len(keys) + len(fresh))
+            number[fresh] = np.arange(len(seen), len(seen) + len(fresh))
             discovered.append(new[first[fresh]])
-            keys.extend(keys_of(discovered[-1]))
             seen = np.insert(seen, at[~known], unique[~known])
             seen_number = np.insert(seen_number, at[~known], number[~known])
-            sources, targets = numbers[lo + rows], number[inverse]
+            sources, targets = base + lo + rows, number[inverse]
             changed = sources != targets
             found.append(np.stack((sources[changed], targets[changed], applied[changed]))
                          .astype(np.int32))  # half the size while the search runs
-        numbers = level + np.argsort(np.array(keys[level:], dtype=object))
-        order.append(numbers)
-        frontier = np.concatenate(discovered)[numbers - level]
+        frontier = np.concatenate(discovered)
         levels.append(frontier)
     del seen, seen_number
     states = np.concatenate(levels)
-    states.flags.writeable = False
-    order = np.concatenate(order)
+    keys = np.array(_key_writer(model, ends)(states), dtype=object)
+    bounds = np.cumsum([0] + [len(level) for level in levels])
+    order = np.concatenate([lo + np.argsort(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     index = np.empty(len(order), dtype=np.intp)
-    index[order] = np.arange(len(order))  # discovery number -> state index
+    index[order] = np.arange(len(order))  # number found -> state index
+    states = states[order]
+    states.flags.writeable = False
     # one output array filled chunk by chunk: a concatenation and a cast
     # would leave more freed heap behind, which stays resident
     applications = np.empty((3, sum(part.shape[1] for part in found)), dtype=np.intp)
@@ -485,7 +480,7 @@ def _applications(model: RuleModel, max_states: int):
         applications[:2, end:end + part.shape[1]] = index[part[:2]]
         applications[2, end:end + part.shape[1]] = part[2]
         end += part.shape[1]
-    return (tuple(np.array(keys, dtype=object)[order]), states, *applications)
+    return tuple(keys[order]), states, *applications
 
 
 def _chain(model: RuleModel, keys, states, rows, cols, applied) -> ExploredChain:
@@ -502,8 +497,9 @@ def _chain(model: RuleModel, keys, states, rows, cols, applied) -> ExploredChain
 
 
 def _labels(model: RuleModel, rows, cols, applied) -> dict:
+    order = np.lexsort((applied, rows))  # by source, then rule; stable, so then embedding
     labels = {}
-    for edge, r in zip(zip(rows.tolist(), cols.tolist()), applied.tolist()):
+    for edge, r in zip(zip(rows[order].tolist(), cols[order].tolist()), applied[order].tolist()):
         name, seen = model.rules[r].name, labels.get(edge, ())
         if name not in seen:
             labels[edge] = tuple(sorted(seen + (name,)))

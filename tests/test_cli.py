@@ -484,7 +484,14 @@ class TestBadInput:
           "--out", "{tmp}/p"], "tol must lie in (0, 1)"),
         (["explore", "{model}", "--out", "{tmp}/c.json", "--max-states", "0"],
          "max_states must be at least 1"),
-    ], ids=["no-partition", "respectful-without-partition", "transient-tol-0", "max-states-0"])
+        (["transient", "{chain}", "--init", "uniform", "--t", "1", "--partition",
+          "{tmp}/nosuch.json", "--out", "{tmp}/p"],
+         "--partition and --measures are read only with --init respectful:FILE"),
+        (["transient", "{chain}", "--init", "uniform", "--t", "1", "--measures",
+          "{tmp}/nosuch.json", "--out", "{tmp}/p"],
+         "--partition and --measures are read only with --init respectful:FILE"),
+    ], ids=["no-partition", "respectful-without-partition", "transient-tol-0", "max-states-0",
+            "transient-partition-unread", "transient-measures-unread"])
     def test_option_error_is_an_input_error(self, scaffold_files, tmp_path, capsys, argv,
                                             message):
         model, chain = scaffold_files

@@ -394,13 +394,72 @@ class TestExplore:
 @pytest.mark.parametrize("model", [scaffold_model(2, 2, 2, rates=(1.0, 2.0, 0.5, 0.25)),
                                    casestudies.polymer_model(casestudies.PolymerParams(2))])
 def test_chunked_frontier_gives_the_same_applications(model, monkeypatch):
+    # the applications come in search order, which the chunk size moves;
+    # a stable sort by (source, rule) keeps each pair's embedding order
+    def by_source(found):
+        keys, states, rows, cols, applied = found
+        order = np.lexsort((applied, rows))
+        return keys, states, rows[order], cols[order], applied[order]
+
     assert isinstance(rules._CHUNK, int) and rules._CHUNK > 1
-    want = rules._applications(model, 1000)
+    want = by_source(rules._applications(model, 1000))
     for chunk in (1, 3):
         monkeypatch.setattr(rules, "_CHUNK", chunk)
-        got = rules._applications(model, 1000)
+        got = by_source(rules._applications(model, 1000))
         assert got[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+
+@pytest.mark.parametrize("model", [scaffold_model(2, 2, 2, rates=(1.0, 2.0, 0.5, 0.25)),
+                                   casestudies.polymer_model(casestudies.PolymerParams(2))])
+def test_chunked_frontier_gives_the_same_chain(model, monkeypatch):
+    def labelled():
+        chain, labels = rules.explore_labelled(model)
+        return (chain.space.states, chain.rows, chain.matrix.row, chain.matrix.col,
+                chain.matrix.data, list(labels.items()))
+
+    want = labelled()
+    for chunk in (1, 3):
+        monkeypatch.setattr(rules, "_CHUNK", chunk)
+        got = labelled()
+        assert got[0] == want[0] and got[-1] == want[-1]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:-1], want[1:-1]))
+
+
+def test_keys_are_written_once(monkeypatch):
+    """The search numbers states as it finds them and keys them in one pass
+    after it; a refused search writes no key."""
+    calls, writer = [], rules._key_writer
+
+    def counted(model, ends):
+        keys = writer(model, ends)
+
+        def count(rows):
+            calls.append(len(rows))
+            return keys(rows)
+
+        return count
+
+    monkeypatch.setattr(rules, "_key_writer", counted)
+    monkeypatch.setattr(rules, "_CHUNK", 3)  # many chunks
+    model = scaffold_model(2, 2, 2)
+    assert len(rules.explore(model).space) == 49
+    assert calls == [49]
+    calls.clear()
+    with pytest.raises(StateCapExceeded):
+        rules.explore(model, max_states=48)
+    assert calls == []
+
+
+def test_largest_case_study_chain_under_the_cap():
+    """Scaffold (4,4,5), 104,709 states, the largest case-study chain that
+    the tests explore, at exactly its size as the cap and one below."""
+    model = scaffold_model(4, 4, 5, rates=(1.3, 0.7, 1.1, 0.9))
+    chain = rules.explore(model, max_states=104_709)
+    assert len(chain.space) == 104_709
+    assert len(chain.matrix.data) == 1_260_077
+    with pytest.raises(StateCapExceeded, match=r"^reachable set exceeds max_states = 104708$"):
+        rules.explore(model, max_states=104_708)
 
 
 def test_single_rule_application_is_not_public():
