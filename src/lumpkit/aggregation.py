@@ -147,32 +147,27 @@ def _spread(group, target, value, block_of, m):
     return hi - lo
 
 
-def _entries(K, part: Partition, w):
-    """Each entry's source block b[K.row], narrowed, and its weighted rate
-    w[K.row] * K.data."""
+def _cells(K, part: Partition, w):
+    """The (source block, target state) cells of the condition, sorted: each
+    cell's source block A_i, narrowed, its target state s and its flow
+    sum_{s' in A_i} w[s'] K(s', s). The sort is stable, so each flow is
+    summed in entry order."""
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    weighted = w[K.row]
-    weighted *= K.data
-    return narrowed(part.block_of, len(part))[K.row], weighted
-
-
-def _residual(K, part: Partition, w, src, weighted) -> float:
-    """Largest spread over a target block A_j of the condition value
-    delta(A_i, s) = sum_{s' in A_i} alpha_i(s') K(s', s) / alpha_j(s), with
-    w[s] = alpha_j(s) for s in A_j, and src and weighted from ``_entries``."""
-    m, b = len(part), part.block_of
-    # entries sorted by (source block, target state) cell; the sort is stable,
-    # so each cell's flow is summed in entry order
-    col = narrowed(K.col, K.dim)
+    src, col = narrowed(part.block_of, len(part))[K.row], narrowed(K.col, K.dim)
     order = np.lexsort((col, src))
     src, col = src[order], col[order]
     first = run_starts(src, col)
     cell = np.cumsum(first)
     cell -= 1
-    flow = np.bincount(cell, weights=weighted[order])
-    src, col = src[first], col[first]
-    return float(_spread(src, col, flow / w[col], b, m).max(initial=0.0))
+    return src[first], col[first], np.bincount(cell, weights=(w[K.row] * K.data)[order])
+
+
+def _residual(part: Partition, w, src, col, flow) -> float:
+    """Largest spread over a target block A_j of the condition value
+    delta(A_i, s) = sum_{s' in A_i} alpha_i(s') K(s', s) / alpha_j(s), with
+    w[s] = alpha_j(s) for s in A_j, and the cells from ``_cells``."""
+    return float(_spread(src, col, flow / w[col], part.block_of, len(part)).max(initial=0.0))
 
 
 def _check_tol(tol):
@@ -187,7 +182,7 @@ def check_condition(K, part: Partition, alphas: MeasureFamily,
     """Does the backward condition hold at tolerance tol? Reports the residual."""
     _check_tol(tol)
     w = alphas.weights(part)
-    residual = _residual(K, part, w, *_entries(K, part, w))
+    residual = _residual(part, w, *_cells(K, part, w))
     return {"holds": residual <= tol, "residual": residual}
 
 
@@ -232,19 +227,21 @@ def aggregate(K, part: Partition, alphas: MeasureFamily,
     """Aggregated matrix over blocks, V K Pi with V[i, s'] = alpha_i(s') and
     Pi the block-indicator matrix: entry (i, j) is the alpha_j-weighted
     average of the condition value over block j, and rows keep the sums of
-    K's rows."""
+    K's rows. Each entry is summed pairwise over its cells from ``_cells``."""
     _check_tol(tol)
     w = alphas.weights(part)
-    src, weighted = _entries(K, part, w)
-    residual = _residual(K, part, w, src, weighted)
+    src, col, flow = _cells(K, part, w)
+    residual = _residual(part, w, src, col, flow)
     if residual > tol:
         raise ConditionViolated(residual, tol)
-    matrix = type(K)(len(part), src, part.block_of[K.col], weighted)
+    matrix = type(K)(len(part), src, part.block_of[col], flow)
     return AggregatedChain(part, alphas, matrix, residual)
 
 
 def restrict(pi: Distribution, part: Partition) -> Distribution:
     """Project a distribution onto the block space by summing within blocks."""
+    if len(pi) != part.num_states:
+        raise ValueError(f"{len(pi)} weights for {part.num_states} states")
     weights = np.bincount(part.block_of, weights=pi.weights, minlength=len(part))
     return Distribution(weights / weights.sum())
 
@@ -261,6 +258,8 @@ def respects(pi: Distribution, part: Partition, alphas: MeasureFamily,
     """Is the conditional distribution of pi on each positive-mass block equal
     to that block's measure?"""
     _check_tol(tol)
+    if len(pi) != part.num_states:
+        raise ValueError(f"{len(pi)} weights for {part.num_states} states")
     w = alphas.weights(part)
     mass = np.bincount(part.block_of, weights=pi.weights, minlength=len(part))[part.block_of]
     loaded = mass > 0.0  # empty blocks impose no constraint

@@ -11,7 +11,8 @@ import os
 import sys
 
 from . import aggregation, casestudies, dsl, markov, rules, sitegraph
-from .errors import ConditionViolated, LumpkitError, StateCapExceeded
+from .errors import (ConditionViolated, LumpkitError, NotIrreducible, SolverFailure,
+                     StateCapExceeded)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
     except ConditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATED
+    except (NotIrreducible, SolverFailure) as exc:  # only stationary and transient solve
+        print(f"error: {args.chain}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (LumpkitError, OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,13 +4,13 @@ Matrices are stored sparsely as coordinate arrays in row-major order;
 distributions are dense vectors. All values are immutable after construction
 and every operation is a pure function, so concurrent read access is safe.
 Two derived values are built on first use and kept for the matrix's
-lifetime: a matrix's compiled sparse operator, which ``vecmat`` multiplies
-by, and a generator's uniformized chain, which ``transient`` steps. Both are
-functions of the immutable arrays, so two threads that build one at once
-build equal copies, and keeping either is harmless. scipy is imported only
-inside the functions that use it, ``classify``, ``_detailed_balance``,
-``stationary``'s LU and the operator's builder, which keeps ``import lumpkit``
-fast.
+lifetime: a matrix's compiled sparse operator, K^T, the one scipy form of
+its entries, which ``vecmat``, ``classify``, ``_detailed_balance`` and
+``stationary``'s LU read; and a generator's uniformized chain, which
+``transient`` steps. Both are functions of the immutable arrays, so two
+threads that build one at once build equal copies, and keeping either is
+harmless. scipy is imported only inside the functions that use it, which
+keeps ``import lumpkit`` fast.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class SquareMatrix:
     and ``data`` list the nonzero entries sorted by (row, col), with
     duplicate coordinates summed and exact zeros dropped.
 
-    ``vecmat`` multiplies by a scipy sparse operator over these arrays,
-    built on the first product and kept for the matrix's lifetime; building
-    it twice in a race is harmless."""
+    ``vecmat``, ``classify``, detailed balance and the stationary LU read one
+    scipy sparse operator over these arrays, built on first use and kept for
+    the matrix's lifetime; building it twice in a race is harmless."""
 
     def __init__(self, dim, row, col, data):
         if dim <= 0:
@@ -268,25 +268,22 @@ class ChainStructure:
 def classify(K) -> ChainStructure:
     """Communicating classes, closedness, and periods of a chain.
 
-    Positive entries define the transition digraph; for rate matrices only
-    off-diagonal entries count and every class reports period 1.
+    The stored entries define the transition digraph, whose strong components
+    are those of the compiled operator's K^T. Periods are found for
+    stochastic matrices; every class of a rate matrix reports period 1.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components, dijkstra
 
-    n = K.dim
-    is_rate = isinstance(K, RateMatrix)
-    edge = (K.data > 0) & ((K.row != K.col) | (not is_rate))
-    src, dst = K.row[edge], K.col[edge]
-    graph = csr_array((np.ones(src.size), (src, dst)), shape=(n, n))
-    count, label = connected_components(graph, directed=True, connection="strong")
+    n, src, dst = K.dim, K.row, K.col
+    count, label = connected_components(K._operator, directed=True, connection="strong")
     inner = label[src] == label[dst]
     closed = np.ones(count, dtype=bool)
     closed[label[src[~inner]]] = False
     classes = sorted(np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1]),
                      key=lambda c: c[0])
     periods = [1] * count
-    if not is_rate:
+    if isinstance(K, StochasticMatrix):
         # gcd of level(u) + 1 - level(v) over the class's edges u -> v, with
         # breadth-first levels inside the class: one search from an extra
         # node n linked to the smallest state of every class
@@ -333,8 +330,8 @@ def _detailed_balance(K):
     if not (np.array_equal(flip.indptr, indptr) and np.array_equal(flip.indices, col)):
         return None
     back = flip.data
-    order, parent = breadth_first_order(csr_array((np.ones(row.size), col, indptr), shape=(n, n)),
-                                        0, return_predecessors=True)
+    # the pattern is symmetric, so the operator's K^T gives K's tree
+    order, parent = breadth_first_order(K._operator, 0, return_predecessors=True)
     if order.size < n:
         return None
     tree = parent[col] == row  # one entry into each state but 0, from its parent
@@ -392,9 +389,7 @@ def stationary(K, tol=DEFAULT_STATIONARY_TOL) -> Distribution:
     if sum(structure.closed_flags) > 1:
         raise NotIrreducible("chain has more than one closed communicating class")
     n = K.dim
-    balance = csr_array((K.data, (K.col, K.row)), shape=(n, n))
-    if isinstance(K, StochasticMatrix):
-        balance = balance - eye_array(n)
+    balance = K._operator - eye_array(n) if isinstance(K, StochasticMatrix) else K._operator
     a = vstack([balance[:-1], csr_array(np.ones((1, n)))], format="csc")
     b = np.zeros(n)
     b[-1] = 1.0

@@ -115,6 +115,15 @@ def reachability(adj):
     return reach
 
 
+@pytest.fixture(scope="session")
+def scaffold_445():
+    """Scaffold (4,4,5) at rates 1.3/0.7/1.1/0.9, explored with its own size
+    as the cap: 104,709 states, the largest case-study chain that the tests
+    explore."""
+    model = casestudies.scaffold_model(casestudies.ScaffoldParams(4, 4, 5, 1.3, 0.7, 1.1, 0.9))
+    return rules.explore(model, max_states=104_709)
+
+
 @pytest.fixture
 def lu_calls(monkeypatch):
     """The sparse LU factorizations that ``markov.stationary`` starts, listed."""

@@ -339,17 +339,25 @@ def unique_spread(group, target, value, block_of, m):
     return hi - lo
 
 
-def unique_residual(K, part: Partition, alphas: MeasureFamily) -> float:
-    """The backward condition's residual, with each (source block, target
-    state) cell found by ``np.unique`` and its flow summed in entry order."""
+def unique_cells(K, part: Partition, alphas: MeasureFamily):
+    """The backward condition's (source block, target state) cells, found
+    by ``np.unique``: each cell's source block, target state and flow
+    sum_{s' in A_i} alpha_i(s') K(s', s), summed in entry order; and the
+    weights alpha_i(s) of the states."""
     n, b = K.dim, part.block_of
     w = np.empty(n)
     for alpha in alphas.alphas:
         w[list(alpha)] = list(alpha.values())
     cells, where = np.unique(b[K.row] * n + K.col, return_inverse=True)
     flow = np.bincount(where, weights=w[K.row] * K.data)
-    col = cells % n
-    return float(unique_spread(cells // n, col, flow / w[col], b, len(part)).max(initial=0.0))
+    return cells // n, cells % n, flow, w
+
+
+def unique_residual(K, part: Partition, alphas: MeasureFamily) -> float:
+    """The backward condition's residual over the cells of ``unique_cells``."""
+    src, col, flow, w = unique_cells(K, part, alphas)
+    return float(unique_spread(src, col, flow / w[col], part.block_of,
+                               len(part)).max(initial=0.0))
 
 
 def unique_cond3(K, part: Partition) -> bool:

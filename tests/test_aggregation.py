@@ -322,6 +322,17 @@ class TestRestrictLiftRespects:
             aggregation.lift(markov.Distribution.uniform(3), part,
                              aggregation.uniform_measures(part))
 
+    def test_restrict_refuses_another_number_of_states(self):
+        part = aggregation.Partition(((0, 1), (2,)))
+        with pytest.raises(ValueError, match="^4 weights for 3 states$"):
+            aggregation.restrict(markov.Distribution.uniform(4), part)
+
+    def test_respects_refuses_another_number_of_states(self):
+        part = aggregation.Partition(((0, 1), (2,)))
+        with pytest.raises(ValueError, match="^2 weights for 3 states$"):
+            aggregation.respects(markov.Distribution.uniform(2), part,
+                                 aggregation.uniform_measures(part))
+
     def test_restrict_after_lift_is_identity(self):
         part = aggregation.Partition(((0, 2), (1, 3, 4)))
         alphas = aggregation.MeasureFamily((

@@ -888,8 +888,17 @@ class TestBadNumbers:
         assert cli.main(["transient", str(chain), "--init", "uniform", "--t", "1",
                          "--out", str(tmp_path / "p")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: r*t = ") and "cap of 1000000" in err
+        assert err.startswith(f"error: {chain}: r*t = ") and "cap of 1000000" in err
         assert "Traceback" not in err and not list(tmp_path.glob("p_t*.csv"))
+
+    def test_zero_generator_refused_naming_its_file(self, tmp_path, capsys):
+        # every state is a closed class of its own: no unique stationary distribution
+        chain = tmp_path / "zero.json"
+        chain.write_text(json.dumps({"states": ["a", "b"], "kind": "rate", "triplets": []}))
+        assert cli.main(["stationary", str(chain), "--out", str(tmp_path / "z.csv")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {chain}: chain has more than one closed communicating class\n")
+        assert not (tmp_path / "z.csv").exists()
 
     @pytest.mark.parametrize("times, first, second", [("1,1.0000001", "1.0", "1.0000001"),
                                                       ("1,1", "1.0", "1.0")])

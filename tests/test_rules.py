@@ -451,15 +451,13 @@ def test_keys_are_written_once(monkeypatch):
     assert calls == []
 
 
-def test_largest_case_study_chain_under_the_cap():
+def test_largest_case_study_chain_under_the_cap(scaffold_445):
     """Scaffold (4,4,5), 104,709 states, the largest case-study chain that
     the tests explore, at exactly its size as the cap and one below."""
-    model = scaffold_model(4, 4, 5, rates=(1.3, 0.7, 1.1, 0.9))
-    chain = rules.explore(model, max_states=104_709)
-    assert len(chain.space) == 104_709
-    assert len(chain.matrix.data) == 1_260_077
+    assert len(scaffold_445.space) == 104_709
+    assert len(scaffold_445.matrix.data) == 1_260_077
     with pytest.raises(StateCapExceeded, match=r"^reachable set exceeds max_states = 104708$"):
-        rules.explore(model, max_states=104_708)
+        rules.explore(scaffold_model(4, 4, 5, rates=(1.3, 0.7, 1.1, 0.9)), max_states=104_708)
 
 
 def test_single_rule_application_is_not_public():
