@@ -170,7 +170,7 @@ def _residual(part: Partition, w, src, col, flow) -> float:
     return float(_spread(src, col, flow / w[col], part.block_of, len(part)).max(initial=0.0))
 
 
-def _check_tol(tol):
+def check_tol(tol):
     """A NaN or negative tol would make every comparison with it fail, and an
     infinite one would make every comparison pass."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -180,7 +180,7 @@ def _check_tol(tol):
 def check_condition(K, part: Partition, alphas: MeasureFamily,
                     tol: float = DEFAULT_CONDITION_TOL):
     """Does the backward condition hold at tolerance tol? Reports the residual."""
-    _check_tol(tol)
+    check_tol(tol)
     w = alphas.weights(part)
     residual = _residual(part, w, *_cells(K, part, w))
     return {"holds": residual <= tol, "residual": residual}
@@ -228,7 +228,7 @@ def aggregate(K, part: Partition, alphas: MeasureFamily,
     Pi the block-indicator matrix: entry (i, j) is the alpha_j-weighted
     average of the condition value over block j, and rows keep the sums of
     K's rows. Each entry is summed pairwise over its cells from ``_cells``."""
-    _check_tol(tol)
+    check_tol(tol)
     w = alphas.weights(part)
     src, col, flow = _cells(K, part, w)
     residual = _residual(part, w, src, col, flow)
@@ -257,7 +257,7 @@ def respects(pi: Distribution, part: Partition, alphas: MeasureFamily,
              tol: float = RESPECT_TOL):
     """Is the conditional distribution of pi on each positive-mass block equal
     to that block's measure?"""
-    _check_tol(tol)
+    check_tol(tol)
     if len(pi) != part.num_states:
         raise ValueError(f"{len(pi)} weights for {part.num_states} states")
     w = alphas.weights(part)

@@ -70,6 +70,7 @@ def _partitioned_chain(args):
         raise LumpkitError("--phi requires --model for the instance counts and interface")
     if args.model and not args.phi:
         raise LumpkitError("--model is read only with --phi")
+    aggregation.check_tol(args.tol)
     space, matrix = markov.load_chain(args.chain)
     if args.partition:
         return space, matrix, aggregation.load_partition(args.partition, space)
@@ -132,7 +133,8 @@ def cmd_aggregate(args):
                        ("--measures-out", args.measures_out)])
     space, matrix, part = _partitioned_chain(args)
     alphas = _measures_for(args, space, part)
-    agg = aggregation.aggregate(matrix, part, alphas, args.tol)
+    with markov.naming(args.chain):  # a lumped chain refused names the chain it came from
+        agg = aggregation.aggregate(matrix, part, alphas, args.tol)
     markov.save_chain(args.out, _block_space(part), agg.matrix)
     if args.partition_out:
         aggregation.save_partition(args.partition_out, part, space)

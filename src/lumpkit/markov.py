@@ -73,8 +73,8 @@ def _first_repeat(keys):
 def narrowed(key, bound):
     """An integer sort key whose values lie in [0, bound), cast to the
     smallest unsigned dtype that holds them: numpy's stable sorts, and so
-    ``np.lexsort``, radix-sort keys of 16 bits or fewer. The permutation is
-    the one the wider key gives."""
+    ``np.lexsort``, radix-sort keys of 16 bits or fewer, as aggregation and
+    partitions use. The permutation is the one the wider key gives."""
     return key.astype(np.min_scalar_type(max(int(bound) - 1, 0)), copy=False)
 
 
@@ -90,16 +90,16 @@ def run_starts(*keys):
 
 class SquareMatrix:
     """Square sparse matrix held as three read-only arrays: ``row``, ``col``
-    and ``data`` list the nonzero entries sorted by (row, col), with
-    duplicate coordinates summed and exact zeros dropped.
+    and ``data``, int32, int32 and float64, list the nonzero entries sorted by
+    (row, col), with duplicate coordinates summed and exact zeros dropped.
 
     ``vecmat``, ``classify``, detailed balance and the stationary LU read one
     scipy sparse operator over these arrays, built on first use and kept for
     the matrix's lifetime; building it twice in a race is harmless."""
 
     def __init__(self, dim, row, col, data):
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or not 0 < dim < 2 ** 31:
+            raise ValueError(f"dimension must be an integer in [1, 2^31), not {dim!r}")
         row, col, data = (np.asarray(arr).ravel() for arr in (row, col, data))
         # numpy would cast "1", True and 0.5 to the index 1, 1 and 0
         if not all(a.dtype.kind in "iu" or a.dtype.kind == "f" and (a % 1 == 0).all()
@@ -114,16 +114,22 @@ class SquareMatrix:
             k = int(np.argmax(outside))
             raise ValueError(f"entry ({int(row[k])}, {int(col[k])}) out of range "
                              f"for dimension {dim}")
-        row, col = row.astype(np.int64, copy=False), col.astype(np.int64, copy=False)
         data = data.astype(float, copy=False)
         if not np.isfinite(data).all():
             raise ValueError("entries must be finite")
-        order = np.lexsort((narrowed(col, dim), narrowed(row, dim)))
-        row, col, data = row[order], col[order], data[order]
-        starts = np.flatnonzero(run_starts(row, col))
-        row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
+        # row-major codes; a stable sort keeps each coordinate's entries in the order given
+        code = row.astype(np.int64) * int(dim) + col.astype(np.int64, copy=False)
+        order = np.argsort(code, kind="stable")
+        code, data = code[order], data[order]
+        del order  # freed before the copies below, which set explore's peak
+        starts = np.flatnonzero(run_starts(code))
+        code, data = code[starts], np.add.reduceat(data, starts)
         nonzero = data != 0.0
-        row, col, data = row[nonzero], col[nonzero], data[nonzero]
+        code, data = code[nonzero], data[nonzero]
+        if code.size >= 2 ** 31:
+            raise ValueError(f"{code.size} stored entries, more than int32 indices can hold")
+        row, col = np.empty(code.size, dtype=np.int32), np.empty(code.size, dtype=np.int32)
+        np.divmod(code, int(dim), out=(row, col), casting="unsafe")  # each fits: dim < 2^31
         for arr in (row, col, data):
             arr.flags.writeable = False
         self.dim, self.row, self.col, self.data = int(dim), row, col, data
@@ -172,11 +178,11 @@ class SquareMatrix:
     def _operator(self):
         """K^T for scipy's compiled product: the transpose of a CSR array
         over the matrix's own ``col`` and ``data``, which are already in
-        row-major order, so only ``indptr`` is new. Its product sums each
-        output over increasing i, the order of the entries."""
+        row-major order, so only ``indptr``, int32 as they are, is new. Its
+        product sums each output over increasing i, the order of the entries."""
         from scipy.sparse import csr_array
 
-        indptr = np.r_[0, np.cumsum(np.bincount(self.row, minlength=self.dim))]
+        indptr = np.r_[0, np.cumsum(np.bincount(self.row, minlength=self.dim))].astype(np.int32)
         indptr.flags.writeable = False
         return csr_array((self.data, self.col, indptr), shape=(self.dim, self.dim)).T
 
@@ -419,7 +425,7 @@ def uniformize(Q: RateMatrix, r: float) -> StochasticMatrix:
         raise RateBoundViolated(f"r = {r!r} must exceed the maximal exit rate {qmax!r}")
     # I + Q/r is entrywise nonnegative under the strict rate bound; row sums
     # inherit the generator's zero-sum dust, which stays within tolerance
-    ids = np.arange(Q.dim)
+    ids = np.arange(Q.dim, dtype=np.int32)
     return StochasticMatrix(Q.dim, np.r_[Q.row, ids], np.r_[Q.col, ids],
                             np.r_[Q.data / r, np.ones(Q.dim)])
 
@@ -537,6 +543,16 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _scanned(items, shape):
+    """Do all the items have the shape, a scalar one or a list of one, by a
+    scan at C speed? Any other shape, or any item that differs, reads False."""
+    if type(shape) is list:
+        return shape[0] in (str, float) and set(map(type, items)) <= {list} and _scanned(
+            itertools.chain.from_iterable(items), shape[0])
+    return shape in (str, float) and set(map(type, items)) <= ({str} if shape is str
+                                                               else {int, float})
+
+
 def check_shape(value, shape, path, where=""):
     """Raise ValueError, naming the file at path and the entry, unless the
     value read from it has the shape: str; float for any JSON number;
@@ -550,12 +566,11 @@ def check_shape(value, shape, path, where=""):
         raise ValueError(f"{place} is {reprlib.repr(value)}, not {name}")
     if kind is shape:
         return
-    if kind is list:
-        for i, item in enumerate(value):
-            check_shape(item, shape[0], path, f"{where}[{i}]")
-    elif str in shape:
-        for key, item in value.items():
-            check_shape(item, shape[str], path, f"{where}[{key!r}]")
+    if kind is list or str in shape:
+        inner, items = (shape[0], value) if kind is list else (shape[str], value.values())
+        if not _scanned(items, inner):
+            for key, item in zip(range(len(value)) if kind is list else value, items):
+                check_shape(item, inner, path, f"{where}[{key!r}]")
     else:
         for name, inner in shape.items():
             if name not in value:
@@ -569,16 +584,11 @@ def save_chain(path, space: StateSpace, K):
 
 def load_chain(path):
     data = load_json(path)
-    check_shape(data, {"states": [str], "kind": str, "triplets": list}, path)
+    check_shape(data, {"states": [str], "kind": str, "triplets": [[float]]}, path)
     cls = {"stochastic": StochasticMatrix, "rate": RateMatrix}.get(data["kind"])
     if cls is None:
         raise ValueError(f"entry kind of {path} is {data['kind']!r}, not 'rate' or 'stochastic'")
     triplets = data["triplets"]
-    # numpy would take "1.5" and true for numbers: scan at C speed, and name
-    # the culprit with check_shape, a Python loop, only if there is one
-    if not (set(map(type, triplets)) <= {list} and set(
-            map(type, itertools.chain.from_iterable(triplets))) <= {int, float}):
-        check_shape(triplets, [[float]], path, "triplets")
     with naming(path):
         space = StateSpace(tuple(data["states"]))
         if set(map(len, triplets)) - {3}:

@@ -420,11 +420,11 @@ def _applications(model: RuleModel, max_states: int):
     """Breadth-first closure of the initial mixture under all rule
     applications. States are numbered as found, then keyed in one pass and
     indexed by (level, key). Returns the state keys and the read-only array
-    of state rows, both in index order, and three arrays: the source, target
-    and rule index of every application that changes the mixture, in search
-    order, not by source: each source's by rule, then embedding. The
-    frontier is expanded _CHUNK states at a time against the visited
-    states, rows sorted as bytes. Raises StateCapExceeded past max_states."""
+    of state rows, both in index order, and the int32 source, target and
+    rule index of every application that changes the mixture, in search
+    order: each source's by rule, then embedding. The frontier is expanded
+    _CHUNK states at a time against the visited states, rows sorted as
+    bytes. Raises StateCapExceeded past max_states."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial.counts, model.interface)
@@ -468,28 +468,22 @@ def _applications(model: RuleModel, max_states: int):
     keys = np.array(_key_writer(model, ends)(states), dtype=object)
     bounds = np.cumsum([0] + [len(level) for level in levels])
     order = np.concatenate([lo + np.argsort(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-    index = np.empty(len(order), dtype=np.intp)
+    index = np.empty(len(order), dtype=np.int32)
     index[order] = np.arange(len(order))  # number found -> state index
     states = states[order]
     states.flags.writeable = False
-    # one output array filled chunk by chunk: a concatenation and a cast
-    # would leave more freed heap behind, which stays resident
-    applications = np.empty((3, sum(part.shape[1] for part in found)), dtype=np.intp)
-    end = 0
-    for part in found:
-        applications[:2, end:end + part.shape[1]] = index[part[:2]]
-        applications[2, end:end + part.shape[1]] = part[2]
-        end += part.shape[1]
-    return tuple(keys[order]), states, *applications
+    found = np.concatenate(found, axis=1)
+    found[:2] = index[found[:2]]
+    return tuple(keys[order]), states, *found
 
 
 def _chain(model: RuleModel, keys, states, rows, cols, applied) -> ExploredChain:
     """The chain of ``_applications``' results: each application is one
-    generator entry at its rule's rate; ``RateMatrix`` adds up the entries
-    that share a target, and each diagonal is minus the sum of its row's
-    entries, in that order (its sort is stable)."""
+    generator entry at its rule's rate, then an int32 diagonal entry per row,
+    minus the row's sum; ``RateMatrix`` adds up the entries that share a
+    target in that order (its sort is stable)."""
     rates = np.array([rule.rate for rule in model.rules], dtype=float)[applied]
-    diagonal = np.arange(len(keys))
+    diagonal = np.arange(len(keys), dtype=np.int32)
     matrix = RateMatrix(len(keys), np.r_[rows, diagonal], np.r_[cols, diagonal],
                         np.r_[rates, -np.bincount(rows, weights=rates, minlength=len(keys))])
     return ExploredChain(StateSpace(keys), matrix, dict(model.initial.counts),

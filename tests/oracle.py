@@ -9,8 +9,9 @@ definitions, the last by polymer shape, so that tests can compare them.
 
 The theorem checks hold for every correct aggregation: they test the
 library's ``aggregate`` and ``classify``, dense and unguarded, on small
-chains only. The sorts at the end are the int64 sorts and ``np.unique``
-groupings that the library's narrowed sort keys replaced."""
+chains only. The sorts at the end are the int64 lexsorts and ``np.unique``
+groupings that the library's row-major codes and narrowed sort keys
+replaced."""
 
 import itertools
 from collections import Counter
@@ -305,9 +306,10 @@ def cesaro(P: StochasticMatrix, pi0: Distribution, n: int) -> Distribution:
 
 # --- the sorts before key narrowing -------------------------------------------------
 #
-# The library sorts narrowed keys (``markov.narrowed``) and groups sorted
-# runs; these are the int64 sorts and ``np.unique`` groupings it replaced,
-# kept to pin that the results are exactly equal.
+# The library sorts a matrix's entries by one int64 row-major code, and the
+# aggregation's cells by narrowed keys (``markov.narrowed``), and groups
+# sorted runs; these are the int64 lexsorts and ``np.unique`` groupings it
+# replaced, kept to pin that the results are exactly equal.
 
 def coordinate_arrays(dim, row, col, data):
     """``SquareMatrix``'s arrays the int64 way: entries sorted by an int64

@@ -864,6 +864,25 @@ class TestBadNumbers:
             assert err.startswith("error:") and "tol must be finite and nonnegative" in err
         assert not out.exists()
 
+    def test_refused_lumped_chain_names_the_chain_file(self, tmp_path, capsys):
+        # at these rates the lumped generator's row 13 sums to 4.5e-12, past
+        # the absolute row-sum bound of 1e-12
+        model, chain = tmp_path / "s.model", tmp_path / "s.json"
+        assert cli.main(["casestudy", "scaffold", "--na", "3", "--nb", "3", "--nc", "3",
+                         "--rates", "1300,700,1100,900", "--out", str(model)]) == 0
+        assert cli.main(["explore", str(model), "--out", str(chain)]) == 0
+        capsys.readouterr()
+        code = cli.main(["aggregate", str(chain), "--phi", "scaffold-phi1", "--model",
+                         str(model), "--out", str(tmp_path / "a.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {chain}: row 13 sums to ")
+        assert not (tmp_path / "a.json").exists()
+        # a bad option is not the chain's fault
+        code = cli.main(["aggregate", str(chain), "--phi", "scaffold-phi1", "--model",
+                         str(model), "--out", str(tmp_path / "a.json"), "--tol", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: tol must be finite and nonnegative, not nan\n"
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time(self, scaffold_files, tmp_path, capsys, t):
         _, chain = scaffold_files

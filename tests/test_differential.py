@@ -561,9 +561,10 @@ class TestNarrowedSortKeys:
     def test_square_matrix_equals_the_int64_sort(self, case):
         dim, row, col, data = case
         m = _Plain(dim, row, col, data)
-        for got, want in zip((m.row, m.col, m.data),
-                             oracle.coordinate_arrays(dim, row, col, data)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want, dtype in zip((m.row, m.col, m.data),
+                                    oracle.coordinate_arrays(dim, row, col, data),
+                                    (np.int32, np.int32, np.float64)):
+            assert got.dtype == dtype and np.array_equal(got, want)
 
     @settings(max_examples=80, deadline=None)
     @given(sparse_chains())

@@ -118,7 +118,25 @@ class TestTypes:
         row, col = np.array([0, 1], dtype=index_dtype), np.array([1, 0], dtype=index_dtype)
         p = markov.StochasticMatrix(2, row, col, np.array([1, 1]))
         assert p == markov.StochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert p.row.dtype == np.int64 and p.data.dtype == float
+        assert p.row.dtype == p.col.dtype == np.int32 and p.data.dtype == float
+
+    @pytest.mark.parametrize("make, dim", [
+        # read as 2 states with an entry in row 2, refused later inside scipy
+        (lambda: markov.RateMatrix(2.5, [2, 2], [0, 2], [1.0, -1.0]), 2.5),
+        (lambda: markov.StochasticMatrix(True, [0], [0], [1.0]), True),  # read as 1 state
+        (lambda: markov.StochasticMatrix(np.float64(1.0), [0], [0], [1.0]), np.float64(1.0)),
+        (lambda: markov.StochasticMatrix(0, [], [], []), 0),
+        # past int32 indices; the entry is out of range too, so no check sizes an array by it
+        (lambda: markov.StochasticMatrix(2 ** 31, [-1], [0], [1.0]), 2 ** 31),
+    ], ids=["fraction", "bool", "float", "zero", "past-int32"])
+    def test_dimension_must_be_an_int32_count(self, make, dim):
+        with pytest.raises(ValueError, match=re.escape(f"dimension must be an integer in "
+                                                       f"[1, 2^31), not {dim!r}")):
+            make()
+
+    def test_numpy_integer_dimension_accepted(self):
+        p = markov.StochasticMatrix(np.uint64(1), [0], [0], [1.0])
+        assert p.dim == 1 and type(p.dim) is int
 
     def test_duplicate_triplets_are_summed(self):
         p = markov.StochasticMatrix(2, [0, 1, 0], [1, 0, 1], [0.25, 1.0, 0.75])
@@ -460,6 +478,18 @@ class TestTransient:
             assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             m.data[0] = 0.5
+
+    @pytest.mark.parametrize("which", ["explored", "uniformized"])
+    def test_operator_shares_the_matrix_arrays(self, which):
+        # an int32 indptr beside the int32 col lets scipy keep col and data
+        # as they are, with no writeable copy
+        q = rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2))).matrix
+        k = q if which == "explored" else q._uniformized
+        op = k._operator
+        assert np.shares_memory(op.indices, k.col) and np.shares_memory(op.data, k.data)
+        assert op.indptr.dtype == np.int32
+        for arr in (op.indptr, op.indices, op.data):
+            assert not arr.flags.writeable
 
     def test_zero_generator_builds_nothing(self):
         q = markov.RateMatrix.from_dense(np.zeros((3, 3)))
