@@ -154,13 +154,14 @@ def _cells(K, part: Partition, w):
     summed in entry order."""
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    src, col = narrowed(part.block_of, len(part))[K.row], narrowed(K.col, K.dim)
+    row = K.row.astype(np.intp)  # numpy would convert the int32 rows at each gather
+    src, col = narrowed(part.block_of, len(part))[row], narrowed(K.col, K.dim)
     order = np.lexsort((col, src))
     src, col = src[order], col[order]
     first = run_starts(src, col)
     cell = np.cumsum(first)
     cell -= 1
-    return src[first], col[first], np.bincount(cell, weights=(w[K.row] * K.data)[order])
+    return src[first], col[first], np.bincount(cell, weights=(w[row] * K.data)[order])
 
 
 def _residual(part: Partition, w, src, col, flow) -> float:

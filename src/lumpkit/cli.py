@@ -224,6 +224,13 @@ def cmd_casestudy(args):
     return EXIT_OK
 
 
+def _times(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: expected comma-separated times")
+
+
 def _rates(text):
     values = [float(v) for v in text.split(",")]
     if len(values) != 4:
@@ -267,7 +274,7 @@ def build_parser():
     p.add_argument("chain")
     p.add_argument("--init", required=True,
                    help="distribution CSV, 'uniform', or 'respectful:BLOCKCSV'")
-    p.add_argument("--t", required=True, type=lambda s: [float(v) for v in s.split(",")])
+    p.add_argument("--t", required=True, type=_times)
     p.add_argument("--partition")
     p.add_argument("--measures")
     p.add_argument("--out", required=True, help="output file prefix")

@@ -5,8 +5,8 @@ edges. ``_applications``, the one breadth-first search, compiles each rule
 once into index arrays and applies it through every embedding of its left
 side. A state is one row of an integer array, its partner slot per
 (instance, site) slot; the frontier is expanded a fixed number of rows at
-a time, and the visited states are kept as one array of rows sorted as
-bytes. The generator over reaction mixtures assigns each
+a time, and the visited states are kept as one sorted array of exact int64
+row codes. The generator over reaction mixtures assigns each
 (rule, embedding) application its rule constant; when several applications
 hit the same target mixture the rates add (race of exponential clocks),
 which keeps the total exit rate equal to sum of rate * embedding count.
@@ -15,6 +15,7 @@ which keeps the total exit rate equal to sum of rate * embedding count.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from operator import itemgetter
 from dataclasses import dataclass, field
@@ -209,6 +210,38 @@ def _rows_dtype(slots: int):
     return np.min_scalar_type(-max(slots, 1))
 
 
+def _row_code(pairs, width):
+    """The function from slot rows (width slots, bonds only of the pairs
+    given) to one exact int64 code each. Slot x's digit is its partner's rank
+    among the slots y > x it may bond, or the top one if it is free or bound
+    to an earlier slot. Slot 0 is most significant, so codes order one-byte
+    rows as their bytes do. Past 2^63 the code is the rows' void view."""
+    later = {}  # slot -> the later slots it may bond
+    for x, y in sorted({tuple(sorted(pair)) for pair in pairs}):
+        later.setdefault(x, []).append(y)
+    if math.prod(len(ys) + 1 for ys in later.values()) >= 2 ** 63:
+        return lambda rows: rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    at = np.arange(width + 1)  # a partner slot, or width for -1
+    tables = [np.where(np.isin(at, ys), np.searchsorted(ys, at), len(ys)) for ys in later.values()]
+
+    def code(rows):
+        out = np.zeros(len(rows), dtype=np.int64)
+        for table, partner in zip(tables, rows[:, list(later)].T.astype(np.intp)):
+            out = out * (table[-1] + 1) + table[partner]  # the radix is the top digit + 1
+        return out
+
+    return code
+
+
+def _distinct(code):
+    """``np.unique(code, return_index=True, return_inverse=True)`` by one unstable argsort."""
+    order = np.argsort(code)
+    starts = run_starts(code[order])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return code[order[starts]], np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
+
+
 def _key_rows(keys, counts, interface):
     """The read-only slot rows of the states with these keys, in
     ``_layout``'s order. Each distinct bond part is placed once, as its two
@@ -229,9 +262,9 @@ def _key_rows(keys, counts, interface):
             pair[j] = slots[v1][s1], slots[v2][s2]
         except (KeyError, ValueError):
             pass
-    pair = pair[np.fromiter(map(number.__getitem__, parts), dtype=np.intp, count=len(parts))]
-    on = pair[:, 0] >= 0
-    at, (a, b) = np.repeat(np.arange(len(keys)), sizes)[on], pair[on].T
+    placed = pair[np.fromiter(map(number.__getitem__, parts), dtype=np.intp, count=len(parts))]
+    on = placed[:, 0] >= 0
+    at, (a, b) = np.repeat(np.arange(len(keys)), sizes)[on], placed[on].T
     rows = np.full((len(keys), max(len(ends), 1)), -1, dtype=_rows_dtype(len(ends)))
     rows[at, a], rows[at, b] = b, a
     refused = np.flatnonzero(np.count_nonzero(rows >= 0, axis=1) != 2 * sizes)
@@ -239,8 +272,7 @@ def _key_rows(keys, counts, interface):
     bonds = mixture_from_key(keys[i], counts, interface) if len(keys) else {}
     if any(rows[i, slots[v][s]] != slots[w][t] for v in bonds for s, (w, t) in bonds[v]):
         raise AssertionError(f"state {keys[i]!r} decoded into a row of other bonds")
-    row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    _, first, inverse = np.unique(rows.view(row).ravel(), return_index=True, return_inverse=True)
+    _, first, inverse = _distinct(_row_code(pair[pair[:, 0] >= 0].tolist(), rows.shape[1])(rows))
     again = np.flatnonzero(first[inverse] != np.arange(len(keys)))  # a row seen before
     if len(again):
         j = again[0]
@@ -365,37 +397,36 @@ def _compile(rule: RewriteRule, layout) -> _CompiledRule:
                          added=pairs(right.edges - left.edges))
 
 
-def _key_writer(model: RuleModel, ends):
+def _bond_pairs(model: RuleModel, ends):
+    """The slot pairs (x, y), x < y, on two instances, whose kinds a rule
+    bonds: the only bonds of explore's rows, as ``RuleModel`` checks."""
+    kinds, bondable = [(node_type(v), s) for v, s in ends], model.edge_types
+    return [(x, y) for x, y in itertools.combinations(range(len(ends)), 2)
+            if ends[x][0] != ends[y][0] and frozenset((kinds[x], kinds[y])) in bondable]
+
+
+def _key_writer(pairs, ends):
     """The function from state rows to their keys: the parts ``v.s-w.t`` of
     their bonds, smaller end first, sorted and joined by ``;``, or ``-``. Each
-    slot pair whose kinds a rule bonds (``RuleModel`` holds the initial
-    mixture to those) has its part's rank among all such parts precomputed;
-    a key joins its parts by rank. Only the slots of such kinds, the active
-    ones, are read."""
-    bondable = model.edge_types
-    kinds = [(node_type(v), s) for v, s in ends]
-    active = [x for x, kind in enumerate(kinds) if any(kind in b for b in bondable)]
+    slot pair of ``_bond_pairs`` has its part's rank among all such parts
+    precomputed; a key joins its parts by rank. Only the slots of those
+    pairs, the active ones, are read."""
 
     def part(pair):
         return ";" + "-".join(f"{v}.{s}" for v, s in sorted(ends[x] for x in pair))
 
-    pairs = sorted(((x, y) for i, x in enumerate(active) for y in active[i + 1:]
-                    if ends[x][0] != ends[y][0] and frozenset((kinds[x], kinds[y])) in bondable),
-                   key=part)
-    active = np.array(active, dtype=np.intp)
+    pairs = sorted(pairs, key=part)
+    active = np.array(sorted({x for pair in pairs for x in pair}), dtype=np.intp)
     parts = np.array([part(pair) for pair in pairs] + [""], dtype=object)
-    local = np.zeros(len(ends), dtype=np.intp)  # slot -> its column among the active ones
-    local[active] = np.arange(len(active))
-    rank = np.full((len(active), len(active)), len(pairs), dtype=np.intp)
+    rank = np.full((len(ends), len(ends)), len(pairs), dtype=np.intp)
     for r, (x, y) in enumerate(pairs):
-        rank[local[x], local[y]] = r
-    column = np.arange(len(active))
+        rank[x, y] = r
 
     def keys(rows):  # _CHUNK rows at a time, which bounds the temporaries
         out = []
         for lo in range(0, len(rows), _CHUNK):
             partner = rows[lo:lo + _CHUNK, active]
-            ranks = np.where(partner > active, rank[column, local[partner]], len(pairs))
+            ranks = np.where(partner > active, rank[active, partner], len(pairs))
             ranks.sort(axis=1)
             out += ["".join(row)[1:] or "-" for row in parts[ranks[:, :len(active) // 2]].tolist()]
         return out
@@ -423,8 +454,8 @@ def _applications(model: RuleModel, max_states: int):
     of state rows, both in index order, and the int32 source, target and
     rule index of every application that changes the mixture, in search
     order: each source's by rule, then embedding. The frontier is expanded
-    _CHUNK states at a time against the visited states, rows sorted as
-    bytes. Raises StateCapExceeded past max_states."""
+    _CHUNK states at a time against the visited states' sorted ``_row_code``
+    codes. Raises StateCapExceeded past max_states."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial.counts, model.interface)
@@ -435,16 +466,16 @@ def _applications(model: RuleModel, max_states: int):
     for (v1, s1), (v2, s2) in model.initial.graph.edges:
         a, b = slots[v1][s1], slots[v2][s2]
         start[0, a], start[0, b] = b, a
-    row = np.dtype((np.void, start.itemsize * start.shape[1]))
-    seen, seen_number = start.view(row).ravel(), np.zeros(1, dtype=np.intp)
+    pairs = _bond_pairs(model, ends)
+    code = _row_code(pairs, start.shape[1])
+    seen, seen_number = code(start), np.zeros(1, dtype=np.intp)
     frontier, levels = start, [start]  # the last level, and each, in the order found
     found = []  # sources, targets and rules per chunk, as rows of one array
     while len(frontier):
         base, discovered = len(seen) - len(frontier), []  # the frontier's first number
         for lo in range(0, len(frontier), _CHUNK):
             rows, applied, new = _expand(compiled, frontier[lo:lo + _CHUNK])
-            unique, first, inverse = np.unique(new.view(row).ravel(), return_index=True,
-                                               return_inverse=True)
+            unique, first, inverse = _distinct(code(new))
             at = np.searchsorted(seen, unique)
             known = at < len(seen)
             known[known] = seen[at[known]] == unique[known]
@@ -465,7 +496,7 @@ def _applications(model: RuleModel, max_states: int):
         levels.append(frontier)
     del seen, seen_number
     states = np.concatenate(levels)
-    keys = np.array(_key_writer(model, ends)(states), dtype=object)
+    keys = np.array(_key_writer(pairs, ends)(states), dtype=object)
     bounds = np.cumsum([0] + [len(level) for level in levels])
     order = np.concatenate([lo + np.argsort(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     index = np.empty(len(order), dtype=np.int32)
@@ -534,9 +565,9 @@ def reads_species(phi):
 
 def _row_patterns(chain: ExploredChain):
     """Each instance's distinct partner patterns over the chain's slot rows,
-    found with ``np.unique`` over one integer code per row. Returns the
-    instance names and, per instance, its patterns' bonds as one tuple each
-    (an object array) and each row's pattern."""
+    found with ``np.unique`` over one narrowed integer code per row. Returns
+    the instance names and, per instance, its patterns' bonds as one tuple
+    each (an object array) and each row's pattern."""
     _, slots, ends = _layout(chain.counts, chain.interface)
     names = tuple(slots)
     radix = len(ends) + 1  # a partner slot plus one; 0 is no partner
@@ -545,6 +576,7 @@ def _row_patterns(chain: ExploredChain):
     for v in names:
         columns = list(slots[v].values())  # its slots, in site order
         code = _mixed_radix(len(rows), ((rows[:, x], radix) for x in columns))
+        code = narrowed(code, min(radix ** len(columns), 2 ** 63))  # below n if renumbered
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         bonds = np.empty(len(first), dtype=object)
         for j, partners in enumerate(rows[first][:, columns].tolist()):

@@ -469,6 +469,10 @@ class TestBadInput:
         (["explore"], "the following arguments are required: model, --out"),
         (["check", "c.json", "--partition", "p.json", "--phi", "species"],
          "argument --phi: not allowed with argument --partition"),
+        (["transient", "c.json", "--init", "uniform", "--t", "1,,2", "--out", "p"],
+         "argument --t: invalid value '1,,2': expected comma-separated times"),
+        (["transient", "c.json", "--init", "uniform", "--t", "", "--out", "p"],
+         "argument --t: invalid value '': expected comma-separated times"),
     ])
     def test_malformed_argument_is_an_input_error(self, capsys, argv, message):
         # argparse alone would exit 2, the code reserved for the state cap

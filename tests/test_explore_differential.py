@@ -326,3 +326,58 @@ class TestStationaryMatchesADenseSolve:
         else:
             got = markov.stationary(chain.matrix).weights
             assert np.abs(got - dense_stationary(chain.matrix)).max() <= 1e-10
+
+
+def np_unique(values):
+    return np.unique(values, return_index=True, return_inverse=True)
+
+
+class TestRowCodes:
+    """Explore keys its visited states by ``rules._row_code``, one exact
+    int64 per slot row, and tells a chunk's targets apart by
+    ``rules._distinct``, which stands for ``np.unique``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.integers(-3, 3), max_size=60),
+                     st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60),
+                     st.integers(0, 40).map(lambda n: [7] * n)))
+    def test_distinct_is_np_unique(self, values):
+        code = np.array(values, dtype=np.int64)
+        for got, want in zip(rules._distinct(code), np_unique(code)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_distinct_is_np_unique_on_void_rows(self, n, width, seed):
+        rows = np.random.default_rng(seed).integers(-1, 2, size=(n, width), dtype=np.int8)
+        code = rows.view(np.dtype((np.void, width))).ravel()
+        for got, want in zip(rules._distinct(code), np_unique(code)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", [
+        casestudies.scaffold_model(casestudies.ScaffoldParams(3, 3, 3)),
+        casestudies.polymer_model(casestudies.PolymerParams(3))], ids=["scaffold-333", "polymer-3"])
+    def test_codes_are_distinct_and_in_byte_order(self, model):
+        chain = rules.explore(model)
+        code = rules._row_code(rules._bond_pairs(model, chain.ends), chain.rows.shape[1])
+        codes = code(chain.rows)
+        assert codes.dtype == np.int64 and len(np.unique(codes)) == len(chain.space)
+        assert chain.rows.dtype == np.int8
+        void = chain.rows.view(np.dtype((np.void, chain.rows.shape[1]))).ravel()
+        assert np.array_equal(np.argsort(codes, kind="stable"), np.argsort(void, kind="stable"))
+
+    def test_wide_rows_fall_back_to_the_void_view(self):
+        # 16 A(b) and 16 B(a): each A.b may bond 16 later slots, and 17^16 >= 2^63
+        iface = {"A": frozenset({"b"}), "B": frozenset({"a"})}
+        edge = frozenset((("A", "b"), ("B", "a")))
+        unbind = rules.RewriteRule(SiteGraph(frozenset(iface), iface, frozenset({edge})),
+                                   SiteGraph(frozenset(iface), iface, frozenset()), 1.0, "unbind")
+        bonds = [frozenset(((instance_name("A", j), "b"), (instance_name("B", j), "a")))
+                 for j in (1, 2, 3)]
+        model = rules.RuleModel((unbind,), make_mixture(iface, {"A": 16, "B": 16}, bonds), iface)
+        chain = rules.explore(model)
+        code = rules._row_code(rules._bond_pairs(model, chain.ends), chain.rows.shape[1])
+        assert 17 ** 16 >= 2 ** 63 and code(chain.rows).dtype.kind == "V"
+        states, matrix, _, mixtures = reference_explore(model, MAX_STATES)
+        assert len(states) == 8 and chain.space.states == states and chain.matrix == matrix
+        assert bond_maps(chain) == [mix.graph.bonds() for mix in mixtures]
