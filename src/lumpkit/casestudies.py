@@ -1,9 +1,8 @@
-"""Builders, abstraction maps, and exact combinatorics for the two
+"""Models, abstraction maps, and exact combinatorics for the two
 desk-scale case studies: a scaffold binding two partners on independent
-sites, and two-sided polymerization of two protein types.
-
-All class sizes are computed in exact integer arithmetic; block measures
-are the reciprocals of these sizes.
+sites, and two-sided polymerization of two protein types. Each model is
+text in the rule language that ``dsl`` parses. Class sizes are exact
+integers; block measures are their reciprocals.
 """
 
 from __future__ import annotations
@@ -11,15 +10,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
+from . import dsl
 from .errors import InvalidArgs, InvalidCounts
-from .rules import RewriteRule, RuleModel, check_rate, reads_local_views
-from .sitegraph import SiteGraph, make_edge, make_mixture
+from .rules import RuleModel, check_rate, reads_local_views
 
 
 # --- case study 1: scaffold --------------------------------------------------
 
 SCAFFOLD_INTERFACE = {"A": frozenset({"b"}), "B": frozenset({"a", "c"}),
                       "C": frozenset({"b"})}
+
+_SCAFFOLD_TEXT = """node A {{ sites: b }}
+node B {{ sites: a, c }}
+node C {{ sites: b }}
+
+rule r1: A(b), B(a) -> A(b!1), B(a!1) @ {c1}
+rule r2: B(c), C(b) -> B(c!1), C(b!1) @ {c2}
+rule r3: A(b!1), B(a!1) -> A(b), B(a) @ {c3}
+rule r4: B(c!1), C(b!1) -> B(c), C(b) @ {c4}
+
+init: A*{n_a}, B*{n_b}, C*{n_c}
+"""
 
 
 @dataclass(frozen=True)
@@ -42,29 +53,16 @@ class ScaffoldParams:
             check_rate(rate)
 
 
-def _pair_rule(name, left_nodes, interface, edge, rate, bind):
-    free = SiteGraph(frozenset(left_nodes), interface, frozenset())
-    bound = SiteGraph(frozenset(left_nodes), interface, frozenset({edge}))
-    if bind:
-        return RewriteRule(free, bound, rate, name)
-    return RewriteRule(bound, free, rate, name)
+def _parse(text, p, counts):
+    """The model of text with p's counts and rates filled in, each rate as
+    ``repr(float(rate))``: the parser refuses numpy's ``np.float64(...)``."""
+    return dsl.parse_model(text.format(**{k: v if k in counts else repr(float(v))
+                                          for k, v in vars(p).items()}))
 
 
 def scaffold_model(p: ScaffoldParams) -> RuleModel:
     """Two reversible binding rules on the two independent sites of B."""
-    ab_iface = {"A": frozenset({"b"}), "B": frozenset({"a"})}
-    bc_iface = {"B": frozenset({"c"}), "C": frozenset({"b"})}
-    ab_edge = make_edge("A", "b", "B", "a")
-    bc_edge = make_edge("B", "c", "C", "b")
-    rules = (
-        _pair_rule("r1", {"A", "B"}, ab_iface, ab_edge, p.c1, bind=True),
-        _pair_rule("r2", {"B", "C"}, bc_iface, bc_edge, p.c2, bind=True),
-        _pair_rule("r3", {"A", "B"}, ab_iface, ab_edge, p.c3, bind=False),
-        _pair_rule("r4", {"B", "C"}, bc_iface, bc_edge, p.c4, bind=False),
-    )
-    initial = make_mixture(SCAFFOLD_INTERFACE,
-                           {"A": p.n_a, "B": p.n_b, "C": p.n_c})
-    return RuleModel(rules, initial, dict(SCAFFOLD_INTERFACE))
+    return _parse(_SCAFFOLD_TEXT, p, ("n_a", "n_b", "n_c"))
 
 
 def _scaffold_bound_b(bonds):
@@ -136,6 +134,17 @@ def scaffold_state_counts(n: int):
 
 POLYMER_INTERFACE = {"A": frozenset({"b", "r"}), "B": frozenset({"a", "l"})}
 
+_POLYMER_TEXT = """node A {{ sites: b, r }}
+node B {{ sites: a, l }}
+
+rule bind_ba: A(b), B(a) -> A(b!1), B(a!1) @ {bind_ba}
+rule unbind_ba: A(b!1), B(a!1) -> A(b), B(a) @ {unbind_ba}
+rule bind_rl: A(r), B(l) -> A(r!1), B(l!1) @ {bind_rl}
+rule unbind_rl: A(r!1), B(l!1) -> A(r), B(l) @ {unbind_rl}
+
+init: A*{n}, B*{n}
+"""
+
 
 @dataclass(frozen=True)
 class PolymerParams:
@@ -156,18 +165,7 @@ class PolymerParams:
 
 
 def polymer_model(p: PolymerParams) -> RuleModel:
-    ba_iface = {"A": frozenset({"b"}), "B": frozenset({"a"})}
-    rl_iface = {"A": frozenset({"r"}), "B": frozenset({"l"})}
-    ba_edge = make_edge("A", "b", "B", "a")
-    rl_edge = make_edge("A", "r", "B", "l")
-    rules = (
-        _pair_rule("bind_ba", {"A", "B"}, ba_iface, ba_edge, p.bind_ba, bind=True),
-        _pair_rule("unbind_ba", {"A", "B"}, ba_iface, ba_edge, p.unbind_ba, bind=False),
-        _pair_rule("bind_rl", {"A", "B"}, rl_iface, rl_edge, p.bind_rl, bind=True),
-        _pair_rule("unbind_rl", {"A", "B"}, rl_iface, rl_edge, p.unbind_rl, bind=False),
-    )
-    initial = make_mixture(POLYMER_INTERFACE, {"A": p.n, "B": p.n})
-    return RuleModel(rules, initial, dict(POLYMER_INTERFACE))
+    return _parse(_POLYMER_TEXT, p, ("n",))
 
 
 @reads_local_views

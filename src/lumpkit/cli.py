@@ -210,13 +210,10 @@ def cmd_deaggregate(args):
 
 def cmd_casestudy(args):
     if args.which == "scaffold":
-        c1, c2, c3, c4 = args.rates
-        params = casestudies.ScaffoldParams(args.na, args.nb, args.nc, c1, c2, c3, c4)
-        model = casestudies.scaffold_model(params)
+        model = casestudies.scaffold_model(
+            casestudies.ScaffoldParams(args.na, args.nb, args.nc, *args.rates))
     else:
-        r1, r2, r3, r4 = args.rates
-        params = casestudies.PolymerParams(args.n, r1, r2, r3, r4)
-        model = casestudies.polymer_model(params)
+        model = casestudies.polymer_model(casestudies.PolymerParams(args.n, *args.rates))
     text = dsl.print_model(model)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -232,10 +229,12 @@ def _times(text):
 
 
 def _rates(text):
-    values = [float(v) for v in text.split(",")]
-    if len(values) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated rates")
-    return values
+    try:
+        c1, c2, c3, c4 = map(float, text.split(","))
+    except ValueError:  # a value that is not a number, or not four of them
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected four comma-separated rates")
+    return [c1, c2, c3, c4]
 
 
 def build_parser():
@@ -316,8 +315,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK  # EXIT_OK after --help
     try:
         return args.func(args)
-    except StateCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StateCapExceeded, MemoryError) as exc:  # the model's cap, or the machine's
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except ConditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)

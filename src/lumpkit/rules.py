@@ -4,8 +4,8 @@ A rewrite rule keeps its node set and interfaces fixed and only toggles
 edges. ``_applications``, the one breadth-first search, compiles each rule
 once into index arrays and applies it through every embedding of its left
 side. A state is one row of an integer array, its partner slot per
-(instance, site) slot; the frontier is expanded a fixed number of rows at
-a time, and the visited states are kept as one sorted array of exact int64
+(instance, site) slot; the frontier is expanded at most _ROWS target rows
+at a time, and the visited states are kept as one sorted array of exact int64
 row codes. The generator over reaction mixtures assigns each
 (rule, embedding) application its rule constant; when several applications
 hit the same target mixture the rates add (race of exponential clocks),
@@ -187,7 +187,8 @@ class ExploredChain:
 # plans of index arrays, evaluated for a block of states at once, and the
 # bonds it removes and adds, as positions in an embedding's slot vector.
 
-_CHUNK = 2048  # frontier states expanded at once; bounds the search's temporaries
+_CHUNK = 2048  # states keyed or mapped at once; bounds those passes' temporaries
+_ROWS = 2 ** 17  # target rows one chunk of the frontier may make; bounds the search
 
 
 def _layout(counts, interface):
@@ -453,13 +454,15 @@ def _applications(model: RuleModel, max_states: int):
     indexed by (level, key). Returns the state keys and the read-only array
     of state rows, both in index order, and the int32 source, target and
     rule index of every application that changes the mixture, in search
-    order: each source's by rule, then embedding. The frontier is expanded
-    _CHUNK states at a time against the visited states' sorted ``_row_code``
-    codes. Raises StateCapExceeded past max_states."""
+    order: each source's by rule, then embedding. A chunk of the frontier
+    makes at most _ROWS targets: a state makes at most one per rule and
+    choice of component roots. Raises StateCapExceeded past max_states."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     layout = _layout(model.initial.counts, model.interface)
     compiled = [_compile(rule, layout) for rule in model.rules]
+    most = sum(math.prod(len(c.first) for c in rule.components) for rule in compiled)
+    step = max(1, _ROWS // max(most, 1))  # frontier states per chunk
     _, slots, ends = layout
     n = len(ends)
     start = np.full((1, max(n, 1)), -1, dtype=_rows_dtype(n))
@@ -473,8 +476,8 @@ def _applications(model: RuleModel, max_states: int):
     found = []  # sources, targets and rules per chunk, as rows of one array
     while len(frontier):
         base, discovered = len(seen) - len(frontier), []  # the frontier's first number
-        for lo in range(0, len(frontier), _CHUNK):
-            rows, applied, new = _expand(compiled, frontier[lo:lo + _CHUNK])
+        for lo in range(0, len(frontier), step):
+            rows, applied, new = _expand(compiled, frontier[lo:lo + step])
             unique, first, inverse = _distinct(code(new))
             at = np.searchsorted(seen, unique)
             known = at < len(seen)

@@ -78,9 +78,6 @@ class ReactionMixture:
             raise ValueError("node instances do not match the counts")
         _check_edges(self.graph.edges, self.graph.interface, once=True)
 
-    def __hash__(self):
-        return hash(self.graph)
-
 
 def _check_edges(edges, interface, once):
     """Each edge joins two endpoints on distinct nodes, each a site of the

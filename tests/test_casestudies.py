@@ -2,13 +2,14 @@ import itertools
 from collections import Counter
 from math import factorial
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import LOCAL_VIEW_MAPS, bond_maps, key_mixture, local_view_census, row_bond_maps
 
-from lumpkit import casestudies, cli, rules, sitegraph
+from lumpkit import casestudies, cli, dsl, rules, sitegraph
 from lumpkit.errors import InvalidArgs, InvalidCounts
 from lumpkit.sitegraph import SiteGraph, make_mixture, species_census
 
@@ -67,6 +68,48 @@ def phi1_size_oracle(phi1_value, n):
             m_b -= use_b
         total //= factorial(count)
     return total
+
+
+class TestModelText:
+    """Each case study is its model text, parsed: printing it gives the text
+    back, with every rate as exactly the float it was given."""
+
+    SCAFFOLD = ("node A { sites: b }\nnode B { sites: a, c }\nnode C { sites: b }\n\n"
+                "rule r1: A(b), B(a) -> A(b!1), B(a!1) @ 1.5\n"
+                "rule r2: B(c), C(b) -> B(c!1), C(b!1) @ 5e-324\n"
+                "rule r3: A(b!1), B(a!1) -> A(b), B(a) @ 1.7e+308\n"
+                "rule r4: B(c!1), C(b!1) -> B(c), C(b) @ 0.1\n\n"
+                "init: A*2, B*3, C*4\n")
+    POLYMER = ("node A { sites: b, r }\nnode B { sites: a, l }\n\n"
+               "rule bind_ba: A(b), B(a) -> A(b!1), B(a!1) @ 0.0\n"
+               "rule unbind_ba: A(b!1), B(a!1) -> A(b), B(a) @ 1e-300\n"
+               "rule bind_rl: A(r), B(l) -> A(r!1), B(l!1) @ 1.0\n"
+               "rule unbind_rl: A(r!1), B(l!1) -> A(r), B(l) @ 0.7\n\n"
+               "init: A*3, B*3\n")
+
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_printed_text(self, number):
+        # numpy prints np.float64(1.5), which the parser refuses
+        scaffold = casestudies.scaffold_model(casestudies.ScaffoldParams(
+            2, 3, 4, *map(number, (1.5, 5e-324, 1.7e308, 0.1))))
+        polymer = casestudies.polymer_model(casestudies.PolymerParams(
+            3, *map(number, (0.0, 1e-300, 1, 0.7))))
+        assert dsl.print_model(scaffold) == self.SCAFFOLD
+        assert dsl.print_model(polymer) == self.POLYMER
+        assert [rule.rate for rule in scaffold.rules] == [1.5, 5e-324, 1.7e308, 0.1]
+        assert [rule.rate for rule in polymer.rules] == [0.0, 1e-300, 1.0, 0.7]
+
+    def test_interfaces_and_counts(self):
+        scaffold = casestudies.scaffold_model(casestudies.ScaffoldParams(2, 3, 4))
+        polymer = casestudies.polymer_model(casestudies.PolymerParams(3))
+        assert scaffold.interface == casestudies.SCAFFOLD_INTERFACE
+        assert polymer.interface == casestudies.POLYMER_INTERFACE
+        assert list(scaffold.initial.counts.items()) == [("A", 2), ("B", 3), ("C", 4)]
+        assert list(polymer.initial.counts.items()) == [("A", 3), ("B", 3)]
+
+    def test_no_hand_built_rules(self):
+        for name in ("_pair_rule", "RewriteRule", "SiteGraph", "make_edge", "make_mixture"):
+            assert not hasattr(casestudies, name), name
 
 
 class TestScaffoldModel:

@@ -96,6 +96,22 @@ class TestExplore:
         assert code == 2
         assert "max_states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 976. MiB"), "error: Unable to allocate 976. MiB\n"),
+        (MemoryError(), "error: out of memory\n")])
+    def test_out_of_memory_is_the_cap_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                 error, message):
+        # one line, not a traceback, and the exit code of the state cap
+        def short(*args):
+            raise error
+
+        model = tmp_path / "scaffold.model"
+        model.write_text(SCAFFOLD_111)
+        monkeypatch.setattr(rules, "_applications", short)
+        assert cli.main(["explore", str(model), "--out", str(tmp_path / "chain.json")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "chain.json").exists()
+
     def test_cap_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LUMPKIT_MAX_STATES", "2")
         model = tmp_path / "scaffold.model"
@@ -446,7 +462,8 @@ class TestCasestudyCommand:
     def test_bad_rates_rejected(self, tmp_path, capsys):
         assert cli.main(["casestudy", "polymer", "--n", "1", "--rates", "1,2",
                          "--out", str(tmp_path / "m.model")]) == 1
-        assert "argument --rates: expected four comma-separated rates" in capsys.readouterr().err
+        assert ("argument --rates: invalid value '1,2': expected four comma-separated rates"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("rates", ["nan,1,1,1", "1,inf,1,1"])
     def test_nonfinite_rate_rejected(self, tmp_path, capsys, rates):
@@ -473,6 +490,8 @@ class TestBadInput:
          "argument --t: invalid value '1,,2': expected comma-separated times"),
         (["transient", "c.json", "--init", "uniform", "--t", "", "--out", "p"],
          "argument --t: invalid value '': expected comma-separated times"),
+        (["casestudy", "polymer", "--n", "2", "--rates", "a,b,c,d", "--out", "m.model"],
+         "argument --rates: invalid value 'a,b,c,d': expected four comma-separated rates"),
     ])
     def test_malformed_argument_is_an_input_error(self, capsys, argv, message):
         # argparse alone would exit 2, the code reserved for the state cap

@@ -93,6 +93,13 @@ class TestTypes:
         d = markov.Distribution.point_mass(3, 1)
         assert d[1] == 1.0 and d[0] == 0.0
 
+    def test_distribution_equality(self):
+        d = markov.Distribution([0.25, 0.75])
+        assert d == markov.Distribution(np.array([0.25, 0.75]))
+        assert d != markov.Distribution([0.75, 0.25])
+        assert d != markov.Distribution([0.25, 0.25, 0.5])
+        assert d != [0.25, 0.75] and d != d.weights.tolist()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_distribution_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):

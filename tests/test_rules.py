@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import re
 import subprocess
@@ -34,6 +35,25 @@ def side(sites, *edges):
 def scaffold_model(na=1, nb=1, nc=1, rates=(1.0, 1.0, 1.0, 1.0)):
     return casestudies.scaffold_model(
         casestudies.ScaffoldParams(na, nb, nc, *rates))
+
+
+def expand_by(monkeypatch, model, sources):
+    """Set the search's row budget, ``rules._ROWS``, so that it expands the
+    model's frontier ``sources`` states at a time: a state makes at most one
+    target per rule and choice of a root for each component. Returns the
+    list that the size of each chunk the search expands is added to."""
+    layout = rules._layout(model.initial.counts, model.interface)
+    most = sum(math.prod(len(c.first) for c in rules._compile(rule, layout).components)
+               for rule in model.rules)
+    monkeypatch.setattr(rules, "_ROWS", sources * most)
+    sizes, expand = [], rules._expand
+
+    def counted(compiled, states):
+        sizes.append(len(states))
+        return expand(compiled, states)
+
+    monkeypatch.setattr(rules, "_expand", counted)
+    return sizes
 
 
 @st.composite
@@ -311,12 +331,14 @@ class TestExplore:
     @pytest.mark.parametrize("chunk", [None, 1, 2])
     @pytest.mark.parametrize("size, states", [((1, 1, 1), 4), ((2, 2, 2), 49)])
     def test_state_cap_boundary(self, size, states, chunk, monkeypatch):
-        if chunk:  # the frontier one or two states at a time, else in one chunk
-            monkeypatch.setattr(rules, "_CHUNK", chunk)
         model = scaffold_model(*size)
+        if chunk:  # the frontier one or two states at a time, else in one chunk
+            sizes = expand_by(monkeypatch, model, chunk)
         assert len(rules.explore(model, max_states=states).space) == states
         with pytest.raises(StateCapExceeded):
             rules.explore(model, max_states=states - 1)
+        if chunk:
+            assert max(sizes) == chunk
 
     def test_zero_rate_target_stays_with_its_label(self):
         model = scaffold_model(rates=(0.0, 1.0, 1.0, 1.0))
@@ -404,11 +426,13 @@ def test_chunked_frontier_gives_the_same_applications(model, monkeypatch):
         order = np.lexsort((applied, rows))
         return keys, states, rows[order], cols[order], applied[order]
 
-    assert isinstance(rules._CHUNK, int) and rules._CHUNK > 1
+    assert isinstance(rules._ROWS, int) and rules._ROWS > 1
     want = by_source(rules._applications(model, 1000))
     for chunk in (1, 3):
-        monkeypatch.setattr(rules, "_CHUNK", chunk)
-        got = by_source(rules._applications(model, 1000))
+        with monkeypatch.context() as patched:
+            sizes = expand_by(patched, model, chunk)
+            got = by_source(rules._applications(model, 1000))
+        assert max(sizes) == chunk
         assert got[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
@@ -423,8 +447,10 @@ def test_chunked_frontier_gives_the_same_chain(model, monkeypatch):
 
     want = labelled()
     for chunk in (1, 3):
-        monkeypatch.setattr(rules, "_CHUNK", chunk)
-        got = labelled()
+        with monkeypatch.context() as patched:
+            sizes = expand_by(patched, model, chunk)
+            got = labelled()
+        assert max(sizes) == chunk
         assert got[0] == want[0] and got[-1] == want[-1]
         assert all(np.array_equal(a, b) for a, b in zip(got[1:-1], want[1:-1]))
 
@@ -444,9 +470,10 @@ def test_keys_are_written_once(monkeypatch):
         return count
 
     monkeypatch.setattr(rules, "_key_writer", counted)
-    monkeypatch.setattr(rules, "_CHUNK", 3)  # many chunks
     model = scaffold_model(2, 2, 2)
+    sizes = expand_by(monkeypatch, model, 3)  # many chunks
     assert len(rules.explore(model).space) == 49
+    assert max(sizes) == 3
     assert calls == [49]
     calls.clear()
     with pytest.raises(StateCapExceeded):
@@ -461,6 +488,48 @@ def test_largest_case_study_chain_under_the_cap(scaffold_445):
     assert len(scaffold_445.matrix.data) == 1_260_077
     with pytest.raises(StateCapExceeded, match=r"^reachable set exceeds max_states = 104708$"):
         rules.explore(scaffold_model(4, 4, 5, rates=(1.3, 0.7, 1.1, 0.9)), max_states=104_708)
+
+
+@pytest.mark.parametrize("model", [scaffold_model(2, 3, 4),
+                                   casestudies.polymer_model(casestudies.PolymerParams(3))])
+@pytest.mark.parametrize("budget", [1, 40, 500, 2 ** 17])
+def test_a_chunk_makes_at_most_the_row_budget(model, budget, monkeypatch):
+    """The search expands as many frontier states at once as keep the
+    targets of a chunk within ``rules._ROWS``, and one state when a single
+    state may make more."""
+    monkeypatch.setattr(rules, "_ROWS", budget)
+    made, expand = [], rules._expand
+
+    def counted(compiled, states):
+        rows, applied, new = expand(compiled, states)
+        made.append((len(states), len(new)))
+        return rows, applied, new
+
+    monkeypatch.setattr(rules, "_expand", counted)
+    assert len(rules.explore(model).space) == sum(n for n, _ in made)
+    assert all(targets <= budget or states == 1 for states, targets in made)
+
+
+def test_state_cap_refused_before_memory_runs_out():
+    """Polymer n=40, whose reachable set is far past the default cap of
+    200,000 states, is refused at the cap in a process limited to 2 GiB of
+    address space: a chunk of the frontier makes at most ``rules._ROWS``
+    target rows before the cap is checked, not 2,048 states' worth."""
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+            "from lumpkit import casestudies, rules\n"
+            "from lumpkit.errors import StateCapExceeded\n"
+            "try:\n"
+            "    rules.explore(casestudies.polymer_model(casestudies.PolymerParams(40)))\n"
+            "except StateCapExceeded as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert (out.returncode, out.stdout) == (0, "reachable set exceeds max_states = 200000\n"), \
+        out.stderr
 
 
 def test_explore_peak_per_nonzero_at_scaffold_445():
