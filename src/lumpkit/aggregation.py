@@ -6,6 +6,9 @@ incoming mass into a target state, normalized by the target's own weight,
 must be constant over each target block. When the condition holds, the
 aggregated matrix over blocks is again stochastic (or a generator) and the
 original chain's distribution can be recovered from the aggregated one.
+The condition's cells, which the residual and the aggregated matrix are
+read from, are one compiled sparse product over the matrix's operator
+(``markov.SquareMatrix._operator``), so scipy is loaded on the first check.
 """
 
 from __future__ import annotations
@@ -148,20 +151,22 @@ def _spread(group, target, value, block_of, m):
 
 
 def _cells(K, part: Partition, w):
-    """The (source block, target state) cells of the condition, sorted: each
-    cell's source block A_i, narrowed, its target state s and its flow
-    sum_{s' in A_i} w[s'] K(s', s). The sort is stable, so each flow is
-    summed in entry order."""
+    """The (source block, target state) cells of the condition: each cell's
+    source block A_i, its target state s and its flow
+    sum_{s' in A_i} w[s'] K(s', s), in increasing s. They are scipy's
+    compiled row-wise product C^T = K^T V^T, with V^T[s', i] = w[s'] for
+    s' in A_i: row s of C^T lists target s's cells, each flow summed over
+    increasing s', the entries' order. A cell whose flow sums to exactly 0.0
+    is left out, which ``_spread`` reads as 0."""
+    from scipy.sparse import csr_array
+
     if part.num_states != K.dim:
         raise ValueError("partition does not cover the matrix dimension")
-    row = K.row.astype(np.intp)  # numpy would convert the int32 rows at each gather
-    src, col = narrowed(part.block_of, len(part))[row], narrowed(K.col, K.dim)
-    order = np.lexsort((col, src))
-    src, col = src[order], col[order]
-    first = run_starts(src, col)
-    cell = np.cumsum(first)
-    cell -= 1
-    return src[first], col[first], np.bincount(cell, weights=(w[row] * K.data)[order])
+    n = K.dim
+    vt = csr_array((w, part.block_of.astype(np.int32), np.arange(n + 1, dtype=np.int32)),
+                   shape=(n, len(part)))
+    ct = K._operator.tocsr() @ vt  # K^T in CSR, one transposition per call, not kept
+    return ct.indices, np.repeat(np.arange(n), np.diff(ct.indptr)), ct.data
 
 
 def _residual(part: Partition, w, src, col, flow) -> float:
@@ -228,7 +233,8 @@ def aggregate(K, part: Partition, alphas: MeasureFamily,
     """Aggregated matrix over blocks, V K Pi with V[i, s'] = alpha_i(s') and
     Pi the block-indicator matrix: entry (i, j) is the alpha_j-weighted
     average of the condition value over block j, and rows keep the sums of
-    K's rows. Each entry is summed pairwise over its cells from ``_cells``."""
+    K's rows. Each entry is summed pairwise over its cells from ``_cells``,
+    in increasing target state."""
     check_tol(tol)
     w = alphas.weights(part)
     src, col, flow = _cells(K, part, w)

@@ -5,12 +5,12 @@ distributions are dense vectors. All values are immutable after construction
 and every operation is a pure function, so concurrent read access is safe.
 Two derived values are built on first use and kept for the matrix's
 lifetime: a matrix's compiled sparse operator, K^T, the one scipy form of
-its entries, which ``vecmat``, ``classify``, ``_detailed_balance`` and
-``stationary``'s LU read; and a generator's uniformized chain, which
-``transient`` steps. Both are functions of the immutable arrays, so two
-threads that build one at once build equal copies, and keeping either is
-harmless. scipy is imported only inside the functions that use it, which
-keeps ``import lumpkit`` fast.
+its entries, which ``vecmat``, ``classify``, ``_detailed_balance``,
+``stationary``'s LU and the aggregation condition's cells read; and a
+generator's uniformized chain, which ``transient`` steps. Both are
+functions of the immutable arrays, so two threads that build one at once
+build equal copies, and keeping either is harmless. scipy is imported only
+inside the functions that use it, which keeps ``import lumpkit`` fast.
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ class SquareMatrix:
     and ``data``, int32, int32 and float64, list the nonzero entries sorted by
     (row, col), with duplicate coordinates summed and exact zeros dropped.
 
-    ``vecmat``, ``classify``, detailed balance and the stationary LU read one
-    scipy sparse operator over these arrays, built on first use and kept for
-    the matrix's lifetime; building it twice in a race is harmless."""
+    ``vecmat``, ``classify``, detailed balance, the stationary LU and the
+    aggregation condition's cells read one scipy sparse operator over these
+    arrays, built on first use and kept for the matrix's lifetime; building
+    it twice in a race is harmless."""
 
     def __init__(self, dim, row, col, data):
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or not 0 < dim < 2 ** 31:

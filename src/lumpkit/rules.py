@@ -407,11 +407,19 @@ def _bond_pairs(model: RuleModel, ends):
 
 
 def _key_writer(pairs, ends):
-    """The function from state rows to their keys: the parts ``v.s-w.t`` of
-    their bonds, smaller end first, sorted and joined by ``;``, or ``-``. Each
-    slot pair of ``_bond_pairs`` has its part's rank among all such parts
+    """The function from state rows to their keys, and to integer columns
+    that order the keys as strings. A key is the parts ``v.s-w.t`` of its
+    bonds, smaller end first, sorted and joined by ``;``, or ``-``. Each slot
+    pair of ``_bond_pairs`` has its part's rank among all such parts
     precomputed; a key joins its parts by rank. Only the slots of those
-    pairs, the active ones, are read."""
+    pairs, the active ones, are read.
+
+    As a string, a key is its tokens: ``part;`` for every part but the last,
+    the bare last part, or ``-``. A token that is a proper prefix of another
+    ends its key, so two keys compare as their token sequences do, token by
+    token in string order (``B#1.a`` before ``B#10.a``, a site ``a`` before
+    ``a1``). Column j holds the rank of token j among all 2P + 1 tokens,
+    from 1, with 0 past the key's end."""
 
     def part(pair):
         return ";" + "-".join(f"{v}.{s}" for v, s in sorted(ends[x] for x in pair))
@@ -422,15 +430,28 @@ def _key_writer(pairs, ends):
     rank = np.full((len(ends), len(ends)), len(pairs), dtype=np.intp)
     for r, (x, y) in enumerate(pairs):
         rank[x, y] = r
+    bare = [p[1:] for p in parts[:-1]]
+    tokens = {t: k for k, t in enumerate(sorted([*bare, *(p + ";" for p in bare), "-"]), 1)}
+    dtype = np.min_scalar_type(len(tokens))
+    inner = np.array([tokens[p + ";"] for p in bare] + [0], dtype=dtype)  # by part rank
+    last = np.array([tokens[p] for p in bare] + [tokens["-"]], dtype=dtype)
+    width = len(active) // 2  # the most parts a key has
 
     def keys(rows):  # _CHUNK rows at a time, which bounds the temporaries
-        out = []
+        out, columns = [], []
         for lo in range(0, len(rows), _CHUNK):
             partner = rows[lo:lo + _CHUNK, active]
             ranks = np.where(partner > active, rank[active, partner], len(pairs))
             ranks.sort(axis=1)
-            out += ["".join(row)[1:] or "-" for row in parts[ranks[:, :len(active) // 2]].tolist()]
-        return out
+            ranks = ranks[:, :width]
+            out += ["".join(row)[1:] or "-" for row in parts[ranks].tolist()]
+            column = inner[ranks]
+            if width:
+                end = np.maximum(np.count_nonzero(ranks < len(pairs), axis=1) - 1, 0)
+                at = np.arange(len(ranks))
+                column[at, end] = last[ranks[at, end]]
+            columns.append(column)
+        return out, np.concatenate(columns)
 
     return keys
 
@@ -499,9 +520,10 @@ def _applications(model: RuleModel, max_states: int):
         levels.append(frontier)
     del seen, seen_number
     states = np.concatenate(levels)
-    keys = np.array(_key_writer(pairs, ends)(states), dtype=object)
-    bounds = np.cumsum([0] + [len(level) for level in levels])
-    order = np.concatenate([lo + np.argsort(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    keys, columns = _key_writer(pairs, ends)(states)
+    keys = np.array(keys, dtype=object)
+    level = np.repeat(np.arange(len(levels)), list(map(len, levels)))
+    order = np.lexsort((*columns.T[::-1], narrowed(level, len(levels))))  # by level, then key
     index = np.empty(len(order), dtype=np.int32)
     index[order] = np.arange(len(order))  # number found -> state index
     states = states[order]

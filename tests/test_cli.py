@@ -973,8 +973,9 @@ class TestBadNumbers:
 
 class TestImportCost:
     def test_importing_the_cli_loads_neither_scipy_nor_networkx(self):
-        # scipy is imported lazily by classify, stationary and the operator behind
-        # vecmat; an eager import would add its load time to every lumpkit command
+        # scipy is imported lazily by classify, stationary, the condition's cells
+        # and the operator behind vecmat; an eager import would add its load
+        # time to every lumpkit command
         code = ("import sys, lumpkit, lumpkit.cli; "
                 "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
         src = str(Path(__file__).resolve().parents[1] / "src")

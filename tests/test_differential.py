@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import bond_maps, dense_stationary, reachability, row_bond_maps
 
-from lumpkit import aggregation, casestudies, markov, rules
+from lumpkit import aggregation, casestudies, cli, markov, rules
 from lumpkit.errors import ConditionViolated
 from lumpkit.sitegraph import node_type
 
@@ -575,9 +575,45 @@ class TestNarrowedSortKeys:
         assert aggregation.check_cond3(Q, part) == oracle.unique_cond3(Q, part)
         agg = aggregation.aggregate(Q, part, alphas, tol=1e300)
         assert agg.residual == want
-        # each lumped entry is its cells' flows, summed pairwise
-        src, col, flow, _ = oracle.unique_cells(Q, part, alphas)
-        for got, expected in zip((agg.matrix.row, agg.matrix.col, agg.matrix.data),
-                                 oracle.coordinate_arrays(len(part), src, part.block_of[col],
-                                                          flow)):
-            assert np.array_equal(got, expected)
+        assert_lumped_from_nonzero_cells(agg, Q, part, alphas)
+
+    def test_cells_that_sum_to_zero_are_left_out(self):
+        # 0 <-> 1 at rate 1 in one block: each target's one cell is -1/2 + 1/2
+        Q = markov.RateMatrix.from_dense([[-1.0, 1.0], [1.0, -1.0]])
+        part = aggregation.Partition(((0, 1),))
+        alphas = aggregation.uniform_measures(part)
+        assert aggregation._cells(Q, part, alphas.weights(part))[0].size == 0
+        assert aggregation.check_condition(Q, part, alphas) == {"holds": True, "residual": 0.0}
+        agg = aggregation.aggregate(Q, part, alphas)
+        assert agg.residual == 0.0 and agg.matrix.row.size == 0
+        assert np.array_equal(agg.matrix.dense(), [[0.0]])
+
+    @pytest.mark.parametrize("phi", [casestudies.scaffold_phi1, casestudies.scaffold_phi2,
+                                     cli._PHI_FUNCS["species"]],
+                             ids=["phi1", "phi2", "species"])
+    def test_cells_equal_the_unique_grouping_at_scaffold_444(self, scaffold_444, phi):
+        Q, part = scaffold_444.matrix, rules.build_partition(scaffold_444, phi)
+        alphas = aggregation.uniform_measures(part)
+        src, col, flow = aggregation._cells(Q, part, alphas.weights(part))
+        order = np.lexsort((col, src))
+        want_src, want_col, want_flow, _ = oracle.unique_cells(Q, part, alphas)
+        kept = want_flow != 0.0
+        for got, want in ((src, want_src), (col, want_col), (flow, want_flow)):
+            assert np.array_equal(got[order], want[kept])
+        want = oracle.unique_residual(Q, part, alphas)
+        assert aggregation.check_condition(Q, part, alphas)["residual"] == want
+        agg = aggregation.aggregate(Q, part, alphas)
+        assert agg.residual == want
+        assert_lumped_from_nonzero_cells(agg, Q, part, alphas)
+
+
+def assert_lumped_from_nonzero_cells(agg, Q, part, alphas):
+    """Each lumped entry is its cells' flows, summed pairwise in increasing
+    target state, where a cell whose flow is exactly 0.0 is left out, as
+    the compiled product of ``aggregation._cells`` leaves it out."""
+    src, col, flow, _ = oracle.unique_cells(Q, part, alphas)
+    kept = flow != 0.0
+    src, col, flow = src[kept], col[kept], flow[kept]
+    for got, expected in zip((agg.matrix.row, agg.matrix.col, agg.matrix.data),
+                             oracle.coordinate_arrays(len(part), src, part.block_of[col], flow)):
+        assert np.array_equal(got, expected)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lumpkit
-from lumpkit import aggregation, casestudies, cli, errors, markov, rules, sitegraph
+from lumpkit import aggregation, casestudies, cli, dsl, errors, markov, rules, sitegraph
 from lumpkit.errors import SiteConflict, StateCapExceeded, UnsupportedPattern
 from lumpkit.sitegraph import ReactionMixture, SiteGraph, make_mixture
 
@@ -479,6 +479,38 @@ def test_keys_are_written_once(monkeypatch):
     with pytest.raises(StateCapExceeded):
         rules.explore(model, max_states=48)
     assert calls == []
+
+
+def test_each_level_is_in_the_string_order_of_its_keys():
+    """Explore orders a level by integer token ranks, not by the key
+    strings; the order must still be the strings'. With ten B instances,
+    parts on B#1 and B#10 meet; a start with one bond puts keys of one and
+    of three bonds in one level; and the sites a and a1 make one part a
+    proper prefix of another, so a key may be a proper prefix of a key
+    whose first part is not its own."""
+    model = dsl.parse_model("node A { sites: b }\nnode B { sites: a, a1 }\n"
+                            "rule bind: A(b), B(a) -> A(b!1), B(a!1) @ 1\n"
+                            "rule bind1: A(b), B(a1) -> A(b!1), B(a1!1) @ 1\n"
+                            "rule unbind: A(b!1), B(a!1) -> A(b), B(a) @ 1\n"
+                            "rule unbind1: A(b!1), B(a1!1) -> A(b), B(a1) @ 1\n"
+                            "init: A*3, B*10\n")
+    start = make_mixture(model.interface, {"A": 3, "B": 10}, [edge("A#2", "b", "B#10", "a")])
+    chain = rules.explore(rules.RuleModel(model.rules, start, model.interface))
+    keys, K = chain.space.states, chain.matrix
+    assert len(keys) == 1 + 3 * 20 + 3 * 20 * 19 + 20 * 19 * 18
+    level, d = np.full(len(keys), -1), 0  # breadth-first levels from the start, state 0
+    level[0] = 0
+    while (level == d).any():
+        reached = K.col[level[K.row] == d]
+        level[reached[level[reached] < 0]] = d + 1
+        d += 1
+    assert (level >= 0).all() and (np.diff(level) >= 0).all()
+    after = Counter()  # what follows a key in a longer key of its level
+    for d in range(level.max() + 1):
+        found = [keys[s] for s in np.flatnonzero(level == d)]
+        assert found == sorted(found)
+        after.update(b[len(a)] for a, b in zip(found, found[1:]) if b.startswith(a))
+    assert after[";"] and after["1"]
 
 
 def test_largest_case_study_chain_under_the_cap(scaffold_445):
