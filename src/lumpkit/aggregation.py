@@ -154,10 +154,11 @@ def _cells(K, part: Partition, w):
     """The (source block, target state) cells of the condition: each cell's
     source block A_i, its target state s and its flow
     sum_{s' in A_i} w[s'] K(s', s), in increasing s. They are scipy's
-    compiled row-wise product C^T = K^T V^T, with V^T[s', i] = w[s'] for
-    s' in A_i: row s of C^T lists target s's cells, each flow summed over
-    increasing s', the entries' order. A cell whose flow sums to exactly 0.0
-    is left out, which ``_spread`` reads as 0."""
+    compiled row-wise product C^T = K^T V^T, with K^T the matrix's kept
+    CSR operator and V^T[s', i] = w[s'] for s' in A_i: row s of C^T lists
+    target s's cells, each flow summed over increasing s', the entries'
+    order. A cell whose flow sums to exactly 0.0 is left out, which
+    ``_spread`` reads as 0."""
     from scipy.sparse import csr_array
 
     if part.num_states != K.dim:
@@ -165,7 +166,7 @@ def _cells(K, part: Partition, w):
     n = K.dim
     vt = csr_array((w, part.block_of.astype(np.int32), np.arange(n + 1, dtype=np.int32)),
                    shape=(n, len(part)))
-    ct = K._operator.tocsr() @ vt  # K^T in CSR, one transposition per call, not kept
+    ct = K._operator @ vt
     return ct.indices, np.repeat(np.arange(n), np.diff(ct.indptr)), ct.data
 
 

@@ -1,16 +1,18 @@
 """Finite DTMC/CTMC representations and basic analyses.
 
-Matrices are stored sparsely as coordinate arrays in row-major order;
-distributions are dense vectors. All values are immutable after construction
-and every operation is a pure function, so concurrent read access is safe.
-Two derived values are built on first use and kept for the matrix's
-lifetime: a matrix's compiled sparse operator, K^T, the one scipy form of
-its entries, which ``vecmat``, ``classify``, ``_detailed_balance``,
-``stationary``'s LU and the aggregation condition's cells read; and a
-generator's uniformized chain, which ``transient`` steps. Both are
-functions of the immutable arrays, so two threads that build one at once
-build equal copies, and keeping either is harmless. scipy is imported only
-inside the functions that use it, which keeps ``import lumpkit`` fast.
+Matrices are stored sparsely as coordinate arrays in row-major order, 16
+bytes per nonzero; distributions are dense vectors. All values are immutable
+after construction and every operation is a pure function, so concurrent
+read access is safe. Two derived values are built on first use and kept for
+the matrix's lifetime: a matrix's compiled sparse operator, K^T in CSR, the
+one scipy form of its entries, which ``vecmat``, ``classify``,
+``_detailed_balance``, ``stationary``'s LU and the aggregation condition's
+cells read, 12 more bytes per nonzero; and a generator's uniformized chain,
+which ``transient`` steps, a matrix of its own (Q's entries and the
+diagonal) with its own operator. Both are functions of the immutable
+arrays, so two threads that build one at once build equal copies, and
+keeping either is harmless. scipy is imported only inside the functions
+that use it, which keeps ``import lumpkit`` fast.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ DEFAULT_STATIONARY_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-12
 DEFAULT_RATE_SLACK = 1.05
 POISSON_TERM_CAP = 10 ** 6
+_CHUNK = 2 ** 14  # entries ``triplets`` zips at once
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,10 @@ class SquareMatrix:
     (row, col), with duplicate coordinates summed and exact zeros dropped.
 
     ``vecmat``, ``classify``, detailed balance, the stationary LU and the
-    aggregation condition's cells read one scipy sparse operator over these
-    arrays, built on first use and kept for the matrix's lifetime; building
-    it twice in a race is harmless."""
+    aggregation condition's cells read one scipy sparse operator, K^T in
+    CSR, built from these arrays on first use and kept for the matrix's
+    lifetime: 12 bytes per nonzero beside the arrays' 16. Building it twice
+    in a race is harmless."""
 
     def __init__(self, dim, row, col, data):
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or not 0 < dim < 2 ** 31:
@@ -118,15 +122,25 @@ class SquareMatrix:
         data = data.astype(float, copy=False)
         if not np.isfinite(data).all():
             raise ValueError("entries must be finite")
-        # row-major codes; a stable sort keeps each coordinate's entries in the order given
-        code = row.astype(np.int64) * int(dim) + col.astype(np.int64, copy=False)
+        # row-major codes, built in place in the narrowest unsigned type that
+        # holds dim * dim - 1 (16 bits up to 256 states, where numpy's stable
+        # sort is a radix sort); a stable sort keeps each coordinate's
+        # entries in the order given
+        ctype = np.min_scalar_type(int(dim) ** 2 - 1)
+        code = row.astype(ctype)
+        code *= ctype.type(dim)
+        np.add(code, col, out=code, dtype=ctype, casting="unsafe")  # exact: 0 <= col < dim
         order = np.argsort(code, kind="stable")
         code, data = code[order], data[order]
         del order  # freed before the copies below, which set explore's peak
-        starts = np.flatnonzero(run_starts(code))
-        code, data = code[starts], np.add.reduceat(data, starts)
+        starts = run_starts(code)
+        if not starts.all():  # some coordinate repeats: sum its entries pairwise
+            starts = np.flatnonzero(starts)
+            code, data = code[starts], np.add.reduceat(data, starts)
         nonzero = data != 0.0
-        code, data = code[nonzero], data[nonzero]
+        if not nonzero.all():
+            code, data = code[nonzero], data[nonzero]
+        del starts, nonzero
         if code.size >= 2 ** 31:
             raise ValueError(f"{code.size} stored entries, more than int32 indices can hold")
         row, col = np.empty(code.size, dtype=np.int32), np.empty(code.size, dtype=np.int32)
@@ -166,10 +180,16 @@ class SquareMatrix:
         and float, sorted by (row, col). The tuples share one int object per
         state index and one float object per distinct value, instead of
         holding a new object for every number: about 75 bytes per nonzero
-        instead of 160, and the chain writer's peak falls with it."""
+        instead of 160, and the chain writer's peak falls with it. They are
+        zipped _CHUNK entries at a time, so no nnz-long object array is made."""
         index = np.arange(self.dim).astype(object)
         values, which = np.unique(self.data, return_inverse=True)
-        return list(zip(index[self.row], index[self.col], values.astype(object)[which]))
+        values = values.astype(object)
+        out = []
+        for lo in range(0, self.data.size, _CHUNK):
+            at = slice(lo, lo + _CHUNK)
+            out += zip(index[self.row[at]], index[self.col[at]], values[which[at]])
+        return out
 
     def vecmat(self, v):
         """Row vector times matrix: (v K)_j = sum_i v_i K(i, j)."""
@@ -177,15 +197,19 @@ class SquareMatrix:
 
     @cached_property
     def _operator(self):
-        """K^T for scipy's compiled product: the transpose of a CSR array
-        over the matrix's own ``col`` and ``data``, which are already in
-        row-major order, so only ``indptr``, int32 as they are, is new. Its
-        product sums each output over increasing i, the order of the entries."""
+        """K^T in CSR for scipy's compiled products: one transposition of a
+        CSR array over the matrix's own ``col`` and ``data``, which are
+        already in row-major order. Row j lists column j of K in increasing
+        i, so a product sums each output over increasing i, the order of the
+        entries. Its int32 indices and float64 values, 12 bytes per nonzero,
+        are new and read-only."""
         from scipy.sparse import csr_array
 
         indptr = np.r_[0, np.cumsum(np.bincount(self.row, minlength=self.dim))].astype(np.int32)
-        indptr.flags.writeable = False
-        return csr_array((self.data, self.col, indptr), shape=(self.dim, self.dim)).T
+        op = csr_array((self.data, self.col, indptr), shape=(self.dim, self.dim)).T.tocsr()
+        for arr in (op.indptr, op.indices, op.data):
+            arr.flags.writeable = False
+        return op
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.dim == other.dim

@@ -19,6 +19,7 @@ import math
 import os
 from operator import itemgetter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,7 +160,11 @@ class ExploredChain:
     ``build_partition`` reads, in ``_layout``'s slots (ends). A chain from
     ``explore`` holds the search's rows. Given no rows, a chain decodes its
     state keys into rows once (``_key_rows``): a key is refused as
-    ``mixture_from_key`` refuses it, and so are two keys of one mixture."""
+    ``mixture_from_key`` refuses it, and so are two keys of one mixture.
+    The rows' partner patterns per instance (``_row_patterns``), which every
+    ``build_partition`` reads, are found on the first call and kept, read-only,
+    for the chain's lifetime: one intp per (instance, state) and one bond
+    tuple per distinct pattern."""
 
     space: StateSpace
     matrix: RateMatrix
@@ -175,6 +180,10 @@ class ExploredChain:
                                _key_rows(self.space.states, self.counts, self.interface))
         elif self.rows.shape != (len(self.space), max(len(self.ends), 1)):
             raise ValueError("slot rows need one row per state and one column per end")
+
+    @cached_property
+    def _patterns(self):
+        return _row_patterns(self)
 
 
 # --- slot-encoded exploration -------------------------------------------------
@@ -411,46 +420,55 @@ def _key_writer(pairs, ends):
     that order the keys as strings. A key is the parts ``v.s-w.t`` of its
     bonds, smaller end first, sorted and joined by ``;``, or ``-``. Each slot
     pair of ``_bond_pairs`` has its part's rank among all such parts
-    precomputed; a key joins its parts by rank. Only the slots of those
-    pairs, the active ones, are read.
+    precomputed, and a key's parts are found by rank. Only the slots of
+    those pairs, the active ones, are read.
 
     As a string, a key is its tokens: ``part;`` for every part but the last,
     the bare last part, or ``-``. A token that is a proper prefix of another
     ends its key, so two keys compare as their token sequences do, token by
     token in string order (``B#1.a`` before ``B#10.a``, a site ``a`` before
     ``a1``). Column j holds the rank of token j among all 2P + 1 tokens,
-    from 1, with 0 past the key's end."""
+    from 1, with 0 past the key's end. The keys are the columns' tokens:
+    those of each chunk of rows are joined once, with a separator after
+    every row, and split once."""
 
     def part(pair):
-        return ";" + "-".join(f"{v}.{s}" for v, s in sorted(ends[x] for x in pair))
+        return "-".join(f"{v}.{s}" for v, s in sorted(ends[x] for x in pair))
 
     pairs = sorted(pairs, key=part)
     active = np.array(sorted({x for pair in pairs for x in pair}), dtype=np.intp)
-    parts = np.array([part(pair) for pair in pairs] + [""], dtype=object)
-    rank = np.full((len(ends), len(ends)), len(pairs), dtype=np.intp)
+    rank = np.full((len(ends), len(ends)), len(pairs), dtype=np.min_scalar_type(len(pairs)))
     for r, (x, y) in enumerate(pairs):
         rank[x, y] = r
-    bare = [p[1:] for p in parts[:-1]]
-    tokens = {t: k for k, t in enumerate(sorted([*bare, *(p + ";" for p in bare), "-"]), 1)}
-    dtype = np.min_scalar_type(len(tokens))
+    bare = [part(pair) for pair in pairs]
+    ordered = sorted([*bare, *(p + ";" for p in bare), "-"])
+    tokens = {t: k for k, t in enumerate(ordered, 1)}
+    dtype = np.min_scalar_type(len(tokens) + 1)
     inner = np.array([tokens[p + ";"] for p in bare] + [0], dtype=dtype)  # by part rank
     last = np.array([tokens[p] for p in bare] + [tokens["-"]], dtype=dtype)
     width = len(active) // 2  # the most parts a key has
+    # each token by rank, "" past a key's end, and a separator that no token holds
+    held = set("".join(ordered))
+    sep = next(c for c in map(chr, itertools.count()) if c not in held)
+    text = np.array(["", *ordered, sep], dtype=object)
 
     def keys(rows):  # _CHUNK rows at a time, which bounds the temporaries
+        if not width:  # no slot can bond
+            return ["-"] * len(rows), np.zeros((len(rows), 0), dtype=dtype)
         out, columns = [], []
         for lo in range(0, len(rows), _CHUNK):
             partner = rows[lo:lo + _CHUNK, active]
             ranks = np.where(partner > active, rank[active, partner], len(pairs))
             ranks.sort(axis=1)
             ranks = ranks[:, :width]
-            out += ["".join(row)[1:] or "-" for row in parts[ranks].tolist()]
-            column = inner[ranks]
-            if width:
-                end = np.maximum(np.count_nonzero(ranks < len(pairs), axis=1) - 1, 0)
-                at = np.arange(len(ranks))
-                column[at, end] = last[ranks[at, end]]
-            columns.append(column)
+            column = np.empty((len(ranks), width + 1), dtype=dtype)
+            column[:, :width] = inner[ranks]
+            column[:, width] = len(text) - 1
+            end = np.maximum(np.count_nonzero(ranks < len(pairs), axis=1) - 1, 0)
+            at = np.arange(len(ranks))
+            column[at, end] = last[ranks[at, end]]
+            out += "".join(text[column].ravel().tolist()).split(sep)[:-1]
+            columns.append(column[:, :width])
         return out, np.concatenate(columns)
 
     return keys
@@ -592,7 +610,7 @@ def _row_patterns(chain: ExploredChain):
     """Each instance's distinct partner patterns over the chain's slot rows,
     found with ``np.unique`` over one narrowed integer code per row. Returns
     the instance names and, per instance, its patterns' bonds as one tuple
-    each (an object array) and each row's pattern."""
+    each (an object array) and each row's pattern, all read-only."""
     _, slots, ends = _layout(chain.counts, chain.interface)
     names = tuple(slots)
     radix = len(ends) + 1  # a partner slot plus one; 0 is no partner
@@ -606,9 +624,11 @@ def _row_patterns(chain: ExploredChain):
         bonds = np.empty(len(first), dtype=object)
         for j, partners in enumerate(rows[first][:, columns].tolist()):
             bonds[j] = tuple((s, ends[y]) for s, y in zip(slots[v], partners) if y >= 0)
+        for arr in (bonds, inverse):
+            arr.flags.writeable = False
         patterns.append(bonds)
         which.append(inverse)
-    return names, patterns, which
+    return names, tuple(patterns), tuple(which)
 
 
 def _mixed_radix(n, digits):
@@ -735,7 +755,7 @@ def build_partition(chain: ExploredChain, phi) -> Partition:
     (``dict.setdefault``); the distinct values are ranked by sorting them,
     and the blocks gathered by one stable sort of the states by rank."""
     n = len(chain.space)
-    names, patterns, which = _row_patterns(chain)
+    names, patterns, which = chain._patterns
     census_ids = _census(phi)
     if census_ids is None:
         group = leaders = np.arange(n)

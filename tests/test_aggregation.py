@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_expm, fig_chain, fig_partition
 import lumpkit
-from lumpkit import aggregation, casestudies, errors, markov, rules
+from lumpkit import aggregation, casestudies, cli, errors, markov, rules
 from lumpkit.errors import ConditionViolated, NotNested
 
 
@@ -301,6 +301,52 @@ class TestAggregate:
         agg = aggregation.aggregate(ch.matrix, part,
                                     aggregation.uniform_measures(part), 1e-9)
         assert np.abs(agg.matrix.dense().sum(axis=1)).max() <= 1e-11
+
+
+class TestKeptArrays:
+    """A chain keeps its rows' partner patterns and a matrix its K^T, built
+    on first use; no later call may change what another call reads."""
+
+    def test_partitions_in_turn_on_one_chain(self):
+        chain = scaffold_chain(3, 3, 3)
+        for phi in (casestudies.scaffold_phi1, casestudies.scaffold_phi2,
+                    cli._PHI_FUNCS["species"], casestudies.scaffold_phi1):
+            assert rules.build_partition(chain, phi) == rules.build_partition(
+                scaffold_chain(3, 3, 3), phi)
+
+    def test_kept_arrays_are_read_only(self):
+        chain = scaffold_chain(2, 2, 2)
+        rules.build_partition(chain, casestudies.scaffold_phi1)
+        kept = chain._patterns
+        rules.build_partition(chain, casestudies.scaffold_phi2)
+        assert chain._patterns is kept
+        _, patterns, which = kept
+        part = rules.build_partition(chain, cli._PHI_FUNCS["species"])
+        aggregation.check_condition(chain.matrix, part, aggregation.uniform_measures(part))
+        op = chain.matrix._operator
+        for arr in (*patterns, *which, op.indptr, op.indices, op.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = arr[:1]
+
+    def test_checks_and_solves_in_turn_on_one_matrix(self):
+        chain = scaffold_chain(3, 3, 3, rates=(1.3, 0.7, 1.1, 0.9))
+        part = rules.build_partition(chain, casestudies.scaffold_phi2)
+        alphas = aggregation.uniform_measures(part)
+        pi0 = aggregation.lift(markov.Distribution.uniform(len(part)), part, alphas)
+        K = chain.matrix
+
+        def fresh():
+            return markov.RateMatrix(K.dim, K.row, K.col, K.data)
+
+        checked = aggregation.check_condition(K, part, alphas)
+        agg = aggregation.aggregate(K, part, alphas)
+        x = markov.transient(K, pi0, 2.0)
+        mu = markov.stationary(K)
+        assert checked == aggregation.check_condition(fresh(), part, alphas)
+        again = aggregation.aggregate(fresh(), part, alphas)
+        assert agg.matrix == again.matrix and agg.residual == again.residual
+        assert x == markov.transient(fresh(), pi0, 2.0)
+        assert mu == markov.stationary(fresh())
 
 
 class TestRestrictLiftRespects:

@@ -498,7 +498,22 @@ class _Plain(markov.SquareMatrix):
         pass
 
 
-KEY_WIDTH_DIMS = (1, 256, 257, 65536, 65537)  # each side of the uint8 and uint16 limits
+# each side of the limits of the uint8 and uint16 partition keys, and of the
+# uint8, uint16 and uint32 row-major codes of SquareMatrix (dim * dim - 1),
+# and the largest dimension, whose codes pass 2^53, the last exact float64
+KEY_WIDTH_DIMS = (1, 16, 17, 255, 256, 257, 65535, 65536, 65537, 2 ** 31 - 1)
+
+
+def at_each_width(test):
+    """The test on one fixed case per dimension of KEY_WIDTH_DIMS besides
+    the drawn ones: unsorted entries at the largest code, repeats that sum
+    at an odd code, an exact zero and a repeat that cancels to 0.0."""
+    for dim in KEY_WIDTH_DIMS:
+        top, mid, one = dim - 1, dim // 2, min(1, dim - 1)
+        test = example((dim, [top, mid, 0, top, mid, top, one, one],
+                        [top, one, mid, top, one, top, 0, 0],
+                        [0.1, 1.0, 0.0, 0.2, 2.0, -0.3, 0.5, -0.5]))(test)
+    return test
 
 
 @st.composite
@@ -558,6 +573,7 @@ class TestNarrowedSortKeys:
 
     @settings(max_examples=120, deadline=None)
     @given(raw_triplets())
+    @at_each_width
     def test_square_matrix_equals_the_int64_sort(self, case):
         dim, row, col, data = case
         m = _Plain(dim, row, col, data)

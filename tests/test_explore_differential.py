@@ -13,7 +13,7 @@ from conftest import (LOCAL_VIEW_MAPS, bond_maps, dense_stationary, fibers, loca
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpkit import casestudies, cli, markov, rules
+from lumpkit import casestudies, cli, dsl, markov, rules
 from lumpkit.aggregation import check_condition, uniform_measures
 from lumpkit.errors import NotIrreducible, StateCapExceeded
 from lumpkit.markov import RateMatrix, StateSpace
@@ -255,6 +255,68 @@ class TestRowBondMapsMatchTheKeys:
         chain = rules.explore(model)
         assert len(chain.ends) == 66 and len(chain.space) == 34 ** 2
         assert ordered(row_bond_maps(chain)) == ordered(bond_maps(chain))
+
+
+def joined_keys(chain):
+    """Each state's key from its slot row, written here: the parts
+    ``v.s-w.t`` of its bonds, smaller end first, sorted as strings and
+    joined by ``;``, or ``-`` for a state with no bond."""
+    keys = []
+    for row in chain.rows.tolist():
+        parts = ("-".join(f"{v}.{s}" for v, s in sorted((chain.ends[x], chain.ends[y])))
+                 for x, y in enumerate(row) if y > x)
+        keys.append(";".join(sorted(parts)) or "-")
+    return keys
+
+
+class TestKeysAreTheSortedPartsJoined:
+    """``rules._key_writer`` joins the token strings of a chunk of rows once
+    and splits them once; each key must be the one a join of its own sorted
+    parts gives, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models(), models(bonded=False)))
+    def test_drawn_models(self, model):
+        chain, _ = outcome(lambda: rules.explore(model, MAX_STATES))
+        if chain is not None:
+            assert list(chain.space.states) == joined_keys(chain)
+
+    def test_no_bondable_pair(self):
+        # the one rule bonds nothing, so no slot pair can ever bond
+        model = dsl.parse_model("node A { sites: x }\nnode B { sites: y }\n"
+                                "rule r: A(x), B(y) -> A(x), B(y) @ 1\ninit: A*2, B*3\n")
+        assert rules.explore(model).space.states == ("-",)
+        ends = rules._layout({"A": 2, "B": 3}, model.interface)[2]
+        keys, columns = rules._key_writer([], ends)(np.full((5, len(ends)), -1, dtype=np.int8))
+        assert keys == ["-"] * 5 and columns.shape == (5, 0)
+
+    def test_instances_past_nine_and_sites_that_prefix_each_other(self):
+        # B#1 against B#10 and a site a against a1, over several chunks
+        model = dsl.parse_model("node A { sites: b }\nnode B { sites: a, a1 }\n"
+                                "rule bind: A(b), B(a) -> A(b!1), B(a!1) @ 1\n"
+                                "rule bind1: A(b), B(a1) -> A(b!1), B(a1!1) @ 1\n"
+                                "init: A*3, B*10\n")
+        chain = rules.explore(model)
+        keys = chain.space.states
+        assert len(keys) > 2 * rules._CHUNK
+        assert list(keys) == joined_keys(chain)
+        assert any("A#1.b-B#1.a;" in k for k in keys) and any("B#10.a1" in k for k in keys)
+
+    def test_names_that_hold_control_characters(self):
+        # the separator after each row is a character that no part holds
+        iface = {"A": frozenset({"x\x00"}), "B": frozenset({"\n", "\x01"})}
+
+        def bind(b):
+            sides = {"A": frozenset({"x\x00"}), "B": frozenset({b})}
+            bond = frozenset({frozenset((("A", "x\x00"), ("B", b)))})
+            return rules.RewriteRule(SiteGraph(frozenset(sides), sides, frozenset()),
+                                     SiteGraph(frozenset(sides), sides, bond), 1.0, "bind")
+
+        model = rules.RuleModel((bind("\n"), bind("\x01")),
+                                make_mixture(iface, {"A": 2, "B": 2}), iface)
+        chain = rules.explore(model)
+        assert list(chain.space.states) == joined_keys(chain)
+        assert "A#1.x\x00-B#1.\n" in chain.space.states
 
 
 class TestLocalViewCensusMatchesPerStateGrouping:

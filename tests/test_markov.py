@@ -187,6 +187,21 @@ class TestTypes:
         assert len(trip) == 9724
         assert retained / len(trip) < 100, retained / len(trip)
 
+    def test_triplets_across_chunk_boundaries(self):
+        # two whole chunks of entries and one past them
+        rng = np.random.default_rng(7)
+        dim, nnz = 200, 2 * markov._CHUNK + 1
+        off = np.flatnonzero(~np.eye(dim, dtype=bool).ravel())
+        row, col = np.divmod(rng.choice(off, nnz - dim, replace=False), dim)
+        rates = rng.choice([0.5, 1.0, 2.5, 1 / 3], row.size)
+        ids = np.arange(dim)
+        m = markov.RateMatrix(dim, np.r_[row, ids], np.r_[col, ids],
+                              np.r_[rates, -np.bincount(row, weights=rates, minlength=dim)])
+        assert m.data.size == nnz
+        got = m.triplets()
+        assert got == list(zip(m.row.tolist(), m.col.tolist(), m.data.tolist()))
+        assert {tuple(map(type, t)) for t in got} == {(int, int, float)}
+
 
 class TestStationary:
     def test_one_state(self):
@@ -487,16 +502,22 @@ class TestTransient:
             m.data[0] = 0.5
 
     @pytest.mark.parametrize("which", ["explored", "uniformized"])
-    def test_operator_shares_the_matrix_arrays(self, which):
-        # an int32 indptr beside the int32 col lets scipy keep col and data
-        # as they are, with no writeable copy
+    def test_operator_is_the_transpose_in_csr(self, which):
+        # row j of K^T lists column j of K in increasing i, so a product sums
+        # each output in the order of the entries; its arrays are its own
         q = rules.explore(casestudies.polymer_model(casestudies.PolymerParams(2))).matrix
         k = q if which == "explored" else q._uniformized
         op = k._operator
-        assert np.shares_memory(op.indices, k.col) and np.shares_memory(op.data, k.data)
-        assert op.indptr.dtype == np.int32
+        assert op.format == "csr" and op.indptr.dtype == op.indices.dtype == np.int32
+        by_column = np.lexsort((k.row, k.col))
+        assert np.array_equal(op.indices, k.row[by_column])
+        assert np.array_equal(op.data, k.data[by_column])
+        assert np.array_equal(op.indptr, np.r_[0, np.cumsum(np.bincount(k.col, minlength=k.dim))])
+        assert not (np.shares_memory(op.indices, k.col) or np.shares_memory(op.data, k.data))
         for arr in (op.indptr, op.indices, op.data):
             assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            op.data[0] = 0.5
 
     def test_zero_generator_builds_nothing(self):
         q = markov.RateMatrix.from_dense(np.zeros((3, 3)))
